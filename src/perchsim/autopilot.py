@@ -53,7 +53,6 @@ __all__ = [
     "Phase",
     "MissionConfig",
     "Autopilot",
-    "control_cycle",
     "run_mission",
     "run_ensemble",
     "MissionResult",
@@ -68,6 +67,7 @@ DT = 1.0 / CONTROL_RATE_HZ
 DEFAULT_SEEDS = tuple(range(9))
 APPROACH_RANGE_M = 1.5
 GLIDE_STOP_RANGE_M = 0.2
+LAUNCH_SPEED_CAP_MPS = 5.0
 # Gust level sized so the default 9-seed ensemble lands near a 6/9 perch
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
@@ -167,8 +167,9 @@ class MissionConfig:
     max_time_s: float = 12.0
 
     def __post_init__(self):
-        if self.launch_speed_mps > 5.0:
-            raise ValueError("launch speed capped at 5 m/s")
+        if not 0.0 <= self.launch_speed_mps <= LAUNCH_SPEED_CAP_MPS:
+            raise ValueError(f"launch speed outside 0-{LAUNCH_SPEED_CAP_MPS} "
+                             "m/s (safety cap)")
         if not 0.0 < self.altitude_setpoint_m < 5.0:
             raise ValueError("altitude setpoint outside flight envelope")
         if not 0.0 <= self.pitch_setpoint_deg <= 45.0:
@@ -298,13 +299,6 @@ class Autopilot:
             flap_hz=flap,
             beta_cmd_deg=self.beta_cmd,
         ).clamped(cfg.robot)
-
-
-def control_cycle(state: RobotState, config: MissionConfig, phase: Phase,
-                  autopilot: Optional[Autopilot] = None) -> ControlCommand:
-    """One 120 Hz control update (stateless convenience wrapper)."""
-    ap = autopilot if autopilot is not None else Autopilot(config)
-    return ap.control_cycle(state, phase)
 
 
 class _Disturbance:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -21,7 +20,13 @@ import numpy as np
 
 from . import claw as clawmod
 from . import leg as legmod
-from .autopilot import MissionConfig, MissionResult, run_ensemble, run_mission
+from .autopilot import (
+    LAUNCH_SPEED_CAP_MPS,
+    MissionConfig,
+    MissionResult,
+    run_ensemble,
+    run_mission,
+)
 from .claw import BranchSpec, ClawGeometry, SpringSpec
 from .config import ConfigError, Value
 from .pso import PsoConfig, pso_minimize
@@ -37,14 +42,11 @@ __all__ = [
     "EXIT_SUCCESS",
     "EXIT_CRITERIA_FAILED",
     "EXIT_CONFIG_ERROR",
-    "worker_count",
 ]
 
 EXIT_SUCCESS = 0
 EXIT_CRITERIA_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-LAUNCH_SPEED_CAP_MPS = 5.0
 
 
 class Scenario(enum.Enum):
@@ -58,23 +60,41 @@ class Scenario(enum.Enum):
     LAUNCHER_PROFILE = "LauncherProfile"
 
 
-# Override keys accepted in config files, mapped onto mission defaults.
-KNOWN_OVERRIDES = frozenset({
-    "mission.launch_speed_mps",
-    "mission.pitch_setpoint_deg",
-    "mission.altitude_setpoint_m",
-    "mission.launch_lateral_offset_m",
-    "mission.launch_altitude_offset_m",
-    "mission.disturbance_sigma_force_n",
-    "mission.disturbance_sigma_moment_nm",
-    "mission.soft_branch",
-    "branch.diameter_m",
-    "branch.x_m",
-    "branch.z_m",
-    "branch.axis_yaw_deg",
-    "launcher.target_speed_mps",
-    "launcher.rail_length_m",
-})
+# Every key a config file may set: key -> (field it sets, value type).  The
+# section before the dot names the target: ``mission`` -> MissionConfig,
+# ``branch`` -> BranchSpec (``center.x``/``center.z`` are components 0 and 2
+# of its ``center``), ``launcher`` -> launch_profile().  Fields that no key
+# sets keep their dataclass defaults.
+OVERRIDES: Dict[str, Tuple[str, type]] = {
+    "mission.launch_speed_mps": ("launch_speed_mps", float),
+    "mission.pitch_setpoint_deg": ("pitch_setpoint_deg", float),
+    "mission.altitude_setpoint_m": ("altitude_setpoint_m", float),
+    "mission.launch_lateral_offset_m": ("launch_lateral_offset_m", float),
+    "mission.launch_altitude_offset_m": ("launch_altitude_offset_m", float),
+    "mission.disturbance_sigma_force_n": ("disturbance_sigma_force_n", float),
+    "mission.disturbance_sigma_moment_nm":
+        ("disturbance_sigma_moment_nm", float),
+    "mission.soft_branch": ("soft_branch", bool),
+    "branch.diameter_m": ("diameter_m", float),
+    "branch.x_m": ("center.x", float),
+    "branch.z_m": ("center.z", float),
+    "branch.axis_yaw_deg": ("axis_yaw_deg", float),
+    "launcher.target_speed_mps": ("target_speed_mps", float),
+    "launcher.rail_length_m": ("rail_length_m", float),
+}
+
+
+def _typed(key: str, value: Value):
+    """``value`` as the type ``OVERRIDES`` gives ``key``: a bool, or a finite
+    float (an int is accepted for a float)."""
+    kind = OVERRIDES[key][1]
+    if kind is bool and type(value) is bool:
+        return value
+    if (kind is float and type(value) in (int, float)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    expected = "true or false" if kind is bool else "a finite number"
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,44 +105,45 @@ class RunConfig:
     overrides: Dict[str, Value] = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = set(self.overrides) - KNOWN_OVERRIDES
+        unknown = set(self.overrides) - set(OVERRIDES)
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in self.overrides.items():
+            _typed(key, value)
+
+
+def _fields(cfg: RunConfig, section: str) -> Dict[str, Value]:
+    """The overrides of one config section, as {field: typed value}."""
+    return {OVERRIDES[key][0]: _typed(key, value)
+            for key, value in cfg.overrides.items()
+            if key.startswith(section + ".")}
 
 
 @dataclass(frozen=True)
 class LaunchProfile:
-    target_speed_mps: float = 4.0
+    target_speed_mps: float = MissionConfig.launch_speed_mps
     rail_length_m: float = 1.6
-    acceleration_mps2: float = 5.0
-    lateral_offset_m: float = 0.4
+    lateral_offset_m: float = MissionConfig.launch_lateral_offset_m
+
+    @property
+    def acceleration_mps2(self) -> float:
+        """Constant-acceleration rail profile: a = v^2 / (2 L)."""
+        return self.target_speed_mps ** 2 / (2.0 * self.rail_length_m)
 
 
-def launch_profile(target_speed_mps: float,
-                   rail_length_m: float) -> LaunchProfile:
-    """Constant-acceleration rail profile: a = v^2 / (2 L)."""
-    if target_speed_mps < 0 or rail_length_m <= 0:
-        raise ConfigError("launch speed must be >= 0 and rail length > 0")
-    if target_speed_mps > LAUNCH_SPEED_CAP_MPS:
+def launch_profile(target_speed_mps: float = LaunchProfile.target_speed_mps,
+                   rail_length_m: float = LaunchProfile.rail_length_m
+                   ) -> LaunchProfile:
+    """Validated rail profile for one launch."""
+    if not 0.0 <= target_speed_mps <= LAUNCH_SPEED_CAP_MPS:
         raise ConfigError(
-            f"launch speed {target_speed_mps} m/s exceeds the "
-            f"{LAUNCH_SPEED_CAP_MPS} m/s safety cap")
-    accel = target_speed_mps ** 2 / (2.0 * rail_length_m)
+            f"launch speed {target_speed_mps} m/s is outside 0-"
+            f"{LAUNCH_SPEED_CAP_MPS} m/s (safety cap)")
+    if not 0.0 < rail_length_m < math.inf:
+        raise ConfigError("rail length must be positive and finite")
     return LaunchProfile(target_speed_mps=target_speed_mps,
-                         rail_length_m=rail_length_m,
-                         acceleration_mps2=accel)
-
-
-def worker_count() -> int:
-    """Worker cap from the PERCHSIM_THREADS environment variable."""
-    raw = os.environ.get("PERCHSIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PERCHSIM_THREADS must be an integer, got {raw!r}") \
-            from exc
-    return max(1, n)
+                         rail_length_m=rail_length_m)
 
 
 def _fmt(value) -> str:
@@ -146,27 +167,12 @@ def _write_summary(path: Path, lines: Sequence[str]) -> None:
 
 
 def _mission_config(cfg: RunConfig) -> MissionConfig:
-    ov = cfg.overrides
-    branch = BranchSpec(
-        center=(float(ov.get("branch.x_m", 14.0)), 0.0,
-                float(ov.get("branch.z_m", 2.0))),
-        diameter_m=float(ov.get("branch.diameter_m", 0.06)),
-        axis_yaw_deg=float(ov.get("branch.axis_yaw_deg", 0.0)),
-    )
-    base = MissionConfig(branch=branch, seed=cfg.seed)
-    mapping = {
-        "mission.launch_speed_mps": "launch_speed_mps",
-        "mission.pitch_setpoint_deg": "pitch_setpoint_deg",
-        "mission.altitude_setpoint_m": "altitude_setpoint_m",
-        "mission.launch_lateral_offset_m": "launch_lateral_offset_m",
-        "mission.launch_altitude_offset_m": "launch_altitude_offset_m",
-        "mission.disturbance_sigma_force_n": "disturbance_sigma_force_n",
-        "mission.disturbance_sigma_moment_nm": "disturbance_sigma_moment_nm",
-        "mission.soft_branch": "soft_branch",
-    }
-    kwargs = {attr: ov[key] for key, attr in mapping.items() if key in ov}
+    branch = _fields(cfg, "branch")
+    x, y, z = BranchSpec.center
+    center = (branch.pop("center.x", x), y, branch.pop("center.z", z))
     try:
-        return replace(base, **kwargs) if kwargs else base
+        return MissionConfig(branch=BranchSpec(center=center, **branch),
+                             seed=cfg.seed, **_fields(cfg, "mission"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -260,13 +266,7 @@ def _scenario_soft_branch(cfg: RunConfig, out: Path) -> bool:
 def _scenario_full_perch(cfg: RunConfig, out: Path) -> bool:
     mission = _mission_config(cfg)
     seeds = tuple(range(cfg.seed, cfg.seed + 9))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: run_ensemble(mission, seeds=[s])[0], seeds))
-    else:
-        results = run_ensemble(mission, seeds=seeds)
+    results = run_ensemble(mission, seeds=seeds)
     summary_rows = []
     for seed, result in zip(seeds, results):
         _write_csv(out / f"run_{seed}.csv", _TRAJ_HEADER,
@@ -335,11 +335,7 @@ def _scenario_optimize(cfg: RunConfig, out: Path) -> bool:
 
 
 def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> bool:
-    ov = cfg.overrides
-    profile = launch_profile(
-        float(ov.get("launcher.target_speed_mps", 4.0)),
-        float(ov.get("launcher.rail_length_m", 1.6)),
-    )
+    profile = launch_profile(**_fields(cfg, "launcher"))
     _write_csv(out / "launcher.csv",
                ("target_speed_mps", "rail_length_m", "acceleration_mps2",
                 "lateral_offset_m"),

@@ -216,7 +216,6 @@ def simulate_impact(
     total_mass_kg: float = 0.700,
     speed_mps: float = 2.5,
     misalignment_z_m: float = 0.0,
-    branch=None,
     dt: float = 1e-4,
 ) -> ImpactRecord:
     """Single impact run; the claw tip starts touching the branch at ``speed``."""

@@ -82,8 +82,9 @@ class TestPidStep:
 
 class TestConfigValidation:
     def test_launch_speed_cap(self):
-        with pytest.raises(ValueError):
-            MissionConfig(launch_speed_mps=5.5)
+        for speed in (5.5, math.nan, -1.0):
+            with pytest.raises(ValueError):
+                MissionConfig(launch_speed_mps=speed)
 
     def test_setpoint_bounds(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Tests for configuration plumbing, launcher kinematics, and scenarios."""
 
 import csv
-import os
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from perchsim.config import (
     ConfigError,
@@ -13,12 +14,14 @@ from perchsim.config import (
 from perchsim.harness import (
     EXIT_CRITERIA_FAILED,
     EXIT_SUCCESS,
+    OVERRIDES,
     LaunchProfile,
     RunConfig,
     Scenario,
+    _fields,
+    _mission_config,
     launch_profile,
     run_scenario,
-    worker_count,
 )
 from perchsim.cli import main
 
@@ -61,6 +64,62 @@ class TestConfigFormat:
                       overrides={"mission.warp_drive": 9})
 
 
+def built(overrides):
+    """The mission config and launch profile the harness builds."""
+    cfg = RunConfig(Scenario.FULL_PERCH, overrides=overrides)
+    return _mission_config(cfg), launch_profile(**_fields(cfg, "launcher"))
+
+
+# One non-default value per accepted key, and where it must land.
+ROUTES = [
+    ("mission.launch_speed_mps", 3.5, lambda m, p: m.launch_speed_mps),
+    ("mission.pitch_setpoint_deg", 25.0, lambda m, p: m.pitch_setpoint_deg),
+    ("mission.altitude_setpoint_m", 1.5, lambda m, p: m.altitude_setpoint_m),
+    ("mission.launch_lateral_offset_m", 0.1,
+     lambda m, p: m.launch_lateral_offset_m),
+    ("mission.launch_altitude_offset_m", -0.3,
+     lambda m, p: m.launch_altitude_offset_m),
+    ("mission.disturbance_sigma_force_n", 0.5,
+     lambda m, p: m.disturbance_sigma_force_n),
+    ("mission.disturbance_sigma_moment_nm", 0.01,
+     lambda m, p: m.disturbance_sigma_moment_nm),
+    ("mission.soft_branch", True, lambda m, p: m.soft_branch),
+    ("branch.diameter_m", 0.08, lambda m, p: m.branch.diameter_m),
+    ("branch.x_m", 12.0, lambda m, p: m.branch.center[0]),
+    ("branch.z_m", 1.5, lambda m, p: m.branch.center[2]),
+    ("branch.axis_yaw_deg", 10.0, lambda m, p: m.branch.axis_yaw_deg),
+    ("launcher.target_speed_mps", 3.0, lambda m, p: p.target_speed_mps),
+    ("launcher.rail_length_m", 0.9, lambda m, p: p.rail_length_m),
+]
+
+CONFIG_VALUES = st.one_of(st.text(), st.booleans(), st.integers(),
+                          st.floats())
+
+
+class TestOverrides:
+    def test_accepted_keys(self):
+        assert set(OVERRIDES) == {key for key, _, _ in ROUTES}
+
+    @pytest.mark.parametrize("key,value,target", ROUTES,
+                             ids=[key for key, _, _ in ROUTES])
+    def test_key_reaches_its_field(self, key, value, target):
+        assert target(*built({})) != value
+        assert target(*built({key: value})) == value
+
+    def test_int_accepted_for_float(self):
+        _, profile = built({"launcher.rail_length_m": 2})
+        assert repr(profile.rail_length_m) == "2.0"  # launcher.csv bytes
+
+    @settings(deadline=None)
+    @given(key=st.sampled_from(sorted(OVERRIDES)), value=CONFIG_VALUES)
+    @example(key="branch.x_m", value=10 ** 400)  # too large for a float
+    def test_any_value_builds_or_is_a_config_error(self, key, value):
+        try:
+            built({key: value})
+        except ConfigError:
+            pass
+
+
 class TestLaunchProfile:
     def test_published_rail(self):
         profile = launch_profile(4.0, 1.6)
@@ -73,8 +132,9 @@ class TestLaunchProfile:
         assert launch_profile(4.0, 0.8).acceleration_mps2 == 10.0
 
     def test_speed_cap(self):
-        with pytest.raises(ConfigError):
-            launch_profile(5.5, 1.6)
+        for speed in (5.5, math.nan, -1.0):
+            with pytest.raises(ConfigError):
+                launch_profile(speed, 1.6)
 
     def test_invalid_rail(self):
         with pytest.raises(ConfigError):
@@ -83,21 +143,6 @@ class TestLaunchProfile:
     def test_defaults(self):
         profile = LaunchProfile()
         assert profile.lateral_offset_m == 0.4
-
-
-class TestWorkerCount:
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("PERCHSIM_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("PERCHSIM_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("PERCHSIM_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()
 
 
 def read_csv(path):
@@ -196,6 +241,24 @@ class TestCli:
         assert code == 0
         rows = read_csv(tmp_path / "launcher.csv")
         assert float(rows[1][2]) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("line", [
+        "branch.diameter_m = abc",
+        "branch.diameter_m = -1",
+        "launcher.rail_length_m = abc",
+        "mission.soft_branch = 1",
+        "mission.launch_speed_mps = -1",
+        "launcher.target_speed_mps = nan",
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["SoftBranch", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perchsim: configuration error: ")
+        assert err.count("\n") == 1
 
     def test_overspeed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
