@@ -38,7 +38,6 @@ from .perception import (
 from .plant import (
     CONTROL_RATE_HZ,
     ControlCommand,
-    Infeasible,
     RobotParams,
     RobotState,
     plant_step,
@@ -160,7 +159,6 @@ class MissionConfig:
     disturbance_sigma_force_n: float = 0.0
     disturbance_sigma_moment_nm: float = 0.0
     disturbance_tau_s: float = 0.3
-    control_rate_hz: float = CONTROL_RATE_HZ
     launch_lateral_offset_m: float = 0.4
     launch_altitude_offset_m: float = -0.17
     soft_branch: bool = False
@@ -174,6 +172,12 @@ class MissionConfig:
             raise ValueError("altitude setpoint outside flight envelope")
         if not 0.0 <= self.pitch_setpoint_deg <= 45.0:
             raise ValueError("pitch setpoint outside flight envelope")
+        if trim_state(self.pitch_setpoint_deg, self.robot) is None:
+            raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
+                             "has no trim point")
+        if self.branch.diameter_m < self.claw_geom.min_spike_diameter_m:
+            raise ValueError("branch diameter below the claw's spike-contact "
+                             f"minimum {self.claw_geom.min_spike_diameter_m} m")
 
 
 @dataclass(frozen=True)
@@ -205,10 +209,8 @@ class Autopilot:
 
     def __init__(self, config: MissionConfig):
         self.config = config
-        trim = trim_state(config.pitch_setpoint_deg, config.robot)
-        if isinstance(trim, Infeasible):
-            raise ValueError("pitch setpoint has no trim point")
-        self.trim_speed, self.trim_flap = trim
+        self.trim_speed, self.trim_flap = trim_state(
+            config.pitch_setpoint_deg, config.robot)
         self.pitch_pid = PidState()
         self.yaw_pid = PidState()
         self.alt_pid = PidState()
@@ -245,20 +247,19 @@ class Autopilot:
         """
         cfg = self.config
         boresight = math.radians(state.beta_deg - 45.0)
-        pose = SensorPose(x_m=state.x_m, z_m=state.claw_z_m(),
-                          boresight_rad=boresight)
+        claw_z = state.claw_z_m(cfg.leg.link_length_m)
+        pose = SensorPose(x_m=state.x_m, z_m=claw_z, boresight_rad=boresight)
         frame = render_scan(pose, cfg.branch, cfg.sensor, self.sensor_rng)
         det = detect_branch(frame, cfg.sensor)
         rng_m = cfg.branch.center[0] - state.x_m
         if det is not None and rng_m > 0.05:
             elevation = boresight + float(
                 cfg.sensor.pixel_angle_rad(det))
-            self.branch_z_est = state.claw_z_m() \
-                + rng_m * math.tan(elevation)
+            self.branch_z_est = claw_z + rng_m * math.tan(elevation)
         if self.branch_z_est is None:
             return
         cos_target = (state.altitude_m - self.branch_z_est) \
-            / cfg.robot.leg_length_m
+            / cfg.leg.link_length_m
         cos_target = min(1.0, max(-1.0, cos_target))
         beta_target = math.degrees(math.acos(cos_target))
         max_step = cfg.leg_gains.rate_limit_dps * dt
@@ -369,7 +370,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
         cmd = ap.control_cycle(state, phase)
         if phase is Phase.IMPACT:
             crossing = state
-            claw_mis = config.branch.center[2] - state.claw_z_m()
+            claw_mis = (config.branch.center[2]
+                        - state.claw_z_m(config.leg.link_length_m))
             impact = legmod.simulate_impact(
                 config.leg,
                 total_mass_kg=config.robot.mass_kg,

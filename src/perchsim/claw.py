@@ -66,7 +66,6 @@ class SpringSpec:
     free_length_mm: float = 40.0
     rate_n_per_mm: float = 5.0
     max_force_n: float = 111.0
-    mass_g: float = 8.0
 
     def __post_init__(self):
         if self.rate_n_per_mm <= 0:

@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -29,6 +29,7 @@ from .autopilot import (
 )
 from .claw import BranchSpec, ClawGeometry, SpringSpec
 from .config import ConfigError, Value
+from .plant import RobotParams
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -166,13 +167,16 @@ def _write_summary(path: Path, lines: Sequence[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _mission_config(cfg: RunConfig) -> MissionConfig:
+def _mission_config(cfg: RunConfig, **fixed) -> MissionConfig:
+    """The mission the config describes; a scenario's ``fixed`` fields win
+    over the config file's."""
     branch = _fields(cfg, "branch")
     x, y, z = BranchSpec.center
     center = (branch.pop("center.x", x), y, branch.pop("center.z", z))
+    mission = {**_fields(cfg, "mission"), **fixed}
     try:
         return MissionConfig(branch=BranchSpec(center=center, **branch),
-                             seed=cfg.seed, **_fields(cfg, "mission"))
+                             seed=cfg.seed, **mission)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -229,10 +233,9 @@ def _scenario_impact_suite(cfg: RunConfig, out: Path) -> bool:
 
 
 def _scenario_flight_only(cfg: RunConfig, out: Path) -> bool:
-    base = _mission_config(cfg)
-    light = replace(base.robot, mass_kg=base.robot.mass_no_appendage_kg)
-    mission = replace(base, robot=light, soft_branch=True,
-                      launch_altitude_offset_m=-0.26)
+    light = RobotParams(mass_kg=RobotParams.mass_no_appendage_kg)
+    mission = _mission_config(cfg, robot=light, soft_branch=True,
+                              launch_altitude_offset_m=-0.26)
     result = run_mission(mission)
     _write_csv(out / "trajectory.csv", _TRAJ_HEADER,
                _trajectory_rows(result))
@@ -247,7 +250,7 @@ def _scenario_flight_only(cfg: RunConfig, out: Path) -> bool:
 
 
 def _scenario_soft_branch(cfg: RunConfig, out: Path) -> bool:
-    mission = replace(_mission_config(cfg), soft_branch=True)
+    mission = _mission_config(cfg, soft_branch=True)
     result = run_mission(mission)
     _write_csv(out / "trajectory.csv", _TRAJ_HEADER,
                _trajectory_rows(result))

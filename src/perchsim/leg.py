@@ -57,9 +57,6 @@ class LegParams:
     leg_spring_rest_m: float = 0.10
     servo_limit_torque_nm: float = 1.72
     servo_joint_stiffness_nm_rad: float = 2.0
-    hip_angle_min_deg: float = 0.0     # vertical downwards
-    hip_angle_max_deg: float = 90.0    # horizontal
-    leg_assembly_mass_budget_kg: float = 0.18
     spring_anchor_fraction: float = 0.4   # diagonal-spring moment arm / link length
     joint_damping_ratio: float = 0.7
     servo_damping_nm_s: float = 0.02
@@ -69,9 +66,6 @@ class LegParams:
             raise ValueError("leg mass and link length must be positive")
         if not 1.47 <= self.servo_limit_torque_nm <= 1.96:
             raise ValueError("servo limit torque outside the 15-20 kg*cm range")
-
-    def clamp_hip_angle(self, beta_deg: float) -> float:
-        return min(self.hip_angle_max_deg, max(self.hip_angle_min_deg, beta_deg))
 
 
 @dataclass(frozen=True)

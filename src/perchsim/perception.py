@@ -73,7 +73,6 @@ class SensorPose:
 @dataclass(frozen=True)
 class SensorFrame:
     brightness: np.ndarray  # shape (128,), clamped to [0, 1]
-    timestamp_s: float = 0.0
 
     def __post_init__(self):
         if self.brightness.shape != (128,):
@@ -85,7 +84,6 @@ def render_scan(
     branch: BranchSpec,
     spec: SensorSpec,
     rng: np.random.Generator,
-    timestamp_s: float = 0.0,
 ) -> SensorFrame:
     """Project the branch cylinder onto the pixel line.
 
@@ -107,9 +105,7 @@ def render_scan(
         scene[dark] = spec.dark_level
     brightness = scene * np.cos(angles)
     brightness = brightness + rng.normal(0.0, spec.noise_sigma, spec.pixels)
-    return SensorFrame(
-        brightness=np.clip(brightness, 0.0, 1.0), timestamp_s=timestamp_s
-    )
+    return SensorFrame(brightness=np.clip(brightness, 0.0, 1.0))
 
 
 def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:

@@ -14,18 +14,15 @@ callers can advance by a 120 Hz control period in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-
-from .claw import ClawMode
 
 __all__ = [
     "RobotParams",
     "RobotState",
     "ControlCommand",
-    "Infeasible",
     "plant_step",
     "thrust_model",
     "trim_state",
@@ -40,22 +37,6 @@ PLANT_RATE_HZ = 960.0
 CONTROL_RATE_HZ = 120.0
 
 
-class Infeasible:
-    """Sentinel: no steady flight equilibrium exists at the requested pitch."""
-
-    def __repr__(self):
-        return "Infeasible"
-
-    def __eq__(self, other):
-        return isinstance(other, Infeasible)
-
-    def __hash__(self):
-        return hash("Infeasible")
-
-
-INFEASIBLE = Infeasible()
-
-
 @dataclass(frozen=True)
 class RobotParams:
     """Airframe constants.  Aerodynamic coefficients are calibration values
@@ -64,7 +45,6 @@ class RobotParams:
 
     mass_kg: float = 0.700            # with leg/claw appendage
     mass_no_appendage_kg: float = 0.520
-    wingspan_m: float = 1.5
     wing_area_m2: float = 0.43        # 16 N/m^2 wing loading at 0.7 kg
     max_flap_hz: float = 5.5
     pitch_inertia: float = 0.010      # kg*m^2
@@ -95,7 +75,6 @@ class RobotParams:
     side_force_n_per_rad: float = 1.2
     elevator_download_n_per_deg: float = 0.10
     # leg servo response
-    leg_length_m: float = 0.20
     beta_lag_s: float = 0.030
     beta_rate_limit_dps: float = 400.0
 
@@ -161,7 +140,6 @@ class RobotState:
     heave_m: float = 0.0
     heave_rate_mps: float = 0.0
     beta_deg: float = 0.0
-    claw_mode: ClawMode = ClawMode.OPEN
 
     def __post_init__(self):
         if not -90.0 < self.pitch_deg < 90.0:
@@ -179,10 +157,12 @@ class RobotState:
     def speed_mps(self) -> float:
         return math.hypot(self.vx_mps, self.vy_mps, self.vz_mps)
 
-    def claw_z_m(self) -> float:
-        """Altitude of the claw boresight for the current leg angle
-        (beta = 0 leg straight down, beta = 90 horizontal)."""
-        return self.altitude_m - 0.20 * math.cos(math.radians(self.beta_deg))
+    def claw_z_m(self, link_length_m: float) -> float:
+        """Altitude of the claw boresight at the end of a leg of
+        ``link_length_m`` for the current leg angle (beta = 0 leg straight
+        down, beta = 90 horizontal)."""
+        return self.altitude_m - link_length_m * math.cos(
+            math.radians(self.beta_deg))
 
     def to_vector(self) -> np.ndarray:
         return np.array([
@@ -195,7 +175,7 @@ class RobotState:
         ])
 
     @staticmethod
-    def from_vector(v: np.ndarray, claw_mode: ClawMode) -> "RobotState":
+    def from_vector(v: np.ndarray) -> "RobotState":
         return RobotState(
             x_m=float(v[0]), y_m=float(v[1]), z_m=float(v[2]),
             vx_mps=float(v[3]), vy_mps=float(v[4]), vz_mps=float(v[5]),
@@ -206,15 +186,13 @@ class RobotState:
             flap_phase_rad=float(v[10]),
             heave_m=float(v[11]), heave_rate_mps=float(v[12]),
             beta_deg=math.degrees(float(v[13])),
-            claw_mode=claw_mode,
         )
 
 
-def thrust_model(flap_hz: float, params: RobotParams) -> Tuple[float, bool]:
-    """Thrust (N) for a flap frequency; returns (thrust, clamped_flag)."""
-    clamped = not 0.0 <= flap_hz <= params.max_flap_hz
+def thrust_model(flap_hz: float, params: RobotParams) -> float:
+    """Thrust (N) for a flap frequency clamped to 0..max_flap_hz."""
     f = min(params.max_flap_hz, max(0.0, flap_hz))
-    return params.thrust_n_per_hz2 * f * f, clamped
+    return params.thrust_n_per_hz2 * f * f
 
 
 def _derivatives(v: np.ndarray, cmd: ControlCommand, params: RobotParams,
@@ -244,7 +222,7 @@ def _derivatives(v: np.ndarray, cmd: ControlCommand, params: RobotParams,
         fy += -drag * uy - lift * math.sin(gamma) * math.sin(track)
         fz += -drag * uz + lift * math.cos(gamma)
 
-    thrust, _ = thrust_model(cmd.flap_hz, params)
+    thrust = thrust_model(cmd.flap_hz, params)
     fx += thrust * math.cos(th) * math.cos(psi)
     fy += thrust * math.cos(th) * math.sin(psi)
     fz += thrust * math.sin(th)
@@ -317,18 +295,19 @@ def plant_step(
         k3 = _derivatives(v + 0.5 * h * k2, cmd, params, ext_force, ext_moment)
         k4 = _derivatives(v + h * k3, cmd, params, ext_force, ext_moment)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new = RobotState.from_vector(v, state.claw_mode)
+    new = RobotState.from_vector(v)
     if new.altitude_m <= 0.0:
         new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
                       vz_mps=0.0, heave_rate_mps=0.0)
     return new
 
 
-def trim_state(pitch_deg: float, params: RobotParams):
+def trim_state(pitch_deg: float,
+               params: RobotParams) -> Optional[Tuple[float, float]]:
     """Steady level-flight equilibrium at a fixed pitch.
 
-    Returns (speed_mps, flap_hz) or the ``Infeasible`` sentinel when the
-    force balance needs more flap frequency than the wings can provide.
+    Returns (speed_mps, flap_hz), or None when the force balance needs more
+    flap frequency than the wings can provide.
     """
     if not 0.0 <= pitch_deg <= 60.0:
         raise ValueError("trim pitch must be within 0-60 deg")
@@ -337,7 +316,7 @@ def trim_state(pitch_deg: float, params: RobotParams):
     th = math.radians(pitch_deg)
     denom = cl + cd * math.tan(th)
     if denom <= 0.0:
-        return INFEASIBLE
+        return None
     # holding this pitch needs a steady elevator deflection whose tail
     # download adds to the weight the wings must carry
     delta_e = params.pitch_stiffness_nm_rad * th / params.elevator_nm_per_deg
@@ -349,7 +328,7 @@ def trim_state(pitch_deg: float, params: RobotParams):
     flap_sq = thrust / params.thrust_n_per_hz2
     flap = math.sqrt(flap_sq)
     if flap > params.max_flap_hz:
-        return INFEASIBLE
+        return None
     return math.sqrt(v_sq), flap
 
 

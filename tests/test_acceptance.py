@@ -31,7 +31,7 @@ from perchsim.perception import (
     detection_limit,
     render_scan,
 )
-from perchsim.plant import INFEASIBLE, RobotState, plant_step, trim_state
+from perchsim.plant import RobotState, plant_step, trim_state
 from perchsim.pso import PsoConfig, pso_minimize
 from perchsim.touchdown import (
     PerchOutcome,
@@ -157,7 +157,7 @@ def test_c05_flight_control():
         else:
             settle_s = math.inf
     trim30 = trim_state(30.0, config.robot)
-    infeasible = trim_state(45.0, config.robot) is INFEASIBLE
+    infeasible = trim_state(45.0, config.robot) is None
     err0 = run_mission(MissionConfig()).diagnostics["altitude_error_m"]
     errs = [run_mission(MissionConfig(altitude_setpoint_m=sp))
             .diagnostics["altitude_error_m"] for sp in (1.75, 2.0, 2.25)]

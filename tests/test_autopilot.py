@@ -19,6 +19,7 @@ from perchsim.autopilot import (
     run_mission,
     tuning_procedure,
 )
+from perchsim.leg import LegParams
 from perchsim.plant import RobotState, plant_step
 from perchsim.touchdown import PerchOutcome
 
@@ -130,7 +131,7 @@ class TestControlCycle:
         ap = Autopilot(MissionConfig())
         state = RobotState(x_m=12.6, z_m=2.0, vx_mps=2.5, pitch_deg=30.0,
                            beta_deg=45.0)
-        assert state.claw_z_m() < 2.0  # claw below the branch center
+        assert state.claw_z_m(0.2) < 2.0  # claw below the branch center
         before = ap.beta_cmd
         for _ in range(10):
             cmd = ap.control_cycle(state, Phase.APPROACH)
@@ -205,6 +206,13 @@ class TestRunMission:
             result = run_mission(MissionConfig(altitude_setpoint_m=sp))
             errors.append(result.diagnostics["altitude_error_m"])
         assert sum(errors) / len(errors) <= 0.16
+
+    def test_claw_height_uses_leg_length(self):
+        config = MissionConfig(leg=replace(LegParams(), link_length_m=0.25))
+        result = run_mission(config)
+        assert result.crossing is not None
+        assert result.diagnostics["claw_misalignment_m"] == (
+            config.branch.center[2] - result.crossing.claw_z_m(0.25))
 
     def test_soft_branch_never_locks(self):
         result = run_mission(MissionConfig(soft_branch=True))

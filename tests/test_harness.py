@@ -249,6 +249,8 @@ class TestCli:
         "mission.soft_branch = 1",
         "mission.launch_speed_mps = -1",
         "launcher.target_speed_mps = nan",
+        "mission.pitch_setpoint_deg = 44",
+        "branch.diameter_m = 0.02",
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"

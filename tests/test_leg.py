@@ -147,12 +147,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             LegParams(link_length_m=-0.1)
 
-    def test_hip_angle_clamped(self):
-        leg = LegParams()
-        assert leg.clamp_hip_angle(120.0) == 90.0
-        assert leg.clamp_hip_angle(-5.0) == 0.0
-        assert leg.clamp_hip_angle(45.0) == 45.0
-
 
 class TestSweep:
     def test_sweep_shape_and_values(self, default_leg):
