@@ -14,6 +14,7 @@ import numpy as np
 
 from perchsim.claw import BranchSpec
 from perchsim.perception import (
+    PIXELS,
     LegLoopState,
     LegPdGains,
     SensorPose,
@@ -27,6 +28,7 @@ from perchsim.perception import (
 
 def main():
     spec, branch = SensorSpec(), BranchSpec()
+    center = (PIXELS - 1) / 2.0
     print(f"detection limit for a 6 cm branch: "
           f"{detection_limit(spec, 0.06, 1):.2f} m")
 
@@ -36,14 +38,13 @@ def main():
     det = detect_branch(frame, spec)
     bar = "".join("#" if b < 0.5 else "-" for b in frame.brightness)
     print(f"\nnoisy frame at 1.9 m (dark pixels '#'):\n{bar}")
-    print(f"detected center pixel: {det:.1f} (true center 63.5)")
+    print(f"detected center pixel: {det:.1f} (true center {center:.1f})")
 
     print("\n== leg PD centering after a 10-pixel step ==")
     gains = LegPdGains()
     state = LegLoopState(beta_cmd_deg=45.0)
     step_rad = 10 * spec.ifov_rad  # knock the boresight 10 pixels low
     dt = 1.0 / spec.read_hz
-    center = (spec.pixels - 1) / 2.0
     for step in range(25):
         pose = SensorPose(x_m=12.1, z_m=2.0,
                           boresight_rad=np.radians(state.beta_cmd_deg - 45.0)

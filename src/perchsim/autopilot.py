@@ -37,6 +37,7 @@ from .perception import (
 )
 from .plant import (
     CONTROL_RATE_HZ,
+    AttitudeDivergence,
     ControlCommand,
     RobotParams,
     RobotState,
@@ -385,8 +386,13 @@ def run_mission(config: MissionConfig) -> MissionResult:
             ap.phase = Phase.TERMINAL
             break
         force, moment = disturbance.step()
-        state = plant_step(state, cmd, config.robot, DT,
-                           ext_force=force, ext_moment=moment)
+        try:
+            state = plant_step(state, cmd, config.robot, DT,
+                               ext_force=force, ext_moment=moment)
+        except AttitudeDivergence:
+            diagnostics["diverged_t_s"] = t + DT
+            outcome = PerchOutcome.MISSED
+            break
         t += DT
         trajectory.append(TrajectoryRow(
             t_s=t, x_m=state.x_m, y_m=state.y_m, z_m=state.altitude_m,
@@ -453,16 +459,18 @@ def tuning_procedure(stage: int, config: MissionConfig,
             f"stage {stage} requires stages {list(range(1, stage))} first")
 
     if stage == 1:
-        # launcher-only claw tests over the speed grid
-        speeds = np.arange(1.0, 5.01, 0.5)
+        # launcher-only claw tests, 1 m/s up to the launch speed cap in 0.5 m/s
+        # steps (the quarter-step margin keeps the cap itself on the grid)
+        speeds = np.arange(1.0, LAUNCH_SPEED_CAP_MPS + 0.25, 0.5)
         locks = []
         for v in speeds:
             rec = legmod.simulate_impact(config.leg, speed_mps=float(v),
                                          misalignment_z_m=0.0)
             locks.append(rec.locked)
         rate = sum(locks) / len(locks)
-        return StageReport(1, rate == 1.0, {"lock_rate": rate,
-                                            "max_speed_mps": 5.0})
+        return StageReport(1, rate == 1.0,
+                           {"lock_rate": rate,
+                            "max_speed_mps": LAUNCH_SPEED_CAP_MPS})
 
     if stage == 2:
         # Flight without the leg/claw appendage.  The lighter airframe flies

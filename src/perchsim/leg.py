@@ -103,102 +103,100 @@ def simulate_impact_batch(
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
-    l, m, k_sp, mt, v0, zb = np.broadcast_arrays(
+    l, m, k_sp, mt, v0, zb = (a[()] for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
           (link_length, leg_mass, spring_rate, total_mass, speed, misalignment_z))
-    )
-    shape = l.shape
+    ))   # [()] makes a 1-lane call run on cheaper numpy scalars
+    shape = np.shape(l)
     mb = mt - m
     if np.any(mb <= 0):
         raise ValueError("leg mass exceeds total mass")
     arm = spring_anchor_fraction * l
     k_rot = servo_stiffness + k_sp * arm * arm
-    i_hip = m * l * l / 3.0
+    i_hip = m * l * l / 3.0   # uniform rod about the hip
     c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
     k_c = CONTACT_STIFFNESS
     c_c = 2.0 * CONTACT_DAMPING_RATIO * np.sqrt(k_c * mt)
     capture = np.abs(zb) <= CAPTURE_HALF_WIDTH
 
-    # state: x, xd (body), phi, phid (leg about hip, 0 = aligned with flight)
-    x = np.zeros(shape)
-    xd = v0.copy()
-    phi = np.zeros(shape)
-    phid = np.zeros(shape)
+    # state rows: x, phi, xd, phid; x is the body, phi the leg about the hip
+    # (0 = aligned with flight)
+    s = np.zeros((4,) + shape)
+    s[2] = v0
 
     peak = np.zeros(shape)
     servo_peak = np.zeros(shape)
     l_peak = np.zeros(shape)
+    x_max = np.zeros(shape)   # running max |x|; a NaN anywhere stays NaN
     touched = np.zeros(shape, dtype=bool)
     bounced = np.zeros(shape, dtype=bool)
     t_touch = np.zeros(shape)
     t_bounce = np.zeros(shape)
 
-    def contact_force(x_, xd_, phi_, phid_):
-        sin_p, cos_p = np.sin(phi_), np.cos(phi_)
+    def contact_force(s_):
+        sin_p, cos_p = np.sin(s_[1]), np.cos(s_[1])
         r_y = l * sin_p + zb * cos_p
-        delta = x_ + l * cos_p - zb * sin_p - l
-        ddot = xd_ - r_y * phid_
-        f = np.where(
-            capture & (delta > 0.0),
-            np.maximum(0.0, k_c * delta + c_c * ddot),
-            0.0,
-        )
+        delta = s_[0] + l * cos_p - zb * sin_p - l
+        ddot = s_[2] - r_y * s_[3]
+        f = np.zeros(shape)
+        np.maximum(0.0, k_c * delta + c_c * ddot, out=f,
+                   where=capture & (delta > 0.0))
         return f, r_y, sin_p, cos_p
 
-    # hip-referenced leg inertia for a uniform rod: m l^2 / 3 (i_hip above)
-    def accel(x_, xd_, phi_, phid_):
-        f, r_y, sin_p, cos_p = contact_force(x_, xd_, phi_, phid_)
-        m11 = mb + m
-        m12 = -m * (l / 2.0) * sin_p
-        m22 = i_hip
-        q_x = m * (l / 2.0) * cos_p * phid_ * phid_ - f
-        q_phi = f * r_y - k_rot * phi_ - c_rot * phid_
-        det = m11 * m22 - m12 * m12
-        xdd = (m22 * q_x - m12 * q_phi) / det
-        phidd = (m11 * q_phi - m12 * q_x) / det
-        return xdd, phidd, f
+    # Mass matrix [[m11, m12], [m12, i_hip]] with m12 = -m (l/2) sin(phi);
+    # its invariants are hoisted with every product associated as before.
+    ml_half = m * (l / 2.0)
+    neg_ml_half = -ml_half
+    m11 = mb + m
+    m11_m22 = m11 * i_hip
+
+    def deriv(s_, contact):
+        """Rows xd, phid, xdd, phidd; ``contact`` is evaluated at ``s_``."""
+        f, r_y, sin_p, cos_p = contact
+        m12 = neg_ml_half * sin_p
+        q_x = ml_half * cos_p * s_[3] * s_[3] - f
+        q_phi = f * r_y - k_rot * s_[1] - c_rot * s_[3]
+        det = m11_m22 - m12 * m12
+        k = np.empty_like(s_)
+        k[:2] = s_[2:]
+        k[2] = (i_hip * q_x - m12 * q_phi) / det
+        k[3] = (m11 * q_phi - m12 * q_x) / det
+        return k
 
     n_steps = int(round(t_max / dt))
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     t = 0.0
+    contact = contact_force(s)   # a step's end contact is the next k1 contact
     for _ in range(n_steps):
-        a1x, a1p, f_now = accel(x, xd, phi, phid)
-        k1 = (xd, a1x, phid, a1p)
-        x2, xd2 = x + 0.5 * dt * k1[0], xd + 0.5 * dt * k1[1]
-        p2, pd2 = phi + 0.5 * dt * k1[2], phid + 0.5 * dt * k1[3]
-        a2x, a2p, _ = accel(x2, xd2, p2, pd2)
-        k2 = (xd2, a2x, pd2, a2p)
-        x3, xd3 = x + 0.5 * dt * k2[0], xd + 0.5 * dt * k2[1]
-        p3, pd3 = phi + 0.5 * dt * k2[2], phid + 0.5 * dt * k2[3]
-        a3x, a3p, _ = accel(x3, xd3, p3, pd3)
-        k3 = (xd3, a3x, pd3, a3p)
-        x4, xd4 = x + dt * k3[0], xd + dt * k3[1]
-        p4, pd4 = phi + dt * k3[2], phid + dt * k3[3]
-        a4x, a4p, _ = accel(x4, xd4, p4, pd4)
-        k4 = (xd4, a4x, pd4, a4p)
-
-        x = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        xd = xd + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        phi = phi + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        phid = phid + dt / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        k1 = deriv(s, contact)
+        s2 = s + half_dt * k1
+        k2 = deriv(s2, contact_force(s2))
+        s3 = s + half_dt * k2
+        k3 = deriv(s3, contact_force(s3))
+        s4 = s + dt * k3
+        k4 = deriv(s4, contact_force(s4))
+        s = s + sixth_dt * (((k1 + 2 * k2) + 2 * k3) + k4)
         t += dt
 
-        f_now, _, _, _ = contact_force(x, xd, phi, phid)
+        contact = contact_force(s)
+        f_now, _, sin_p, _ = contact
         in_contact = f_now > 0.0
         new_touch = in_contact & ~touched
-        t_touch = np.where(new_touch, t, t_touch)
+        np.copyto(t_touch, t, where=new_touch)
         touched |= in_contact
         new_bounce = touched & ~in_contact & ~bounced
-        t_bounce = np.where(new_bounce, t - t_touch, t_bounce)
+        np.copyto(t_bounce, t - t_touch, where=new_bounce)
         bounced |= new_bounce
 
-        peak = np.maximum(peak, f_now)
-        servo_tau = np.abs(servo_stiffness * phi + servo_damping * phid)
-        servo_peak = np.maximum(servo_peak, servo_tau)
-        joint_l = np.abs(i_hip * phid - m * (l / 2.0) * np.sin(phi) * xd)
-        l_peak = np.maximum(l_peak, joint_l)
+        np.maximum(peak, f_now, out=peak)
+        servo_tau = np.abs(servo_stiffness * s[1] + servo_damping * s[3])
+        np.maximum(servo_peak, servo_tau, out=servo_peak)
+        joint_l = np.abs(i_hip * s[3] - ml_half * sin_p * s[2])
+        np.maximum(l_peak, joint_l, out=l_peak)
+        np.maximum(x_max, np.abs(s[0]), out=x_max)
 
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > 2.0):
-            raise IntegrationError("contact integration diverged; reduce dt")
+    if not np.all(x_max <= 2.0):
+        raise IntegrationError("contact integration diverged; reduce dt")
 
     time_to_bounce = np.where(touched, np.where(bounced, t_bounce, t_max), 0.0)
     locked = touched & capture

@@ -19,6 +19,7 @@ import numpy as np
 from .claw import BranchSpec
 
 __all__ = [
+    "PIXELS",
     "SensorSpec",
     "SensorPose",
     "SensorFrame",
@@ -31,11 +32,11 @@ __all__ = [
 ]
 
 ARCMIN_RAD = math.pi / (180.0 * 60.0)
+PIXELS = 128   # the sensor is a 1x128 line-scan device
 
 
 @dataclass(frozen=True)
 class SensorSpec:
-    pixels: int = 128
     ifov_arcmin: float = 28.0
     read_hz_capability: float = 330.0
     read_hz: float = 200.0
@@ -45,8 +46,6 @@ class SensorSpec:
     dark_level: float = 0.15         # branch albedo vs bright background 1.0
 
     def __post_init__(self):
-        if self.pixels != 128:
-            raise ValueError("sensor is a 1x128 line-scan device")
         if self.ifov_arcmin <= 0:
             raise ValueError("ifov must be positive")
         if self.read_hz > self.read_hz_capability:
@@ -58,7 +57,7 @@ class SensorSpec:
 
     def pixel_angle_rad(self, idx) -> np.ndarray:
         """Off-boresight angle of pixel centers; higher index looks higher."""
-        return (np.asarray(idx, dtype=float) - (self.pixels - 1) / 2.0) * self.ifov_rad
+        return (np.asarray(idx, dtype=float) - (PIXELS - 1) / 2.0) * self.ifov_rad
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,11 @@ class SensorPose:
 
 @dataclass(frozen=True)
 class SensorFrame:
-    brightness: np.ndarray  # shape (128,), clamped to [0, 1]
+    brightness: np.ndarray  # shape (PIXELS,), clamped to [0, 1]
 
     def __post_init__(self):
-        if self.brightness.shape != (128,):
-            raise ValueError("frame must hold 128 pixels")
+        if self.brightness.shape != (PIXELS,):
+            raise ValueError(f"frame must hold {PIXELS} pixels")
 
 
 def render_scan(
@@ -96,15 +95,15 @@ def render_scan(
     dx = bx - pose.x_m
     dz = bz - pose.z_m
     dist = math.hypot(dx, dz)
-    angles = spec.pixel_angle_rad(np.arange(spec.pixels))
-    scene = np.ones(spec.pixels)
+    angles = spec.pixel_angle_rad(np.arange(PIXELS))
+    scene = np.ones(PIXELS)
     if dist > branch.diameter_m / 2.0 and dx > 0.0:
         center_angle = math.atan2(dz, dx) - pose.boresight_rad
         half_width = math.atan2(branch.diameter_m / 2.0, dist)
         dark = np.abs(angles - center_angle) <= half_width
         scene[dark] = spec.dark_level
     brightness = scene * np.cos(angles)
-    brightness = brightness + rng.normal(0.0, spec.noise_sigma, spec.pixels)
+    brightness = brightness + rng.normal(0.0, spec.noise_sigma, PIXELS)
     return SensorFrame(brightness=np.clip(brightness, 0.0, 1.0))
 
 
@@ -116,7 +115,7 @@ def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
     at least ``min_run_px`` pixels qualify; the highest-located run wins and
     its center index is returned.
     """
-    angles = spec.pixel_angle_rad(np.arange(spec.pixels))
+    angles = spec.pixel_angle_rad(np.arange(PIXELS))
     rectified = frame.brightness / np.cos(angles)
     threshold = spec.threshold_fraction * float(rectified.mean())
     dark = rectified < threshold

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "RobotParams",
     "RobotState",
+    "AttitudeDivergence",
     "ControlCommand",
     "plant_step",
     "thrust_model",
@@ -120,6 +121,11 @@ class ControlCommand:
         )
 
 
+class AttitudeDivergence(ValueError):
+    """The pitch left the open (-90, 90) deg range the model covers: the
+    airframe tumbled, or its pitch went non-finite."""
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Full vehicle state.  ``z_m`` is the mean (stroke-averaged) altitude;
@@ -143,7 +149,7 @@ class RobotState:
 
     def __post_init__(self):
         if not -90.0 < self.pitch_deg < 90.0:
-            raise ValueError("pitch must stay within (-90, 90) deg")
+            raise AttitudeDivergence("pitch must stay within (-90, 90) deg")
 
     @property
     def altitude_m(self) -> float:

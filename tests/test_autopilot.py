@@ -207,6 +207,14 @@ class TestRunMission:
             errors.append(result.diagnostics["altitude_error_m"])
         assert sum(errors) / len(errors) <= 0.16
 
+    def test_tumble_ends_as_miss(self):
+        result = run_mission(MissionConfig(soft_branch=True,
+                                           disturbance_sigma_moment_nm=0.5))
+        assert result.outcome is PerchOutcome.MISSED
+        assert result.impact is None
+        t_div = result.diagnostics["diverged_t_s"]
+        assert t_div == pytest.approx(result.trajectory[-1].t_s + DT)
+
     def test_claw_height_uses_leg_length(self):
         config = MissionConfig(leg=replace(LegParams(), link_length_m=0.25))
         result = run_mission(config)

@@ -262,6 +262,17 @@ class TestCli:
         assert err.startswith("perchsim: configuration error: ")
         assert err.count("\n") == 1
 
+    def test_tumbling_airframe_is_a_miss(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mission.disturbance_sigma_moment_nm = 0.5\n")
+        code = main(["SoftBranch", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CRITERIA_FAILED
+        assert capsys.readouterr().err == ""
+        assert "criteria_met = False" in (
+            tmp_path / "summary.txt").read_text()
+        assert len(read_csv(tmp_path / "trajectory.csv")) > 1
+
     def test_overspeed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("launcher.target_speed_mps = 5.5\n")

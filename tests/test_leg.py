@@ -9,6 +9,7 @@ from perchsim import leg as legmod
 from perchsim.leg import (
     DESIGN_SPEED_SUITE,
     ImpactRecord,
+    IntegrationError,
     LegParams,
     impact_sweep,
     leg_cost,
@@ -134,6 +135,82 @@ class TestNumerics:
     def test_speed_range_enforced(self, default_leg):
         with pytest.raises(ValueError):
             simulate_impact(default_leg, speed_mps=8.0)
+
+
+class TestPinnedOutputs:
+    """Exact kernel outputs, recorded as ``repr`` floats and compared with
+    ``==``: a change to the integrator must keep every bit."""
+
+    SPEEDS = (2.0, 2.5, 3.0, 4.0, 3.5, 4.0)
+    MISALIGNMENTS = (0.0, 0.03, -0.04, 0.02, 0.06, -0.08)  # last two missed
+    BATCH = {
+        1e-4: (
+            (61.34448784039462, 71.72195497558928, 85.24106811467198,
+             117.98568591333972, 0.0, 0.0),
+            (0.0498000000000004, 0.06870000000000094, 0.08170000000000131,
+             0.06930000000000096, 0.0, 0.0),
+            (0.0, 0.5495492293943335, 0.7820131753164083,
+             0.8203599818145011, 0.0, 0.0),
+            (0.0, 0.014134607372499403, 0.01984432651664723,
+             0.020241194856055682, 0.0, 0.0),
+            (True, True, True, True, False, False),
+        ),
+        2e-4: (
+            (61.3859362674562, 71.78597558647238, 85.2888017080323,
+             118.07658348436998, 0.0, 0.0),
+            (0.04979999999999981, 0.06859999999999991, 0.08160000000000028,
+             0.06919999999999993, 0.0, 0.0),
+            (0.0, 0.5497412986206974, 0.7822317371245139,
+             0.8206382639239145, 0.0, 0.0),
+            (0.0, 0.014144248272207617, 0.01985740452751375,
+             0.020255486964703473, 0.0, 0.0),
+            (True, True, True, True, False, False),
+        ),
+    }
+
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_mixed_batch(self, default_leg, dt):
+        out = simulate_impact_batch(
+            default_leg.link_length_m, default_leg.leg_mass_kg,
+            default_leg.leg_spring_rate_n_m, 0.700,
+            np.array(self.SPEEDS), np.array(self.MISALIGNMENTS), dt=dt)
+        assert tuple(tuple(a.tolist()) for a in out) == self.BATCH[dt]
+        for i, (v, z) in enumerate(zip(self.SPEEDS, self.MISALIGNMENTS)):
+            rec = simulate_impact(default_leg, speed_mps=v,
+                                  misalignment_z_m=z, dt=dt)
+            assert rec == ImpactRecord(
+                peak_force_n=out[0][i],
+                time_to_bounce_ms=out[1][i] * 1000.0,
+                servo_peak_torque_nm=out[2][i],
+                joint_angular_momentum=out[3][i],
+                locked=bool(out[4][i]),
+            )
+
+    def test_cost_baselines(self):
+        assert legmod._baselines() == (0.9814146675644674,
+                                       0.024055068773550452)
+
+    def test_cost_batch(self):
+        params = np.array([[0.20, 1200.0, 0.12],
+                           [0.15, 800.0, 0.08],
+                           [0.28, 1800.0, 0.18]])
+        assert leg_cost_batch(params).tolist() == [
+            7.0, 5.820048816080302, 8.953313064993804]
+
+
+class TestIntegrationError:
+    def test_uncaptured_body_flies_past_two_metres(self):
+        with pytest.raises(IntegrationError):
+            simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 20.0, 0.1)
+
+    def test_nan_speed(self):
+        with pytest.raises(IntegrationError):
+            simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, math.nan, 0.1)
+
+    def test_fast_miss_within_two_metres_passes(self):
+        # 13 m/s for 0.15 s carries the body 1.95 m
+        peak, *_ = simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 13.0, 0.1)
+        assert peak == 0.0
 
 
 class TestParamsValidation:
