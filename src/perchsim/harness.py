@@ -187,6 +187,12 @@ def _trajectory_rows(result: MissionResult) -> List[Tuple]:
             for r in result.trajectory]
 
 
+def _divergence_lines(result: MissionResult) -> List[str]:
+    """The summary line saying when the airframe tumbled, if it did."""
+    t = result.diagnostics.get("diverged_t_s")
+    return [] if t is None else [f"diverged_t_s = {t!r}"]
+
+
 _TRAJ_HEADER = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "theta_deg", "psi_deg",
                 "flap_hz", "delta_e_deg", "delta_r_deg", "beta_deg")
 
@@ -244,6 +250,7 @@ def _scenario_flight_only(cfg: RunConfig, out: Path) -> bool:
     _write_summary(out / "summary.txt", [
         "scenario = FlightOnly",
         f"altitude_error_m = {err:.4f}",
+        *_divergence_lines(result),
         f"criteria_met = {ok}",
     ])
     return ok
@@ -261,6 +268,7 @@ def _scenario_soft_branch(cfg: RunConfig, out: Path) -> bool:
         "scenario = SoftBranch",
         f"locked = {locked}",
         f"peak_force_n = {peak:.2f}",
+        *_divergence_lines(result),
         f"criteria_met = {ok}",
     ])
     return ok

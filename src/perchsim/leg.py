@@ -77,11 +77,6 @@ class ImpactRecord:
     locked: bool
 
 
-def _joint_stiffness(leg: LegParams) -> float:
-    arm = leg.spring_anchor_fraction * leg.link_length_m
-    return leg.servo_joint_stiffness_nm_rad + leg.leg_spring_rate_n_m * arm * arm
-
-
 def simulate_impact_batch(
     link_length: np.ndarray,
     leg_mass: np.ndarray,

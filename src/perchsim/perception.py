@@ -119,20 +119,14 @@ def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
     rectified = frame.brightness / np.cos(angles)
     threshold = spec.threshold_fraction * float(rectified.mean())
     dark = rectified < threshold
-    best: Optional[Tuple[int, int]] = None  # (start, length), keep highest
-    start = None
-    for i, d in enumerate(np.append(dark, False)):
-        if d and start is None:
-            start = i
-        elif not d and start is not None:
-            length = i - start
-            if length >= spec.min_run_px:
-                best = (start, length)  # later runs sit higher in the scene
-            start = None
-    if best is None:
-        return None
-    run_start, run_len = best
-    return run_start + (run_len - 1) / 2.0
+    # the diff of the padded mask is True where a run starts or ends
+    padded = np.concatenate(([False], dark, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    # later runs sit higher in the scene, so search from the last one
+    for start, end in reversed(list(zip(edges[0::2], edges[1::2]))):
+        if end - start >= spec.min_run_px:
+            return start + (end - start - 1) / 2.0
+    return None
 
 
 def detection_limit(spec: SensorSpec, diameter_m: float,

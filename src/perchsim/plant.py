@@ -8,16 +8,17 @@ the altitude response non-minimum phase, and a flapping-induced vertical
 oscillation superposed on the mean trajectory.
 
 Integration is fixed-step RK4 at 960 Hz; `plant_step` substeps internally so
-callers can advance by a 120 Hz control period in one call.
+callers can advance by a 120 Hz control period in one call.  The state is a
+tuple of 14 Python floats rather than a numpy array: at 32 right-hand-side
+evaluations per control cycle, numpy's per-call overhead on such small
+vectors would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = [
     "RobotParams",
@@ -80,12 +81,16 @@ class RobotParams:
     beta_rate_limit_dps: float = 400.0
 
     def __post_init__(self):
-        if self.mass_kg <= 0 or self.wing_area_m2 <= 0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not (self.mass_kg > 0 and self.wing_area_m2 > 0):
             raise ValueError("mass and wing area must be positive")
-        if self.max_flap_hz <= 0:
+        if not self.max_flap_hz > 0:
             raise ValueError("max flap frequency must be positive")
-        if self.cl_alpha_per_deg <= 0:
+        if not self.cl_alpha_per_deg > 0:
             raise ValueError("lift slope must be positive below stall")
+        if not (self.pitch_inertia > 0 and self.yaw_inertia > 0
+                and self.beta_lag_s > 0):
+            raise ValueError("inertias and leg servo lag must be positive")
 
     def lift_coeff(self, alpha_deg: float) -> float:
         a_s = self.alpha_stall_deg
@@ -109,15 +114,13 @@ class ControlCommand:
     beta_cmd_deg: float = 0.0
 
     def clamped(self, params: RobotParams) -> "ControlCommand":
+        # min(max(...)) keeps NaN and the sign of a zero, as np.clip does
+        e, r = params.elevator_limit_deg, params.rudder_limit_deg
         return ControlCommand(
-            delta_e_deg=float(np.clip(self.delta_e_deg,
-                                      -params.elevator_limit_deg,
-                                      params.elevator_limit_deg)),
-            delta_r_deg=float(np.clip(self.delta_r_deg,
-                                      -params.rudder_limit_deg,
-                                      params.rudder_limit_deg)),
-            flap_hz=float(np.clip(self.flap_hz, 0.0, params.max_flap_hz)),
-            beta_cmd_deg=float(np.clip(self.beta_cmd_deg, 0.0, 90.0)),
+            delta_e_deg=float(min(max(self.delta_e_deg, -e), e)),
+            delta_r_deg=float(min(max(self.delta_r_deg, -r), r)),
+            flap_hz=float(min(max(self.flap_hz, 0.0), params.max_flap_hz)),
+            beta_cmd_deg=float(min(max(self.beta_cmd_deg, 0.0), 90.0)),
         )
 
 
@@ -170,28 +173,26 @@ class RobotState:
         return self.altitude_m - link_length_m * math.cos(
             math.radians(self.beta_deg))
 
-    def to_vector(self) -> np.ndarray:
-        return np.array([
+    def to_vector(self) -> Tuple[float, ...]:
+        """The 14-element integration state, angles in radians."""
+        return (
             self.x_m, self.y_m, self.z_m,
             self.vx_mps, self.vy_mps, self.vz_mps,
             math.radians(self.pitch_deg), math.radians(self.pitch_rate_dps),
             math.radians(self.yaw_deg), math.radians(self.yaw_rate_dps),
             self.flap_phase_rad, self.heave_m, self.heave_rate_mps,
             math.radians(self.beta_deg),
-        ])
+        )
 
     @staticmethod
-    def from_vector(v: np.ndarray) -> "RobotState":
+    def from_vector(v: Sequence[float]) -> "RobotState":
+        x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
         return RobotState(
-            x_m=float(v[0]), y_m=float(v[1]), z_m=float(v[2]),
-            vx_mps=float(v[3]), vy_mps=float(v[4]), vz_mps=float(v[5]),
-            pitch_deg=math.degrees(float(v[6])),
-            pitch_rate_dps=math.degrees(float(v[7])),
-            yaw_deg=math.degrees(float(v[8])),
-            yaw_rate_dps=math.degrees(float(v[9])),
-            flap_phase_rad=float(v[10]),
-            heave_m=float(v[11]), heave_rate_mps=float(v[12]),
-            beta_deg=math.degrees(float(v[13])),
+            x_m=x, y_m=y, z_m=z, vx_mps=vx, vy_mps=vy, vz_mps=vz,
+            pitch_deg=math.degrees(th), pitch_rate_dps=math.degrees(q),
+            yaw_deg=math.degrees(psi), yaw_rate_dps=math.degrees(r),
+            flap_phase_rad=phase, heave_m=hv, heave_rate_mps=hvd,
+            beta_deg=math.degrees(beta),
         )
 
 
@@ -201,82 +202,82 @@ def thrust_model(flap_hz: float, params: RobotParams) -> float:
     return params.thrust_n_per_hz2 * f * f
 
 
-def _derivatives(v: np.ndarray, cmd: ControlCommand, params: RobotParams,
-                 ext_force: Tuple[float, float, float],
-                 ext_moment: Tuple[float, float]) -> np.ndarray:
-    x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
+def _rhs(cmd: ControlCommand, params: RobotParams,
+         ext_force: Tuple[float, float, float],
+         ext_moment: Tuple[float, float]
+         ) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+    """The state derivative, as a function of the 14-float state, for a held
+    (clamped) command and gust; what those fix is computed here once."""
     m = params.mass_kg
-
-    v_h = math.hypot(vx, vy)
-    speed = math.hypot(v_h, vz)
-    track = math.atan2(vy, vx) if v_h > 1e-9 else psi
-    gamma = math.atan2(vz, v_h) if speed > 1e-9 else 0.0
-    alpha_deg = math.degrees(th - gamma)
-
-    q_dyn = 0.5 * AIR_DENSITY * speed * speed * params.wing_area_m2
-    cl = params.lift_coeff(alpha_deg)
-    cd = params.drag_coeff(alpha_deg)
-    lift = q_dyn * cl
-    drag = q_dyn * cd
-
-    fx = fy = fz = 0.0
-    if speed > 1e-9:
-        ux, uy, uz = vx / speed, vy / speed, vz / speed
-        # drag opposes the velocity; lift is perpendicular to it in the
-        # vertical plane containing the track
-        fx += -drag * ux - lift * math.sin(gamma) * math.cos(track)
-        fy += -drag * uy - lift * math.sin(gamma) * math.sin(track)
-        fz += -drag * uz + lift * math.cos(gamma)
-
+    weight = m * GRAVITY
     thrust = thrust_model(cmd.flap_hz, params)
-    fx += thrust * math.cos(th) * math.cos(psi)
-    fy += thrust * math.cos(th) * math.sin(psi)
-    fz += thrust * math.sin(th)
-
-    # sideslip: heading vs track; fuselage side force turns the velocity
-    # vector toward the heading
-    beta_side = psi - track
-    f_side = params.side_force_n_per_rad * beta_side * max(q_dyn, 0.05)
-    fx += -f_side * math.sin(track)
-    fy += f_side * math.cos(track)
-
     # tail download acts immediately on pitch-up commands (non-minimum phase)
-    fz -= params.elevator_download_n_per_deg * cmd.delta_e_deg
-    fz -= m * GRAVITY
-
-    fx += ext_force[0]
-    fy += ext_force[1]
-    fz += ext_force[2]
-
-    pitch_moment = (params.elevator_nm_per_deg * cmd.delta_e_deg
-                    - params.pitch_stiffness_nm_rad * th
-                    - params.pitch_damping_nm_s * q
-                    + ext_moment[0])
-    yaw_moment = (params.rudder_nm_per_deg * cmd.delta_r_deg
-                  - params.yaw_stiffness_nm_rad * beta_side
-                  - params.yaw_damping_nm_s * r
-                  + ext_moment[1])
-
+    download = params.elevator_download_n_per_deg * cmd.delta_e_deg
+    pitch_tail = params.elevator_nm_per_deg * cmd.delta_e_deg
+    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
+    # gusts arrive as numpy scalars; plain floats keep numpy out of the loop
+    efx, efy, efz = map(float, ext_force)
+    pitch_ext, yaw_ext = map(float, ext_moment)
     omega = 2.0 * math.pi * params.heave_nat_freq_hz
-    heave_force = params.flap_oscillation_gain * cmd.flap_hz * math.sin(phase)
-    heave_acc = (heave_force
-                 - 2.0 * params.heave_damping_ratio * omega * hvd
-                 - omega * omega * hv)
-
+    heave_damping = 2.0 * params.heave_damping_ratio * omega
+    heave_stiffness = omega * omega
+    heave_gain = params.flap_oscillation_gain * cmd.flap_hz
+    phase_rate = 2.0 * math.pi * cmd.flap_hz
     beta_cmd = math.radians(cmd.beta_cmd_deg)
-    beta_rate = (beta_cmd - beta) / params.beta_lag_s
     rate_cap = math.radians(params.beta_rate_limit_dps)
-    beta_rate = min(rate_cap, max(-rate_cap, beta_rate))
 
-    return np.array([
-        vx, vy, vz,
-        fx / m, fy / m, fz / m,
-        q, pitch_moment / params.pitch_inertia,
-        r, yaw_moment / params.yaw_inertia,
-        2.0 * math.pi * cmd.flap_hz,
-        hvd, heave_acc,
-        beta_rate,
-    ])
+    def rhs(v):
+        _, _, _, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
+        v_h = math.hypot(vx, vy)
+        speed = math.hypot(v_h, vz)
+        track = math.atan2(vy, vx) if v_h > 1e-9 else psi
+        gamma = math.atan2(vz, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = math.degrees(th - gamma)
+
+        q_dyn = 0.5 * AIR_DENSITY * speed * speed * params.wing_area_m2
+        lift = q_dyn * params.lift_coeff(alpha_deg)
+        drag = q_dyn * params.drag_coeff(alpha_deg)
+
+        fx = fy = fz = 0.0
+        if speed > 1e-9:
+            ux, uy, uz = vx / speed, vy / speed, vz / speed
+            # drag opposes the velocity; lift is perpendicular to it in the
+            # vertical plane containing the track
+            fx += -drag * ux - lift * math.sin(gamma) * math.cos(track)
+            fy += -drag * uy - lift * math.sin(gamma) * math.sin(track)
+            fz += -drag * uz + lift * math.cos(gamma)
+
+        fx += thrust * math.cos(th) * math.cos(psi)
+        fy += thrust * math.cos(th) * math.sin(psi)
+        fz += thrust * math.sin(th)
+
+        # sideslip: heading vs track; fuselage side force turns the velocity
+        # vector toward the heading
+        beta_side = psi - track
+        f_side = params.side_force_n_per_rad * beta_side * max(q_dyn, 0.05)
+        fx += -f_side * math.sin(track)
+        fy += f_side * math.cos(track)
+
+        fz -= download
+        fz -= weight
+        fx += efx
+        fy += efy
+        fz += efz
+
+        pitch_moment = (pitch_tail - params.pitch_stiffness_nm_rad * th
+                        - params.pitch_damping_nm_s * q + pitch_ext)
+        yaw_moment = (yaw_tail - params.yaw_stiffness_nm_rad * beta_side
+                      - params.yaw_damping_nm_s * r + yaw_ext)
+        heave_acc = (heave_gain * math.sin(phase)
+                     - heave_damping * hvd - heave_stiffness * hv)
+        beta_rate = (beta_cmd - beta) / params.beta_lag_s
+        beta_rate = min(rate_cap, max(-rate_cap, beta_rate))
+        return (vx, vy, vz, fx / m, fy / m, fz / m,
+                q, pitch_moment / params.pitch_inertia,
+                r, yaw_moment / params.yaw_inertia,
+                phase_rate, hvd, heave_acc, beta_rate)
+
+    return rhs
 
 
 def plant_step(
@@ -291,16 +292,18 @@ def plant_step(
     command held; integrates internally with RK4 substeps at >= 960 Hz."""
     if dt > 1.0 / CONTROL_RATE_HZ + 1e-12:
         raise ValueError("plant_step dt must not exceed one control period")
-    cmd = cmd.clamped(params)
+    rhs = _rhs(cmd.clamped(params), params, ext_force, ext_moment)
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
+    half_h, sixth_h = 0.5 * h, h / 6.0
     v = state.to_vector()
     for _ in range(n_sub):
-        k1 = _derivatives(v, cmd, params, ext_force, ext_moment)
-        k2 = _derivatives(v + 0.5 * h * k1, cmd, params, ext_force, ext_moment)
-        k3 = _derivatives(v + 0.5 * h * k2, cmd, params, ext_force, ext_moment)
-        k4 = _derivatives(v + h * k3, cmd, params, ext_force, ext_moment)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(v)
+        k2 = rhs([a + half_h * b for a, b in zip(v, k1)])
+        k3 = rhs([a + half_h * b for a, b in zip(v, k2)])
+        k4 = rhs([a + h * b for a, b in zip(v, k3)])
+        v = [a + sixth_h * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(v, k1, k2, k3, k4)]
     new = RobotState.from_vector(v)
     if new.altitude_m <= 0.0:
         new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,

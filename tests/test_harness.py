@@ -269,9 +269,15 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == EXIT_CRITERIA_FAILED
         assert capsys.readouterr().err == ""
-        assert "criteria_met = False" in (
-            tmp_path / "summary.txt").read_text()
-        assert len(read_csv(tmp_path / "trajectory.csv")) > 1
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert "criteria_met = False" in summary
+        diverged = [line for line in summary
+                    if line.startswith("diverged_t_s = ")]
+        assert len(diverged) == 1
+        rows = read_csv(tmp_path / "trajectory.csv")
+        assert len(rows) > 1
+        # the tumble happened in the step after the last trajectory row
+        assert float(diverged[0].split(" = ")[1]) > float(rows[-1][0])
 
     def test_overspeed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

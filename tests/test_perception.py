@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from perchsim.claw import BranchSpec
 from perchsim.perception import (
@@ -33,6 +34,28 @@ def branch():
 
 def noiseless():
     return SensorSpec(noise_sigma=0.0)
+
+
+def detect_branch_loop(frame, spec):
+    """Reference: the pixel-by-pixel run search ``detect_branch`` replaced."""
+    angles = spec.pixel_angle_rad(np.arange(128))
+    rectified = frame.brightness / np.cos(angles)
+    threshold = spec.threshold_fraction * float(rectified.mean())
+    dark = rectified < threshold
+    best = None  # (start, length), keep highest
+    start = None
+    for i, d in enumerate(np.append(dark, False)):
+        if d and start is None:
+            start = i
+        elif not d and start is not None:
+            length = i - start
+            if length >= spec.min_run_px:
+                best = (start, length)  # later runs sit higher in the scene
+            start = None
+    if best is None:
+        return None
+    run_start, run_len = best
+    return run_start + (run_len - 1) / 2.0
 
 
 class TestRenderScan:
@@ -127,6 +150,18 @@ class TestDetectBranch:
             assert det is not None
             assert det >= prev
             prev = det
+
+    @given(mask=st.lists(st.booleans(), min_size=128, max_size=128),
+           min_run_px=st.integers(0, 12))
+    def test_matches_loop_reference(self, mask, min_run_px):
+        spec = SensorSpec(min_run_px=min_run_px)
+        angles = spec.pixel_angle_rad(np.arange(128))
+        frame = SensorFrame(
+            brightness=np.where(mask, spec.dark_level, 1.0) * np.cos(angles))
+        got = detect_branch(frame, spec)
+        want = detect_branch_loop(frame, spec)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestDetectionLimit:

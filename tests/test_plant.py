@@ -1,9 +1,11 @@
 """Tests for the reduced-order flight dynamics plant."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from perchsim.plant import (
     CONTROL_RATE_HZ,
@@ -197,6 +199,119 @@ class TestCommandClamping:
         assert cmd.delta_r_deg == -params.rudder_limit_deg
         assert cmd.flap_hz == params.max_flap_hz
         assert cmd.beta_cmd_deg == 90.0
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_matches_np_clip(self, x):
+        params = RobotParams()
+        cmd = ControlCommand(delta_e_deg=x, delta_r_deg=x, flap_hz=x,
+                             beta_cmd_deg=x).clamped(params)
+        limits = {
+            "delta_e_deg": (-params.elevator_limit_deg,
+                            params.elevator_limit_deg),
+            "delta_r_deg": (-params.rudder_limit_deg, params.rudder_limit_deg),
+            "flap_hz": (0.0, params.max_flap_hz),
+            "beta_cmd_deg": (0.0, 90.0),
+        }
+        for name, (lo, hi) in limits.items():
+            got = getattr(cmd, name)
+            want = float(np.clip(x, lo, hi))
+            assert type(got) is float
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", [
+        "mass_kg", "wing_area_m2", "max_flap_hz", "cl_alpha_per_deg",
+        "pitch_inertia", "yaw_inertia", "beta_lag_s",
+    ])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            RobotParams(**{field: value})
+
+
+class TestPinnedOutputs:
+    """Exact ``plant_step`` results, recorded as ``repr`` floats and compared
+    field by field with ``==``: a change to the integrator must keep every
+    bit."""
+
+    @staticmethod
+    def step(state, cmd, dt=DT, **gust):
+        return dataclasses.astuple(
+            plant_step(state, cmd, RobotParams(), dt, **gust))
+
+    def test_trim_with_numpy_gust(self, params):
+        state, cmd = trim_setup(params)
+        cmd = dataclasses.replace(cmd, beta_cmd_deg=45.0)
+        # the mission's gust model hands in numpy scalars
+        got = self.step(
+            state, cmd,
+            ext_force=(np.float64(0.012), np.float64(-0.021),
+                       np.float64(0.083)),
+            ext_moment=(np.float64(0.0015), np.float64(-0.0007)))
+        assert got == (
+            0.021520517715374426, -1.0373384106336323e-06, 2.0000040505013823,
+            2.5825256701589323, -0.00024844867561257903,
+            0.0009642491795034485, 30.00029027934911, 0.06870881171622593,
+            -0.00011445140080296873, -0.027278236394432793,
+            0.2673716957826801, 9.877555530594092e-05, 0.03542265885601972,
+            3.333333333333334)
+
+    def test_post_stall(self):
+        # alpha is about 86 deg: pitch 55 deg on a 31 deg descent
+        state = RobotState(
+            x_m=1.0, y_m=0.1, z_m=1.5, vx_mps=2.0, vy_mps=0.3, vz_mps=-1.2,
+            pitch_deg=55.0, pitch_rate_dps=20.0, yaw_deg=8.0,
+            yaw_rate_dps=-5.0, flap_phase_rad=1.0, heave_m=0.01,
+            heave_rate_mps=-0.05, beta_deg=10.0)
+        cmd = ControlCommand(delta_e_deg=25.0, delta_r_deg=-3.0, flap_hz=4.0,
+                             beta_cmd_deg=90.0)
+        assert self.step(state, cmd) == (
+            1.01664643108814, 0.10249600770532201, 1.4898048612891714,
+            1.9951722334111792, 0.29904296580775724, -1.2468353862254165,
+            55.18002003372003, 23.158444840401625, 7.95474114869255,
+            -5.853771153775952, 1.209439510239319, 0.010340401686078908,
+            0.1344595719487166, 13.333333333333334)
+
+    def test_ground_clamp(self):
+        state = RobotState(z_m=0.004, vx_mps=1.5, vz_mps=-1.0, pitch_deg=5.0,
+                           heave_m=-0.002)
+        assert self.step(state, ControlCommand(flap_hz=2.0)) == (
+            0.012607288264057041, 0.0, 0.001983057221435867, 0.0, 0.0, 0.0,
+            4.998311223202457, -0.3997316631936659, 0.0, 0.0,
+            0.1047197551196598, -0.001983057221435867, 0.0, 0.0)
+
+    def test_short_dt_fewer_substeps(self, params):
+        speed, flap = trim_state(30.0, params)
+        state = RobotState(
+            z_m=2.0, vx_mps=speed, vy_mps=-0.2, pitch_deg=30.0, yaw_deg=-4.0,
+            flap_phase_rad=2.5, heave_m=-0.004, heave_rate_mps=0.03,
+            beta_deg=40.0)
+        _, trim_cmd = trim_setup(params)
+        cmd = ControlCommand(delta_e_deg=trim_cmd.delta_e_deg,
+                             delta_r_deg=2.0, flap_hz=flap, beta_cmd_deg=30.0)
+        # 3 substeps of 1 ms instead of 8 of 1/960 s
+        assert self.step(state, cmd, dt=0.003) == (
+            0.007747169023692196, -0.0005998662648014056, 2.0000002688056164,
+            2.582384438743549, -0.19991087698912913, 0.0001785078695501199,
+            29.999999999999996, 0.0, -3.9995890754176826, 0.2730459765904366,
+            2.596253810481765, -0.003827137489701359, 0.08390206525106172,
+            39.04837418993093)
+
+    def test_from_rest(self):
+        assert self.step(RobotState(z_m=10.0), ControlCommand()) == (
+            3.2010536182832994e-08, 0.0, 9.999659404101465,
+            1.536438461137511e-05, 0.0, -0.08173603167400291,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestStateInvariants:
