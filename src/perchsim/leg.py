@@ -8,11 +8,15 @@ misalignment of the branch loads the servo joint through the contact moment
 arm.
 
 The integrator core is vectorized over simulations so impact suites, design
-grids and swarm evaluations run as a single batch.
+grids and swarm evaluations run as a single batch.  A call that broadcasts to
+a single lane (every mission impact) runs the same RK4 step on plain Python
+floats instead, where numpy's per-call overhead would dominate; its outputs
+are bit-identical to that lane of a batch call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -62,8 +66,14 @@ class LegParams:
     servo_damping_nm_s: float = 0.02
 
     def __post_init__(self):
-        if self.leg_mass_kg <= 0 or self.link_length_m <= 0:
-            raise ValueError("leg mass and link length must be positive")
+        for name in ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
+                     "servo_joint_stiffness_nm_rad", "joint_damping_ratio"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("leg_spring_rest_m", "spring_anchor_fraction",
+                     "servo_damping_nm_s"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 1.47 <= self.servo_limit_torque_nm <= 1.96:
             raise ValueError("servo limit torque outside the 15-20 kg*cm range")
 
@@ -94,25 +104,27 @@ def simulate_impact_batch(
     """Vectorized impact core.  All array inputs broadcast to a common shape.
 
     Returns (peak_force, time_to_bounce_s, servo_peak_torque, peak_joint_L,
-    locked) as arrays of the broadcast shape.
+    locked) as arrays of the broadcast shape.  A single lane is integrated
+    on Python floats by ``_impact_lane``, with the same outputs.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
-    l, m, k_sp, mt, v0, zb = (a[()] for a in np.broadcast_arrays(
+    l, m, k_sp, mt, v0, zb = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
           (link_length, leg_mass, spring_rate, total_mass, speed, misalignment_z))
-    ))   # [()] makes a 1-lane call run on cheaper numpy scalars
-    shape = np.shape(l)
-    mb = mt - m
-    if np.any(mb <= 0):
-        raise ValueError("leg mass exceeds total mass")
-    arm = spring_anchor_fraction * l
-    k_rot = servo_stiffness + k_sp * arm * arm
-    i_hip = m * l * l / 3.0   # uniform rod about the hip
-    c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
+    )
+    shape = l.shape
+    if l.size == 1:
+        lane = _impact_lane(
+            l.item(), m.item(), k_sp.item(), mt.item(), v0.item(), zb.item(),
+            servo_stiffness, servo_damping, spring_anchor_fraction,
+            joint_damping_ratio, dt, t_max)
+        return tuple(np.full(shape, out) for out in lane)
+    k_rot, c_rot, c_c, capture, i_hip, ml_half, m11, m11_m22 = _constants(
+        l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
+        joint_damping_ratio, np.sqrt)
     k_c = CONTACT_STIFFNESS
-    c_c = 2.0 * CONTACT_DAMPING_RATIO * np.sqrt(k_c * mt)
-    capture = np.abs(zb) <= CAPTURE_HALF_WIDTH
+    neg_ml_half = -ml_half
 
     # state rows: x, phi, xd, phid; x is the body, phi the leg about the hip
     # (0 = aligned with flight)
@@ -137,13 +149,6 @@ def simulate_impact_batch(
         np.maximum(0.0, k_c * delta + c_c * ddot, out=f,
                    where=capture & (delta > 0.0))
         return f, r_y, sin_p, cos_p
-
-    # Mass matrix [[m11, m12], [m12, i_hip]] with m12 = -m (l/2) sin(phi);
-    # its invariants are hoisted with every product associated as before.
-    ml_half = m * (l / 2.0)
-    neg_ml_half = -ml_half
-    m11 = mb + m
-    m11_m22 = m11 * i_hip
 
     def deriv(s_, contact):
         """Rows xd, phid, xdd, phidd; ``contact`` is evaluated at ``s_``."""
@@ -196,6 +201,117 @@ def simulate_impact_batch(
     time_to_bounce = np.where(touched, np.where(bounced, t_bounce, t_max), 0.0)
     locked = touched & capture
     return peak, time_to_bounce, servo_peak, l_peak, locked
+
+
+def _constants(l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
+               joint_damping_ratio, sqrt):
+    """Per-lane constants of the impact model, on arrays or on floats.
+
+    Returns k_rot, c_rot, c_c, capture, i_hip, m (l/2), m11 and m11 i_hip:
+    the mass matrix is [[m11, m12], [m12, i_hip]] with m12 = -m (l/2) sin(phi).
+    """
+    mb = mt - m
+    if np.any(mb <= 0):
+        raise ValueError("leg mass exceeds total mass")
+    arm = spring_anchor_fraction * l
+    k_rot = servo_stiffness + k_sp * arm * arm
+    i_hip = m * l * l / 3.0   # uniform rod about the hip
+    c_rot = 2.0 * joint_damping_ratio * sqrt(k_rot * i_hip)
+    c_c = 2.0 * CONTACT_DAMPING_RATIO * sqrt(CONTACT_STIFFNESS * mt)
+    capture = abs(zb) <= CAPTURE_HALF_WIDTH
+    m11 = mb + m
+    return (k_rot, c_rot, c_c, capture, i_hip, m * (l / 2.0), m11,
+            m11 * i_hip)
+
+
+def _sqrt(v):
+    """``np.sqrt`` on a float: NaN, not an error, below zero."""
+    return math.sqrt(v) if v >= 0.0 else math.nan
+
+
+def _impact_lane(l, m, k_sp, mt, v0, zb, servo_stiffness, servo_damping,
+                 spring_anchor_fraction, joint_damping_ratio, dt, t_max):
+    """One lane of ``simulate_impact_batch`` on Python floats.
+
+    Every product and sum is the batch kernel's, associated the same way, so
+    the five outputs equal that lane of a batch call bit for bit.  Where
+    numpy would carry an inf or NaN into the state (``math.sin`` of inf, a
+    zero mass-matrix determinant) this path raises ``IntegrationError``, as
+    the batch's final |x| check does.
+    """
+    k_rot, c_rot, c_c, capture, i_hip, ml_half, m11, m11_m22 = _constants(
+        l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
+        joint_damping_ratio, _sqrt)
+    k_c = CONTACT_STIFFNESS
+    neg_ml_half = -ml_half
+    sin, cos = math.sin, math.cos
+
+    def rhs(x, p, xd, pd):
+        """(xdd, phidd, contact force, sin phi) at the state x, phi, xd, phid."""
+        sin_p, cos_p = sin(p), cos(p)
+        r_y = l * sin_p + zb * cos_p
+        delta = x + l * cos_p - zb * sin_p - l
+        f = 0.0
+        if capture and delta > 0.0:
+            f = k_c * delta + c_c * (xd - r_y * pd)
+            if f < 0.0:   # np.maximum(0, f): a NaN force stays NaN
+                f = 0.0
+        m12 = neg_ml_half * sin_p
+        q_x = ml_half * cos_p * pd * pd - f
+        q_phi = f * r_y - k_rot * p - c_rot * pd
+        det = m11_m22 - m12 * m12
+        return ((i_hip * q_x - m12 * q_phi) / det,
+                (m11 * q_phi - m12 * q_x) / det, f, sin_p)
+
+    n_steps = int(round(t_max / dt))
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    t = 0.0
+    x, p, xd, pd = 0.0, 0.0, v0, 0.0
+    peak = servo_peak = l_peak = x_max = 0.0
+    touched = bounced = False
+    t_touch = t_bounce = 0.0
+    try:
+        # a step's end right-hand side is the next step's k1
+        xdd, pdd, f, sin_p = rhs(x, p, xd, pd)
+        for _ in range(n_steps):
+            xd2, pd2 = xd + half_dt * xdd, pd + half_dt * pdd
+            xdd2, pdd2, _, _ = rhs(x + half_dt * xd, p + half_dt * pd, xd2, pd2)
+            xd3, pd3 = xd + half_dt * xdd2, pd + half_dt * pdd2
+            xdd3, pdd3, _, _ = rhs(x + half_dt * xd2, p + half_dt * pd2, xd3, pd3)
+            xd4, pd4 = xd + dt * xdd3, pd + dt * pdd3
+            xdd4, pdd4, _, _ = rhs(x + dt * xd3, p + dt * pd3, xd4, pd4)
+            x = x + sixth_dt * (((xd + 2 * xd2) + 2 * xd3) + xd4)
+            p = p + sixth_dt * (((pd + 2 * pd2) + 2 * pd3) + pd4)
+            xd = xd + sixth_dt * (((xdd + 2 * xdd2) + 2 * xdd3) + xdd4)
+            pd = pd + sixth_dt * (((pdd + 2 * pdd2) + 2 * pdd3) + pdd4)
+            t += dt
+
+            xdd, pdd, f, sin_p = rhs(x, p, xd, pd)
+            if f > 0.0:
+                if not touched:
+                    touched, t_touch = True, t
+            elif touched and not bounced:
+                bounced, t_bounce = True, t - t_touch
+
+            # `not a <= b` takes a NaN like np.maximum; a NaN state makes x
+            # NaN within a step, so x_max still fails the check below
+            if not f <= peak:
+                peak = f
+            servo_tau = abs(servo_stiffness * p + servo_damping * pd)
+            if not servo_tau <= servo_peak:
+                servo_peak = servo_tau
+            joint_l = abs(i_hip * pd - ml_half * sin_p * xd)
+            if not joint_l <= l_peak:
+                l_peak = joint_l
+            if not abs(x) <= x_max:
+                x_max = abs(x)
+    except (ValueError, ZeroDivisionError):
+        x_max = math.nan
+
+    if not x_max <= 2.0:
+        raise IntegrationError("contact integration diverged; reduce dt")
+    time_to_bounce = (t_bounce if bounced else t_max) if touched else 0.0
+    return peak, time_to_bounce, servo_peak, l_peak, touched and capture
 
 
 def simulate_impact(

@@ -30,6 +30,8 @@ class PsoConfig:
     def __post_init__(self):
         if self.particles < 2:
             raise ValueError("need at least 2 particles")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
         if not 0.0 < self.inertia < 1.0:
             raise ValueError("inertia must be in (0, 1)")
         if self.cognitive <= 0 or self.social <= 0:

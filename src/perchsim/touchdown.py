@@ -53,8 +53,16 @@ class TouchdownState:
     locked: bool = True
 
     def __post_init__(self):
-        if self.speed_mps < 0:
-            raise ValueError("speed must be non-negative")
+        if not 0.0 <= self.speed_mps < math.inf:
+            raise ValueError("speed must be non-negative and finite")
+        if not (0.0 < self.com_offset_m < math.inf
+                and 0.0 < self.inertia_kgm2 < math.inf
+                and 0.0 < self.mass_kg < math.inf):
+            raise ValueError("CoM offset, inertia and mass must be positive "
+                             "and finite")
+        if not (-math.inf < self.psi_branch_deg < math.inf
+                and -math.inf < self.body_pitch_deg < math.inf):
+            raise ValueError("branch yaw and body pitch must be finite")
         if not 0.0 <= self.theta_leg_deg <= 90.0:
             raise ValueError("theta_leg must be within 0-90 deg")
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perchsim import leg as legmod
 from perchsim.leg import (
@@ -212,6 +213,60 @@ class TestIntegrationError:
         peak, *_ = simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 13.0, 0.1)
         assert peak == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("link, spring", [
+        (0.2, -1e6),   # k_rot * i_hip < 0: np.sqrt gives NaN
+        (0.0, 1200.0),  # zero mass-matrix determinant
+    ])
+    def test_degenerate_lane_on_both_paths(self, link, spring):
+        for speed in (2.0, np.array([2.0, 3.0])):
+            with pytest.raises(IntegrationError):
+                simulate_impact_batch(link, 0.12, spring, 0.7, speed, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_negative_contact_radicand_uncaptured(self):
+        # k_c * mt < 0 leaves c_c NaN, which a lane that never touches the
+        # branch never reads: both paths return the same finite miss
+        args = (0.2, -1.0, -1e6, -0.5)
+        single = simulate_impact_batch(*args, 2.0, 0.1)
+        batch = simulate_impact_batch(*args, np.array([2.0, 3.0]), 0.1)
+        assert [a.item() for a in single] == [a[0].item() for a in batch]
+        assert single[0] == 0.0
+
+
+class TestSingleLane:
+    """A call that broadcasts to one lane runs on Python floats; the numpy
+    batch kernel is the oracle for it."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(link=st.floats(0.12, 0.30), leg_mass=st.floats(0.06, 0.20),
+           spring=st.floats(600.0, 2000.0), speed=st.floats(0.0, 6.0),
+           misalignment=st.floats(-0.08, 0.08), dt=st.sampled_from([1e-4, 2e-4]),
+           lane=st.integers(0, 2))
+    def test_matches_batch_lane(self, link, leg_mass, spring, speed,
+                                misalignment, dt, lane):
+        speeds = np.array([2.0, 4.0, 3.0])
+        misalignments = np.array([0.0, 0.03, 0.07])
+        speeds[lane], misalignments[lane] = speed, misalignment
+        batch = simulate_impact_batch(link, leg_mass, spring, 0.700, speeds,
+                                      misalignments, dt=dt)
+        single = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                       misalignment, dt=dt)
+        assert [a.item() for a in single] == [a[lane].item() for a in batch]
+
+    def test_keeps_the_broadcast_shape(self, default_leg):
+        out = simulate_impact_batch(
+            np.array([default_leg.link_length_m]), default_leg.leg_mass_kg,
+            default_leg.leg_spring_rate_n_m, 0.700, 2.5, 0.0)
+        assert [(a.shape, a.dtype) for a in out] == [
+            ((1,), np.float64)] * 4 + [((1,), np.bool_)]
+
+
+POSITIVE_LEG_FIELDS = ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
+                       "servo_joint_stiffness_nm_rad", "joint_damping_ratio")
+NON_NEGATIVE_LEG_FIELDS = ("leg_spring_rest_m", "spring_anchor_fraction",
+                           "servo_damping_nm_s")
+
 
 class TestParamsValidation:
     def test_servo_limit_range(self):
@@ -223,6 +278,21 @@ class TestParamsValidation:
     def test_positive_geometry(self):
         with pytest.raises(ValueError):
             LegParams(link_length_m=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in (POSITIVE_LEG_FIELDS + NON_NEGATIVE_LEG_FIELDS
+                      + ("servo_limit_torque_nm",))
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        if not (field in NON_NEGATIVE_LEG_FIELDS and value == 0.0)
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            LegParams(**{field: value})
+
+    @pytest.mark.parametrize("field", NON_NEGATIVE_LEG_FIELDS)
+    def test_zero_allowed(self, field):
+        assert getattr(LegParams(**{field: 0.0}), field) == 0.0
 
 
 class TestSweep:

@@ -102,3 +102,7 @@ class TestErrors:
     def test_inertia_range(self):
         with pytest.raises(ValueError):
             PsoConfig(bounds=BOUNDS3, inertia=1.5)
+
+    def test_negative_iterations(self):
+        with pytest.raises(ValueError):
+            PsoConfig(bounds=BOUNDS3, iterations=-3)

@@ -94,6 +94,22 @@ class TestEvaluateTouchdown:
         with pytest.raises(ValueError):
             TouchdownState(theta_leg_deg=120.0)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("speed_mps", "com_offset_m", "inertia_kgm2", "mass_kg")
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        if (field, value) != ("speed_mps", 0.0)   # a stop is a valid touchdown
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TouchdownState(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["psi_branch_deg", "body_pitch_deg"])
+    def test_non_finite_angle_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TouchdownState(**{field: value})
+
 
 class TestOdeOracle:
     def test_agreement_on_grid(self, hold, geom):
