@@ -7,11 +7,11 @@ branch is a one-sided Kelvin-Voigt contact at the claw.  Vertical
 misalignment of the branch loads the servo joint through the contact moment
 arm.
 
-The integrator core is vectorized over simulations so impact suites, design
-grids and swarm evaluations run as a single batch.  A call that broadcasts to
-a single lane (every mission impact) runs the same RK4 step on plain Python
-floats instead, where numpy's per-call overhead would dominate; its outputs
-are bit-identical to that lane of a batch call.
+The integrator core takes a batch of simulations per call.  Narrow calls
+(every mission impact, a 20-particle swarm, the 27-lane impact sweep) run the
+RK4 step lane by lane on plain Python floats, where numpy's per-call overhead
+would dominate; wide ones (design grids, larger swarms) run it vectorized in
+numpy.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ class ImpactRecord:
     locked: bool
 
 
+# Up to this many lanes a Python loop over ``_impact_lane`` is faster than the
+# numpy kernel, whose cost is mostly per-call overhead until the batch is wide
+# (about 4.5 us per lane-step on floats; about 125 ms per 750-step numpy call
+# up to 40 lanes).  Measured crossover: 32-40 lanes at dt 1e-4 and 2e-4.
+_FLOAT_MAX_LANES = 32
+
+
 def simulate_impact_batch(
     link_length: np.ndarray,
     leg_mass: np.ndarray,
@@ -104,8 +111,12 @@ def simulate_impact_batch(
     """Vectorized impact core.  All array inputs broadcast to a common shape.
 
     Returns (peak_force, time_to_bounce_s, servo_peak_torque, peak_joint_L,
-    locked) as arrays of the broadcast shape.  A single lane is integrated
-    on Python floats by ``_impact_lane``, with the same outputs.
+    locked) as arrays of the broadcast shape.  Up to ``_FLOAT_MAX_LANES``
+    lanes are integrated one by one on Python floats by ``_impact_lane``,
+    wider calls by the numpy kernel; a lane's outputs are the same bits on
+    either path as long as ``math.sin``/``math.cos`` round as ``np.sin``/
+    ``np.cos`` do, which the tests check.  A lane that diverges raises
+    ``IntegrationError`` on either path.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
@@ -114,15 +125,35 @@ def simulate_impact_batch(
           (link_length, leg_mass, spring_rate, total_mass, speed, misalignment_z))
     )
     shape = l.shape
-    if l.size == 1:
-        lane = _impact_lane(
-            l.item(), m.item(), k_sp.item(), mt.item(), v0.item(), zb.item(),
-            servo_stiffness, servo_damping, spring_anchor_fraction,
-            joint_damping_ratio, dt, t_max)
-        return tuple(np.full(shape, out) for out in lane)
-    k_rot, c_rot, c_c, capture, i_hip, ml_half, m11, m11_m22 = _constants(
-        l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
-        joint_damping_ratio, np.sqrt)
+    # a negative radicand gives NaN, which ends as IntegrationError on a lane
+    # that reads it; inf and NaN states end there too, so numpy stays quiet
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mb = mt - m
+        if np.any(mb <= 0):
+            raise ValueError("leg mass exceeds total mass")
+        arm = spring_anchor_fraction * l
+        k_rot = servo_stiffness + k_sp * arm * arm
+        i_hip = m * l * l / 3.0   # uniform rod about the hip
+        c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
+        c_c = 2.0 * CONTACT_DAMPING_RATIO * np.sqrt(CONTACT_STIFFNESS * mt)
+        capture = np.abs(zb) <= CAPTURE_HALF_WIDTH
+        # mass matrix [[m11, m12], [m12, i_hip]], m12 = -m (l/2) sin(phi)
+        m11 = mb + m
+        lanes = (l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, m * (l / 2.0),
+                 m11, m11 * i_hip)
+        if l.size > _FLOAT_MAX_LANES:
+            return _impact_numpy(shape, *lanes, servo_stiffness, servo_damping,
+                                 dt, t_max)
+    rows = [_impact_lane(*lane, servo_stiffness, servo_damping, dt, t_max)
+            for lane in zip(*(a.ravel().tolist() for a in lanes))]
+    return tuple(np.array([r[i] for r in rows], dtype).reshape(shape)
+                 for i, dtype in enumerate((float,) * 4 + (bool,)))
+
+
+def _impact_numpy(shape, l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half,
+                  m11, m11_m22, servo_stiffness, servo_damping, dt, t_max):
+    """The impact RK4 on arrays of the broadcast ``shape``, one numpy
+    operation per term for all lanes at once."""
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
 
@@ -203,45 +234,16 @@ def simulate_impact_batch(
     return peak, time_to_bounce, servo_peak, l_peak, locked
 
 
-def _constants(l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
-               joint_damping_ratio, sqrt):
-    """Per-lane constants of the impact model, on arrays or on floats.
+def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
+                 m11_m22, servo_stiffness, servo_damping, dt, t_max):
+    """One lane of ``_impact_numpy`` on Python floats.
 
-    Returns k_rot, c_rot, c_c, capture, i_hip, m (l/2), m11 and m11 i_hip:
-    the mass matrix is [[m11, m12], [m12, i_hip]] with m12 = -m (l/2) sin(phi).
+    Every product and sum is the numpy kernel's, associated the same way, so
+    the five outputs equal that lane of a numpy call bit for bit when libm's
+    sin and cos match numpy's.  Where numpy would carry an inf or NaN into
+    the state (``math.sin`` of inf, a zero mass-matrix determinant) this path
+    raises ``IntegrationError``, as the numpy kernel's final |x| check does.
     """
-    mb = mt - m
-    if np.any(mb <= 0):
-        raise ValueError("leg mass exceeds total mass")
-    arm = spring_anchor_fraction * l
-    k_rot = servo_stiffness + k_sp * arm * arm
-    i_hip = m * l * l / 3.0   # uniform rod about the hip
-    c_rot = 2.0 * joint_damping_ratio * sqrt(k_rot * i_hip)
-    c_c = 2.0 * CONTACT_DAMPING_RATIO * sqrt(CONTACT_STIFFNESS * mt)
-    capture = abs(zb) <= CAPTURE_HALF_WIDTH
-    m11 = mb + m
-    return (k_rot, c_rot, c_c, capture, i_hip, m * (l / 2.0), m11,
-            m11 * i_hip)
-
-
-def _sqrt(v):
-    """``np.sqrt`` on a float: NaN, not an error, below zero."""
-    return math.sqrt(v) if v >= 0.0 else math.nan
-
-
-def _impact_lane(l, m, k_sp, mt, v0, zb, servo_stiffness, servo_damping,
-                 spring_anchor_fraction, joint_damping_ratio, dt, t_max):
-    """One lane of ``simulate_impact_batch`` on Python floats.
-
-    Every product and sum is the batch kernel's, associated the same way, so
-    the five outputs equal that lane of a batch call bit for bit.  Where
-    numpy would carry an inf or NaN into the state (``math.sin`` of inf, a
-    zero mass-matrix determinant) this path raises ``IntegrationError``, as
-    the batch's final |x| check does.
-    """
-    k_rot, c_rot, c_c, capture, i_hip, ml_half, m11, m11_m22 = _constants(
-        l, m, k_sp, mt, zb, servo_stiffness, spring_anchor_fraction,
-        joint_damping_ratio, _sqrt)
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
     sin, cos = math.sin, math.cos

@@ -213,53 +213,68 @@ class TestIntegrationError:
         peak, *_ = simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 13.0, 0.1)
         assert peak == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("link, spring", [
         (0.2, -1e6),   # k_rot * i_hip < 0: np.sqrt gives NaN
         (0.0, 1200.0),  # zero mass-matrix determinant
     ])
     def test_degenerate_lane_on_both_paths(self, link, spring):
-        for speed in (2.0, np.array([2.0, 3.0])):
+        for speed in (2.0, np.array([2.0, 3.0]), WIDE_SPEEDS):
             with pytest.raises(IntegrationError):
                 simulate_impact_batch(link, 0.12, spring, 0.7, speed, 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_negative_contact_radicand_uncaptured(self):
         # k_c * mt < 0 leaves c_c NaN, which a lane that never touches the
         # branch never reads: both paths return the same finite miss
         args = (0.2, -1.0, -1e6, -0.5)
         single = simulate_impact_batch(*args, 2.0, 0.1)
-        batch = simulate_impact_batch(*args, np.array([2.0, 3.0]), 0.1)
+        batch = simulate_impact_batch(*args, WIDE_SPEEDS, 0.1)
         assert [a.item() for a in single] == [a[0].item() for a in batch]
         assert single[0] == 0.0
 
 
-class TestSingleLane:
-    """A call that broadcasts to one lane runs on Python floats; the numpy
-    batch kernel is the oracle for it."""
+# wide enough to take the numpy kernel, the oracle for the float lanes
+WIDE_SPEEDS = np.linspace(2.0, 4.0, legmod._FLOAT_MAX_LANES + 1)
+
+
+class TestFloatLanes:
+    """Calls of up to ``_FLOAT_MAX_LANES`` lanes run on Python floats; the
+    numpy kernel of a wider call is the oracle for them."""
+
+    def test_libm_sin_cos_match_numpy(self):
+        # the two paths agree bit for bit only if these do
+        phi = np.concatenate([np.linspace(-1.6, 1.6, 20001),
+                              np.linspace(-7.0, 7.0, 3001), [0.0, -0.0]])
+        assert [math.sin(p) for p in phi.tolist()] == np.sin(phi).tolist()
+        assert [math.cos(p) for p in phi.tolist()] == np.cos(phi).tolist()
 
     @settings(deadline=None, max_examples=30)
-    @given(link=st.floats(0.12, 0.30), leg_mass=st.floats(0.06, 0.20),
-           spring=st.floats(600.0, 2000.0), speed=st.floats(0.0, 6.0),
-           misalignment=st.floats(-0.08, 0.08), dt=st.sampled_from([1e-4, 2e-4]),
-           lane=st.integers(0, 2))
-    def test_matches_batch_lane(self, link, leg_mass, spring, speed,
-                                misalignment, dt, lane):
-        speeds = np.array([2.0, 4.0, 3.0])
-        misalignments = np.array([0.0, 0.03, 0.07])
-        speeds[lane], misalignments[lane] = speed, misalignment
-        batch = simulate_impact_batch(link, leg_mass, spring, 0.700, speeds,
-                                      misalignments, dt=dt)
-        single = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+    @given(lanes=st.lists(st.tuples(
+               st.floats(0.12, 0.30), st.floats(0.06, 0.20),
+               st.floats(600.0, 2000.0), st.floats(0.0, 6.0),
+               st.floats(-0.08, 0.08)), min_size=1, max_size=3),
+           dt=st.sampled_from([1e-4, 2e-4]))
+    def test_matches_numpy_kernel(self, lanes, dt):
+        n = len(lanes)
+        columns = [np.array(c) for c in zip(*lanes)]
+        wide = [np.resize(c, legmod._FLOAT_MAX_LANES + 1) for c in columns]
+        link, leg_mass, spring, speed, misalignment = columns
+        narrow = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
                                        misalignment, dt=dt)
-        assert [a.item() for a in single] == [a[lane].item() for a in batch]
+        link, leg_mass, spring, speed, misalignment = wide
+        oracle = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                       misalignment, dt=dt)
+        assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
+        single = simulate_impact_batch(*lanes[0][:3], 0.700, *lanes[0][3:],
+                                       dt=dt)
+        assert [a.item() for a in single] == [a[0].item() for a in oracle]
 
-    def test_keeps_the_broadcast_shape(self, default_leg):
+    @pytest.mark.parametrize("width", [1, legmod._FLOAT_MAX_LANES + 1])
+    def test_keeps_the_broadcast_shape(self, default_leg, width):
         out = simulate_impact_batch(
-            np.array([default_leg.link_length_m]), default_leg.leg_mass_kg,
+            np.full(width, default_leg.link_length_m), default_leg.leg_mass_kg,
             default_leg.leg_spring_rate_n_m, 0.700, 2.5, 0.0)
         assert [(a.shape, a.dtype) for a in out] == [
-            ((1,), np.float64)] * 4 + [((1,), np.bool_)]
+            ((width,), np.float64)] * 4 + [((width,), np.bool_)]
 
 
 POSITIVE_LEG_FIELDS = ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
