@@ -108,7 +108,7 @@ def simulate_impact_batch(
     dt: float = 1e-4,
     t_max: float = 0.15,
 ):
-    """Vectorized impact core.  All array inputs broadcast to a common shape.
+    """Batched impact core.  All array inputs broadcast to a common shape.
 
     Returns (peak_force, time_to_bounce_s, servo_peak_torque, peak_joint_L,
     locked) as arrays of the broadcast shape.  Up to ``_FLOAT_MAX_LANES``
