@@ -68,10 +68,10 @@ class SpringSpec:
     max_force_n: float = 111.0
 
     def __post_init__(self):
-        if self.rate_n_per_mm <= 0:
-            raise ValueError("spring rate must be positive")
-        if self.max_force_n <= 0:
-            raise ValueError("spring max force must be positive")
+        if not 0.0 < self.rate_n_per_mm < math.inf:
+            raise ValueError("spring rate must be positive and finite")
+        if not 0.0 < self.max_force_n < math.inf:
+            raise ValueError("spring max force must be positive and finite")
 
 
 class BranchSurface(Enum):
@@ -100,8 +100,10 @@ class BranchSpec:
     mu_eff: Optional[float] = None
 
     def __post_init__(self):
-        if self.diameter_m <= 0:
-            raise ValueError("branch diameter must be positive")
+        if not 0.0 < self.diameter_m < math.inf:
+            raise ValueError("branch diameter must be positive and finite")
+        if self.mu_eff is not None and not 0.0 <= self.mu_eff < math.inf:
+            raise ValueError("branch mu_eff must be non-negative and finite")
 
     @property
     def mu(self) -> float:

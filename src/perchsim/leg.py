@@ -8,9 +8,9 @@ misalignment of the branch loads the servo joint through the contact moment
 arm.
 
 The integrator core takes a batch of simulations per call.  Narrow calls
-(every mission impact, a 20-particle swarm, the 27-lane impact sweep) run the
-RK4 step lane by lane on plain Python floats, where numpy's per-call overhead
-would dominate; wide ones (design grids, larger swarms) run it vectorized in
+(every mission impact, a 20- or 40-particle swarm, the 27-lane impact sweep)
+run the RK4 step lane by lane on plain Python floats, where numpy's per-call
+overhead would dominate; wide ones (design grids) run it vectorized in
 numpy.  Both give the same bits.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "simulate_impact",
     "simulate_impact_batch",
     "impact_sweep",
-    "leg_cost",
     "leg_cost_batch",
     "DEFAULT_COST_WEIGHTS",
     "DESIGN_SPEED_SUITE",
@@ -89,9 +88,9 @@ class ImpactRecord:
 
 # Up to this many lanes a Python loop over ``_impact_lane`` is faster than the
 # numpy kernel, whose cost is mostly per-call overhead until the batch is wide
-# (about 4.5 us per lane-step on floats; about 125 ms per 750-step numpy call
-# up to 40 lanes).  Measured crossover: 32-40 lanes at dt 1e-4 and 2e-4.
-_FLOAT_MAX_LANES = 32
+# (about 3.8 us per lane-step on floats; about 150 ms per 750-step numpy call
+# up to 64 lanes).  Measured crossover: 48-56 lanes at dt 1e-4 and 2e-4.
+_FLOAT_MAX_LANES = 48
 
 
 def simulate_impact_batch(
@@ -240,16 +239,27 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
 
     Every product and sum is the numpy kernel's, associated the same way, so
     the five outputs equal that lane of a numpy call bit for bit when libm's
-    sin and cos match numpy's.  Where numpy would carry an inf or NaN into
-    the state (``math.sin`` of inf, a zero mass-matrix determinant) this path
-    raises ``IntegrationError``, as the numpy kernel's final |x| check does.
+    sin and cos match numpy's.  The right-hand side (contact force, then the
+    2x2 mass-matrix solve for xdd and phidd) is written out in place at each
+    of its five evaluations rather than called: the call, and the tuple it
+    built and unpacked, were about a quarter of a lane-step.  Where numpy
+    would carry an inf or NaN into the state (``math.sin`` of inf, a zero
+    mass-matrix determinant) this path raises ``IntegrationError``, as the
+    numpy kernel's final |x| check does.
     """
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
     sin, cos = math.sin, math.cos
 
-    def rhs(x, p, xd, pd):
-        """(xdd, phidd, contact force, sin phi) at the state x, phi, xd, phid."""
+    n_steps = int(round(t_max / dt))
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    t = 0.0
+    x, p, xd, pd = 0.0, 0.0, v0, 0.0
+    peak = servo_peak = l_peak = x_max = 0.0
+    touched = bounced = False
+    t_touch = t_bounce = 0.0
+    try:
+        # k1 at the start; a step's end right-hand side is the next step's k1
         sin_p, cos_p = sin(p), cos(p)
         r_y = l * sin_p + zb * cos_p
         delta = x + l * cos_p - zb * sin_p - l
@@ -262,33 +272,83 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
         q_x = ml_half * cos_p * pd * pd - f
         q_phi = f * r_y - k_rot * p - c_rot * pd
         det = m11_m22 - m12 * m12
-        return ((i_hip * q_x - m12 * q_phi) / det,
-                (m11 * q_phi - m12 * q_x) / det, f, sin_p)
-
-    n_steps = int(round(t_max / dt))
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    t = 0.0
-    x, p, xd, pd = 0.0, 0.0, v0, 0.0
-    peak = servo_peak = l_peak = x_max = 0.0
-    touched = bounced = False
-    t_touch = t_bounce = 0.0
-    try:
-        # a step's end right-hand side is the next step's k1
-        xdd, pdd, f, sin_p = rhs(x, p, xd, pd)
+        xdd = (i_hip * q_x - m12 * q_phi) / det
+        pdd = (m11 * q_phi - m12 * q_x) / det
         for _ in range(n_steps):
+            # k2 at s + dt/2 * k1
             xd2, pd2 = xd + half_dt * xdd, pd + half_dt * pdd
-            xdd2, pdd2, _, _ = rhs(x + half_dt * xd, p + half_dt * pd, xd2, pd2)
+            p2 = p + half_dt * pd
+            sin_p, cos_p = sin(p2), cos(p2)
+            r_y = l * sin_p + zb * cos_p
+            delta = (x + half_dt * xd) + l * cos_p - zb * sin_p - l
+            f = 0.0
+            if capture and delta > 0.0:
+                f = k_c * delta + c_c * (xd2 - r_y * pd2)
+                if f < 0.0:
+                    f = 0.0
+            m12 = neg_ml_half * sin_p
+            q_x = ml_half * cos_p * pd2 * pd2 - f
+            q_phi = f * r_y - k_rot * p2 - c_rot * pd2
+            det = m11_m22 - m12 * m12
+            xdd2 = (i_hip * q_x - m12 * q_phi) / det
+            pdd2 = (m11 * q_phi - m12 * q_x) / det
+            # k3 at s + dt/2 * k2
             xd3, pd3 = xd + half_dt * xdd2, pd + half_dt * pdd2
-            xdd3, pdd3, _, _ = rhs(x + half_dt * xd2, p + half_dt * pd2, xd3, pd3)
+            p3 = p + half_dt * pd2
+            sin_p, cos_p = sin(p3), cos(p3)
+            r_y = l * sin_p + zb * cos_p
+            delta = (x + half_dt * xd2) + l * cos_p - zb * sin_p - l
+            f = 0.0
+            if capture and delta > 0.0:
+                f = k_c * delta + c_c * (xd3 - r_y * pd3)
+                if f < 0.0:
+                    f = 0.0
+            m12 = neg_ml_half * sin_p
+            q_x = ml_half * cos_p * pd3 * pd3 - f
+            q_phi = f * r_y - k_rot * p3 - c_rot * pd3
+            det = m11_m22 - m12 * m12
+            xdd3 = (i_hip * q_x - m12 * q_phi) / det
+            pdd3 = (m11 * q_phi - m12 * q_x) / det
+            # k4 at s + dt * k3
             xd4, pd4 = xd + dt * xdd3, pd + dt * pdd3
-            xdd4, pdd4, _, _ = rhs(x + dt * xd3, p + dt * pd3, xd4, pd4)
-            x = x + sixth_dt * (((xd + 2 * xd2) + 2 * xd3) + xd4)
-            p = p + sixth_dt * (((pd + 2 * pd2) + 2 * pd3) + pd4)
-            xd = xd + sixth_dt * (((xdd + 2 * xdd2) + 2 * xdd3) + xdd4)
-            pd = pd + sixth_dt * (((pdd + 2 * pdd2) + 2 * pdd3) + pdd4)
+            p4 = p + dt * pd3
+            sin_p, cos_p = sin(p4), cos(p4)
+            r_y = l * sin_p + zb * cos_p
+            delta = (x + dt * xd3) + l * cos_p - zb * sin_p - l
+            f = 0.0
+            if capture and delta > 0.0:
+                f = k_c * delta + c_c * (xd4 - r_y * pd4)
+                if f < 0.0:
+                    f = 0.0
+            m12 = neg_ml_half * sin_p
+            q_x = ml_half * cos_p * pd4 * pd4 - f
+            q_phi = f * r_y - k_rot * p4 - c_rot * pd4
+            det = m11_m22 - m12 * m12
+            xdd4 = (i_hip * q_x - m12 * q_phi) / det
+            pdd4 = (m11 * q_phi - m12 * q_x) / det
+
+            x = x + sixth_dt * (((xd + 2.0 * xd2) + 2.0 * xd3) + xd4)
+            p = p + sixth_dt * (((pd + 2.0 * pd2) + 2.0 * pd3) + pd4)
+            xd = xd + sixth_dt * (((xdd + 2.0 * xdd2) + 2.0 * xdd3) + xdd4)
+            pd = pd + sixth_dt * (((pdd + 2.0 * pdd2) + 2.0 * pdd3) + pdd4)
             t += dt
 
-            xdd, pdd, f, sin_p = rhs(x, p, xd, pd)
+            # k1 of the next step, at the new s
+            sin_p, cos_p = sin(p), cos(p)
+            r_y = l * sin_p + zb * cos_p
+            delta = x + l * cos_p - zb * sin_p - l
+            f = 0.0
+            if capture and delta > 0.0:
+                f = k_c * delta + c_c * (xd - r_y * pd)
+                if f < 0.0:
+                    f = 0.0
+            m12 = neg_ml_half * sin_p
+            q_x = ml_half * cos_p * pd * pd - f
+            q_phi = f * r_y - k_rot * p - c_rot * pd
+            det = m11_m22 - m12 * m12
+            xdd = (i_hip * q_x - m12 * q_phi) / det
+            pdd = (m11 * q_phi - m12 * q_x) / det
+
             if f > 0.0:
                 if not touched:
                     touched, t_touch = True, t
@@ -446,15 +506,3 @@ def leg_cost_batch(
     tau0, l0 = _baselines()
     w1, w2, w3 = weights
     return w1 * servo_max / tau0 + w2 * l_max / l0 + w3 * m / _BASELINE_MASS
-
-
-def leg_cost(
-    leg: LegParams,
-    impact_suite: Sequence[Tuple[float, float]] = None,
-    weights: Tuple[float, float, float] = DEFAULT_COST_WEIGHTS,
-) -> float:
-    """Scalar design cost of one leg over an impact suite of (speed, mass)."""
-    params = np.array(
-        [[leg.link_length_m, leg.leg_spring_rate_n_m, leg.leg_mass_kg]]
-    )
-    return float(leg_cost_batch(params, impact_suite, weights)[0])

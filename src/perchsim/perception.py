@@ -50,6 +50,12 @@ class SensorSpec:
             raise ValueError("ifov must be positive")
         if self.read_hz > self.read_hz_capability:
             raise ValueError("effective read rate exceeds sensor capability")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise sigma must be non-negative and finite")
+        if not 0.0 < self.threshold_fraction <= 1.0:
+            raise ValueError("threshold fraction must lie in (0, 1]")
+        if not 0 <= self.min_run_px < math.inf:
+            raise ValueError("min run must be a non-negative pixel count")
 
     @property
     def ifov_rad(self) -> float:

@@ -13,7 +13,6 @@ from perchsim.leg import (
     IntegrationError,
     LegParams,
     impact_sweep,
-    leg_cost,
     leg_cost_batch,
     simulate_impact,
     simulate_impact_batch,
@@ -268,7 +267,24 @@ class TestFloatLanes:
                                        dt=dt)
         assert [a.item() for a in single] == [a[0].item() for a in oracle]
 
-    @pytest.mark.parametrize("width", [1, legmod._FLOAT_MAX_LANES + 1])
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_widest_float_call_matches_numpy_kernel(self, monkeypatch, dt):
+        rng = np.random.default_rng(7)
+        n = legmod._FLOAT_MAX_LANES
+        columns = [rng.uniform(0.12, 0.30, n + 1), rng.uniform(0.06, 0.20, n + 1),
+                   rng.uniform(600.0, 2000.0, n + 1), rng.uniform(0.0, 6.0, n + 1),
+                   rng.uniform(-0.08, 0.08, n + 1)]
+        link, leg_mass, spring, speed, misalignment = columns
+        oracle = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                       misalignment, dt=dt)
+        monkeypatch.setattr(legmod, "_impact_numpy", None)  # floats only
+        link, leg_mass, spring, speed, misalignment = [c[:n] for c in columns]
+        narrow = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                       misalignment, dt=dt)
+        assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
+
+    @pytest.mark.parametrize("width", [1, legmod._FLOAT_MAX_LANES,
+                                       legmod._FLOAT_MAX_LANES + 1])
     def test_keeps_the_broadcast_shape(self, default_leg, width):
         out = simulate_impact_batch(
             np.full(width, default_leg.link_length_m), default_leg.leg_mass_kg,
@@ -319,6 +335,12 @@ class TestSweep:
         assert by_key[(2.0, 0.08)][2] == 0.0
         assert by_key[(2.0, 0.08)][3] == 0.0
         assert by_key[(3.0, 0.0)][2] > by_key[(2.0, 0.0)][2]
+
+
+def leg_cost(leg, impact_suite=None):
+    """Scalar design cost of one leg: one row of ``leg_cost_batch``."""
+    params = [[leg.link_length_m, leg.leg_spring_rate_n_m, leg.leg_mass_kg]]
+    return float(leg_cost_batch(params, impact_suite)[0])
 
 
 class TestDesignCost:

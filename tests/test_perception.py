@@ -58,6 +58,24 @@ def detect_branch_loop(frame, spec):
     return run_start + (run_len - 1) / 2.0
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("noise_sigma", "threshold_fraction", "min_run_px")
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        # no noise is valid, and a 0-pixel run qualifies like a 1-pixel one
+        if not (field != "threshold_fraction" and value == 0.0)
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SensorSpec(**{field: value})
+
+    def test_threshold_fraction_bounds(self):
+        assert SensorSpec(threshold_fraction=1.0).threshold_fraction == 1.0
+        with pytest.raises(ValueError):
+            SensorSpec(threshold_fraction=1.5)
+
+
 class TestRenderScan:
     def test_branch_outside_fov_is_bright(self, branch):
         spec = noiseless()
