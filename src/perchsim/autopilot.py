@@ -179,6 +179,8 @@ class MissionConfig:
         if self.branch.diameter_m < self.claw_geom.min_spike_diameter_m:
             raise ValueError("branch diameter below the claw's spike-contact "
                              f"minimum {self.claw_geom.min_spike_diameter_m} m")
+        if not 0.0 < self.max_time_s < math.inf:
+            raise ValueError("max mission time must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,10 @@ class SensorSpec:
     dark_level: float = 0.15         # branch albedo vs bright background 1.0
 
     def __post_init__(self):
-        if self.ifov_arcmin <= 0:
-            raise ValueError("ifov must be positive")
+        if not 0.0 < self.ifov_arcmin < math.inf:
+            raise ValueError("ifov must be positive and finite")
+        if not 0.0 < self.read_hz < math.inf:
+            raise ValueError("read rate must be positive and finite")
         if self.read_hz > self.read_hz_capability:
             raise ValueError("effective read rate exceeds sensor capability")
         if not 0.0 <= self.noise_sigma < math.inf:
@@ -151,6 +153,13 @@ class LegPdGains:
     kp_deg_per_px: float = 0.35
     kd_deg_s_per_px: float = 0.001
     rate_limit_dps: float = 60.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.kp_deg_per_px < math.inf
+                and 0.0 <= self.kd_deg_s_per_px < math.inf):
+            raise ValueError("leg PD gains must be non-negative and finite")
+        if not 0.0 < self.rate_limit_dps < math.inf:
+            raise ValueError("leg rate limit must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ the altitude response non-minimum phase, and a flapping-induced vertical
 oscillation superposed on the mean trajectory.
 
 Integration is fixed-step RK4 at 960 Hz; `plant_step` substeps internally so
-callers can advance by a 120 Hz control period in one call.  The state is a
-tuple of 14 Python floats rather than a numpy array: at 32 right-hand-side
+callers can advance by a 120 Hz control period in one call.  The state is 14
+named Python floats, not a numpy array or a list: at 32 right-hand-side
 evaluations per control cycle, numpy's per-call overhead on such small
-vectors would cost more than the arithmetic.
+vectors, or building and unpacking lists, would cost more than the
+arithmetic.  For the same reason the right-hand side (`_rhs`) takes and
+returns plain floats and writes the lift/drag polar out in place.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "plant_step",
     "thrust_model",
     "trim_state",
-    "mechanical_energy",
     "PLANT_RATE_HZ",
     "CONTROL_RATE_HZ",
 ]
@@ -205,9 +206,18 @@ def thrust_model(flap_hz: float, params: RobotParams) -> float:
 def _rhs(cmd: ControlCommand, params: RobotParams,
          ext_force: Tuple[float, float, float],
          ext_moment: Tuple[float, float]
-         ) -> Callable[[Sequence[float]], Tuple[float, ...]]:
-    """The state derivative, as a function of the 14-float state, for a held
-    (clamped) command and gust; what those fix is computed here once."""
+         ) -> Callable[..., Tuple[float, ...]]:
+    """The state derivative for a held (clamped) command and gust, as a
+    closure over what those fix, computed here once.
+
+    The closure takes the 11 floats the derivative depends on and returns
+    the 7 derivatives that need arithmetic; the other 7 are the stage's own
+    ``vx``, ``vy``, ``vz``, ``q``, ``r``, ``hvd`` and the phase rate, which
+    `plant_step` reads directly.  The polar of `RobotParams.lift_coeff` and
+    `drag_coeff` is inline, with ``max(a, x)`` as ``x if x > a else a`` and
+    ``min(a, x)`` as ``x if x < a else a`` (NaN included, the builtins'
+    result): two method calls per evaluation cost more than its arithmetic.
+    Every product, sum and association is theirs, so every bit matches."""
     m = params.mass_kg
     weight = m * GRAVITY
     thrust = thrust_model(cmd.flap_hz, params)
@@ -222,41 +232,69 @@ def _rhs(cmd: ControlCommand, params: RobotParams,
     heave_damping = 2.0 * params.heave_damping_ratio * omega
     heave_stiffness = omega * omega
     heave_gain = params.flap_oscillation_gain * cmd.flap_hz
-    phase_rate = 2.0 * math.pi * cmd.flap_hz
     beta_cmd = math.radians(cmd.beta_cmd_deg)
     rate_cap = math.radians(params.beta_rate_limit_dps)
+    neg_rate_cap = -rate_cap
+    wing_area = params.wing_area_m2
+    cl0, cl_alpha = params.cl0, params.cl_alpha_per_deg
+    a_s = params.alpha_stall_deg
+    cl_stall = cl0 + cl_alpha * a_s
+    cl_post_stall = params.cl_post_stall_per_deg
+    cd0, cd_induced = params.cd0, params.cd_induced
+    cd_stall, cd_max = params.cd_stall_per_deg2, params.cd_max
+    side_force = params.side_force_n_per_rad
+    pitch_stiffness = params.pitch_stiffness_nm_rad
+    pitch_damping = params.pitch_damping_nm_s
+    yaw_stiffness = params.yaw_stiffness_nm_rad
+    yaw_damping = params.yaw_damping_nm_s
+    pitch_inertia, yaw_inertia = params.pitch_inertia, params.yaw_inertia
+    beta_lag = params.beta_lag_s
+    hypot, atan2, sin, cos = math.hypot, math.atan2, math.sin, math.cos
+    degrees = math.degrees
 
-    def rhs(v):
-        _, _, _, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
-        v_h = math.hypot(vx, vy)
-        speed = math.hypot(v_h, vz)
-        track = math.atan2(vy, vx) if v_h > 1e-9 else psi
-        gamma = math.atan2(vz, v_h) if speed > 1e-9 else 0.0
-        alpha_deg = math.degrees(th - gamma)
+    def rhs(vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta):
+        v_h = hypot(vx, vy)
+        speed = hypot(v_h, vz)
+        track = atan2(vy, vx) if v_h > 1e-9 else psi
+        gamma = atan2(vz, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = degrees(th - gamma)
 
-        q_dyn = 0.5 * AIR_DENSITY * speed * speed * params.wing_area_m2
-        lift = q_dyn * params.lift_coeff(alpha_deg)
-        drag = q_dyn * params.drag_coeff(alpha_deg)
+        q_dyn = 0.5 * AIR_DENSITY * speed * speed * wing_area
+        if alpha_deg <= a_s:
+            cl = cl0 + cl_alpha * alpha_deg
+        else:
+            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
+            cl = cl if cl > 0.2 else 0.2
+        over = abs(alpha_deg) - a_s
+        over = over if over > 0.0 else 0.0
+        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
+        cd = cd if cd < cd_max else cd_max
+        lift = q_dyn * cl
+        drag = q_dyn * cd
 
-        fx = fy = fz = 0.0
+        sin_track, cos_track = sin(track), cos(track)
         if speed > 1e-9:
-            ux, uy, uz = vx / speed, vy / speed, vz / speed
+            sin_gamma = sin(gamma)
             # drag opposes the velocity; lift is perpendicular to it in the
-            # vertical plane containing the track
-            fx += -drag * ux - lift * math.sin(gamma) * math.cos(track)
-            fy += -drag * uy - lift * math.sin(gamma) * math.sin(track)
-            fz += -drag * uz + lift * math.cos(gamma)
+            # vertical plane containing the track ("0.0 +" turns a -0.0
+            # into 0.0, as accumulating from zero did)
+            fx = 0.0 + (-drag * (vx / speed) - lift * sin_gamma * cos_track)
+            fy = 0.0 + (-drag * (vy / speed) - lift * sin_gamma * sin_track)
+            fz = 0.0 + (-drag * (vz / speed) + lift * cos(gamma))
+        else:
+            fx = fy = fz = 0.0
 
-        fx += thrust * math.cos(th) * math.cos(psi)
-        fy += thrust * math.cos(th) * math.sin(psi)
-        fz += thrust * math.sin(th)
+        cos_th = cos(th)
+        fx += thrust * cos_th * cos(psi)
+        fy += thrust * cos_th * sin(psi)
+        fz += thrust * sin(th)
 
         # sideslip: heading vs track; fuselage side force turns the velocity
         # vector toward the heading
         beta_side = psi - track
-        f_side = params.side_force_n_per_rad * beta_side * max(q_dyn, 0.05)
-        fx += -f_side * math.sin(track)
-        fy += f_side * math.cos(track)
+        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
+        fx += -f_side * sin_track
+        fy += f_side * cos_track
 
         fz -= download
         fz -= weight
@@ -264,18 +302,17 @@ def _rhs(cmd: ControlCommand, params: RobotParams,
         fy += efy
         fz += efz
 
-        pitch_moment = (pitch_tail - params.pitch_stiffness_nm_rad * th
-                        - params.pitch_damping_nm_s * q + pitch_ext)
-        yaw_moment = (yaw_tail - params.yaw_stiffness_nm_rad * beta_side
-                      - params.yaw_damping_nm_s * r + yaw_ext)
-        heave_acc = (heave_gain * math.sin(phase)
+        pitch_moment = (pitch_tail - pitch_stiffness * th
+                        - pitch_damping * q + pitch_ext)
+        yaw_moment = (yaw_tail - yaw_stiffness * beta_side
+                      - yaw_damping * r + yaw_ext)
+        heave_acc = (heave_gain * sin(phase)
                      - heave_damping * hvd - heave_stiffness * hv)
-        beta_rate = (beta_cmd - beta) / params.beta_lag_s
-        beta_rate = min(rate_cap, max(-rate_cap, beta_rate))
-        return (vx, vy, vz, fx / m, fy / m, fz / m,
-                q, pitch_moment / params.pitch_inertia,
-                r, yaw_moment / params.yaw_inertia,
-                phase_rate, hvd, heave_acc, beta_rate)
+        beta_rate = (beta_cmd - beta) / beta_lag
+        beta_rate = beta_rate if beta_rate > neg_rate_cap else neg_rate_cap
+        beta_rate = beta_rate if beta_rate < rate_cap else rate_cap
+        return (fx / m, fy / m, fz / m, pitch_moment / pitch_inertia,
+                yaw_moment / yaw_inertia, heave_acc, beta_rate)
 
     return rhs
 
@@ -288,23 +325,59 @@ def plant_step(
     ext_force: Tuple[float, float, float] = (0.0, 0.0, 0.0),
     ext_moment: Tuple[float, float] = (0.0, 0.0),
 ) -> RobotState:
-    """Advance the plant by ``dt`` (<= one 120 Hz control period) with the
-    command held; integrates internally with RK4 substeps at >= 960 Hz."""
-    if dt > 1.0 / CONTROL_RATE_HZ + 1e-12:
-        raise ValueError("plant_step dt must not exceed one control period")
-    rhs = _rhs(cmd.clamped(params), params, ext_force, ext_moment)
+    """Advance the plant by ``dt`` (in (0, one 120 Hz control period]) with
+    the command held; integrates internally with RK4 substeps at >= 960 Hz.
+
+    Each stage ``i`` state is ``v + c * k_{i-1}`` on named floats; stage
+    positions are never formed, because the right-hand side does not read
+    them.  Suffix 2-4 names a stage value (``vx3``) or derivative (``ax3``)."""
+    if not 0.0 < dt <= 1.0 / CONTROL_RATE_HZ + 1e-12:
+        raise ValueError("plant_step dt must be positive and must not exceed "
+                         "one control period")
+    clamped = cmd.clamped(params)
+    rhs = _rhs(clamped, params, ext_force, ext_moment)
+    phase_rate = 2.0 * math.pi * clamped.flap_hz
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
-    v = state.to_vector()
+    x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = \
+        state.to_vector()
     for _ in range(n_sub):
-        k1 = rhs(v)
-        k2 = rhs([a + half_h * b for a, b in zip(v, k1)])
-        k3 = rhs([a + half_h * b for a, b in zip(v, k2)])
-        k4 = rhs([a + h * b for a, b in zip(v, k3)])
-        v = [a + sixth_h * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(v, k1, k2, k3, k4)]
-    new = RobotState.from_vector(v)
+        ax, ay, az, qd, rd, ha, br = rhs(
+            vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta)
+        vx2, vy2, vz2 = vx + half_h * ax, vy + half_h * ay, vz + half_h * az
+        q2, r2, hvd2 = q + half_h * qd, r + half_h * rd, hvd + half_h * ha
+        phase2 = phase + half_h * phase_rate
+        ax2, ay2, az2, qd2, rd2, ha2, br2 = rhs(
+            vx2, vy2, vz2, th + half_h * q, q2, psi + half_h * r, r2,
+            phase2, hv + half_h * hvd, hvd2, beta + half_h * br)
+        vx3, vy3, vz3 = vx + half_h * ax2, vy + half_h * ay2, vz + half_h * az2
+        q3, r3, hvd3 = q + half_h * qd2, r + half_h * rd2, hvd + half_h * ha2
+        ax3, ay3, az3, qd3, rd3, ha3, br3 = rhs(
+            vx3, vy3, vz3, th + half_h * q2, q3, psi + half_h * r2, r3,
+            phase2, hv + half_h * hvd2, hvd3, beta + half_h * br2)
+        vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
+        q4, r4, hvd4 = q + h * qd3, r + h * rd3, hvd + h * ha3
+        ax4, ay4, az4, qd4, rd4, ha4, br4 = rhs(
+            vx4, vy4, vz4, th + h * q3, q4, psi + h * r3, r4,
+            phase + h * phase_rate, hv + h * hvd3, hvd4, beta + h * br3)
+        x += sixth_h * (((vx + 2.0 * vx2) + 2.0 * vx3) + vx4)
+        y += sixth_h * (((vy + 2.0 * vy2) + 2.0 * vy3) + vy4)
+        z += sixth_h * (((vz + 2.0 * vz2) + 2.0 * vz3) + vz4)
+        vx += sixth_h * (((ax + 2.0 * ax2) + 2.0 * ax3) + ax4)
+        vy += sixth_h * (((ay + 2.0 * ay2) + 2.0 * ay3) + ay4)
+        vz += sixth_h * (((az + 2.0 * az2) + 2.0 * az3) + az4)
+        th += sixth_h * (((q + 2.0 * q2) + 2.0 * q3) + q4)
+        q += sixth_h * (((qd + 2.0 * qd2) + 2.0 * qd3) + qd4)
+        psi += sixth_h * (((r + 2.0 * r2) + 2.0 * r3) + r4)
+        r += sixth_h * (((rd + 2.0 * rd2) + 2.0 * rd3) + rd4)
+        phase += sixth_h * (((phase_rate + 2.0 * phase_rate)
+                             + 2.0 * phase_rate) + phase_rate)
+        hv += sixth_h * (((hvd + 2.0 * hvd2) + 2.0 * hvd3) + hvd4)
+        hvd += sixth_h * (((ha + 2.0 * ha2) + 2.0 * ha3) + ha4)
+        beta += sixth_h * (((br + 2.0 * br2) + 2.0 * br3) + br4)
+    new = RobotState.from_vector(
+        (x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta))
     if new.altitude_m <= 0.0:
         new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
                       vz_mps=0.0, heave_rate_mps=0.0)
@@ -340,10 +413,3 @@ def trim_state(pitch_deg: float,
         return None
     return math.sqrt(v_sq), flap
 
-
-def mechanical_energy(state: RobotState, params: RobotParams) -> float:
-    """Kinetic plus gravitational potential energy of the mean motion (J)."""
-    ke = 0.5 * params.mass_kg * (
-        state.vx_mps ** 2 + state.vy_mps ** 2 + state.vz_mps ** 2
-    )
-    return ke + params.mass_kg * GRAVITY * state.z_m

@@ -26,7 +26,6 @@ __all__ = [
     "PerchOutcome",
     "evaluate_touchdown",
     "sweep_envelope",
-    "scaling_envelope",
 ]
 
 GRAVITY = 9.81
@@ -169,10 +168,3 @@ def sweep_envelope(
             yaw_grid[i, j] = evaluate_touchdown(st, hold_nm, geom)
     return speed_grid, yaw_grid
 
-
-def scaling_envelope(length_m: float, reference_length_m: float = 1.5,
-                     reference_speed_mps: float = 4.0) -> float:
-    """Maximum perch speed under the constant L*v^2 kinetic-energy scaling."""
-    if length_m <= 0:
-        raise ValueError("length must be positive")
-    return reference_speed_mps * math.sqrt(reference_length_m / length_m)

@@ -93,6 +93,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MissionConfig(pitch_setpoint_deg=60.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0])
+    def test_max_time_rejected(self, value):
+        with pytest.raises(ValueError):
+            MissionConfig(max_time_s=value)
+
 
 class TestPitchLoop:
     def test_step_settles_within_one_second(self):

@@ -1,6 +1,7 @@
 """Tests for configuration plumbing, launcher kinematics, and scenarios."""
 
 import csv
+import hashlib
 import math
 
 import pytest
@@ -205,6 +206,29 @@ class TestScenarios:
         assert rows[0][:2] == ["seed", "outcome"]
         perched = sum(r[1] == "Perched" for r in rows[1:])
         assert perched >= 6
+
+    # SHA-256 of every file the two flight-test scenarios write at seed 0
+    # (perfbench pins FullPerch's): a change to the flight stack must keep
+    # every byte
+    @pytest.mark.parametrize("scenario, digests", [
+        (Scenario.FLIGHT_ONLY, {
+            "summary.txt": "17f58263de144212ca5339891887334b"
+                           "40af80d2d3dcdcf12062799b44b034e6",
+            "trajectory.csv": "beecfdbc965a56bb14b88e0a342ecf32"
+                              "5775bf14b6f75108a26e7c6524b31799",
+        }),
+        (Scenario.SOFT_BRANCH, {
+            "summary.txt": "0bd550f42d75bb9b771a856379b0f566"
+                           "fec0d89a5b964ece7eae7900f655bb5e",
+            "trajectory.csv": "f5c169c1c0fa31e6313067b3f5e15759"
+                              "d23d0c2600d617fa5c922ab6664c06b6",
+        }),
+    ])
+    def test_flight_outputs_pinned(self, tmp_path, scenario, digests):
+        code = run_scenario(RunConfig(scenario, out_dir=str(tmp_path), seed=0))
+        assert code == EXIT_SUCCESS
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == digests
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

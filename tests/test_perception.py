@@ -70,6 +70,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SensorSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["read_hz", "ifov_arcmin"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0])
+    def test_rate_and_ifov_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SensorSpec(**{field: value})
+
     def test_threshold_fraction_bounds(self):
         assert SensorSpec(threshold_fraction=1.0).threshold_fraction == 1.0
         with pytest.raises(ValueError):
@@ -227,6 +234,23 @@ def closed_loop_rms(closed, amp, freq, gains, spec, branch, seconds=3.0):
         if closed:
             beta, state = leg_pd_step(offset, gains, dt, state)
     return float(np.sqrt(np.mean(np.square(offsets))))
+
+
+class TestLegPdGainsValidation:
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("kp_deg_per_px", "kd_deg_s_per_px", "rate_limit_dps")
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        # a zero gain is valid; a zero rate limit would freeze the leg
+        if not (field != "rate_limit_dps" and value == 0.0)
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            LegPdGains(**{field: value})
+
+    def test_zero_gains_allowed(self):
+        gains = LegPdGains(kp_deg_per_px=0.0, kd_deg_s_per_px=0.0)
+        assert gains.kp_deg_per_px == gains.kd_deg_s_per_px == 0.0
 
 
 class TestLegLoop:

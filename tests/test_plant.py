@@ -2,23 +2,127 @@
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perchsim.plant import (
+    AIR_DENSITY,
     CONTROL_RATE_HZ,
+    GRAVITY,
+    PLANT_RATE_HZ,
+    AttitudeDivergence,
     ControlCommand,
     RobotParams,
     RobotState,
-    mechanical_energy,
     plant_step,
     thrust_model,
     trim_state,
 )
 
 DT = 1.0 / CONTROL_RATE_HZ
+
+
+def mechanical_energy(state, params):
+    """Kinetic plus gravitational potential energy of the mean motion (J)."""
+    ke = 0.5 * params.mass_kg * (
+        state.vx_mps ** 2 + state.vy_mps ** 2 + state.vz_mps ** 2
+    )
+    return ke + params.mass_kg * GRAVITY * state.z_m
+
+
+def reference_rhs(cmd, params, ext_force, ext_moment):
+    """The list-based right-hand side `plant._rhs` replaced, kept as the
+    oracle: it calls the ``RobotParams`` polar methods and returns all 14
+    derivatives."""
+    m = params.mass_kg
+    weight = m * GRAVITY
+    thrust = thrust_model(cmd.flap_hz, params)
+    download = params.elevator_download_n_per_deg * cmd.delta_e_deg
+    pitch_tail = params.elevator_nm_per_deg * cmd.delta_e_deg
+    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
+    efx, efy, efz = map(float, ext_force)
+    pitch_ext, yaw_ext = map(float, ext_moment)
+    omega = 2.0 * math.pi * params.heave_nat_freq_hz
+    heave_damping = 2.0 * params.heave_damping_ratio * omega
+    heave_stiffness = omega * omega
+    heave_gain = params.flap_oscillation_gain * cmd.flap_hz
+    phase_rate = 2.0 * math.pi * cmd.flap_hz
+    beta_cmd = math.radians(cmd.beta_cmd_deg)
+    rate_cap = math.radians(params.beta_rate_limit_dps)
+
+    def rhs(v):
+        _, _, _, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
+        v_h = math.hypot(vx, vy)
+        speed = math.hypot(v_h, vz)
+        track = math.atan2(vy, vx) if v_h > 1e-9 else psi
+        gamma = math.atan2(vz, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = math.degrees(th - gamma)
+
+        q_dyn = 0.5 * AIR_DENSITY * speed * speed * params.wing_area_m2
+        lift = q_dyn * params.lift_coeff(alpha_deg)
+        drag = q_dyn * params.drag_coeff(alpha_deg)
+
+        fx = fy = fz = 0.0
+        if speed > 1e-9:
+            ux, uy, uz = vx / speed, vy / speed, vz / speed
+            fx += -drag * ux - lift * math.sin(gamma) * math.cos(track)
+            fy += -drag * uy - lift * math.sin(gamma) * math.sin(track)
+            fz += -drag * uz + lift * math.cos(gamma)
+
+        fx += thrust * math.cos(th) * math.cos(psi)
+        fy += thrust * math.cos(th) * math.sin(psi)
+        fz += thrust * math.sin(th)
+
+        beta_side = psi - track
+        f_side = params.side_force_n_per_rad * beta_side * max(q_dyn, 0.05)
+        fx += -f_side * math.sin(track)
+        fy += f_side * math.cos(track)
+
+        fz -= download
+        fz -= weight
+        fx += efx
+        fy += efy
+        fz += efz
+
+        pitch_moment = (pitch_tail - params.pitch_stiffness_nm_rad * th
+                        - params.pitch_damping_nm_s * q + pitch_ext)
+        yaw_moment = (yaw_tail - params.yaw_stiffness_nm_rad * beta_side
+                      - params.yaw_damping_nm_s * r + yaw_ext)
+        heave_acc = (heave_gain * math.sin(phase)
+                     - heave_damping * hvd - heave_stiffness * hv)
+        beta_rate = (beta_cmd - beta) / params.beta_lag_s
+        beta_rate = min(rate_cap, max(-rate_cap, beta_rate))
+        return (vx, vy, vz, fx / m, fy / m, fz / m,
+                q, pitch_moment / params.pitch_inertia,
+                r, yaw_moment / params.yaw_inertia,
+                phase_rate, hvd, heave_acc, beta_rate)
+
+    return rhs
+
+
+def reference_plant_step(state, cmd, params, dt=DT,
+                         ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0)):
+    """The list-based RK4 `plant_step` replaced, kept as the oracle."""
+    rhs = reference_rhs(cmd.clamped(params), params, ext_force, ext_moment)
+    n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
+    h = dt / n_sub
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    v = state.to_vector()
+    for _ in range(n_sub):
+        k1 = rhs(v)
+        k2 = rhs([a + half_h * b for a, b in zip(v, k1)])
+        k3 = rhs([a + half_h * b for a, b in zip(v, k2)])
+        k4 = rhs([a + h * b for a, b in zip(v, k3)])
+        v = [a + sixth_h * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(v, k1, k2, k3, k4)]
+    new = RobotState.from_vector(v)
+    if new.altitude_m <= 0.0:
+        new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
+                      vz_mps=0.0, heave_rate_mps=0.0)
+    return new
 
 
 @pytest.fixture
@@ -182,6 +286,12 @@ class TestPlantStep:
         with pytest.raises(ValueError):
             plant_step(state, cmd, params, 0.1)
 
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -1.0, -0.005])
+    def test_dt_must_be_positive(self, params, dt):
+        state, cmd = trim_setup(params)
+        with pytest.raises(ValueError):
+            plant_step(state, cmd, params, dt)
+
     def test_ground_contact_stops_motion(self, params):
         state = RobotState(z_m=0.05)
         for _ in range(int(1.0 / DT)):
@@ -312,6 +422,109 @@ class TestPinnedOutputs:
             3.2010536182832994e-08, 0.0, 9.999659404101465,
             1.536438461137511e-05, 0.0, -0.08173603167400291,
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_negative_rate_cap_zero_flap(self):
+        # the leg is commanded 70 deg down: the servo runs at -400 deg/s
+        state = RobotState(
+            x_m=0.5, z_m=1.2, vx_mps=1.8, vz_mps=-0.4, pitch_deg=12.0,
+            pitch_rate_dps=-8.0, yaw_deg=3.0, flap_phase_rad=0.7,
+            heave_m=0.003, heave_rate_mps=-0.02, beta_deg=80.0)
+        cmd = ControlCommand(delta_e_deg=-4.0, delta_r_deg=1.5, flap_hz=0.0,
+                             beta_cmd_deg=10.0)
+        assert self.step(state, cmd) == (
+            0.515022132047519, 2.801686465021053e-06, 1.196496047680436,
+            1.8054739276056686, 0.0006737971752378758, -0.44063234858342604,
+            11.924249086931805, -10.149318266778222, 3.001591130090597,
+            0.37859487866298824, 0.7, 0.002832153284998701,
+            -0.02027654907899431, 76.6666666666667)
+
+
+def outcome(step, *args, **kwargs):
+    """A step's result as the bits of each field (so the sign of a zero
+    counts), or the divergence it raised."""
+    try:
+        state = step(*args, **kwargs)
+    except AttitudeDivergence:
+        return AttitudeDivergence
+    return tuple(map(float.hex, dataclasses.astuple(state)))
+
+
+def gust(n):
+    """``n`` gust components, as plain floats or, as the mission's gust model
+    hands them in, numpy scalars."""
+    component = st.floats(-0.5, 0.5)
+    return st.one_of(
+        st.tuples(*[component] * n),
+        st.tuples(*[component.map(np.float64)] * n))
+
+
+ANGLE = st.floats(-120.0, 120.0)
+STATES = st.builds(
+    RobotState,
+    x_m=st.floats(-5.0, 20.0), y_m=st.floats(-2.0, 2.0),
+    z_m=st.floats(-0.1, 4.0),
+    pitch_deg=st.floats(-89.0, 89.0), pitch_rate_dps=st.floats(-300.0, 300.0),
+    yaw_deg=st.floats(-180.0, 180.0), yaw_rate_dps=st.floats(-300.0, 300.0),
+    flap_phase_rad=st.floats(-10.0, 10.0), heave_m=st.floats(-0.05, 0.05),
+    heave_rate_mps=st.floats(-0.5, 0.5), beta_deg=ANGLE,
+).flatmap(lambda s: st.one_of(
+    # moving in any direction; climbing or sinking straight up or down (no
+    # horizontal track); a standing start
+    st.builds(lambda vx, vy, vz: replace(s, vx_mps=vx, vy_mps=vy, vz_mps=vz),
+              st.floats(-6.0, 6.0), st.floats(-3.0, 3.0),
+              st.floats(-4.0, 4.0)),
+    st.floats(-4.0, 4.0).filter(lambda vz: vz != 0.0).map(
+        lambda vz: replace(s, vx_mps=0.0, vy_mps=0.0, vz_mps=vz)),
+    st.just(replace(s, vx_mps=0.0, vy_mps=0.0, vz_mps=0.0)),
+))
+# out-of-limit commands included: plant_step clamps them
+COMMANDS = st.builds(
+    ControlCommand,
+    delta_e_deg=st.floats(-40.0, 40.0), delta_r_deg=st.floats(-40.0, 40.0),
+    flap_hz=st.one_of(st.just(0.0), st.floats(-2.0, 8.0)),
+    beta_cmd_deg=ANGLE)
+
+
+class TestMatchesReference:
+    """`plant_step` against the list-based step it replaced, which reads the
+    polar through ``RobotParams.lift_coeff``/``drag_coeff``: every bit of
+    every field, or the same divergence."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(state=STATES, cmd=COMMANDS,
+           dt=st.floats(0.0, DT, exclude_min=True),
+           ext_force=gust(3), ext_moment=gust(2))
+    @example(  # post-stall: alpha about 86 deg
+        state=RobotState(vx_mps=2.0, vz_mps=-1.2, pitch_deg=55.0),
+        cmd=ControlCommand(flap_hz=4.0), dt=DT,
+        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+    @example(  # alpha -120 deg: climbing straight up, pitched down
+        state=RobotState(vz_mps=3.0, pitch_deg=-30.0),
+        cmd=ControlCommand(), dt=DT,
+        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+    @example(  # standing start, numpy gust
+        state=RobotState(), cmd=ControlCommand(flap_hz=5.0), dt=DT,
+        ext_force=(np.float64(0.1), np.float64(-0.2), np.float64(0.3)),
+        ext_moment=(np.float64(0.01), np.float64(-0.02)))
+    @example(  # both rate caps, out-of-limit commands
+        state=RobotState(vx_mps=3.0, beta_deg=-30.0),
+        cmd=ControlCommand(delta_e_deg=35.0, delta_r_deg=-35.0,
+                           flap_hz=9.0, beta_cmd_deg=120.0),
+        dt=DT, ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+    @example(
+        state=RobotState(vx_mps=3.0, beta_deg=110.0),
+        cmd=ControlCommand(flap_hz=0.0, beta_cmd_deg=-20.0),
+        dt=DT, ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+    @example(  # tumbles past 90 deg pitch: both raise
+        state=RobotState(vx_mps=3.0, pitch_deg=89.0, pitch_rate_dps=600.0),
+        cmd=ControlCommand(), dt=DT,
+        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+    def test_bit_identical(self, state, cmd, dt, ext_force, ext_moment):
+        params = RobotParams()
+        assert (outcome(plant_step, state, cmd, params, dt,
+                        ext_force, ext_moment)
+                == outcome(reference_plant_step, state, cmd, params, dt,
+                           ext_force, ext_moment))
 
 
 class TestStateInvariants:

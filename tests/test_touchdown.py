@@ -13,9 +13,16 @@ from perchsim.touchdown import (
     TouchdownGeom,
     TouchdownState,
     evaluate_touchdown,
-    scaling_envelope,
     sweep_envelope,
 )
+
+
+def scaling_envelope(length_m, reference_length_m=1.5,
+                     reference_speed_mps=4.0):
+    """Maximum perch speed under the constant L*v^2 kinetic-energy scaling."""
+    if length_m <= 0:
+        raise ValueError("length must be positive")
+    return reference_speed_mps * math.sqrt(reference_length_m / length_m)
 
 
 @pytest.fixture
