@@ -124,8 +124,6 @@ class ClawGeometry:
     """
 
     d_s: float = 18.8106662315467       # straight contact segment, mm (= contact lever at 6 cm)
-    d_r: float = 12.0                   # rounded-section radius, mm
-    r_c: float = 35.0                   # claw inner radius, mm
     d_e: float = 50.0                   # pivot spacing, mm
     psi_open: float = -4.0              # open rest angle, deg
     psi_closed: float = 55.0            # closed angle on the 6 cm branch, deg
@@ -145,6 +143,8 @@ class ClawGeometry:
             raise ValueError("pivot spacing d_e must be positive")
         if self.psi_open >= 0 and self.psi_closed > 0:
             raise ValueError("open rest angle must be negative (spring behind pivot)")
+        if not 0.0 < self.claw_inertia < math.inf:
+            raise ValueError("claw inertia must be positive and finite")
 
     @property
     def min_spike_diameter_m(self) -> float:

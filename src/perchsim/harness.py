@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,12 +25,12 @@ from .autopilot import (
     LAUNCH_SPEED_CAP_MPS,
     MissionConfig,
     MissionResult,
-    run_ensemble,
-    run_mission,
+    StageReport,
+    TrajectoryRow,
+    run_stage,
 )
 from .claw import BranchSpec, ClawGeometry, SpringSpec
 from .config import ConfigError, Value
-from .plant import RobotParams
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -167,34 +168,30 @@ def _write_summary(path: Path, lines: Sequence[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _mission_config(cfg: RunConfig, **fixed) -> MissionConfig:
-    """The mission the config describes; a scenario's ``fixed`` fields win
-    over the config file's."""
+def _mission_config(cfg: RunConfig) -> MissionConfig:
+    """The mission the config describes, validated for the full airframe
+    (a development stage may then fix some of its fields)."""
     branch = _fields(cfg, "branch")
     x, y, z = BranchSpec.center
     center = (branch.pop("center.x", x), y, branch.pop("center.z", z))
-    mission = {**_fields(cfg, "mission"), **fixed}
     try:
         return MissionConfig(branch=BranchSpec(center=center, **branch),
-                             seed=cfg.seed, **mission)
+                             seed=cfg.seed, **_fields(cfg, "mission"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _trajectory_rows(result: MissionResult) -> List[Tuple]:
-    return [(r.t_s, r.x_m, r.y_m, r.z_m, r.vx_mps, r.theta_deg, r.psi_deg,
-             r.flap_hz, r.delta_e_deg, r.delta_r_deg, r.beta_deg)
-            for r in result.trajectory]
+def _write_trajectory(path: Path, result: MissionResult) -> None:
+    """One CSV row per control cycle, one column per TrajectoryRow field."""
+    columns = [f.name for f in fields(TrajectoryRow)]
+    row = operator.attrgetter(*columns)
+    _write_csv(path, columns, [row(r) for r in result.trajectory])
 
 
 def _divergence_lines(result: MissionResult) -> List[str]:
     """The summary line saying when the airframe tumbled, if it did."""
     t = result.diagnostics.get("diverged_t_s")
     return [] if t is None else [f"diverged_t_s = {t!r}"]
-
-
-_TRAJ_HEADER = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "theta_deg", "psi_deg",
-                "flap_hz", "delta_e_deg", "delta_r_deg", "beta_deg")
 
 
 def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> bool:
@@ -238,72 +235,56 @@ def _scenario_impact_suite(cfg: RunConfig, out: Path) -> bool:
     return ok
 
 
+def _one_mission_stage(stage: int, cfg: RunConfig, out: Path) -> StageReport:
+    """Run a development stage that flies one mission; write its trajectory."""
+    report = run_stage(stage, _mission_config(cfg))
+    _write_trajectory(out / "trajectory.csv", report.missions[0])
+    return report
+
+
 def _scenario_flight_only(cfg: RunConfig, out: Path) -> bool:
-    light = RobotParams(mass_kg=RobotParams.mass_no_appendage_kg)
-    mission = _mission_config(cfg, robot=light, soft_branch=True,
-                              launch_altitude_offset_m=-0.26)
-    result = run_mission(mission)
-    _write_csv(out / "trajectory.csv", _TRAJ_HEADER,
-               _trajectory_rows(result))
-    err = result.diagnostics.get("altitude_error_m", math.inf)
-    ok = err <= 0.10
+    report = _one_mission_stage(2, cfg, out)
     _write_summary(out / "summary.txt", [
         "scenario = FlightOnly",
-        f"altitude_error_m = {err:.4f}",
-        *_divergence_lines(result),
-        f"criteria_met = {ok}",
+        f"altitude_error_m = {report.metrics['altitude_error_m']:.4f}",
+        *_divergence_lines(report.missions[0]),
+        f"criteria_met = {report.passed}",
     ])
-    return ok
+    return report.passed
 
 
 def _scenario_soft_branch(cfg: RunConfig, out: Path) -> bool:
-    mission = _mission_config(cfg, soft_branch=True)
-    result = run_mission(mission)
-    _write_csv(out / "trajectory.csv", _TRAJ_HEADER,
-               _trajectory_rows(result))
-    locked = bool(result.impact and result.impact.locked)
-    peak = result.impact.peak_force_n if result.impact else float("nan")
-    ok = result.impact is not None and not locked
+    report = _one_mission_stage(3, cfg, out)
     _write_summary(out / "summary.txt", [
         "scenario = SoftBranch",
-        f"locked = {locked}",
-        f"peak_force_n = {peak:.2f}",
-        *_divergence_lines(result),
-        f"criteria_met = {ok}",
+        f"locked = {bool(report.metrics['locked'])}",
+        f"peak_force_n = {report.metrics['peak_force_n']:.2f}",
+        *_divergence_lines(report.missions[0]),
+        f"criteria_met = {report.passed}",
     ])
-    return ok
+    return report.passed
 
 
 def _scenario_full_perch(cfg: RunConfig, out: Path) -> bool:
-    mission = _mission_config(cfg)
-    seeds = tuple(range(cfg.seed, cfg.seed + 9))
-    results = run_ensemble(mission, seeds=seeds)
+    report = run_stage(4, _mission_config(cfg))
     summary_rows = []
-    for seed, result in zip(seeds, results):
-        _write_csv(out / f"run_{seed}.csv", _TRAJ_HEADER,
-                   _trajectory_rows(result))
+    # the stage flies consecutive seeds from the config's
+    for seed, result in enumerate(report.missions, start=cfg.seed):
+        _write_trajectory(out / f"run_{seed}.csv", result)
         c = result.crossing
-        peak = result.impact.peak_force_n if result.impact else float("nan")
-        summary_rows.append((
-            seed, result.outcome.value,
-            float("nan") if c is None else c.vx_mps,
-            float("nan") if c is None else c.yaw_deg,
-            float("nan") if c is None else c.pitch_deg,
-            float("nan") if c is None else c.y_m,
-            float("nan") if c is None else c.altitude_m,
-            peak,
-        ))
+        crossing = ((math.nan,) * 5 if c is None else
+                    (c.vx_mps, c.yaw_deg, c.pitch_deg, c.y_m, c.altitude_m))
+        peak = result.impact.peak_force_n if result.impact else math.nan
+        summary_rows.append((seed, result.outcome.value, *crossing, peak))
     _write_csv(out / "ensemble.csv",
                ("seed", "outcome", "vx_mps", "psi_deg", "theta_deg",
                 "y_m", "z_m", "peak_force_n"), summary_rows)
-    perched = sum(r.outcome is PerchOutcome.PERCHED for r in results)
-    ok = perched >= 6
     _write_summary(out / "summary.txt", [
         "scenario = FullPerch",
-        f"perched = {perched}/9",
-        f"criteria_met = {ok}",
+        f"perched = {report.metrics['perched']}/{report.metrics['runs']}",
+        f"criteria_met = {report.passed}",
     ])
-    return ok
+    return report.passed
 
 
 def _scenario_envelope(cfg: RunConfig, out: Path) -> bool:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from perchsim import autopilot
 from perchsim.autopilot import (
     DEFAULT_SEEDS,
     DT,
@@ -17,6 +18,7 @@ from perchsim.autopilot import (
     pid_step,
     run_ensemble,
     run_mission,
+    run_stage,
     tuning_procedure,
 )
 from perchsim.leg import LegParams
@@ -275,3 +277,32 @@ class TestTuningProcedure:
         report = tuning_procedure(3, MissionConfig(), completed=[1, 2])
         assert report.metrics["locked"] == 0.0
         assert report.metrics["peak_force_n"] > 0.0
+
+    def test_stage_three_fails_without_contact(self):
+        # gusts tumble the airframe at 1.57 s, before it reaches the branch
+        config = MissionConfig(disturbance_sigma_moment_nm=0.5)
+        report = tuning_procedure(3, config, completed=[1, 2])
+        assert report.passed is False
+        assert report.missions[0].impact is None
+        assert math.isnan(report.metrics["peak_force_n"])
+
+
+class TestRunStage:
+    def test_stage_two_keeps_the_config_gusts(self):
+        calm = run_stage(2, MissionConfig())
+        gusty = run_stage(2, MissionConfig(disturbance_sigma_force_n=0.5))
+        assert (gusty.metrics["altitude_error_m"]
+                != calm.metrics["altitude_error_m"])
+
+    def test_stage_four_seeds_follow_the_config(self, monkeypatch):
+        flown = []
+
+        def fake_ensemble(config, seeds):
+            flown.append((config, list(seeds)))
+            return []
+
+        monkeypatch.setattr(autopilot, "run_ensemble", fake_ensemble)
+        config = MissionConfig(seed=5)
+        report = run_stage(4, config)
+        assert flown == [(config, list(range(5, 14)))]
+        assert report.passed is False

@@ -328,3 +328,8 @@ class TestSpecValidation:
     def test_spring_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError):
             SpringSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_claw_inertia_rejected(self, value):
+        with pytest.raises(ValueError):
+            ClawGeometry(claw_inertia=value)

@@ -24,6 +24,7 @@ from perchsim.harness import (
     launch_profile,
     run_scenario,
 )
+from perchsim.autopilot import MissionConfig, run_stage
 from perchsim.cli import main
 
 
@@ -266,20 +267,26 @@ class TestCli:
         rows = read_csv(tmp_path / "launcher.csv")
         assert float(rows[1][2]) == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("line", [
-        "branch.diameter_m = abc",
-        "branch.diameter_m = -1",
-        "launcher.rail_length_m = abc",
-        "mission.soft_branch = 1",
-        "mission.launch_speed_mps = -1",
-        "launcher.target_speed_mps = nan",
-        "mission.pitch_setpoint_deg = 44",
-        "branch.diameter_m = 0.02",
+    @pytest.mark.parametrize("line, scenario", [
+        *[pytest.param(line, "SoftBranch", id=line) for line in [
+            "branch.diameter_m = abc",
+            "branch.diameter_m = -1",
+            "launcher.rail_length_m = abc",
+            "mission.soft_branch = 1",
+            "mission.launch_speed_mps = -1",
+            "launcher.target_speed_mps = nan",
+            "mission.pitch_setpoint_deg = 44",
+            "branch.diameter_m = 0.02",
+        ]],
+        # trims on the light airframe only: checked against the full one
+        pytest.param("mission.pitch_setpoint_deg = 36", "FlightOnly",
+                     id="FlightOnly-mission.pitch_setpoint_deg = 36"),
     ])
-    def test_bad_value_is_config_error(self, tmp_path, capsys, line):
+    def test_bad_value_is_config_error(self, tmp_path, capsys, line,
+                                       scenario):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        code = main(["SoftBranch", "--config", str(cfg),
+        code = main([scenario, "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -302,6 +309,21 @@ class TestCli:
         assert len(rows) > 1
         # the tumble happened in the step after the last trajectory row
         assert float(diverged[0].split(" = ")[1]) > float(rows[-1][0])
+
+    def test_flight_scenarios_agree_with_their_stages(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mission.disturbance_sigma_moment_nm = 0.5\n")
+        config = MissionConfig(disturbance_sigma_moment_nm=0.5)
+        for scenario, stage in (("FlightOnly", 2), ("SoftBranch", 3)):
+            out = tmp_path / scenario
+            code = main([scenario, "--config", str(cfg), "--out", str(out)])
+            report = run_stage(stage, config)
+            assert code == (EXIT_SUCCESS if report.passed
+                            else EXIT_CRITERIA_FAILED)
+            if stage == 2:
+                summary = (out / "summary.txt").read_text().splitlines()
+                err = report.metrics["altitude_error_m"]
+                assert f"altitude_error_m = {err:.4f}" in summary
 
     def test_overspeed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -77,6 +77,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SensorSpec(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       -1.0, 1.0])
+    def test_dark_level_rejected(self, value):
+        # 1.0 is as bright as the background: the branch is invisible
+        with pytest.raises(ValueError):
+            SensorSpec(dark_level=value)
+
+    def test_dark_level_bounds(self):
+        assert SensorSpec(dark_level=0.0).dark_level == 0.0
+
     def test_threshold_fraction_bounds(self):
         assert SensorSpec(threshold_fraction=1.0).threshold_fraction == 1.0
         with pytest.raises(ValueError):
