@@ -32,6 +32,7 @@ from . import leg as legmod
 from .claw import BranchSpec, ClawGeometry, SpringSpec
 from .leg import ImpactRecord, LegParams
 from .perception import (
+    PIXELS,
     LegPdGains,
     SensorPose,
     SensorSpec,
@@ -260,8 +261,9 @@ class Autopilot:
         det = detect_branch(frame, cfg.sensor)
         rng_m = cfg.branch.center[0] - state.x_m
         if det is not None and rng_m > 0.05:
-            elevation = boresight + float(
-                cfg.sensor.pixel_angle_rad(det))
+            # cfg.sensor.pixel_angle_rad(det), on a float
+            elevation = boresight + (det - (PIXELS - 1) / 2.0) \
+                * cfg.sensor.ifov_rad
             self.branch_z_est = claw_z + rng_m * math.tan(elevation)
         if self.branch_z_est is None:
             return
@@ -317,25 +319,32 @@ class _Disturbance:
     and lateral gusts are largely rejected by the speed and heading loops.
     """
 
-    AXIS_WEIGHT = np.array([0.1, 0.25, 1.0])
+    AXIS_WEIGHT = (0.1, 0.25, 1.0)
 
     def __init__(self, config: MissionConfig):
         self.rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
         self.rho = math.exp(-DT / config.disturbance_tau_s)
-        self.sf = config.disturbance_sigma_force_n
-        self.sm = config.disturbance_sigma_moment_nm
-        self.force = np.zeros(3)
-        self.moment = np.zeros(2)
+        scale = math.sqrt(1.0 - self.rho * self.rho)
+        # per-axis innovation gains, associated as ((sigma*scale)*weight)*noise
+        self.force_gain = tuple(config.disturbance_sigma_force_n * scale * w
+                                for w in self.AXIS_WEIGHT)
+        self.moment_gain = config.disturbance_sigma_moment_nm * scale
+        self.force = (0.0, 0.0, 0.0)
+        self.moment = (0.0, 0.0)
 
     def step(self) -> Tuple[Tuple[float, float, float], Tuple[float, float]]:
-        scale = math.sqrt(1.0 - self.rho * self.rho)
-        self.force = (self.rho * self.force
-                      + self.sf * scale * self.AXIS_WEIGHT
-                      * self.rng.standard_normal(3))
-        self.moment = (self.rho * self.moment
-                       + self.sm * scale * self.rng.standard_normal(2))
-        return tuple(self.force), tuple(self.moment)
+        rho = self.rho
+        n0, n1, n2 = self.rng.standard_normal(3).tolist()
+        n3, n4 = self.rng.standard_normal(2).tolist()
+        f0, f1, f2 = self.force
+        g0, g1, g2 = self.force_gain
+        m0, m1 = self.moment
+        gm = self.moment_gain
+        self.force = (rho * f0 + g0 * n0, rho * f1 + g1 * n1,
+                      rho * f2 + g2 * n2)
+        self.moment = (rho * m0 + gm * n3, rho * m1 + gm * n4)
+        return self.force, self.moment
 
 
 def _touchdown_of(config: MissionConfig, state: RobotState,
@@ -496,12 +505,13 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
                            [result])
 
     if stage == 3:
-        # soft mock branch: the airframe must reach it, the claw must not lock
+        # soft mock branch: the leg must touch it (a crossing that misses
+        # the branch loads the leg with no force), the claw must not lock
         result = run_mission(replace(config, soft_branch=True))
         impact = result.impact
         locked = bool(impact and impact.locked)
         peak = impact.peak_force_n if impact else math.nan
-        return StageReport(3, impact is not None and not locked,
+        return StageReport(3, impact is not None and not locked and peak > 0.0,
                            {"locked": float(locked), "peak_force_n": peak},
                            [result])
 

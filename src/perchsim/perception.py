@@ -6,10 +6,15 @@ vignetting profile, thresholds at a fraction of the frame mean, and accepts
 the highest-located dark run.  The detected pixel offset feeds a PD loop
 that steers the leg so the claw boresight tracks the branch during the final
 approach.
+
+The pixel geometry (each pixel's off-boresight angle and its cosine falloff)
+depends only on the field of view, so it is computed once per ``SensorSpec``
+and shared, read-only, by every frame rendered or read with that spec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -70,6 +75,20 @@ class SensorSpec:
         """Off-boresight angle of pixel centers; higher index looks higher."""
         return (np.asarray(idx, dtype=float) - (PIXELS - 1) / 2.0) * self.ifov_rad
 
+    @functools.cached_property
+    def pixel_angles(self) -> np.ndarray:
+        """``pixel_angle_rad`` of every pixel, read-only."""
+        angles = self.pixel_angle_rad(np.arange(PIXELS))
+        angles.flags.writeable = False
+        return angles
+
+    @functools.cached_property
+    def pixel_falloff(self) -> np.ndarray:
+        """Cosine off-axis falloff of every pixel, read-only."""
+        falloff = np.cos(self.pixel_angles)
+        falloff.flags.writeable = False
+        return falloff
+
 
 @dataclass(frozen=True)
 class SensorPose:
@@ -106,16 +125,15 @@ def render_scan(
     dx = bx - pose.x_m
     dz = bz - pose.z_m
     dist = math.hypot(dx, dz)
-    angles = spec.pixel_angle_rad(np.arange(PIXELS))
-    scene = np.ones(PIXELS)
+    scene = 1.0  # the bright background
     if dist > branch.diameter_m / 2.0 and dx > 0.0:
         center_angle = math.atan2(dz, dx) - pose.boresight_rad
         half_width = math.atan2(branch.diameter_m / 2.0, dist)
-        dark = np.abs(angles - center_angle) <= half_width
-        scene[dark] = spec.dark_level
-    brightness = scene * np.cos(angles)
-    brightness = brightness + rng.normal(0.0, spec.noise_sigma, PIXELS)
-    return SensorFrame(brightness=np.clip(brightness, 0.0, 1.0))
+        dark = np.abs(spec.pixel_angles - center_angle) <= half_width
+        scene = np.where(dark, spec.dark_level, 1.0)
+    brightness = rng.normal(0.0, spec.noise_sigma, PIXELS)
+    brightness += scene * spec.pixel_falloff
+    return SensorFrame(brightness=brightness.clip(0.0, 1.0))
 
 
 def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
@@ -126,13 +144,14 @@ def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
     at least ``min_run_px`` pixels qualify; the highest-located run wins and
     its center index is returned.
     """
-    angles = spec.pixel_angle_rad(np.arange(PIXELS))
-    rectified = frame.brightness / np.cos(angles)
-    threshold = spec.threshold_fraction * float(rectified.mean())
+    rectified = frame.brightness / spec.pixel_falloff
+    # the frame mean, summed as ndarray.mean sums it
+    threshold = spec.threshold_fraction * float(
+        np.add.reduce(rectified) / PIXELS)
     dark = rectified < threshold
     # the diff of the padded mask is True where a run starts or ends
     padded = np.concatenate(([False], dark, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
     # later runs sit higher in the scene, so search from the last one
     for start, end in reversed(list(zip(edges[0::2], edges[1::2]))):
         if end - start >= spec.min_run_px:

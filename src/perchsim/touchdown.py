@@ -91,12 +91,23 @@ class TouchdownGeom:
         return hold_nm * c ** self.yaw_hold_power
 
 
-def _pivot_work(delta0_rad: float, dtheta_rad: float, mgr: float,
-                hold: float) -> float:
-    """Energy absorbed rotating forward by ``dtheta`` from the start angle:
-    gravity climb toward the top plus Coulomb friction."""
-    return (mgr * (math.cos(delta0_rad - dtheta_rad) - math.cos(delta0_rad))
-            + hold * dtheta_rad)
+def _stop_rotation(delta0: float, cos0: float, budget: float, mgr: float,
+                   hold: float, energy: float) -> float:
+    """Forward rotation from the start angle ``delta0`` (``cos0`` is its
+    cosine) at which the absorbed work, gravity climb toward the top plus
+    Coulomb friction, meets ``energy``: bisection on [0, ``budget``]."""
+    lo, hi = 0.0, budget
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        # once the midpoint rounds onto an end, no later pass moves either
+        converged = mid == lo or mid == hi
+        if mgr * (math.cos(delta0 - mid) - cos0) + hold * mid < energy:
+            lo = mid
+        else:
+            hi = mid
+        if converged:
+            break
+    return 0.5 * (lo + hi)
 
 
 def evaluate_touchdown(
@@ -112,26 +123,22 @@ def evaluate_touchdown(
     hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
     mgr = st.mass_kg * GRAVITY * st.com_offset_m
     delta0 = math.radians(geom.start_angle_deg(st))
+    cos0 = math.cos(delta0)
     budget = math.radians(geom.rotation_budget_deg)
 
     # impact momentum: tangential share of the linear momentum about the pivot
-    tangential = max(0.0, math.cos(delta0))
+    tangential = max(0.0, cos0)
     omega0 = st.mass_kg * st.speed_mps * st.com_offset_m * tangential \
         / st.inertia_kgm2
     energy = 0.5 * st.inertia_kgm2 * omega0 * omega0
 
-    if energy >= _pivot_work(delta0, budget, mgr, hold):
+    # the impact energy outlasts the work the whole rotation budget absorbs
+    if energy >= mgr * (math.cos(delta0 - budget) - cos0) + hold * budget:
         return PerchOutcome.FALL_FORWARD
     # the absorbed work is strictly increasing in rotation here, so the stop
     # angle is the unique root of the energy balance
-    lo, hi = 0.0, budget
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _pivot_work(delta0, mid, mgr, hold) < energy:
-            lo = mid
-        else:
-            hi = mid
-    delta_stop = delta0 - 0.5 * (lo + hi)
+    delta_stop = delta0 - _stop_rotation(delta0, cos0, budget, mgr, hold,
+                                         energy)
 
     gravity_torque = mgr * math.sin(abs(delta_stop))
     if gravity_torque > hold:

@@ -3,10 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from perchsim import autopilot
 from perchsim.autopilot import (
+    DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+    DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
     DEFAULT_SEEDS,
     DT,
     Autopilot,
@@ -235,6 +238,45 @@ class TestRunMission:
         assert result.impact is not None
         assert not result.impact.locked
         assert result.outcome is PerchOutcome.MISSED
+
+
+def numpy_gusts(config, steps):
+    """Reference: the gust model on numpy arrays that ``_Disturbance``
+    replaced."""
+    rng = np.random.Generator(
+        np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
+    rho = math.exp(-DT / config.disturbance_tau_s)
+    weight = np.array([0.1, 0.25, 1.0])
+    force, moment = np.zeros(3), np.zeros(2)
+    for _ in range(steps):
+        scale = math.sqrt(1.0 - rho * rho)
+        force = (rho * force + config.disturbance_sigma_force_n * scale
+                 * weight * rng.standard_normal(3))
+        moment = (rho * moment
+                  + config.disturbance_sigma_moment_nm * scale
+                  * rng.standard_normal(2))
+        yield tuple(force), tuple(moment)
+
+
+class TestDisturbance:
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("sigmas", [
+        (DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+         DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM),
+        (0.5, 0.05),
+    ])
+    def test_matches_numpy_reference(self, seed, sigmas):
+        config = MissionConfig(seed=seed, disturbance_sigma_force_n=sigmas[0],
+                               disturbance_sigma_moment_nm=sigmas[1])
+        gust = autopilot._Disturbance(config)
+        for want_force, want_moment in numpy_gusts(config, 500):
+            force, moment = gust.step()
+            assert all(type(v) is float for v in force + moment)
+            # repr tells -0.0 from 0.0
+            assert list(map(repr, force)) == [repr(float(v))
+                                              for v in want_force]
+            assert list(map(repr, moment)) == [repr(float(v))
+                                               for v in want_moment]
 
 
 class TestEnsemble:

@@ -162,6 +162,14 @@ class TestScenarios:
                            "holding_torque_nm"]
         assert len(rows) > 10
 
+    @pytest.mark.xfail(strict=True, reason="harness._fmt writes numpy "
+                       "scalars as np.float64(...); perfbench pins the bytes")
+    def test_claw_sweep_fields_are_numbers(self, tmp_path):
+        run_scenario(RunConfig(Scenario.CLAW_SWEEP, out_dir=str(tmp_path)))
+        for row in read_csv(tmp_path / "claw_sweep.csv")[1:]:
+            for value in row:
+                float(value)
+
     def test_impact_suite(self, tmp_path):
         code = run_scenario(RunConfig(Scenario.IMPACT_SUITE,
                                       out_dir=str(tmp_path)))
@@ -197,6 +205,16 @@ class TestScenarios:
                                       out_dir=str(tmp_path)))
         assert code == EXIT_SUCCESS
         summary = (tmp_path / "summary.txt").read_text()
+        assert "locked = False" in summary
+
+    def test_soft_branch_fails_when_the_leg_misses(self, tmp_path):
+        # flying 0.5 m under the branch, the airframe crosses it untouched
+        code = run_scenario(RunConfig(
+            Scenario.SOFT_BRANCH, out_dir=str(tmp_path),
+            overrides={"mission.altitude_setpoint_m": 1.5}))
+        assert code == EXIT_CRITERIA_FAILED
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "peak_force_n = 0.00" in summary
         assert "locked = False" in summary
 
     def test_full_perch_summary(self, tmp_path):

@@ -1,13 +1,16 @@
 """Tests for line-scan branch sensing and the leg centering loop."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from perchsim.claw import BranchSpec
 from perchsim.perception import (
+    PIXELS,
     LegLoopState,
     LegPdGains,
     SensorFrame,
@@ -132,6 +135,81 @@ class TestRenderScan:
                             np.random.default_rng(1))
         assert frame.brightness.min() >= 0.0
         assert frame.brightness.max() <= 1.0
+
+    @given(noise=st.lists(st.floats() | st.sampled_from(
+               [math.nan, 0.0, -0.0, math.inf, -math.inf]),
+               min_size=PIXELS, max_size=PIXELS),
+           dark_level=st.sampled_from([0.0, 0.15]))
+    @example(noise=[-0.0] * PIXELS, dark_level=0.0)
+    @example(noise=[math.nan, math.inf, -math.inf, 0.0] * (PIXELS // 4),
+             dark_level=0.15)
+    def test_clamp_matches_np_clip(self, noise, dark_level):
+        """The frame is ``np.clip(scene * cos + noise, 0, 1)``, bit for bit,
+        whatever the noise holds."""
+        spec = SensorSpec(dark_level=dark_level)
+        noise = np.array(noise)
+
+        class FixedNoise:
+            def normal(self, loc, scale, size):
+                return noise.copy()
+
+        frame = render_scan(SensorPose(13.0, 2.0), BranchSpec(), spec,
+                            FixedNoise())
+        # the branch sits on the boresight, 1 m away
+        angles = spec.pixel_angle_rad(np.arange(PIXELS))
+        scene = np.where(np.abs(angles) <= math.atan2(0.03, 1.0),
+                         dark_level, 1.0)
+        want = np.clip(scene * np.cos(angles) + noise, 0.0, 1.0)
+        assert frame.brightness.tobytes() == want.tobytes()
+
+
+class TestPixelGeometry:
+    def test_computed_once_and_read_only(self):
+        spec = SensorSpec(ifov_arcmin=20.0)
+        angles, falloff = spec.pixel_angles, spec.pixel_falloff
+        assert spec.pixel_angles is angles and spec.pixel_falloff is falloff
+        assert angles.tolist() == spec.pixel_angle_rad(
+            np.arange(PIXELS)).tolist()
+        assert falloff.tolist() == np.cos(angles).tolist()
+        for array in (angles, falloff):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_each_spec_has_its_own(self):
+        assert (SensorSpec(ifov_arcmin=20.0).pixel_angles[0]
+                != SensorSpec().pixel_angles[0])
+
+
+class TestPinnedFrames:
+    """Exact frames and detections, recorded as ``repr`` floats in
+    ``pinned_frames.json`` and compared with ``==``: a change to the sensor
+    path must keep every bit."""
+
+    PINNED = json.loads(
+        (Path(__file__).parent / "pinned_frames.json").read_text())
+    # spec fields, pose (x, z, boresight) and noise seed; branch 6 cm at
+    # (14, 0, 2)
+    CASES = {
+        "in_view": ({}, (12.5, 1.95, 0.02), 11),
+        "out_of_view": ({}, (13.0, 0.5, 0.0), 12),
+        "behind_sensor": ({}, (14.5, 2.0, 0.0), 13),
+        "inside_branch": ({}, (13.99, 2.0, 0.0), 14),
+        "noise_free": ({"noise_sigma": 0.0}, (12.0, 2.05, -0.03), 15),
+        "black_branch": ({"dark_level": 0.0}, (13.2, 1.9, 0.1), 16),
+        "clipped": ({"noise_sigma": 0.4, "threshold_fraction": 0.9,
+                     "min_run_px": 1, "ifov_arcmin": 20.0},
+                    (12.8, 2.1, -0.05), 17),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_frame_and_detection(self, branch, name):
+        fields, pose, seed = self.CASES[name]
+        spec = SensorSpec(**fields)
+        frame = render_scan(SensorPose(*pose), branch, spec,
+                            np.random.default_rng(seed))
+        assert frame.brightness.tolist() == self.PINNED[name]["brightness"]
+        assert detect_branch(frame, spec) == self.PINNED[name]["detection"]
 
 
 class TestDetectBranch:

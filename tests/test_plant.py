@@ -362,7 +362,7 @@ class TestPinnedOutputs:
     def test_trim_with_numpy_gust(self, params):
         state, cmd = trim_setup(params)
         cmd = dataclasses.replace(cmd, beta_cmd_deg=45.0)
-        # the mission's gust model hands in numpy scalars
+        # numpy scalars in the gust give the same bits as floats
         got = self.step(
             state, cmd,
             ext_force=(np.float64(0.012), np.float64(-0.021),

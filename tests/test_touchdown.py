@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies
 
-from perchsim import claw
+from perchsim import claw, touchdown
 from perchsim.claw import BranchSpec, ClawGeometry, SpringSpec
 from perchsim.touchdown import (
     GRAVITY,
@@ -116,6 +117,95 @@ class TestEvaluateTouchdown:
     def test_non_finite_angle_rejected(self, field, value):
         with pytest.raises(ValueError):
             TouchdownState(**{field: value})
+
+
+def eighty_pass_touchdown(st, hold_nm, geom):
+    """Reference: the classifier as it was with a fixed 80-pass bisection.
+
+    Returns the outcome, the name of the return that gave it and, past the
+    forward-fall check, the bisection's inputs with the stop angle."""
+    if not st.locked:
+        return PerchOutcome.MISSED, "unlocked", None
+    if math.isinf(hold_nm):
+        return PerchOutcome.PERCHED, "infinite_hold", None
+    hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
+    mgr = st.mass_kg * GRAVITY * st.com_offset_m
+    delta0 = math.radians(geom.start_angle_deg(st))
+    budget = math.radians(geom.rotation_budget_deg)
+
+    def work(dtheta):
+        return (mgr * (math.cos(delta0 - dtheta) - math.cos(delta0))
+                + hold * dtheta)
+
+    tangential = max(0.0, math.cos(delta0))
+    omega0 = st.mass_kg * st.speed_mps * st.com_offset_m * tangential \
+        / st.inertia_kgm2
+    energy = 0.5 * st.inertia_kgm2 * omega0 * omega0
+    if energy >= work(budget):
+        return PerchOutcome.FALL_FORWARD, "over_budget", None
+    lo, hi = 0.0, budget
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if work(mid) < energy:
+            lo = mid
+        else:
+            hi = mid
+    delta_stop = delta0 - 0.5 * (lo + hi)
+    bisection = ((delta0, math.cos(delta0), budget, mgr, hold, energy),
+                 delta_stop)
+    if mgr * math.sin(abs(delta_stop)) > hold:
+        if delta_stop > 0.0:
+            return PerchOutcome.FALL_BACKWARD, "slips_back", bisection
+        return PerchOutcome.FALL_FORWARD, "slips_forward", bisection
+    return PerchOutcome.PERCHED, "holds", bisection
+
+
+class TestEightyPassOracle:
+    """The bisection stops at its fixed point, with the same bits as the
+    fixed 80 passes.
+
+    The examples reach every return but the forward slip after the
+    bisection. That one needs the stop past the work maximum, where the
+    work falls with rotation, and bisection keeps ``work(lo) < energy <=
+    work(hi)``, so it only finds a stop where the work rises: there the
+    gravity torque past the vertical is at most the hold.
+    """
+
+    EXAMPLES = {
+        "unlocked": (TouchdownState(locked=False), 2.0, TouchdownGeom()),
+        "infinite_hold": (TouchdownState(), math.inf, TouchdownGeom()),
+        "over_budget": (TouchdownState(speed_mps=6.0), 2.0, TouchdownGeom()),
+        # no impact energy: the midpoint halves toward 0 for all 80 passes
+        "slips_back": (TouchdownState(speed_mps=0.0), 2.0, TouchdownGeom()),
+        "holds": (TouchdownState(), 2.0, TouchdownGeom()),
+    }
+
+    def test_examples_reach_each_return(self):
+        assert {name: eighty_pass_touchdown(*case)[1]
+                for name, case in self.EXAMPLES.items()} == {
+                    name: name for name in self.EXAMPLES}
+
+    @given(case=strategies.tuples(
+        strategies.builds(TouchdownState,
+                          speed_mps=strategies.floats(0.0, 8.0),
+                          theta_leg_deg=strategies.floats(0.0, 90.0),
+                          psi_branch_deg=strategies.floats(-89.0, 89.0),
+                          body_pitch_deg=strategies.floats(-120.0, 120.0),
+                          locked=strategies.booleans()),
+        strategies.floats(0.0, 4.0) | strategies.just(math.inf),
+        strategies.builds(TouchdownGeom, rotation_budget_deg=strategies.floats(
+            1.0, 300.0))))
+    @example(case=EXAMPLES["unlocked"])
+    @example(case=EXAMPLES["infinite_hold"])
+    @example(case=EXAMPLES["over_budget"])
+    @example(case=EXAMPLES["slips_back"])
+    @example(case=EXAMPLES["holds"])
+    def test_matches_eighty_passes(self, case):
+        outcome, _, bisection = eighty_pass_touchdown(*case)
+        assert evaluate_touchdown(*case) is outcome
+        if bisection is not None:
+            args, delta_stop = bisection
+            assert args[0] - touchdown._stop_rotation(*args) == delta_stop
 
 
 class TestOdeOracle:
