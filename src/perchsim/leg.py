@@ -11,7 +11,9 @@ The integrator core takes a batch of simulations per call.  Narrow calls
 (every mission impact, a 20- or 40-particle swarm, the 27-lane impact sweep)
 run the RK4 step lane by lane on plain Python floats, where numpy's per-call
 overhead would dominate; wide ones (design grids) run it vectorized in
-numpy.  Both give the same bits.
+numpy.  Both give the same bits.  A float lane stops once an energy bound
+proves that no later step can change its outputs; the numpy kernel always
+runs the full horizon.
 """
 
 from __future__ import annotations
@@ -88,8 +90,11 @@ class ImpactRecord:
 
 # Up to this many lanes a Python loop over ``_impact_lane`` is faster than the
 # numpy kernel, whose cost is mostly per-call overhead until the batch is wide
-# (about 3.8 us per lane-step on floats; about 150 ms per 750-step numpy call
-# up to 64 lanes).  Measured crossover: 48-56 lanes at dt 1e-4 and 2e-4.
+# (about 0.23 ms per numpy step from 48 to 80 lanes).  A lane that runs the
+# full horizon costs about 2.8-3.6 us per step on floats and crosses over at
+# 48-64 lanes at dt 1e-4 and 2e-4; design-suite lanes, which stop early at
+# about 2.2-2.6 us per nominal step, still win at 80 lanes.  The limit stays
+# at the full-horizon crossover.
 _FLOAT_MAX_LANES = 48
 
 
@@ -245,7 +250,9 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     built and unpacked, were about a quarter of a lane-step.  Where numpy
     would carry an inf or NaN into the state (``math.sin`` of inf, a zero
     mass-matrix determinant) this path raises ``IntegrationError``, as the
-    numpy kernel's final |x| check does.
+    numpy kernel's final |x| check does.  Every 16 steps after the bounce,
+    ``_outputs_final`` may end the lane early; the steps it skips would not
+    have changed an output.
     """
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
@@ -259,6 +266,11 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     touched = bounced = False
     t_touch = t_bounce = 0.0
     try:
+        # the early stop below needs a positive joint stiffness, non-negative
+        # joint damping, a leg that reaches forward (l cos phi <= l) and a
+        # phi inertia that stays positive once the body's share is taken out
+        i_min = i_hip - ml_half * ml_half / m11
+        bounded = l > 0.0 and k_rot > 0.0 and c_rot >= 0.0 and i_min > 0.0
         # k1 at the start; a step's end right-hand side is the next step's k1
         sin_p, cos_p = sin(p), cos(p)
         r_y = l * sin_p + zb * cos_p
@@ -274,7 +286,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
         det = m11_m22 - m12 * m12
         xdd = (i_hip * q_x - m12 * q_phi) / det
         pdd = (m11 * q_phi - m12 * q_x) / det
-        for _ in range(n_steps):
+        for i in range(n_steps):
             # k2 at s + dt/2 * k1
             xd2, pd2 = xd + half_dt * xdd, pd + half_dt * pdd
             p2 = p + half_dt * pd
@@ -367,6 +379,14 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
                 l_peak = joint_l
             if not abs(x) <= x_max:
                 x_max = abs(x)
+
+            # stop once no later step can change an output or the |x| check
+            if (bounced and bounded and f == 0.0 and not i & 15
+                    and _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak,
+                                       (n_steps - 1 - i) * dt, l, zb, k_rot,
+                                       i_hip, i_min, ml_half, m11, c_c,
+                                       servo_stiffness, servo_damping)):
+                break
     except (ValueError, ZeroDivisionError):
         x_max = math.nan
 
@@ -374,6 +394,45 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
         raise IntegrationError("contact integration diverged; reduce dt")
     time_to_bounce = (t_bounce if bounced else t_max) if touched else 0.0
     return peak, time_to_bounce, servo_peak, l_peak, touched and capture
+
+
+def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
+                   k_rot, i_hip, i_min, ml_half, m11, c_c, servo_stiffness,
+                   servo_damping):
+    """Whether ``_impact_lane``, out of contact at this step's end, can stop:
+    no step in the ``t_rem`` left can raise ``servo_peak`` or ``l_peak``,
+    take |x| past 2 or bring the claw back into contact.
+
+    Out of contact the momentum P = m11 xd + m12 phid is conserved and the
+    internal energy E = (i_hip - m12^2/m11) phid^2 / 2 + k_rot phi^2 / 2
+    cannot grow (dE/dt = -c_rot phid^2); 1% on E covers RK4's drift.  As
+    i_hip - m12^2/m11 >= i_min, E bounds |phi|, |phid| and |sin phi phid|
+    <= |phi phid|, and with P they bound xd = (P + ml_half sin phi phid)
+    / m11.  The claw pushes again only where delta = x + l (cos phi - 1)
+    - zb sin phi and k_c delta + c_c ddot are both positive, with ddot
+    = xd - r_y phid = P/m11 - (l - ml_half/m11) sin phi phid
+    - zb cos phi phid.  The caller ensures l > 0, k_rot > 0, c_rot >= 0 and
+    i_min > 0.  A NaN or inf state fails a comparison and runs on.
+    """
+    mom = m11 * xd + m12 * pd
+    e2 = 1.01 * ((i_hip - m12 * m12 / m11) * pd * pd + k_rot * p * p)
+    # squares of a much smaller state flush to zero and E bounds nothing;
+    # a leg exactly at rest stays there
+    if not (e2 > 1e-200 or p == pd == 0.0):
+        return False
+    p_b, pd_b = math.sqrt(e2 / k_rot), math.sqrt(e2 / i_min)
+    sin_b = min(1.0, p_b)
+    sin_pd_b = min(1.0, 0.5 * p_b) * pd_b
+    xd_b = (abs(mom) + ml_half * sin_pd_b) / m11
+    delta_b = (x + t_rem * max(0.0, mom + ml_half * sin_pd_b) / m11
+               + abs(zb) * sin_b)
+    ddot_b = (mom + (m11 * l - ml_half) * sin_pd_b) / m11 + abs(zb) * pd_b
+    return (abs(servo_stiffness) * p_b + abs(servo_damping) * pd_b
+            <= servo_peak
+            and i_hip * pd_b + ml_half * sin_b * xd_b <= l_peak
+            and abs(x) + t_rem * xd_b <= 2.0
+            and (delta_b <= 0.0 or CONTACT_STIFFNESS * delta_b
+                 + c_c * ddot_b <= 0.0))
 
 
 def simulate_impact(

@@ -61,8 +61,8 @@ class SensorSpec:
             raise ValueError("noise sigma must be non-negative and finite")
         if not 0.0 < self.threshold_fraction <= 1.0:
             raise ValueError("threshold fraction must lie in (0, 1]")
-        if not 0 <= self.min_run_px < math.inf:
-            raise ValueError("min run must be a non-negative pixel count")
+        if not 1 <= self.min_run_px < math.inf:
+            raise ValueError("min run must be a positive pixel count")
         if not 0.0 <= self.dark_level < 1.0:
             # a branch as bright as the background can never be detected
             raise ValueError("dark level must lie in [0, 1)")

@@ -115,7 +115,12 @@ def evaluate_touchdown(
     hold_nm: float,
     geom: TouchdownGeom = TouchdownGeom(),
 ) -> PerchOutcome:
-    """Classify a touchdown from the locked-claw pivot energy balance."""
+    """Classify a touchdown from the locked-claw pivot energy balance.
+
+    ``hold_nm`` must be non-negative; an infinite hold always perches.
+    """
+    if not hold_nm >= 0.0:
+        raise ValueError("holding torque must be non-negative")
     if not st.locked:
         return PerchOutcome.MISSED
     if math.isinf(hold_nm):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perchsim import leg as legmod
 from perchsim.leg import (
@@ -231,6 +231,24 @@ class TestIntegrationError:
         assert single[0] == 0.0
 
 
+@pytest.fixture
+def sin_calls(monkeypatch):
+    """Arguments of every ``math.sin`` call the leg module makes."""
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def sin(x):
+            calls.append(x)
+            return math.sin(x)
+
+    monkeypatch.setattr(legmod, "math", CountingMath())
+    return calls
+
+
 # wide enough to take the numpy kernel, the oracle for the float lanes
 WIDE_SPEEDS = np.linspace(2.0, 4.0, legmod._FLOAT_MAX_LANES + 1)
 
@@ -246,25 +264,33 @@ class TestFloatLanes:
         assert [math.sin(p) for p in phi.tolist()] == np.sin(phi).tolist()
         assert [math.cos(p) for p in phi.tolist()] == np.cos(phi).tolist()
 
-    @settings(deadline=None, max_examples=30)
+    # the early stop reads every input, so each one is drawn
+    @settings(deadline=None, max_examples=40)
     @given(lanes=st.lists(st.tuples(
                st.floats(0.12, 0.30), st.floats(0.06, 0.20),
-               st.floats(600.0, 2000.0), st.floats(0.0, 6.0),
-               st.floats(-0.08, 0.08)), min_size=1, max_size=3),
+               st.floats(600.0, 2000.0), st.floats(0.3, 1.5),
+               st.floats(0.0, 6.0), st.floats(-0.08, 0.08)),
+               min_size=1, max_size=3),
+           joint=st.fixed_dictionaries({
+               "servo_stiffness": st.floats(0.0, 6.0),
+               "servo_damping": st.floats(0.0, 0.1),
+               "spring_anchor_fraction": st.floats(0.0, 0.8),
+               "joint_damping_ratio": st.floats(0.0, 1.5)}),
            dt=st.sampled_from([1e-4, 2e-4]))
-    def test_matches_numpy_kernel(self, lanes, dt):
+    # a leg exactly at rest, and one whose energy squares flush to zero
+    @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 2.5, 0.0)], joint={}, dt=2e-4)
+    @example(lanes=[(0.25, 0.125, 600.0, 1.0, 1.0, 7.549783701938385e-247)],
+             joint={"servo_stiffness": 1.0, "servo_damping": 0.0,
+                    "spring_anchor_fraction": 0.0, "joint_damping_ratio": 0.0},
+             dt=1e-4)
+    def test_matches_numpy_kernel(self, lanes, joint, dt):
         n = len(lanes)
         columns = [np.array(c) for c in zip(*lanes)]
         wide = [np.resize(c, legmod._FLOAT_MAX_LANES + 1) for c in columns]
-        link, leg_mass, spring, speed, misalignment = columns
-        narrow = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
-                                       misalignment, dt=dt)
-        link, leg_mass, spring, speed, misalignment = wide
-        oracle = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
-                                       misalignment, dt=dt)
+        narrow = simulate_impact_batch(*columns, **joint, dt=dt)
+        oracle = simulate_impact_batch(*wide, **joint, dt=dt)
         assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
-        single = simulate_impact_batch(*lanes[0][:3], 0.700, *lanes[0][3:],
-                                       dt=dt)
+        single = simulate_impact_batch(*lanes[0], **joint, dt=dt)
         assert [a.item() for a in single] == [a[0].item() for a in oracle]
 
     @pytest.mark.parametrize("dt", [1e-4, 2e-4])
@@ -282,6 +308,25 @@ class TestFloatLanes:
         narrow = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
                                        misalignment, dt=dt)
         assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
+
+    def test_stops_lanes_whose_outputs_are_final(self, sin_calls):
+        legmod._baselines()   # cached, so only the cost call is counted
+        sin_calls.clear()
+        leg_cost_batch(np.tile([0.20, 1200.0, 0.12], (20, 1)))
+        full_horizon = 3 * 20 * (4 * 750 + 1)   # 4 sin per step, 1 at t = 0
+        assert len(sin_calls) < 0.7 * full_horizon
+
+    @pytest.mark.parametrize("total_mass, speed, misalignment, t_bounce", [
+        (0.700, 2.5, 0.08, 0.0),   # outside the capture window: no contact
+        (0.700, 0.0, 0.0, 0.0),    # at rest on the branch: no force
+        (50.0, 2.5, 0.0, 0.15),    # still pressing on the branch at t_max
+    ])
+    def test_lanes_that_never_bounce_run_every_step(
+            self, sin_calls, total_mass, speed, misalignment, t_bounce):
+        out = simulate_impact_batch(0.20, 0.12, 1200.0, total_mass, speed,
+                                    misalignment, dt=1e-4, t_max=0.15)
+        assert out[1].item() == t_bounce
+        assert len(sin_calls) == 4 * 1500 + 1
 
     @pytest.mark.parametrize("width", [1, legmod._FLOAT_MAX_LANES,
                                        legmod._FLOAT_MAX_LANES + 1])

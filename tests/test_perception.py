@@ -66,8 +66,7 @@ class TestSpecValidation:
         (field, value)
         for field in ("noise_sigma", "threshold_fraction", "min_run_px")
         for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
-        # no noise is valid, and a 0-pixel run qualifies like a 1-pixel one
-        if not (field != "threshold_fraction" and value == 0.0)
+        if not (field == "noise_sigma" and value == 0.0)   # no noise is valid
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -265,7 +264,7 @@ class TestDetectBranch:
             prev = det
 
     @given(mask=st.lists(st.booleans(), min_size=128, max_size=128),
-           min_run_px=st.integers(0, 12))
+           min_run_px=st.integers(1, 12))
     def test_matches_loop_reference(self, mask, min_run_px):
         spec = SensorSpec(min_run_px=min_run_px)
         angles = spec.pixel_angle_rad(np.arange(128))

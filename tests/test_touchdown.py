@@ -79,6 +79,15 @@ class TestEvaluateTouchdown:
             st = TouchdownState(speed_mps=v)
             assert evaluate_touchdown(st, math.inf) is PerchOutcome.PERCHED
 
+    @pytest.mark.parametrize("hold_nm", [math.nan, -1e-9, -1.0, -math.inf])
+    @pytest.mark.parametrize("locked", [True, False])
+    def test_bad_hold_rejected(self, hold_nm, locked):
+        # NaN fails every comparison, which would let a 7.9 m/s touchdown
+        # perch
+        st = TouchdownState(speed_mps=7.9, locked=locked)
+        with pytest.raises(ValueError):
+            evaluate_touchdown(st, hold_nm)
+
     def test_unlocked_is_missed(self, hold):
         st = TouchdownState(locked=False)
         assert evaluate_touchdown(st, hold) is PerchOutcome.MISSED
