@@ -10,7 +10,8 @@ the four numbers that define a usable calibration:
 4. the closed grip resists at least 2 N*m of branch torque.
 
 It then sweeps branch diameter to show how insensitive the grip is to
-branch size, and times the snap-through.
+branch size, times the snap-through, and costs the tendon re-opening that
+lets the claw release the branch.
 
 Run: python3 demos/calibrate_claw.py
 """
@@ -48,6 +49,12 @@ def main():
     print("\n== Snap-through dynamics ==")
     _, close_ms = claw.closing_dynamics(geom, spring)
     print(f"closing time after trigger  : {close_ms:.1f} ms")
+
+    print("\n== Tendon re-opening ==")
+    duration_s, power_w, peak_n = claw.reopen_profile(geom=geom, spec=spring)
+    print(f"re-opening duration         : {duration_s:.1f} s")
+    print(f"average drive power         : {power_w:.2f} W")
+    print(f"peak tendon force           : {peak_n:.1f} N")
 
 
 if __name__ == "__main__":

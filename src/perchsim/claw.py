@@ -28,7 +28,6 @@ __all__ = [
     "NoSpikeContactError",
     "StalledClawError",
     "CannotReopenError",
-    "spring_force",
     "spring_extension",
     "spring_potential",
     "claw_torque",
@@ -171,12 +170,6 @@ class ClawState:
     spring_extension_mm: float
     mode: ClawMode
     t_s: float = 0.0
-
-
-def spring_force(spec: SpringSpec, extension_mm: float) -> float:
-    """Spring tension in N; zero below zero extension, reported value capped."""
-    force = spec.rate_n_per_mm * max(0.0, extension_mm)
-    return min(force, spec.max_force_n)
 
 
 def _anchor_world(geom: ClawGeometry, psi_deg: float) -> Tuple[float, float]:

@@ -251,6 +251,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     would carry an inf or NaN into the state (``math.sin`` of inf, a zero
     mass-matrix determinant) this path raises ``IntegrationError``, as the
     numpy kernel's final |x| check does.  Every 16 steps after the bounce,
+    or from the first step for a claw outside the capture window,
     ``_outputs_final`` may end the lane early; the steps it skips would not
     have changed an output.
     """
@@ -380,12 +381,16 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
             if not abs(x) <= x_max:
                 x_max = abs(x)
 
-            # stop once no later step can change an output or the |x| check
-            if (bounced and bounded and f == 0.0 and not i & 15
+            # stop once no later step can change an output or the |x| check;
+            # a claw outside the capture window never touches, so its lane
+            # may stop at the first check
+            if ((bounced or not capture) and bounded and f == 0.0
+                    and not i & 15
                     and _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak,
                                        (n_steps - 1 - i) * dt, l, zb, k_rot,
                                        i_hip, i_min, ml_half, m11, c_c,
-                                       servo_stiffness, servo_damping)):
+                                       capture, servo_stiffness,
+                                       servo_damping)):
                 break
     except (ValueError, ZeroDivisionError):
         x_max = math.nan
@@ -397,11 +402,13 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
 
 
 def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
-                   k_rot, i_hip, i_min, ml_half, m11, c_c, servo_stiffness,
-                   servo_damping):
+                   k_rot, i_hip, i_min, ml_half, m11, c_c, capture,
+                   servo_stiffness, servo_damping):
     """Whether ``_impact_lane``, out of contact at this step's end, can stop:
     no step in the ``t_rem`` left can raise ``servo_peak`` or ``l_peak``,
-    take |x| past 2 or bring the claw back into contact.
+    take |x| past 2 or bring the claw back into contact.  A claw outside
+    the capture window (``capture`` false) never makes contact, so only the
+    first three count for it.
 
     Out of contact the momentum P = m11 xd + m12 phid is conserved and the
     internal energy E = (i_hip - m12^2/m11) phid^2 / 2 + k_rot phi^2 / 2
@@ -431,8 +438,8 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
             <= servo_peak
             and i_hip * pd_b + ml_half * sin_b * xd_b <= l_peak
             and abs(x) + t_rem * xd_b <= 2.0
-            and (delta_b <= 0.0 or CONTACT_STIFFNESS * delta_b
-                 + c_c * ddot_b <= 0.0))
+            and (not capture or delta_b <= 0.0
+                 or CONTACT_STIFFNESS * delta_b + c_c * ddot_b <= 0.0))
 
 
 def simulate_impact(

@@ -9,6 +9,22 @@ tears the grip loose (forward fall); anything between is a perch.
 
 The classifier walks the energy balance in closed form; tests compare it
 against a brute-force integration of the pivot ODE.
+
+The stop angle is found by bisection, but the outcome only needs to know
+which side of the hold torque the gravity torque at the stop angle falls
+on.  Each later bracket nests inside the current ``[lo, hi]``, so the final
+stop angle ``delta0 - (lo + hi)/2`` lies in ``[delta0 - hi, delta0 - lo]``.
+Where both ends of that interval have the same sign and lie inside
+(-pi/2, pi/2), the gravity torque ``mgr sin|d|`` is monotone over it, so
+the two ends bound the torque at every stop angle the full bisection could
+return.  Once both sit on the same side of the hold, the bisection ends and
+the midpoint of its bracket, one of those angles, is classified instead.
+The comparison keeps a relative margin of ``_HOLD_MARGIN`` on the hold, so
+the early exit gives the same outcome as the full bisection as long as
+libm's ``sin`` is within 1 ULP of the true sine, which increases on
+[0, pi/2].  Brackets within the margin, or straddling 0 or +-pi/2, run to
+convergence.  The argument needs finite angles, which ``TouchdownState``
+and ``TouchdownGeom`` enforce.
 """
 
 from __future__ import annotations
@@ -29,6 +45,12 @@ __all__ = [
 ]
 
 GRAVITY = 9.81
+
+# Relative margin on the hold torque for the bisection's early exit.  A few
+# ULP would cover libm's sin and the rounding of the torque product; a
+# bracket this close to the hold runs to convergence instead.
+_HOLD_MARGIN = 1e-12
+_HALF_PI = 0.5 * math.pi
 
 
 class PerchOutcome(enum.Enum):
@@ -81,6 +103,16 @@ class TouchdownGeom:
     rotation_budget_deg: float = 60.0
     yaw_hold_power: float = 2.0            # hold *= cos(psi)^power
 
+    def __post_init__(self):
+        if not (-math.inf < self.start_angle_base_deg < math.inf
+                and -math.inf < self.start_angle_per_leg_deg < math.inf
+                and -math.inf < self.start_angle_per_pitch_deg < math.inf):
+            raise ValueError("start-angle terms must be finite")
+        if not 0.0 < self.rotation_budget_deg < math.inf:
+            raise ValueError("rotation budget must be positive and finite")
+        if not 0.0 <= self.yaw_hold_power < math.inf:
+            raise ValueError("yaw hold power must be non-negative and finite")
+
     def start_angle_deg(self, st: TouchdownState) -> float:
         return (self.start_angle_base_deg
                 + self.start_angle_per_leg_deg * (90.0 - st.theta_leg_deg)
@@ -92,12 +124,19 @@ class TouchdownGeom:
 
 
 def _stop_rotation(delta0: float, cos0: float, budget: float, mgr: float,
-                   hold: float, energy: float) -> float:
+                   hold: float, energy: float, perch_below: float,
+                   slip_above: float) -> float:
     """Forward rotation from the start angle ``delta0`` (``cos0`` is its
     cosine) at which the absorbed work, gravity climb toward the top plus
-    Coulomb friction, meets ``energy``: bisection on [0, ``budget``]."""
+    Coulomb friction, meets ``energy``: bisection on [0, ``budget``].
+
+    Returns the midpoint of the last bracket.  Every fourth pass the
+    bisection ends early if the gravity torque at every stop angle its
+    bracket still holds is above ``slip_above``, or every one is below
+    ``perch_below``; with infinite bounds it runs to its fixed point.
+    """
     lo, hi = 0.0, budget
-    for _ in range(80):
+    for i in range(80):
         mid = 0.5 * (lo + hi)
         # once the midpoint rounds onto an end, no later pass moves either
         converged = mid == lo or mid == hi
@@ -107,6 +146,16 @@ def _stop_rotation(delta0: float, cos0: float, budget: float, mgr: float,
             hi = mid
         if converged:
             break
+        if i & 3 == 3:
+            # every stop angle left lies in [near, far]; the torque reads
+            # only its size, so a negative range is mirrored
+            near, far = delta0 - hi, delta0 - lo
+            if far < 0.0:
+                near, far = -far, -near
+            if 0.0 < near and far < _HALF_PI and (
+                    mgr * math.sin(near) > slip_above
+                    or mgr * math.sin(far) < perch_below):
+                break
     return 0.5 * (lo + hi)
 
 
@@ -141,9 +190,11 @@ def evaluate_touchdown(
     if energy >= mgr * (math.cos(delta0 - budget) - cos0) + hold * budget:
         return PerchOutcome.FALL_FORWARD
     # the absorbed work is strictly increasing in rotation here, so the stop
-    # angle is the unique root of the energy balance
-    delta_stop = delta0 - _stop_rotation(delta0, cos0, budget, mgr, hold,
-                                         energy)
+    # angle is the unique root of the energy balance; the bisection ends
+    # once the side of the hold it falls on is settled
+    delta_stop = delta0 - _stop_rotation(
+        delta0, cos0, budget, mgr, hold, energy,
+        hold * (1.0 - _HOLD_MARGIN), hold * (1.0 + _HOLD_MARGIN))
 
     gravity_torque = mgr * math.sin(abs(delta_stop))
     if gravity_torque > hold:

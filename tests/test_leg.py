@@ -200,8 +200,15 @@ class TestPinnedOutputs:
 
 class TestIntegrationError:
     def test_uncaptured_body_flies_past_two_metres(self):
+        for speed in (20.0, [20.0, 3.0], np.append(WIDE_SPEEDS, 20.0)):
+            with pytest.raises(IntegrationError):
+                simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, speed, 0.1)
+
+    def test_uncaptured_lane_just_past_two_metres_runs_on(self):
+        # 13.4 m/s for 0.15 s carries the body 2.01 m, so no check may stop
+        # the lane early
         with pytest.raises(IntegrationError):
-            simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 20.0, 0.1)
+            simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 13.4, 0.1)
 
     def test_nan_speed(self):
         with pytest.raises(IntegrationError):
@@ -269,7 +276,8 @@ class TestFloatLanes:
     @given(lanes=st.lists(st.tuples(
                st.floats(0.12, 0.30), st.floats(0.06, 0.20),
                st.floats(600.0, 2000.0), st.floats(0.3, 1.5),
-               st.floats(0.0, 6.0), st.floats(-0.08, 0.08)),
+               st.floats(0.0, 6.0),
+               st.floats(-0.08, 0.08) | st.floats(-0.5, 0.5)),
                min_size=1, max_size=3),
            joint=st.fixed_dictionaries({
                "servo_stiffness": st.floats(0.0, 6.0),
@@ -277,8 +285,12 @@ class TestFloatLanes:
                "spring_anchor_fraction": st.floats(0.0, 0.8),
                "joint_damping_ratio": st.floats(0.0, 1.5)}),
            dt=st.sampled_from([1e-4, 2e-4]))
-    # a leg exactly at rest, and one whose energy squares flush to zero
+    # a leg exactly at rest, one whose energy squares flush to zero, and
+    # fast lanes outside the capture window, the first carried 1.95 m
     @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 2.5, 0.0)], joint={}, dt=2e-4)
+    @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 13.0, -0.1),
+                    (0.2, 0.12, 1200.0, 0.7, 6.0, 0.0500001),
+                    (0.2, 0.12, 1200.0, 0.7, 2.5, 0.05)], joint={}, dt=1e-4)
     @example(lanes=[(0.25, 0.125, 600.0, 1.0, 1.0, 7.549783701938385e-247)],
              joint={"servo_stiffness": 1.0, "servo_damping": 0.0,
                     "spring_anchor_fraction": 0.0, "joint_damping_ratio": 0.0},
@@ -316,8 +328,16 @@ class TestFloatLanes:
         full_horizon = 3 * 20 * (4 * 750 + 1)   # 4 sin per step, 1 at t = 0
         assert len(sin_calls) < 0.7 * full_horizon
 
+    @pytest.mark.parametrize("speed, misalignment", [
+        (2.5, 0.08), (0.0, -0.3), (13.0, 0.1)])
+    def test_lanes_outside_the_capture_window_stop_at_first_check(
+            self, sin_calls, speed, misalignment):
+        out = simulate_impact_batch(0.20, 0.12, 1200.0, 0.700, speed,
+                                    misalignment, dt=1e-4, t_max=0.15)
+        assert [a.item() for a in out] == [0.0, 0.0, 0.0, 0.0, False]
+        assert len(sin_calls) == 4 + 1   # one step, 1 sin at t = 0
+
     @pytest.mark.parametrize("total_mass, speed, misalignment, t_bounce", [
-        (0.700, 2.5, 0.08, 0.0),   # outside the capture window: no contact
         (0.700, 0.0, 0.0, 0.0),    # at rest on the branch: no force
         (50.0, 2.5, 0.0, 0.15),    # still pressing on the branch at t_max
     ])

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies
+from hypothesis import assume, example, given, settings, strategies
 
 from perchsim import claw, touchdown
 from perchsim.claw import BranchSpec, ClawGeometry, SpringSpec
+from perchsim.harness import RunConfig, Scenario, run_scenario
 from perchsim.touchdown import (
     GRAVITY,
     PerchOutcome,
@@ -128,6 +129,32 @@ class TestEvaluateTouchdown:
             TouchdownState(**{field: value})
 
 
+class TestGeomValidation:
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("start_angle_base_deg", "start_angle_per_leg_deg",
+                      "start_angle_per_pitch_deg")
+        for value in (math.nan, math.inf, -math.inf)
+    ] + [
+        ("rotation_budget_deg", value)
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+    ] + [
+        ("yaw_hold_power", value)
+        for value in (math.nan, math.inf, -math.inf, -1e-9, -1.0)
+    ])
+    def test_bad_value_rejected(self, field, value):
+        # a NaN budget or start angle let a 7.9 m/s touchdown perch
+        with pytest.raises(ValueError):
+            TouchdownGeom(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("start_angle_base_deg", -40.0), ("start_angle_per_leg_deg", 0.0),
+        ("start_angle_per_pitch_deg", -2.0), ("rotation_budget_deg", 1e-3),
+        ("rotation_budget_deg", 300.0), ("yaw_hold_power", 0.0)])
+    def test_edge_value_accepted(self, field, value):
+        assert getattr(TouchdownGeom(**{field: value}), field) == value
+
+
 def eighty_pass_touchdown(st, hold_nm, geom):
     """Reference: the classifier as it was with a fixed 80-pass bisection.
 
@@ -170,8 +197,9 @@ def eighty_pass_touchdown(st, hold_nm, geom):
 
 
 class TestEightyPassOracle:
-    """The bisection stops at its fixed point, with the same bits as the
-    fixed 80 passes.
+    """Run to the end, the bisection stops at its fixed point, with the same
+    bits as the fixed 80 passes; the classifier, which ends it once the
+    outcome is settled, gives the 80-pass outcome.
 
     The examples reach every return but the forward slip after the
     bisection. That one needs the stop past the work maximum, where the
@@ -209,12 +237,92 @@ class TestEightyPassOracle:
     @example(case=EXAMPLES["over_budget"])
     @example(case=EXAMPLES["slips_back"])
     @example(case=EXAMPLES["holds"])
+    # a stop angle of 119 deg, past pi/2, where the gravity torque falls as
+    # the angle grows: an end of the bracket does not bound it there
+    @example(case=(TouchdownState(speed_mps=0.25, theta_leg_deg=27.0,
+                                  psi_branch_deg=30.0, body_pitch_deg=120.0),
+                   2.9, TouchdownGeom(rotation_budget_deg=190.0)))
     def test_matches_eighty_passes(self, case):
         outcome, _, bisection = eighty_pass_touchdown(*case)
         assert evaluate_touchdown(*case) is outcome
         if bisection is not None:
             args, delta_stop = bisection
-            assert args[0] - touchdown._stop_rotation(*args) == delta_stop
+            # infinite bounds never end the bisection early: full depth
+            assert args[0] - touchdown._stop_rotation(
+                *args, -math.inf, math.inf) == delta_stop
+
+
+class TestKnifeEdge:
+    """Where the outcome flips with speed, the early exit still matches the
+    80-pass oracle on the adjacent doubles either side of the flip."""
+
+    @settings(deadline=None, max_examples=60)
+    # (theta_leg, psi_branch, body_pitch, hold, rotation budget)
+    @given(case=strategies.tuples(
+        strategies.floats(0.0, 90.0), strategies.floats(-89.0, 89.0),
+        strategies.floats(-60.0, 60.0), strategies.floats(0.0, 4.0),
+        strategies.floats(1.0, 300.0)))
+    # the default operating row: perched between two falls
+    @example(case=(90.0, 0.0, 30.0, 2.0, 60.0))
+    def test_matches_oracle_across_the_flip(self, case):
+        theta, psi, pitch, hold_nm, budget = case
+        geom = TouchdownGeom(rotation_budget_deg=budget)
+
+        def at(speed):
+            return TouchdownState(speed_mps=speed, theta_leg_deg=theta,
+                                  psi_branch_deg=psi, body_pitch_deg=pitch)
+
+        def oracle(speed):
+            return eighty_pass_touchdown(at(speed), hold_nm, geom)[0]
+
+        slow, fast = 0.0, 8.0
+        first = oracle(slow)
+        assume(oracle(fast) is not first)
+        while True:   # bisect on speed down to adjacent doubles
+            mid = 0.5 * (slow + fast)
+            if mid == slow or mid == fast:
+                break
+            if oracle(mid) is first:
+                slow = mid
+            else:
+                fast = mid
+        assert math.nextafter(slow, math.inf) == fast
+        for speed in (slow, fast):
+            assert evaluate_touchdown(at(speed), hold_nm, geom) is \
+                oracle(speed)
+
+
+@pytest.fixture
+def cos_calls(monkeypatch):
+    """Arguments of every ``math.cos`` call the touchdown module makes."""
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def cos(x):
+            calls.append(x)
+            return math.cos(x)
+
+    monkeypatch.setattr(touchdown, "math", CountingMath())
+    return calls
+
+
+class TestEarlyExit:
+    def test_envelope_grid_ends_most_bisections_early(self, cos_calls,
+                                                      monkeypatch, tmp_path):
+        run_scenario(RunConfig(Scenario.ENVELOPE, out_dir=str(tmp_path / "a")))
+        early = len(cos_calls)
+        # an infinite margin never settles a bracket: full-depth bisections
+        monkeypatch.setattr(touchdown, "_HOLD_MARGIN", math.inf)
+        cos_calls.clear()
+        run_scenario(RunConfig(Scenario.ENVELOPE, out_dir=str(tmp_path / "b")))
+        assert early < 0.5 * len(cos_calls)
+        for name in ("envelope_speed.csv", "envelope_yaw.csv", "summary.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
 
 class TestOdeOracle:
