@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from . import claw as clawmod
 from . import leg as legmod
 from .claw import BranchSpec, ClawGeometry, SpringSpec
+from .config import check_ranges, ranged
 from .leg import ImpactRecord, LegParams
 from .perception import (
     PIXELS,
@@ -85,16 +86,15 @@ class OrderingError(RuntimeError):
 
 @dataclass(frozen=True)
 class LoopGains:
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-    out_min: float = -20.0
-    out_max: float = 20.0
-    integrator_clamp: float = 10.0
+    kp: float = ranged(MISSING, "(-inf, inf)")
+    ki: float = ranged(0.0, "(-inf, inf)")
+    kd: float = ranged(0.0, "(-inf, inf)")
+    out_min: float = ranged(-20.0, "(-inf, inf)")
+    out_max: float = ranged(20.0, "(-inf, inf)")
+    integrator_clamp: float = ranged(10.0, "[0, inf)")
 
     def __post_init__(self):
-        if not (math.isfinite(self.out_min) and math.isfinite(self.out_max)):
-            raise ValueError("output limits must be finite")
+        check_ranges(self)
         if self.out_min >= self.out_max:
             raise ValueError("output window must be non-empty")
         window = self.out_max - self.out_min
@@ -147,9 +147,9 @@ YAW_SETPOINT_LIMIT_DEG = 8.0
 
 @dataclass(frozen=True)
 class MissionConfig:
-    launch_speed_mps: float = 4.0
-    pitch_setpoint_deg: float = 30.0
-    altitude_setpoint_m: float = 2.0
+    launch_speed_mps: float = ranged(4.0, f"[0, {LAUNCH_SPEED_CAP_MPS}]")
+    pitch_setpoint_deg: float = ranged(30.0, "[0, 45]")
+    altitude_setpoint_m: float = ranged(2.0, "(0, 5)")
     branch: BranchSpec = field(default_factory=BranchSpec)
     robot: RobotParams = field(default_factory=RobotParams)
     leg: LegParams = field(default_factory=LegParams)
@@ -162,30 +162,22 @@ class MissionConfig:
     altitude_gains: LoopGains = DEFAULT_ALT_GAINS
     leg_gains: LegPdGains = field(default_factory=LegPdGains)
     seed: int = 0
-    disturbance_sigma_force_n: float = 0.0
-    disturbance_sigma_moment_nm: float = 0.0
-    disturbance_tau_s: float = 0.3
-    launch_lateral_offset_m: float = 0.4
-    launch_altitude_offset_m: float = -0.17
+    disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
+    disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
+    disturbance_tau_s: float = ranged(0.3, "(0, inf)")
+    launch_lateral_offset_m: float = ranged(0.4, "(-inf, inf)")
+    launch_altitude_offset_m: float = ranged(-0.17, "(-inf, inf)")
     soft_branch: bool = False
-    max_time_s: float = 12.0
+    max_time_s: float = ranged(12.0, "(0, inf)")
 
     def __post_init__(self):
-        if not 0.0 <= self.launch_speed_mps <= LAUNCH_SPEED_CAP_MPS:
-            raise ValueError(f"launch speed outside 0-{LAUNCH_SPEED_CAP_MPS} "
-                             "m/s (safety cap)")
-        if not 0.0 < self.altitude_setpoint_m < 5.0:
-            raise ValueError("altitude setpoint outside flight envelope")
-        if not 0.0 <= self.pitch_setpoint_deg <= 45.0:
-            raise ValueError("pitch setpoint outside flight envelope")
+        check_ranges(self)
         if trim_state(self.pitch_setpoint_deg, self.robot) is None:
             raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
                              "has no trim point")
         if self.branch.diameter_m < self.claw_geom.min_spike_diameter_m:
             raise ValueError("branch diameter below the claw's spike-contact "
                              f"minimum {self.claw_geom.min_spike_diameter_m} m")
-        if not 0.0 < self.max_time_s < math.inf:
-            raise ValueError("max mission time must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -421,13 +413,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
             outcome = PerchOutcome.MISSED
             break
     if crossing is not None:
-        diagnostics.update(
-            crossing_vx=crossing.vx_mps,
-            crossing_psi=crossing.yaw_deg,
-            crossing_theta=crossing.pitch_deg,
-            crossing_y=crossing.y_m,
-            crossing_z=crossing.altitude_m,
-        )
         diagnostics["altitude_error_m"] = abs(
             crossing.altitude_m - config.altitude_setpoint_m)
     return MissionResult(trajectory=trajectory, impact=impact,

@@ -13,9 +13,11 @@ All functions are pure; geometry and spring objects are value types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
+
+from .config import check_ranges, ranged
 
 __all__ = [
     "SpringSpec",
@@ -63,14 +65,10 @@ class SpringSpec:
     """Linear tension spring, zero preload, force clamped at zero extension."""
 
     free_length_mm: float = 40.0
-    rate_n_per_mm: float = 5.0
-    max_force_n: float = 111.0
+    rate_n_per_mm: float = ranged(5.0, "(0, inf)")
+    max_force_n: float = ranged(111.0, "(0, inf)")
 
-    def __post_init__(self):
-        if not 0.0 < self.rate_n_per_mm < math.inf:
-            raise ValueError("spring rate must be positive and finite")
-        if not 0.0 < self.max_force_n < math.inf:
-            raise ValueError("spring max force must be positive and finite")
+    __post_init__ = check_ranges
 
 
 class BranchSurface(Enum):
@@ -92,17 +90,13 @@ MU_EFF_DEFAULTS = {
 class BranchSpec:
     """Cylindrical branch target."""
 
-    diameter_m: float = 0.06
+    diameter_m: float = ranged(0.06, "(0, inf)")
     center: Tuple[float, float, float] = (14.0, 0.0, 2.0)
     axis_yaw_deg: float = 0.0
     surface: BranchSurface = BranchSurface.SPIKES_PLUS_PADS
-    mu_eff: Optional[float] = None
+    mu_eff: Optional[float] = ranged(None, "[0, inf)")
 
-    def __post_init__(self):
-        if not 0.0 < self.diameter_m < math.inf:
-            raise ValueError("branch diameter must be positive and finite")
-        if self.mu_eff is not None and not 0.0 <= self.mu_eff < math.inf:
-            raise ValueError("branch mu_eff must be non-negative and finite")
+    __post_init__ = check_ranges
 
     @property
     def mu(self) -> float:
@@ -123,13 +117,13 @@ class ClawGeometry:
     """
 
     d_s: float = 18.8106662315467       # straight contact segment, mm (= contact lever at 6 cm)
-    d_e: float = 50.0                   # pivot spacing, mm
+    d_e: float = ranged(50.0, "(0, inf)")  # pivot spacing, mm
     psi_open: float = -4.0              # open rest angle, deg
     psi_closed: float = 55.0            # closed angle on the 6 cm branch, deg
-    trigger_lever: float = 17.5         # pivot-to-trigger distance, mm
+    trigger_lever: float = ranged(17.5, "(0, inf)")  # pivot to trigger, mm
     spring_anchor_claw: Tuple[float, float] = (1.438252865486829, 29.965503978657175)
     spring_anchor_frame: Tuple[float, float] = (0.0, -32.0)
-    claw_inertia: float = 3.2e-5        # kg*m^2 about the pivot
+    claw_inertia: float = ranged(3.2e-5, "(0, inf)")  # kg*m^2 about the pivot
     spike_offset: float = 7.0           # mm, spike stand-off from the pivot line
     grip_offset_mm: float = 32.0        # lateral half-spacing of the spike pair
     tendon_lever_mm: float = 12.0       # tendon moment arm for re-opening
@@ -138,12 +132,9 @@ class ClawGeometry:
     contact_lever_hinge: float = 0.1    # extra lever growth beyond 7 cm, m/m
 
     def __post_init__(self):
-        if self.d_e <= 0:
-            raise ValueError("pivot spacing d_e must be positive")
+        check_ranges(self)
         if self.psi_open >= 0 and self.psi_closed > 0:
             raise ValueError("open rest angle must be negative (spring behind pivot)")
-        if not 0.0 < self.claw_inertia < math.inf:
-            raise ValueError("claw inertia must be positive and finite")
 
     @property
     def min_spike_diameter_m(self) -> float:
@@ -252,8 +243,6 @@ def snap_angle(geom: ClawGeometry, spec: SpringSpec, tol_deg: float = 1e-6) -> f
 
 def release_force(geom: ClawGeometry, spec: SpringSpec) -> float:
     """Force at the trigger tip needed to initiate closing from rest, N."""
-    if geom.trigger_lever <= 0:
-        raise ValueError("trigger lever must be positive")
     torque_open = claw_torque(geom, spec, geom.psi_open)
     return abs(torque_open) / (geom.trigger_lever / 1000.0)
 

@@ -5,13 +5,20 @@ with dotted section names (``mission.launch_speed_mps = 4.0``).  Blank
 lines and ``#`` comments are ignored.  Values parse as int, float, bool,
 or string; serialization sorts keys so parse -> serialize -> parse is the
 identity on the mapping.
+
+It also holds the one input-range policy of the library: a dataclass field
+declared with ``ranged`` names its interval, and ``check_ranges`` raises
+``ValueError`` for a value outside it (NaN lies outside every interval).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+import dataclasses
+import math
+from typing import Dict, Tuple, Union
 
-__all__ = ["ConfigError", "parse_config", "serialize_config", "load_config"]
+__all__ = ["ConfigError", "parse_config", "serialize_config", "load_config",
+           "ranged", "check_ranges"]
 
 Value = Union[int, float, bool, str]
 
@@ -75,3 +82,37 @@ def serialize_config(mapping: Dict[str, Value]) -> str:
 def load_config(path: str) -> Dict[str, Value]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
+
+
+def ranged(default, interval: str):
+    """A dataclass field whose value must lie in ``interval``, written as
+    ``"(0, inf)"`` or ``"[0, 1)"``; pass ``dataclasses.MISSING`` for no
+    default.  Each open end is stored as the closed end one double inside
+    it, so ``check_ranges`` needs two comparisons per field."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if interval[0] == "(":
+        lo = math.nextafter(lo, math.inf)
+    if interval[-1] == ")":
+        hi = math.nextafter(hi, -math.inf)
+    return dataclasses.field(default=default,
+                             metadata={"range": (interval, lo, hi)})
+
+
+_CHECKS: Dict[type, Tuple[Tuple[str, str, float, float], ...]] = {}
+
+
+def check_ranges(obj) -> None:
+    """Raise ``ValueError`` if a ``ranged`` field of ``obj`` lies outside
+    its interval.  A ``None`` value (an unset optional field) passes."""
+    cls = type(obj)
+    checks = _CHECKS.get(cls)
+    if checks is None:
+        checks = _CHECKS[cls] = tuple(
+            (f.name, *f.metadata["range"]) for f in dataclasses.fields(cls)
+            if "range" in f.metadata)
+    values = obj.__dict__  # faster than getattr, for TouchdownState
+    for name, interval, lo, hi in checks:
+        value = values[name]
+        if value is not None and not lo <= value <= hi:
+            raise ValueError(f"{cls.__name__}.{name} must lie in {interval}, "
+                             f"got {value!r}")

@@ -30,7 +30,7 @@ from .autopilot import (
     run_stage,
 )
 from .claw import BranchSpec, ClawGeometry, SpringSpec
-from .config import ConfigError, Value
+from .config import ConfigError, Value, check_ranges, ranged
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -124,9 +124,12 @@ def _fields(cfg: RunConfig, section: str) -> Dict[str, Value]:
 
 @dataclass(frozen=True)
 class LaunchProfile:
-    target_speed_mps: float = MissionConfig.launch_speed_mps
-    rail_length_m: float = 1.6
+    target_speed_mps: float = ranged(MissionConfig.launch_speed_mps,
+                                     f"[0, {LAUNCH_SPEED_CAP_MPS}]")
+    rail_length_m: float = ranged(1.6, "(0, inf)")
     lateral_offset_m: float = MissionConfig.launch_lateral_offset_m
+
+    __post_init__ = check_ranges
 
     @property
     def acceleration_mps2(self) -> float:
@@ -138,14 +141,11 @@ def launch_profile(target_speed_mps: float = LaunchProfile.target_speed_mps,
                    rail_length_m: float = LaunchProfile.rail_length_m
                    ) -> LaunchProfile:
     """Validated rail profile for one launch."""
-    if not 0.0 <= target_speed_mps <= LAUNCH_SPEED_CAP_MPS:
-        raise ConfigError(
-            f"launch speed {target_speed_mps} m/s is outside 0-"
-            f"{LAUNCH_SPEED_CAP_MPS} m/s (safety cap)")
-    if not 0.0 < rail_length_m < math.inf:
-        raise ConfigError("rail length must be positive and finite")
-    return LaunchProfile(target_speed_mps=target_speed_mps,
-                         rail_length_m=rail_length_m)
+    try:
+        return LaunchProfile(target_speed_mps=target_speed_mps,
+                             rail_length_m=rail_length_m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt(value) -> str:

@@ -24,6 +24,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .config import check_ranges, ranged
+
 __all__ = [
     "LegParams",
     "ImpactRecord",
@@ -56,27 +58,18 @@ class IntegrationError(RuntimeError):
 class LegParams:
     """Leg mechanism parameters.  Servo limit torque 1.47-1.96 N*m (15-20 kg*cm)."""
 
-    link_length_m: float = 0.20
-    leg_mass_kg: float = 0.12
-    leg_spring_rate_n_m: float = 1200.0
-    leg_spring_rest_m: float = 0.10
-    servo_limit_torque_nm: float = 1.72
-    servo_joint_stiffness_nm_rad: float = 2.0
-    spring_anchor_fraction: float = 0.4   # diagonal-spring moment arm / link length
-    joint_damping_ratio: float = 0.7
-    servo_damping_nm_s: float = 0.02
+    link_length_m: float = ranged(0.20, "(0, inf)")
+    leg_mass_kg: float = ranged(0.12, "(0, inf)")
+    leg_spring_rate_n_m: float = ranged(1200.0, "(0, inf)")
+    leg_spring_rest_m: float = ranged(0.10, "[0, inf)")
+    servo_limit_torque_nm: float = ranged(1.72, "[1.47, 1.96]")
+    servo_joint_stiffness_nm_rad: float = ranged(2.0, "(0, inf)")
+    # diagonal-spring moment arm / link length
+    spring_anchor_fraction: float = ranged(0.4, "[0, inf)")
+    joint_damping_ratio: float = ranged(0.7, "(0, inf)")
+    servo_damping_nm_s: float = ranged(0.02, "[0, inf)")
 
-    def __post_init__(self):
-        for name in ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
-                     "servo_joint_stiffness_nm_rad", "joint_damping_ratio"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("leg_spring_rest_m", "spring_anchor_fraction",
-                     "servo_damping_nm_s"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if not 1.47 <= self.servo_limit_torque_nm <= 1.96:
-            raise ValueError("servo limit torque outside the 15-20 kg*cm range")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .claw import BranchSpec
+from .config import check_ranges, ranged
 
 __all__ = [
     "PIXELS",
@@ -42,30 +43,19 @@ PIXELS = 128   # the sensor is a 1x128 line-scan device
 
 @dataclass(frozen=True)
 class SensorSpec:
-    ifov_arcmin: float = 28.0
-    read_hz_capability: float = 330.0
-    read_hz: float = 200.0
-    noise_sigma: float = 0.02        # brightness fraction, Gaussian
-    threshold_fraction: float = 0.6  # of rectified frame mean
-    min_run_px: int = 2
-    dark_level: float = 0.15         # branch albedo vs bright background 1.0
+    ifov_arcmin: float = ranged(28.0, "(0, inf)")
+    read_hz_capability: float = ranged(330.0, "(0, inf)")
+    read_hz: float = ranged(200.0, "(0, inf)")
+    noise_sigma: float = ranged(0.02, "[0, inf)")  # Gaussian, brightness
+    threshold_fraction: float = ranged(0.6, "(0, 1]")  # of the frame mean
+    min_run_px: int = ranged(2, "[1, inf)")
+    # branch albedo against the background's 1.0: at 1.0 it is invisible
+    dark_level: float = ranged(0.15, "[0, 1)")
 
     def __post_init__(self):
-        if not 0.0 < self.ifov_arcmin < math.inf:
-            raise ValueError("ifov must be positive and finite")
-        if not 0.0 < self.read_hz < math.inf:
-            raise ValueError("read rate must be positive and finite")
+        check_ranges(self)
         if self.read_hz > self.read_hz_capability:
             raise ValueError("effective read rate exceeds sensor capability")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise sigma must be non-negative and finite")
-        if not 0.0 < self.threshold_fraction <= 1.0:
-            raise ValueError("threshold fraction must lie in (0, 1]")
-        if not 1 <= self.min_run_px < math.inf:
-            raise ValueError("min run must be a positive pixel count")
-        if not 0.0 <= self.dark_level < 1.0:
-            # a branch as bright as the background can never be detected
-            raise ValueError("dark level must lie in [0, 1)")
 
     @property
     def ifov_rad(self) -> float:
@@ -172,16 +162,11 @@ def detection_limit(spec: SensorSpec, diameter_m: float,
 
 @dataclass(frozen=True)
 class LegPdGains:
-    kp_deg_per_px: float = 0.35
-    kd_deg_s_per_px: float = 0.001
-    rate_limit_dps: float = 60.0
+    kp_deg_per_px: float = ranged(0.35, "[0, inf)")
+    kd_deg_s_per_px: float = ranged(0.001, "[0, inf)")
+    rate_limit_dps: float = ranged(60.0, "(0, inf)")
 
-    def __post_init__(self):
-        if not (0.0 <= self.kp_deg_per_px < math.inf
-                and 0.0 <= self.kd_deg_s_per_px < math.inf):
-            raise ValueError("leg PD gains must be non-negative and finite")
-        if not 0.0 < self.rate_limit_dps < math.inf:
-            raise ValueError("leg rate limit must be positive and finite")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)

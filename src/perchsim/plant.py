@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
+from .config import check_ranges, ranged
+
 __all__ = [
     "RobotParams",
     "RobotState",
@@ -46,19 +48,20 @@ class RobotParams:
     anchored to: trim at 30 deg pitch in 2.5-3 m/s, no trim above 40 deg,
     and a brief 4 m/s launch glide."""
 
-    mass_kg: float = 0.700            # with leg/claw appendage
+    mass_kg: float = ranged(0.700, "(0, inf)")  # with leg/claw appendage
     mass_no_appendage_kg: float = 0.520
-    wing_area_m2: float = 0.43        # 16 N/m^2 wing loading at 0.7 kg
-    max_flap_hz: float = 5.5
-    pitch_inertia: float = 0.010      # kg*m^2
-    yaw_inertia: float = 0.012
+    # 16 N/m^2 wing loading at 0.7 kg
+    wing_area_m2: float = ranged(0.43, "(0, inf)")
+    max_flap_hz: float = ranged(5.5, "(0, inf)")
+    pitch_inertia: float = ranged(0.010, "(0, inf)")  # kg*m^2
+    yaw_inertia: float = ranged(0.012, "(0, inf)")
     elevator_nm_per_deg: float = 0.01
     rudder_nm_per_deg: float = 0.01
     elevator_limit_deg: float = 20.0
     rudder_limit_deg: float = 20.0
     # lift/drag polar
     cl0: float = 0.4
-    cl_alpha_per_deg: float = 0.12
+    cl_alpha_per_deg: float = ranged(0.12, "(0, inf)")
     alpha_stall_deg: float = 40.0
     cl_post_stall_per_deg: float = 0.06
     cd0: float = 0.04
@@ -78,20 +81,10 @@ class RobotParams:
     side_force_n_per_rad: float = 1.2
     elevator_download_n_per_deg: float = 0.10
     # leg servo response
-    beta_lag_s: float = 0.030
+    beta_lag_s: float = ranged(0.030, "(0, inf)")
     beta_rate_limit_dps: float = 400.0
 
-    def __post_init__(self):
-        # written as `not x > 0` so that NaN is rejected too
-        if not (self.mass_kg > 0 and self.wing_area_m2 > 0):
-            raise ValueError("mass and wing area must be positive")
-        if not self.max_flap_hz > 0:
-            raise ValueError("max flap frequency must be positive")
-        if not self.cl_alpha_per_deg > 0:
-            raise ValueError("lift slope must be positive below stall")
-        if not (self.pitch_inertia > 0 and self.yaw_inertia > 0
-                and self.beta_lag_s > 0):
-            raise ValueError("inertias and leg servo lag must be positive")
+    __post_init__ = check_ranges
 
     def lift_coeff(self, alpha_deg: float) -> float:
         a_s = self.alpha_stall_deg

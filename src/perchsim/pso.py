@@ -8,10 +8,12 @@ the box span, and ties on cost break toward the lower particle index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
+
+from .config import check_ranges, ranged
 
 __all__ = ["PsoConfig", "PsoResult", "pso_minimize"]
 
@@ -19,23 +21,17 @@ __all__ = ["PsoConfig", "PsoResult", "pso_minimize"]
 @dataclass(frozen=True)
 class PsoConfig:
     bounds: Sequence[Tuple[float, float]]
-    particles: int = 40
-    iterations: int = 200
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
+    particles: int = ranged(40, "[2, inf)")
+    iterations: int = ranged(200, "[0, inf)")
+    inertia: float = ranged(0.72, "(0, 1)")
+    cognitive: float = ranged(1.49, "(0, inf)")
+    social: float = ranged(1.49, "(0, inf)")
     seed: int = 0
-    velocity_clamp: float = 0.5  # fraction of per-dimension span
+    # fraction of the per-dimension span
+    velocity_clamp: float = ranged(0.5, "(0, inf)")
 
     def __post_init__(self):
-        if self.particles < 2:
-            raise ValueError("need at least 2 particles")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if not 0.0 < self.inertia < 1.0:
-            raise ValueError("inertia must be in (0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ValueError("cognitive and social weights must be positive")
+        check_ranges(self)
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"invalid bound ({lo}, {hi})")

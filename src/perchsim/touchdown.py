@@ -32,9 +32,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from .config import check_ranges, ranged
 
 __all__ = [
     "TouchdownState",
@@ -64,28 +66,18 @@ class PerchOutcome(enum.Enum):
 class TouchdownState:
     """Kinematic state at the moment the claw locks."""
 
-    speed_mps: float = 2.5
-    theta_leg_deg: float = 90.0      # 90 = leg horizontal
-    psi_branch_deg: float = 0.0      # branch yaw deviation
-    body_pitch_deg: float = 30.0
-    com_offset_m: float = 0.35       # CoM lever arm about the branch
-    inertia_kgm2: float = 0.0898     # two point masses: body + leg
-    mass_kg: float = 0.700
+    speed_mps: float = ranged(2.5, "[0, inf)")
+    theta_leg_deg: float = ranged(90.0, "[0, 90]")  # 90 = leg horizontal
+    psi_branch_deg: float = ranged(0.0, "(-inf, inf)")  # branch yaw deviation
+    body_pitch_deg: float = ranged(30.0, "(-inf, inf)")
+    # CoM lever arm about the branch
+    com_offset_m: float = ranged(0.35, "(0, inf)")
+    # two point masses: body + leg
+    inertia_kgm2: float = ranged(0.0898, "(0, inf)")
+    mass_kg: float = ranged(0.700, "(0, inf)")
     locked: bool = True
 
-    def __post_init__(self):
-        if not 0.0 <= self.speed_mps < math.inf:
-            raise ValueError("speed must be non-negative and finite")
-        if not (0.0 < self.com_offset_m < math.inf
-                and 0.0 < self.inertia_kgm2 < math.inf
-                and 0.0 < self.mass_kg < math.inf):
-            raise ValueError("CoM offset, inertia and mass must be positive "
-                             "and finite")
-        if not (-math.inf < self.psi_branch_deg < math.inf
-                and -math.inf < self.body_pitch_deg < math.inf):
-            raise ValueError("branch yaw and body pitch must be finite")
-        if not 0.0 <= self.theta_leg_deg <= 90.0:
-            raise ValueError("theta_leg must be within 0-90 deg")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -97,21 +89,14 @@ class TouchdownGeom:
     rotation budget caps how far the grip can wrap before it slips off.
     """
 
-    start_angle_base_deg: float = 58.5
-    start_angle_per_leg_deg: float = 0.25  # per degree below 90 of theta_leg
-    start_angle_per_pitch_deg: float = 0.5
-    rotation_budget_deg: float = 60.0
-    yaw_hold_power: float = 2.0            # hold *= cos(psi)^power
+    start_angle_base_deg: float = ranged(58.5, "(-inf, inf)")
+    # per degree below 90 of theta_leg
+    start_angle_per_leg_deg: float = ranged(0.25, "(-inf, inf)")
+    start_angle_per_pitch_deg: float = ranged(0.5, "(-inf, inf)")
+    rotation_budget_deg: float = ranged(60.0, "(0, inf)")
+    yaw_hold_power: float = ranged(2.0, "[0, inf)")  # hold *= cos(psi)^power
 
-    def __post_init__(self):
-        if not (-math.inf < self.start_angle_base_deg < math.inf
-                and -math.inf < self.start_angle_per_leg_deg < math.inf
-                and -math.inf < self.start_angle_per_pitch_deg < math.inf):
-            raise ValueError("start-angle terms must be finite")
-        if not 0.0 < self.rotation_budget_deg < math.inf:
-            raise ValueError("rotation budget must be positive and finite")
-        if not 0.0 <= self.yaw_hold_power < math.inf:
-            raise ValueError("yaw hold power must be non-negative and finite")
+    __post_init__ = check_ranges
 
     def start_angle_deg(self, st: TouchdownState) -> float:
         return (self.start_angle_base_deg

@@ -292,6 +292,8 @@ class TestCli:
             "launcher.rail_length_m = abc",
             "mission.soft_branch = 1",
             "mission.launch_speed_mps = -1",
+            "mission.disturbance_sigma_force_n = -1",
+            "mission.disturbance_sigma_moment_nm = -1",
             "launcher.target_speed_mps = nan",
             "mission.pitch_setpoint_deg = 44",
             "branch.diameter_m = 0.02",

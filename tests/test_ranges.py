@@ -1,0 +1,133 @@
+"""The valid range of every numeric input, declared once beside its field.
+
+``RANGES`` pins each declaration, so a range that is loosened, narrowed or
+dropped fails here.  Each interval is then checked at its edges and on any
+float, against this file's own reading of the interval's text.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from perchsim import autopilot, claw, harness, leg, perception, plant, pso
+from perchsim import touchdown
+from perchsim.config import check_ranges
+
+POS, NON_NEG, FINITE = "(0, inf)", "[0, inf)", "(-inf, inf)"
+
+DECLARED = {
+    "LoopGains": dict.fromkeys(("kp", "ki", "kd", "out_min", "out_max"),
+                               FINITE) | {"integrator_clamp": NON_NEG},
+    "MissionConfig": {
+        "launch_speed_mps": "[0, 5.0]", "pitch_setpoint_deg": "[0, 45]",
+        "altitude_setpoint_m": "(0, 5)", "disturbance_sigma_force_n": NON_NEG,
+        "disturbance_sigma_moment_nm": NON_NEG, "disturbance_tau_s": POS,
+        "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
+        "max_time_s": POS},
+    "SpringSpec": {"rate_n_per_mm": POS, "max_force_n": POS},
+    "BranchSpec": {"diameter_m": POS, "mu_eff": NON_NEG},
+    "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
+                                  POS),
+    "LaunchProfile": {"target_speed_mps": "[0, 5.0]", "rail_length_m": POS},
+    "LegParams": dict.fromkeys(
+        ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
+         "servo_joint_stiffness_nm_rad", "joint_damping_ratio"), POS) | {
+        "leg_spring_rest_m": NON_NEG, "spring_anchor_fraction": NON_NEG,
+        "servo_damping_nm_s": NON_NEG,
+        "servo_limit_torque_nm": "[1.47, 1.96]"},
+    "SensorSpec": {
+        "ifov_arcmin": POS, "read_hz_capability": POS, "read_hz": POS,
+        "noise_sigma": NON_NEG, "threshold_fraction": "(0, 1]",
+        "min_run_px": "[1, inf)", "dark_level": "[0, 1)"},
+    "LegPdGains": {"kp_deg_per_px": NON_NEG, "kd_deg_s_per_px": NON_NEG,
+                   "rate_limit_dps": POS},
+    "RobotParams": dict.fromkeys(
+        ("mass_kg", "wing_area_m2", "max_flap_hz", "pitch_inertia",
+         "yaw_inertia", "cl_alpha_per_deg", "beta_lag_s"), POS),
+    "PsoConfig": {"particles": "[2, inf)", "iterations": NON_NEG,
+                  "inertia": "(0, 1)", "cognitive": POS, "social": POS,
+                  "velocity_clamp": POS},
+    # any finite pitch: the 80-pass oracle test classifies 120 deg
+    "TouchdownState": {
+        "speed_mps": NON_NEG, "theta_leg_deg": "[0, 90]",
+        "psi_branch_deg": FINITE, "body_pitch_deg": FINITE,
+        "com_offset_m": POS, "inertia_kgm2": POS, "mass_kg": POS},
+    "TouchdownGeom": dict.fromkeys(
+        ("start_angle_base_deg", "start_angle_per_leg_deg",
+         "start_angle_per_pitch_deg"), FINITE) | {
+        "rotation_budget_deg": POS, "yaw_hold_power": NON_NEG},
+}
+RANGES = {f"{cls}.{name}": interval for cls, table in DECLARED.items()
+          for name, interval in table.items()}
+
+CLASSES = {cls.__name__: cls
+           for mod in (autopilot, claw, harness, leg, perception, plant, pso,
+                       touchdown)
+           for cls in vars(mod).values()
+           if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+           and cls.__module__ == mod.__name__}
+
+# the arguments a class needs beyond its defaults
+REQUIRED = {"LoopGains": {"kp": 1.0}, "PsoConfig": {"bounds": [(0.0, 1.0)]}}
+
+
+def build(cls_name, **values):
+    return CLASSES[cls_name](**{**REQUIRED.get(cls_name, {}), **values})
+
+
+def inside(interval, value):
+    """Whether ``value`` lies in ``interval``, read from its text."""
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    return ((lo < value or interval[0] == "[" and lo == value)
+            and (value < hi or interval[-1] == "]" and value == hi))
+
+
+def assert_checked(key, value):
+    """``check_ranges`` passes ``value`` in field ``key`` exactly when it
+    lies in the field's interval, and otherwise names the field."""
+    cls_name, name = key.split(".")
+    obj = build(cls_name)
+    object.__setattr__(obj, name, value)  # past the frozen guard
+    if inside(RANGES[key], value):
+        check_ranges(obj)
+        return
+    with pytest.raises(ValueError) as err:
+        check_ranges(obj)
+    assert str(err.value) == \
+        f"{key} must lie in {RANGES[key]}, got {value!r}"
+
+
+def test_declarations_match_table():
+    declared = {f"{name}.{f.name}": f.metadata["range"][0]
+                for name, cls in CLASSES.items()
+                for f in dataclasses.fields(cls) if "range" in f.metadata}
+    assert declared == RANGES
+
+
+@pytest.mark.parametrize("key", sorted(RANGES))
+def test_interval_edges(key):
+    values = [math.nan]
+    for end in RANGES[key][1:-1].split(", "):
+        end = float(end)
+        values += [math.nextafter(end, -math.inf), end,
+                   math.nextafter(end, math.inf)]
+    for value in values:
+        assert_checked(key, value)
+
+
+@given(key=st.sampled_from(sorted(RANGES)), value=st.floats())
+def test_any_float(key, value):
+    assert_checked(key, value)
+
+
+@pytest.mark.parametrize("key", sorted(RANGES))
+def test_constructor_checks_ranges(key):
+    cls_name, name = key.split(".")
+    with pytest.raises(ValueError, match=f"^{key} must lie in "):
+        build(cls_name, **{name: math.nan})
+
+
+def test_unset_optional_field_passes():
+    assert build("BranchSpec", mu_eff=None).mu_eff is None
