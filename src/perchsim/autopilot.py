@@ -74,6 +74,8 @@ DEFAULT_SEEDS = tuple(range(9))
 APPROACH_RANGE_M = 1.5
 GLIDE_STOP_RANGE_M = 0.2
 LAUNCH_SPEED_CAP_MPS = 5.0
+# a mission's seed is a word of its Philox keys, an unsigned 64-bit integer
+MAX_SEED = 2**64 - 1
 # Gust level sized so the default 9-seed ensemble lands near a 6/9 perch
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
@@ -161,7 +163,7 @@ class MissionConfig:
     yaw_gains: LoopGains = DEFAULT_YAW_GAINS
     altitude_gains: LoopGains = DEFAULT_ALT_GAINS
     leg_gains: LegPdGains = field(default_factory=LegPdGains)
-    seed: int = 0
+    seed: int = ranged(0, f"[0, {MAX_SEED}]")
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
     disturbance_tau_s: float = ranged(0.3, "(0, inf)")
@@ -501,7 +503,8 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
                            [result])
 
     # stage 4: full perch ensemble, nine seeds from the config's
-    results = run_ensemble(config, seeds=range(config.seed, config.seed + 9))
+    results = run_ensemble(config, seeds=range(
+        config.seed, config.seed + len(DEFAULT_SEEDS)))
     perched = sum(r.outcome is PerchOutcome.PERCHED for r in results)
     return StageReport(4, perched >= 6, {"perched": perched,
                                          "runs": len(results)}, results)

@@ -18,7 +18,7 @@ import math
 from typing import Dict, Tuple, Union
 
 __all__ = ["ConfigError", "parse_config", "serialize_config", "load_config",
-           "ranged", "check_ranges"]
+           "ranged", "ranged_as", "check_ranges"]
 
 Value = Union[int, float, bool, str]
 
@@ -84,18 +84,36 @@ def load_config(path: str) -> Dict[str, Value]:
         return parse_config(handle.read())
 
 
+def _end(text: str):
+    """An interval end as a float, or as an int where no float equals it
+    (a seed's bound past 2**53), so every bound is exact."""
+    value = float(text)
+    try:
+        exact = int(text)
+    except ValueError:
+        return value
+    return value if value == exact else exact
+
+
 def ranged(default, interval: str):
     """A dataclass field whose value must lie in ``interval``, written as
     ``"(0, inf)"`` or ``"[0, 1)"``; pass ``dataclasses.MISSING`` for no
     default.  Each open end is stored as the closed end one double inside
     it, so ``check_ranges`` needs two comparisons per field."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    lo, hi = (_end(end) for end in interval[1:-1].split(","))
     if interval[0] == "(":
         lo = math.nextafter(lo, math.inf)
     if interval[-1] == ")":
         hi = math.nextafter(hi, -math.inf)
     return dataclasses.field(default=default,
                              metadata={"range": (interval, lo, hi)})
+
+
+def ranged_as(cls, name: str):
+    """A field with the default and interval of ``cls``'s ``ranged`` field
+    ``name``, for a value that must stay valid in both classes."""
+    source = cls.__dataclass_fields__[name]
+    return ranged(source.default, source.metadata["range"][0])
 
 
 _CHECKS: Dict[type, Tuple[Tuple[str, str, float, float], ...]] = {}

@@ -22,7 +22,8 @@ import numpy as np
 from . import claw as clawmod
 from . import leg as legmod
 from .autopilot import (
-    LAUNCH_SPEED_CAP_MPS,
+    DEFAULT_SEEDS,
+    MAX_SEED,
     MissionConfig,
     MissionResult,
     StageReport,
@@ -30,7 +31,7 @@ from .autopilot import (
     run_stage,
 )
 from .claw import BranchSpec, ClawGeometry, SpringSpec
-from .config import ConfigError, Value, check_ranges, ranged
+from .config import ConfigError, Value, check_ranges, ranged, ranged_as
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -103,10 +104,15 @@ def _typed(key: str, value: Value):
 class RunConfig:
     scenario: Scenario
     out_dir: str = "."
-    seed: int = 0
+    # FullPerch flies this seed and the next eight (stage 4)
+    seed: int = ranged(0, f"[0, {MAX_SEED - len(DEFAULT_SEEDS) + 1}]")
     overrides: Dict[str, Value] = field(default_factory=dict)
 
     def __post_init__(self):
+        try:
+            check_ranges(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         unknown = set(self.overrides) - set(OVERRIDES)
         if unknown:
             raise ConfigError(
@@ -124,10 +130,10 @@ def _fields(cfg: RunConfig, section: str) -> Dict[str, Value]:
 
 @dataclass(frozen=True)
 class LaunchProfile:
-    target_speed_mps: float = ranged(MissionConfig.launch_speed_mps,
-                                     f"[0, {LAUNCH_SPEED_CAP_MPS}]")
+    target_speed_mps: float = ranged_as(MissionConfig, "launch_speed_mps")
     rail_length_m: float = ranged(1.6, "(0, inf)")
-    lateral_offset_m: float = MissionConfig.launch_lateral_offset_m
+    lateral_offset_m: float = ranged_as(MissionConfig,
+                                        "launch_lateral_offset_m")
 
     __post_init__ = check_ranges
 
@@ -138,12 +144,14 @@ class LaunchProfile:
 
 
 def launch_profile(target_speed_mps: float = LaunchProfile.target_speed_mps,
-                   rail_length_m: float = LaunchProfile.rail_length_m
+                   rail_length_m: float = LaunchProfile.rail_length_m,
+                   lateral_offset_m: float = LaunchProfile.lateral_offset_m
                    ) -> LaunchProfile:
     """Validated rail profile for one launch."""
     try:
         return LaunchProfile(target_speed_mps=target_speed_mps,
-                             rail_length_m=rail_length_m)
+                             rail_length_m=rail_length_m,
+                             lateral_offset_m=lateral_offset_m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -327,7 +335,10 @@ def _scenario_optimize(cfg: RunConfig, out: Path) -> bool:
 
 
 def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> bool:
-    profile = launch_profile(**_fields(cfg, "launcher"))
+    lateral = _fields(cfg, "mission").get("launch_lateral_offset_m",
+                                          LaunchProfile.lateral_offset_m)
+    profile = launch_profile(**_fields(cfg, "launcher"),
+                             lateral_offset_m=lateral)
     _write_csv(out / "launcher.csv",
                ("target_speed_mps", "rail_length_m", "acceleration_mps2",
                 "lateral_offset_m"),

@@ -14,6 +14,12 @@ overhead would dominate; wide ones (design grids) run it vectorized in
 numpy.  Both give the same bits.  A float lane stops once an energy bound
 proves that no later step can change its outputs; the numpy kernel always
 runs the full horizon.
+
+The model is mirror-symmetric: a branch below the boresight (zb -> -zb)
+drives the leg the other way (phi -> -phi), and every output keeps its bits,
+since IEEE negation is exact and sine is odd and cosine even in libm and
+numpy alike (the tests check both).  So both kernels see |zb|, and a float call integrates each distinct lane
+once: the impact sweep's -3 cm lanes reuse its +3 cm rows.
 """
 
 from __future__ import annotations
@@ -114,6 +120,11 @@ def simulate_impact_batch(
     either path as long as ``math.sin``/``math.cos`` round as ``np.sin``/
     ``np.cos`` do, which the tests check.  A lane that diverges raises
     ``IntegrationError`` on either path.
+
+    The outputs are even in the misalignment, so both paths integrate
+    ``|misalignment_z|``; the float path then runs ``_impact_lane`` once per
+    distinct lane (its 11 per-lane floats) and gives that row to every lane
+    equal to it.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
@@ -122,6 +133,8 @@ def simulate_impact_batch(
           (link_length, leg_mass, spring_rate, total_mass, speed, misalignment_z))
     )
     shape = l.shape
+    # mirror symmetry: a lane at -zb has the outputs of the one at +zb
+    zb = np.abs(zb)
     # a negative radicand gives NaN, which ends as IntegrationError on a lane
     # that reads it; inf and NaN states end there too, so numpy stays quiet
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -141,9 +154,15 @@ def simulate_impact_batch(
         if l.size > _FLOAT_MAX_LANES:
             return _impact_numpy(shape, *lanes, servo_stiffness, servo_damping,
                                  dt, t_max)
-    rows = [_impact_lane(*lane, servo_stiffness, servo_damping, dt, t_max)
-            for lane in zip(*(a.ravel().tolist() for a in lanes))]
-    return tuple(np.array([r[i] for r in rows], dtype).reshape(shape)
+    lanes = list(zip(*(a.ravel().tolist() for a in lanes)))
+    # keyed in first-seen order, so the first lane to diverge still raises;
+    # lanes equal as floats (0.0 == -0.0) share their outputs' bits
+    rows = dict.fromkeys(lanes)
+    for lane in rows:
+        rows[lane] = _impact_lane(*lane, servo_stiffness, servo_damping, dt,
+                                  t_max)
+    return tuple(np.array([rows[lane][i] for lane in lanes], dtype)
+                 .reshape(shape)
                  for i, dtype in enumerate((float,) * 4 + (bool,)))
 
 

@@ -23,8 +23,9 @@ The comparison keeps a relative margin of ``_HOLD_MARGIN`` on the hold, so
 the early exit gives the same outcome as the full bisection as long as
 libm's ``sin`` is within 1 ULP of the true sine, which increases on
 [0, pi/2].  Brackets within the margin, or straddling 0 or +-pi/2, run to
-convergence.  The argument needs finite angles, which ``TouchdownState``
-and ``TouchdownGeom`` enforce.
+convergence.  The argument needs finite angles: ``TouchdownState`` and
+``TouchdownGeom`` hold finite fields, and ``evaluate_touchdown`` rejects a
+start angle outside [-180, 180] deg, which finite fields can still give.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def evaluate_touchdown(
 ) -> PerchOutcome:
     """Classify a touchdown from the locked-claw pivot energy balance.
 
-    ``hold_nm`` must be non-negative; an infinite hold always perches.
+    ``hold_nm`` must be non-negative; an infinite hold always perches.  The
+    start angle ``geom`` gives ``st`` must lie in [-180, 180] deg.
     """
     if not hold_nm >= 0.0:
         raise ValueError("holding torque must be non-negative")
@@ -159,9 +161,15 @@ def evaluate_touchdown(
         return PerchOutcome.MISSED
     if math.isinf(hold_nm):
         return PerchOutcome.PERCHED
+    start_deg = geom.start_angle_deg(st)
+    # finite fields can still overflow it to inf, or start the CoM more than
+    # a half turn from the top
+    if not -180.0 <= start_deg <= 180.0:
+        raise ValueError(f"touchdown start angle must lie in [-180, 180] deg, "
+                         f"got {start_deg!r}")
     hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
     mgr = st.mass_kg * GRAVITY * st.com_offset_m
-    delta0 = math.radians(geom.start_angle_deg(st))
+    delta0 = math.radians(start_deg)
     cos0 = math.cos(delta0)
     budget = math.radians(geom.rotation_budget_deg)
 

@@ -199,6 +199,15 @@ class TestScenarios:
         assert code == EXIT_SUCCESS
         rows = read_csv(tmp_path / "launcher.csv")
         assert float(rows[1][2]) == 5.0
+        assert rows[1][3] == "0.4"
+
+    def test_launcher_profile_takes_the_mission_lateral_offset(self,
+                                                                tmp_path):
+        code = run_scenario(RunConfig(
+            Scenario.LAUNCHER_PROFILE, out_dir=str(tmp_path),
+            overrides={"mission.launch_lateral_offset_m": 0.1}))
+        assert code == EXIT_SUCCESS
+        assert read_csv(tmp_path / "launcher.csv")[1][3] == "0.1"
 
     def test_soft_branch_never_locks(self, tmp_path):
         code = run_scenario(RunConfig(Scenario.SOFT_BRANCH,
@@ -312,6 +321,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("perchsim: configuration error: ")
         assert err.count("\n") == 1
+
+    # FullPerch flies the seed and the next eight, each a uint64 Philox key
+    @pytest.mark.parametrize("scenario, seed, code", [
+        ("FullPerch", -1, 2),
+        ("Optimize", -1, 2),
+        ("FullPerch", 2**64 - 9, None),   # the largest seed accepted
+        ("FullPerch", 2**64 - 8, 2),
+        ("FlightOnly", 2**64 - 8, 2),
+    ])
+    def test_seed_range(self, tmp_path, capsys, scenario, seed, code):
+        got = main([scenario, "--seed", str(seed), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if code is None:
+            assert got in (EXIT_SUCCESS, EXIT_CRITERIA_FAILED)
+            assert err == ""
+            assert (tmp_path / f"run_{2**64 - 1}.csv").exists()
+            return
+        assert got == code
+        assert err == ("perchsim: configuration error: RunConfig.seed must "
+                       f"lie in [0, {2**64 - 9}], got {seed}\n")
 
     def test_tumbling_airframe_is_a_miss(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from perchsim import leg as legmod
+from perchsim.harness import RunConfig, Scenario, run_scenario
 from perchsim.leg import (
     DESIGN_SPEED_SUITE,
     ImpactRecord,
@@ -270,6 +271,14 @@ class TestFloatLanes:
                               np.linspace(-7.0, 7.0, 3001), [0.0, -0.0]])
         assert [math.sin(p) for p in phi.tolist()] == np.sin(phi).tolist()
         assert [math.cos(p) for p in phi.tolist()] == np.cos(phi).tolist()
+        # and the mirrored lane at -zb, which swings phi the other way, has
+        # the same outputs only if sine is odd and cosine even
+        assert [math.sin(-p) for p in phi.tolist()] == \
+            [-math.sin(p) for p in phi.tolist()]
+        assert [math.cos(-p) for p in phi.tolist()] == \
+            [math.cos(p) for p in phi.tolist()]
+        assert np.sin(-phi).tolist() == (-np.sin(phi)).tolist()
+        assert np.cos(-phi).tolist() == np.cos(phi).tolist()
 
     # the early stop reads every input, so each one is drawn
     @settings(deadline=None, max_examples=40)
@@ -324,9 +333,65 @@ class TestFloatLanes:
     def test_stops_lanes_whose_outputs_are_final(self, sin_calls):
         legmod._baselines()   # cached, so only the cost call is counted
         sin_calls.clear()
-        leg_cost_batch(np.tile([0.20, 1200.0, 0.12], (20, 1)))
+        # 20 distinct designs, as a swarm draws them, so no lane is shared
+        lo, hi = np.array(legmod.DESIGN_BOUNDS).T
+        leg_cost_batch(np.random.default_rng(0).uniform(lo, hi, (20, 3)))
         full_horizon = 3 * 20 * (4 * 750 + 1)   # 4 sin per step, 1 at t = 0
         assert len(sin_calls) < 0.7 * full_horizon
+
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_signed_misalignment_oracle(self, monkeypatch, dt):
+        """Both paths integrate |zb|; the numpy kernel run on the raw signed
+        zb, as it was before, must give the same bits."""
+        rng = np.random.default_rng(11)
+        n = legmod._FLOAT_MAX_LANES + 1
+        link, leg_mass, spring = (rng.uniform(0.12, 0.30, n),
+                                  rng.uniform(0.06, 0.20, n),
+                                  rng.uniform(600.0, 2000.0, n))
+        speed = rng.uniform(0.0, 6.0, n)
+        misalignment = rng.uniform(-0.08, 0.08, n)
+        misalignment[:4] = (-0.03, -0.04, -0.05, -0.0)
+        kernel, seen = legmod._impact_numpy, []
+
+        def spy(shape, l, zb, *rest):
+            seen.append((shape, l, zb, rest))
+            return kernel(shape, l, zb, *rest)
+
+        monkeypatch.setattr(legmod, "_impact_numpy", spy)
+        wide = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                     misalignment, dt=dt)
+        (shape, l, zb, rest), = seen
+        assert zb.tolist() == np.abs(misalignment).tolist()
+        raw = kernel(shape, l, misalignment, *rest)
+        assert [a.tolist() for a in wide] == [a.tolist() for a in raw]
+        narrow = simulate_impact_batch(link[:8], leg_mass[:8], spring[:8],
+                                       0.700, speed[:8], misalignment[:8],
+                                       dt=dt)
+        assert [a.tolist() for a in narrow] == [a[:8].tolist() for a in raw]
+
+    def test_integrates_each_distinct_lane_once(self, monkeypatch, tmp_path):
+        lane_calls = []
+        impact_lane = legmod._impact_lane
+
+        def counting(*args):
+            lane_calls.append(args)
+            return impact_lane(*args)
+
+        monkeypatch.setattr(legmod, "_impact_lane", counting)
+        # mirrored zb, a repeat, and lanes that differ only in a zero's sign
+        speed = [2.5, 2.5, 2.5, 3.0, 3.0, 0.0, -0.0, 4.0]
+        misalignment = [0.03, -0.03, 0.03, 0.0, -0.0, 0.02, 0.02, -0.08]
+        out = simulate_impact_batch(0.20, 0.12, 1200.0, 0.700, speed,
+                                    misalignment)
+        assert len(lane_calls) == 4
+        for i, (v, z) in enumerate(zip(speed, misalignment)):
+            single = simulate_impact_batch(0.20, 0.12, 1200.0, 0.700, v, z)
+            assert [a.tobytes() for a in single] == \
+                [a[i].tobytes() for a in out]
+
+        lane_calls.clear()
+        run_scenario(RunConfig(Scenario.IMPACT_SUITE, out_dir=str(tmp_path)))
+        assert len(lane_calls) == 18   # 9 speeds x |zb| of 0 and 3 cm
 
     @pytest.mark.parametrize("speed, misalignment", [
         (2.5, 0.08), (0.0, -0.3), (13.0, 0.1)])

@@ -16,6 +16,8 @@ from perchsim import touchdown
 from perchsim.config import check_ranges
 
 POS, NON_NEG, FINITE = "(0, inf)", "[0, inf)", "(-inf, inf)"
+# a Philox key word; FullPerch flies a run's seed and the next eight
+MISSION_SEED, RUN_SEED = f"[0, {2**64 - 1}]", f"[0, {2**64 - 9}]"
 
 DECLARED = {
     "LoopGains": dict.fromkeys(("kp", "ki", "kd", "out_min", "out_max"),
@@ -25,12 +27,14 @@ DECLARED = {
         "altitude_setpoint_m": "(0, 5)", "disturbance_sigma_force_n": NON_NEG,
         "disturbance_sigma_moment_nm": NON_NEG, "disturbance_tau_s": POS,
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
-        "max_time_s": POS},
+        "max_time_s": POS, "seed": MISSION_SEED},
+    "RunConfig": {"seed": RUN_SEED},
     "SpringSpec": {"rate_n_per_mm": POS, "max_force_n": POS},
     "BranchSpec": {"diameter_m": POS, "mu_eff": NON_NEG},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
                                   POS),
-    "LaunchProfile": {"target_speed_mps": "[0, 5.0]", "rail_length_m": POS},
+    "LaunchProfile": {"target_speed_mps": "[0, 5.0]", "rail_length_m": POS,
+                      "lateral_offset_m": FINITE},
     "LegParams": dict.fromkeys(
         ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
          "servo_joint_stiffness_nm_rad", "joint_damping_ratio"), POS) | {
@@ -70,16 +74,22 @@ CLASSES = {cls.__name__: cls
            and cls.__module__ == mod.__name__}
 
 # the arguments a class needs beyond its defaults
-REQUIRED = {"LoopGains": {"kp": 1.0}, "PsoConfig": {"bounds": [(0.0, 1.0)]}}
+REQUIRED = {"LoopGains": {"kp": 1.0}, "PsoConfig": {"bounds": [(0.0, 1.0)]},
+            "RunConfig": {"scenario": harness.Scenario.FULL_PERCH}}
 
 
 def build(cls_name, **values):
     return CLASSES[cls_name](**{**REQUIRED.get(cls_name, {}), **values})
 
 
+def exact(end):
+    """An interval end read from its text: an integer exactly, as an int."""
+    return int(end) if end.lstrip("-").isdigit() else float(end)
+
+
 def inside(interval, value):
     """Whether ``value`` lies in ``interval``, read from its text."""
-    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    lo, hi = (exact(end) for end in interval[1:-1].split(", "))
     return ((lo < value or interval[0] == "[" and lo == value)
             and (value < hi or interval[-1] == "]" and value == hi))
 
@@ -109,10 +119,12 @@ def test_declarations_match_table():
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_interval_edges(key):
     values = [math.nan]
-    for end in RANGES[key][1:-1].split(", "):
-        end = float(end)
-        values += [math.nextafter(end, -math.inf), end,
+    for text in RANGES[key][1:-1].split(", "):
+        end = exact(text)
+        values += [math.nextafter(end, -math.inf), float(end),
                    math.nextafter(end, math.inf)]
+        if isinstance(end, int):   # and the integers either side, past 2**53
+            values += [end - 1, end, end + 1]
     for value in values:
         assert_checked(key, value)
 

@@ -106,6 +106,26 @@ class TestEvaluateTouchdown:
                     TouchdownState(speed_mps=v, psi_branch_deg=-psi), hold)
                 assert plus is minus
 
+    # the start angle is 180 deg at pitch 273 and -180 deg at pitch -447
+    @pytest.mark.parametrize("pitch", [273.0, -447.0])
+    def test_half_turn_start_angle_accepted(self, hold, pitch):
+        st = TouchdownState(theta_leg_deg=90.0, body_pitch_deg=pitch)
+        assert abs(TouchdownGeom().start_angle_deg(st)) == 180.0
+        evaluate_touchdown(st, hold)
+
+    @pytest.mark.parametrize("pitch, geom", [
+        (273.001, TouchdownGeom()),
+        (-447.001, TouchdownGeom()),
+        (1e308, TouchdownGeom()),   # was classified Perched
+        # finite fields whose start angle overflows to inf
+        (100.0, TouchdownGeom(start_angle_per_pitch_deg=1e307)),
+    ])
+    def test_start_angle_past_a_half_turn_rejected(self, hold, pitch, geom):
+        st = TouchdownState(theta_leg_deg=90.0, body_pitch_deg=pitch)
+        with pytest.raises(ValueError, match=r"^touchdown start angle must "
+                                             r"lie in \[-180, 180\] deg, got"):
+            evaluate_touchdown(st, hold, geom)
+
     def test_invalid_state(self):
         with pytest.raises(ValueError):
             TouchdownState(speed_mps=-1.0)
