@@ -30,7 +30,7 @@ import numpy as np
 from . import claw as clawmod
 from . import leg as legmod
 from .claw import BranchSpec, ClawGeometry, SpringSpec
-from .config import check_ranges, ranged
+from .config import MAX_SEED, check_integers, check_ranges, ranged
 from .leg import ImpactRecord, LegParams
 from .perception import (
     PIXELS,
@@ -74,8 +74,6 @@ DEFAULT_SEEDS = tuple(range(9))
 APPROACH_RANGE_M = 1.5
 GLIDE_STOP_RANGE_M = 0.2
 LAUNCH_SPEED_CAP_MPS = 5.0
-# a mission's seed is a word of its Philox keys, an unsigned 64-bit integer
-MAX_SEED = 2**64 - 1
 # Gust level sized so the default 9-seed ensemble lands near a 6/9 perch
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
@@ -163,7 +161,7 @@ class MissionConfig:
     yaw_gains: LoopGains = DEFAULT_YAW_GAINS
     altitude_gains: LoopGains = DEFAULT_ALT_GAINS
     leg_gains: LegPdGains = field(default_factory=LegPdGains)
-    seed: int = ranged(0, f"[0, {MAX_SEED}]")
+    seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
     disturbance_tau_s: float = ranged(0.3, "(0, inf)")
@@ -174,6 +172,7 @@ class MissionConfig:
 
     def __post_init__(self):
         check_ranges(self)
+        check_integers(self)
         if trim_state(self.pitch_setpoint_deg, self.robot) is None:
             raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
                              "has no trim point")
@@ -440,7 +439,9 @@ def run_ensemble(
             disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
             disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
         )
-    return [run_mission(replace(base, seed=int(s))) for s in seeds]
+    # every seed is checked before the first mission flies
+    configs = [replace(base, seed=s) for s in seeds]
+    return [run_mission(c) for c in configs]
 
 
 _STAGES = range(1, 5)

@@ -9,18 +9,24 @@ identity on the mapping.
 It also holds the one input-range policy of the library: a dataclass field
 declared with ``ranged`` names its interval, and ``check_ranges`` raises
 ``ValueError`` for a value outside it (NaN lies outside every interval).
+A field declared ``integer=True`` must also hold an integer, which
+``check_integers`` checks apart, so float-only classes pay nothing for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Dict, Tuple, Union
 
 __all__ = ["ConfigError", "parse_config", "serialize_config", "load_config",
-           "ranged", "ranged_as", "check_ranges"]
+           "ranged", "ranged_as", "check_ranges", "check_integers", "MAX_SEED"]
 
 Value = Union[int, float, bool, str]
+
+# a seed is a word of a Philox key, an unsigned 64-bit integer
+MAX_SEED = 2**64 - 1
 
 
 class ConfigError(ValueError):
@@ -95,18 +101,20 @@ def _end(text: str):
     return value if value == exact else exact
 
 
-def ranged(default, interval: str):
+def ranged(default, interval: str, integer: bool = False):
     """A dataclass field whose value must lie in ``interval``, written as
-    ``"(0, inf)"`` or ``"[0, 1)"``; pass ``dataclasses.MISSING`` for no
-    default.  Each open end is stored as the closed end one double inside
-    it, so ``check_ranges`` needs two comparisons per field."""
+    ``"(0, inf)"`` or ``"[0, 1)"``, and be an integer if ``integer``; pass
+    ``dataclasses.MISSING`` for no default.  Each open end is stored as the
+    closed end one double inside it, so ``check_ranges`` needs two
+    comparisons per field."""
     lo, hi = (_end(end) for end in interval[1:-1].split(","))
     if interval[0] == "(":
         lo = math.nextafter(lo, math.inf)
     if interval[-1] == ")":
         hi = math.nextafter(hi, -math.inf)
     return dataclasses.field(default=default,
-                             metadata={"range": (interval, lo, hi)})
+                             metadata={"range": (interval, lo, hi),
+                                       "integer": integer})
 
 
 def ranged_as(cls, name: str):
@@ -133,4 +141,23 @@ def check_ranges(obj) -> None:
         value = values[name]
         if value is not None and not lo <= value <= hi:
             raise ValueError(f"{cls.__name__}.{name} must lie in {interval}, "
+                             f"got {value!r}")
+
+
+_INTEGERS: Dict[type, Tuple[str, ...]] = {}
+
+
+def check_integers(obj) -> None:
+    """Raise ``ValueError`` if a field declared ``ranged(..., integer=True)``
+    holds anything but an integer: a float, even a whole one, or a bool."""
+    cls = type(obj)
+    names = _INTEGERS.get(cls)
+    if names is None:
+        names = _INTEGERS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+            if f.metadata.get("integer"))
+    for name in names:
+        value = obj.__dict__[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{cls.__name__}.{name} must be an integer, "
                              f"got {value!r}")

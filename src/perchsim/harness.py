@@ -23,7 +23,6 @@ from . import claw as clawmod
 from . import leg as legmod
 from .autopilot import (
     DEFAULT_SEEDS,
-    MAX_SEED,
     MissionConfig,
     MissionResult,
     StageReport,
@@ -31,7 +30,8 @@ from .autopilot import (
     run_stage,
 )
 from .claw import BranchSpec, ClawGeometry, SpringSpec
-from .config import ConfigError, Value, check_ranges, ranged, ranged_as
+from .config import (MAX_SEED, ConfigError, Value, check_integers,
+                     check_ranges, ranged, ranged_as)
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -105,12 +105,14 @@ class RunConfig:
     scenario: Scenario
     out_dir: str = "."
     # FullPerch flies this seed and the next eight (stage 4)
-    seed: int = ranged(0, f"[0, {MAX_SEED - len(DEFAULT_SEEDS) + 1}]")
+    seed: int = ranged(0, f"[0, {MAX_SEED - len(DEFAULT_SEEDS) + 1}]",
+                       integer=True)
     overrides: Dict[str, Value] = field(default_factory=dict)
 
     def __post_init__(self):
         try:
             check_ranges(self)
+            check_integers(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         unknown = set(self.overrides) - set(OVERRIDES)

@@ -15,11 +15,20 @@ numpy.  Both give the same bits.  A float lane stops once an energy bound
 proves that no later step can change its outputs; the numpy kernel always
 runs the full horizon.
 
+A float lane of the design cost also stops once its design cannot win.  A
+swarm passes ``leg_cost_batch`` each particle's personal-best cost as a
+limit; the servo and joint-momentum peaks only grow as a lane integrates,
+and the suite carries a design's peaks from lane to lane, fastest speed
+first.  So once the cost of the peaks so far reaches the limit, the rest of
+the suite cannot bring it back under, and the row returns a cost between the
+limit and the exact one, which the swarm reads as "no better".
+
 The model is mirror-symmetric: a branch below the boresight (zb -> -zb)
 drives the leg the other way (phi -> -phi), and every output keeps its bits,
 since IEEE negation is exact and sine is odd and cosine even in libm and
-numpy alike (the tests check both).  So both kernels see |zb|, and a float call integrates each distinct lane
-once: the impact sweep's -3 cm lanes reuse its +3 cm rows.
+numpy alike (the tests check both).  So both kernels see |zb|, and a float
+call integrates each distinct lane once: the impact sweep's -3 cm lanes
+reuse its +3 cm rows.
 """
 
 from __future__ import annotations
@@ -110,6 +119,7 @@ def simulate_impact_batch(
     joint_damping_ratio: float = 0.7,
     dt: float = 1e-4,
     t_max: float = 0.15,
+    cap=None,
 ):
     """Batched impact core.  All array inputs broadcast to a common shape.
 
@@ -125,6 +135,14 @@ def simulate_impact_batch(
     ``|misalignment_z|``; the float path then runs ``_impact_lane`` once per
     distinct lane (its 11 per-lane floats) and gives that row to every lane
     equal to it.
+
+    ``cap`` serves ``leg_cost_batch``: ``(weights, servo_peak, joint_peak,
+    mass_term, limit)``, the last four broadcasting with the lanes.  A float
+    lane then starts its servo and joint peaks at the given ones and may stop
+    once ``_cost`` of its peaks reaches its limit, so those two outputs are
+    running maxima that may fall short of the full horizon's.  The numpy
+    kernel ignores ``cap`` and returns each lane's own full-horizon peaks,
+    whose maximum with the starting ones is exact.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
@@ -154,13 +172,20 @@ def simulate_impact_batch(
         if l.size > _FLOAT_MAX_LANES:
             return _impact_numpy(shape, *lanes, servo_stiffness, servo_damping,
                                  dt, t_max)
-    lanes = list(zip(*(a.ravel().tolist() for a in lanes)))
+    columns = [a.ravel().tolist() for a in lanes]
+    weights = None
+    if cap is not None:
+        weights, *per_lane = cap
+        columns += [np.broadcast_to(np.asarray(c, dtype=float), shape)
+                    .ravel().tolist() for c in per_lane]
+    lanes = list(zip(*columns))
     # keyed in first-seen order, so the first lane to diverge still raises;
-    # lanes equal as floats (0.0 == -0.0) share their outputs' bits
+    # lanes equal as floats (0.0 == -0.0) share their outputs' bits, and a
+    # capped lane's key holds its starting peaks and limit too
     rows = dict.fromkeys(lanes)
     for lane in rows:
-        rows[lane] = _impact_lane(*lane, servo_stiffness, servo_damping, dt,
-                                  t_max)
+        rows[lane] = _impact_lane(*lane[:11], servo_stiffness, servo_damping,
+                                  dt, t_max, lane[11:], weights)
     return tuple(np.array([rows[lane][i] for lane in lanes], dtype)
                  .reshape(shape)
                  for i, dtype in enumerate((float,) * 4 + (bool,)))
@@ -251,7 +276,8 @@ def _impact_numpy(shape, l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half,
 
 
 def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
-                 m11_m22, servo_stiffness, servo_damping, dt, t_max):
+                 m11_m22, servo_stiffness, servo_damping, dt, t_max, cap,
+                 weights):
     """One lane of ``_impact_numpy`` on Python floats.
 
     Every product and sum is the numpy kernel's, associated the same way, so
@@ -265,7 +291,11 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     numpy kernel's final |x| check does.  Every 16 steps after the bounce,
     or from the first step for a claw outside the capture window,
     ``_outputs_final`` may end the lane early; the steps it skips would not
-    have changed an output.
+    have changed an output.  A lane given ``cap = (servo_peak, joint_peak,
+    mass_term, limit)`` (an uncapped one gets ``()``) starts from those
+    peaks and, every 16 steps, also stops once ``_cost`` of its peaks and
+    ``weights`` reaches ``limit``: every later step could only raise them,
+    and the cost with them.
     """
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
@@ -276,6 +306,9 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     t = 0.0
     x, p, xd, pd = 0.0, 0.0, v0, 0.0
     peak = servo_peak = l_peak = x_max = 0.0
+    limit = None
+    if cap:
+        servo_peak, l_peak, mass_term, limit = cap
     touched = bounced = False
     t_touch = t_bounce = 0.0
     try:
@@ -393,11 +426,14 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
             if not abs(x) <= x_max:
                 x_max = abs(x)
 
-            # stop once no later step can change an output or the |x| check;
-            # a claw outside the capture window never touches, so its lane
-            # may stop at the first check
-            if ((bounced or not capture) and bounded and f == 0.0
-                    and not i & 15
+            # stop once the cost has reached the cap, or once no later step
+            # can change an output or the |x| check; a claw outside the
+            # capture window never touches, so its lane may stop at the
+            # first check
+            if not i & 15 and (
+                    limit is not None
+                    and _cost(servo_peak, l_peak, mass_term, weights) >= limit
+                    or (bounced or not capture) and bounded and f == 0.0
                     and _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak,
                                        (n_steps - 1 - i) * dt, l, zb, k_rot,
                                        i_hip, i_min, ml_half, m11, c_c,
@@ -551,26 +587,55 @@ def _baselines() -> Tuple[float, float]:
     return _BASELINE_SERVO_TORQUE, _BASELINE_JOINT_L
 
 
-def _suite_peaks(l, m, k, speeds, masses):
-    """Worst-case servo torque and joint momentum over an impact suite."""
+def _suite_peaks(l, m, k, speeds, masses, cap=None):
+    """Worst-case servo torque and joint momentum over an impact suite.
+
+    The suite runs fastest speed first, since that lane sets the peaks, and
+    each call carries the maxima so far.  With ``cap = (weights, mass_term,
+    limit)`` a design's lanes may stop once ``_cost`` of its running maxima
+    reaches its limit; its peaks then fall short, but its cost does not fall
+    below the limit.
+    """
     n = l.shape[0]
     servo_max = np.zeros(n)
     l_max = np.zeros(n)
-    for speed, mass in zip(speeds, masses):
+    for speed, mass in sorted(zip(speeds, masses), reverse=True):
+        lane_cap = None
+        if cap is not None:
+            weights, mass_term, limit = cap
+            lane_cap = (weights, servo_max, l_max, mass_term, limit)
         _, _, servo, jl, _ = simulate_impact_batch(
-            l, m, k, mass, speed, _COST_MISALIGNMENT, dt=_COST_DT
+            l, m, k, mass, speed, _COST_MISALIGNMENT, dt=_COST_DT,
+            cap=lane_cap
         )
         servo_max = np.maximum(servo_max, servo)
         l_max = np.maximum(l_max, jl)
     return servo_max, l_max
 
 
+def _cost(servo, jl, mass_term, weights):
+    """The design cost of suite peaks ``servo`` and ``jl`` and the mass term
+    ``w3 * m / _BASELINE_MASS``, on floats or arrays alike.  With
+    non-negative ``w1`` and ``w2`` it cannot fall as a peak grows, since
+    IEEE rounding is monotone."""
+    tau0, l0 = _baselines()
+    w1, w2, _ = weights
+    return w1 * servo / tau0 + w2 * jl / l0 + mass_term
+
+
 def leg_cost_batch(
     params: np.ndarray,
+    limit: np.ndarray = None,
     impact_suite: Sequence[Tuple[float, float]] = None,
     weights: Tuple[float, float, float] = DEFAULT_COST_WEIGHTS,
 ) -> np.ndarray:
-    """Design cost for rows of (link_length, spring_rate, leg_mass)."""
+    """Design cost for rows of (link_length, spring_rate, leg_mass).
+
+    A row whose cost is at least its ``limit`` (a swarm passes each
+    particle's personal best) may get any value from that limit up to its
+    cost, as its lanes stop once it cannot come in under the limit.  Every
+    other row, and every row of a call without a limit, gets its exact cost.
+    """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     if impact_suite is None:
         impact_suite = [(s, 0.700) for s in DESIGN_SPEED_SUITE]
@@ -580,7 +645,11 @@ def leg_cost_batch(
     l, k, m = params[:, 0], params[:, 1], params[:, 2]
     speeds = [s for s, _ in impact_suite]
     masses = [mm for _, mm in impact_suite]
-    servo_max, l_max = _suite_peaks(l, m, k, speeds, masses)
-    tau0, l0 = _baselines()
-    w1, w2, w3 = weights
-    return w1 * servo_max / tau0 + w2 * l_max / l0 + w3 * m / _BASELINE_MASS
+    mass_term = weights[2] * m / _BASELINE_MASS
+    cap = None
+    # the cap is sound only while the cost cannot fall as a peak grows
+    if (limit is not None and weights[0] >= 0.0 and weights[1] >= 0.0
+            and np.any(np.isfinite(limit))):
+        cap = (weights, mass_term, limit)
+    servo_max, l_max = _suite_peaks(l, m, k, speeds, masses, cap)
+    return _cost(servo_max, l_max, mass_term, weights)

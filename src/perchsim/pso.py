@@ -4,6 +4,13 @@ Each particle owns a counter-based RNG stream derived from the seed and its
 index, so evaluation order (serial or parallel) cannot change the result.
 Boundary handling is by reflection, velocities are clamped to a fraction of
 the box span, and ties on cost break toward the lower particle index.
+
+A vectorized cost is called as ``cost(xs, limit)``, ``limit`` holding each
+particle's personal-best cost (all inf for the initial swarm).  The swarm
+reads a cost only to ask whether it beats that limit, so a row whose cost
+is at least ``limit[i]`` may return any finite value from ``limit[i]`` up
+to its cost; the result keeps every bit.  A cost may stop evaluating a
+particle once it cannot win, as adaptive capping does (Hutter et al., 2009).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .config import check_ranges, ranged
+from .config import MAX_SEED, check_integers, check_ranges, ranged
 
 __all__ = ["PsoConfig", "PsoResult", "pso_minimize"]
 
@@ -21,17 +28,18 @@ __all__ = ["PsoConfig", "PsoResult", "pso_minimize"]
 @dataclass(frozen=True)
 class PsoConfig:
     bounds: Sequence[Tuple[float, float]]
-    particles: int = ranged(40, "[2, inf)")
-    iterations: int = ranged(200, "[0, inf)")
+    particles: int = ranged(40, "[2, inf)", integer=True)
+    iterations: int = ranged(200, "[0, inf)", integer=True)
     inertia: float = ranged(0.72, "(0, 1)")
     cognitive: float = ranged(1.49, "(0, inf)")
     social: float = ranged(1.49, "(0, inf)")
-    seed: int = 0
+    seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     # fraction of the per-dimension span
     velocity_clamp: float = ranged(0.5, "(0, inf)")
 
     def __post_init__(self):
         check_ranges(self)
+        check_integers(self)
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"invalid bound ({lo}, {hi})")
@@ -46,7 +54,7 @@ class PsoResult:
 
 def _particle_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream keyed on (seed, particle index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+    key = np.array([np.uint64(seed), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -74,14 +82,18 @@ def _check_finite(costs: np.ndarray, xs: np.ndarray):
 
 
 def pso_minimize(
-    cost: Callable[[np.ndarray], float],
+    cost: Callable[..., object],
     cfg: PsoConfig,
     vectorized: bool = False,
 ) -> PsoResult:
     """Minimize ``cost`` over the configured box.
 
-    With ``vectorized=True`` the cost callable receives an (n, d) array and
-    must return n costs; otherwise it is called per particle.
+    With ``vectorized=True`` the cost is called as ``cost(xs, limit)`` on an
+    (n, d) array and n limits and must return n costs; a row whose cost is
+    at least its limit may return any finite value in ``[limit, cost]``.
+    The limits are the particles' personal-best costs, all inf for the
+    initial swarm.  Otherwise ``cost`` is called per particle on one
+    position.
     """
     lo = np.array([b[0] for b in cfg.bounds], dtype=float)
     hi = np.array([b[1] for b in cfg.bounds], dtype=float)
@@ -93,15 +105,15 @@ def pso_minimize(
     x = np.stack([lo + span * rngs[i].random(d) for i in range(n)])
     v = np.stack([vmax * (2.0 * rngs[i].random(d) - 1.0) * 0.1 for i in range(n)])
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
+    def evaluate(xs: np.ndarray, limit: np.ndarray) -> np.ndarray:
         if vectorized:
-            costs = np.asarray(cost(xs), dtype=float)
+            costs = np.asarray(cost(xs, limit), dtype=float)
         else:
             costs = np.array([float(cost(xi)) for xi in xs])
         _check_finite(costs, xs)
         return costs
 
-    costs = evaluate(x)
+    costs = evaluate(x, np.full(n, np.inf))
     pbest_x = x.copy()
     pbest_cost = costs.copy()
     gbest_i = int(np.argmin(pbest_cost))  # argmin takes the lowest index on ties
@@ -121,7 +133,9 @@ def pso_minimize(
         x = x + v
         x, v = _reflect(x, v, lo, hi)
 
-        costs = evaluate(x)
+        # a row that cannot beat its personal best may come back capped,
+        # but never below it, so `improved` is the exact costs' verdict
+        costs = evaluate(x, pbest_cost.copy())
         improved = costs < pbest_cost
         pbest_x[improved] = x[improved]
         pbest_cost[improved] = costs[improved]

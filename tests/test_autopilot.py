@@ -348,3 +348,10 @@ class TestRunStage:
         report = run_stage(4, config)
         assert flown == [(config, list(range(5, 14)))]
         assert report.passed is False
+
+    def test_stage_four_checks_every_seed_before_flying(self, monkeypatch):
+        flown = []
+        monkeypatch.setattr(autopilot, "run_mission", flown.append)
+        with pytest.raises(ValueError, match="^MissionConfig.seed must lie"):
+            run_stage(4, MissionConfig(seed=2**64 - 8))
+        assert flown == []

@@ -18,6 +18,7 @@ from perchsim.leg import (
     simulate_impact,
     simulate_impact_batch,
 )
+from perchsim.pso import PsoConfig, pso_minimize
 
 
 @pytest.fixture
@@ -470,7 +471,7 @@ class TestSweep:
 def leg_cost(leg, impact_suite=None):
     """Scalar design cost of one leg: one row of ``leg_cost_batch``."""
     params = [[leg.link_length_m, leg.leg_spring_rate_n_m, leg.leg_mass_kg]]
-    return float(leg_cost_batch(params, impact_suite)[0])
+    return float(leg_cost_batch(params, impact_suite=impact_suite)[0])
 
 
 class TestDesignCost:
@@ -498,3 +499,86 @@ class TestDesignCost:
     def test_out_of_range_suite_speed_rejected(self, default_leg):
         with pytest.raises(ValueError):
             leg_cost(default_leg, impact_suite=[(5.0, 0.7)])
+
+
+def exact_leg_cost(xs, limit):
+    """``leg_cost_batch`` with the limit ignored: every row exact."""
+    return leg_cost_batch(xs)
+
+
+def design_corners():
+    """The 8 corners and the centre of ``DESIGN_BOUNDS``."""
+    box = np.array(legmod.DESIGN_BOUNDS)
+    corners = np.array(np.meshgrid(*box, indexing="ij")).reshape(3, -1).T
+    return np.vstack([corners, box.mean(axis=1)])
+
+
+class TestCostCap:
+    """A swarm passes each particle's personal best as the limit of
+    ``leg_cost_batch``, whose lanes stop once a row cannot come in under
+    it; a row below its limit stays exact, any other lies in
+    ``[limit, exact]``."""
+
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**64 - 1), particles=st.integers(2, 12),
+           iterations=st.integers(0, 6))
+    def test_swarm_keeps_every_bit(self, seed, particles, iterations):
+        cfg = PsoConfig(bounds=legmod.DESIGN_BOUNDS, particles=particles,
+                        iterations=iterations, seed=seed)
+        capped = pso_minimize(leg_cost_batch, cfg, vectorized=True)
+        exact = pso_minimize(exact_leg_cost, cfg, vectorized=True)
+        assert capped.history == exact.history
+        assert capped.best_cost == exact.best_cost
+        assert capped.best_x.tobytes() == exact.best_x.tobytes()
+
+    def test_rows_at_or_over_their_limit_lie_between(self):
+        lo, hi = np.array(legmod.DESIGN_BOUNDS).T
+        params = np.random.default_rng(3).uniform(lo, hi, (24, 3))
+        exact = leg_cost_batch(params)
+        # under, at and over each row's cost, and no cap at all
+        scale = np.resize([0.0, 0.5, 0.99, 1.0, 1.01, np.inf], 24)
+        limit = exact * scale
+        capped = leg_cost_batch(params, limit)
+        below = exact < limit
+        assert capped[below].tolist() == exact[below].tolist()
+        assert np.all(np.isfinite(capped))
+        assert np.all((limit[~below] <= capped[~below])
+                      & (capped[~below] <= exact[~below]))
+        # the cap did stop lanes: far-under limits end short of the cost
+        assert np.all(capped[scale == 0.0] < exact[scale == 0.0])
+
+    def test_equal_designs_with_different_limits(self):
+        design = [0.2, 1200.0, 0.12]
+        exact = leg_cost_batch([design])[0]
+        limit = [0.0, np.inf, 2.0 * exact, exact, 0.0]
+        capped = leg_cost_batch([design] * 5, limit)
+        assert capped[1] == capped[2] == exact
+        assert capped[0] == capped[4] < exact
+        assert capped[3] == exact   # a cost at its limit may only be exact
+
+    def test_mirrored_lanes_with_different_limits(self):
+        weights = legmod.DEFAULT_COST_WEIGHTS
+        zb = [0.03, -0.03, -0.03, 0.03]
+        limit = [0.0, np.inf, 0.0, np.inf]
+        args = (0.2, 0.12, 1200.0, 0.700, 4.0, zb)
+        exact = simulate_impact_batch(*args, dt=legmod._COST_DT)
+        capped = simulate_impact_batch(
+            *args, dt=legmod._COST_DT,
+            cap=(weights, 0.0, 0.0, weights[2], limit))
+        servo, joint = capped[2], capped[3]
+        for i in (1, 3):   # no cap: the exact row, mirrored or not
+            assert [a[i].item() for a in capped] == \
+                [a[i].item() for a in exact]
+        for i in (0, 2):   # capped at the first check
+            assert servo[i] < exact[2][i] and joint[i] < exact[3][i]
+        assert servo[0] == servo[2] and joint[0] == joint[2]
+
+    def test_design_box_integrates_uncapped(self):
+        """A capped lane skips the steps where a lane could diverge, so no
+        design of the box that swarms search may diverge uncapped."""
+        speed = np.array(DESIGN_SPEED_SUITE)[:, None]
+        link, spring, leg_mass = design_corners().T
+        out = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                    legmod._COST_MISALIGNMENT,
+                                    dt=legmod._COST_DT)
+        assert all(np.all(np.isfinite(a)) for a in out[:4])

@@ -10,7 +10,8 @@ def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
 
 
-def sphere_vec(xs):
+def sphere_vec(xs, limit):
+    """The vectorized sphere; exact costs satisfy any ``limit``."""
     return np.sum(xs * xs, axis=1)
 
 
@@ -36,6 +37,40 @@ class TestConvergence:
         cfg = PsoConfig(bounds=BOUNDS3, seed=11)
         res = pso_minimize(lambda x: sphere(x - target), cfg)
         assert np.allclose(res.best_x, target, atol=0.05)
+
+
+class TestCostLimit:
+    def test_limits_are_the_personal_bests(self):
+        seen = []
+
+        def spy(xs, limit):
+            seen.append(limit.copy())
+            return sphere_vec(xs, limit)
+
+        cfg = PsoConfig(bounds=BOUNDS3, particles=6, iterations=8, seed=4)
+        pso_minimize(spy, cfg, vectorized=True)
+        assert len(seen) == cfg.iterations + 1
+        assert np.all(seen[0] == np.inf)
+        assert np.all(np.isfinite(seen[1]))
+        for a, b in zip(seen[1:], seen[2:]):
+            assert np.all(b <= a)
+
+    def test_rows_capped_at_their_limit_keep_every_bit(self):
+        """A row at or over its limit may return any value from the limit
+        up to its cost: here the limit itself, or half-way."""
+        def at_limit(xs, limit):
+            return np.minimum(sphere_vec(xs, limit), limit)
+
+        def half_way(xs, limit):
+            costs = sphere_vec(xs, limit)
+            return np.where(costs >= limit, (limit + costs) / 2.0, costs)
+
+        cfg = PsoConfig(bounds=BOUNDS3, particles=12, iterations=30, seed=8)
+        exact = pso_minimize(sphere_vec, cfg, vectorized=True)
+        for cost in (at_limit, half_way):
+            res = pso_minimize(cost, cfg, vectorized=True)
+            assert res.history == exact.history
+            assert res.best_x.tobytes() == exact.best_x.tobytes()
 
 
 class TestDeterminism:

@@ -8,15 +8,17 @@ float, against this file's own reading of the interval's text.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from perchsim import autopilot, claw, harness, leg, perception, plant, pso
 from perchsim import touchdown
-from perchsim.config import check_ranges
+from perchsim.config import check_integers, check_ranges
 
 POS, NON_NEG, FINITE = "(0, inf)", "[0, inf)", "(-inf, inf)"
-# a Philox key word; FullPerch flies a run's seed and the next eight
+# a Philox key word (a mission's or a swarm's); FullPerch flies a run's
+# seed and the next eight
 MISSION_SEED, RUN_SEED = f"[0, {2**64 - 1}]", f"[0, {2**64 - 9}]"
 
 DECLARED = {
@@ -52,7 +54,7 @@ DECLARED = {
          "yaw_inertia", "cl_alpha_per_deg", "beta_lag_s"), POS),
     "PsoConfig": {"particles": "[2, inf)", "iterations": NON_NEG,
                   "inertia": "(0, 1)", "cognitive": POS, "social": POS,
-                  "velocity_clamp": POS},
+                  "velocity_clamp": POS, "seed": MISSION_SEED},
     # any finite pitch: the 80-pass oracle test classifies 120 deg
     "TouchdownState": {
         "speed_mps": NON_NEG, "theta_leg_deg": "[0, 90]",
@@ -143,3 +145,44 @@ def test_constructor_checks_ranges(key):
 
 def test_unset_optional_field_passes():
     assert build("BranchSpec", mu_eff=None).mu_eff is None
+
+
+# every field declared ranged(..., integer=True)
+INTEGER_FIELDS = ("MissionConfig.seed", "PsoConfig.iterations",
+                  "PsoConfig.particles", "PsoConfig.seed", "RunConfig.seed")
+
+
+def test_integer_declarations():
+    declared = {f"{name}.{f.name}" for name, cls in CLASSES.items()
+                for f in dataclasses.fields(cls) if f.metadata.get("integer")}
+    assert declared == set(INTEGER_FIELDS)
+
+
+@pytest.mark.parametrize("key", INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, False])
+def test_integer_fields_reject_floats_and_bools(key, value):
+    cls_name, name = key.split(".")
+    obj = build(cls_name)
+    object.__setattr__(obj, name, value)  # past the frozen guard
+    with pytest.raises(ValueError) as err:
+        check_integers(obj)
+    assert str(err.value) == f"{key} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("key", INTEGER_FIELDS)
+def test_constructor_checks_integers(key):
+    cls_name, name = key.split(".")
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, "):
+        build(cls_name, **{name: 2.5})
+
+
+@pytest.mark.parametrize("key", INTEGER_FIELDS)
+def test_integer_fields_take_numpy_integers(key):
+    cls_name, name = key.split(".")
+    assert getattr(build(cls_name, **{name: np.int64(3)}), name) == 3
+
+
+def test_pso_seed_is_a_philox_key_word():
+    with pytest.raises(ValueError, match=r"^PsoConfig.seed must lie in "):
+        build("PsoConfig", seed=-1)
+    assert build("PsoConfig", seed=2**64 - 1).seed == 2**64 - 1
