@@ -7,15 +7,14 @@ branch is a one-sided Kelvin-Voigt contact at the claw.  Vertical
 misalignment of the branch loads the servo joint through the contact moment
 arm.
 
-The integrator core takes a batch of simulations per call.  Narrow calls
-(every mission impact, a 20- or 40-particle swarm, the 27-lane impact sweep)
-run the RK4 step lane by lane on plain Python floats, where numpy's per-call
-overhead would dominate; wide ones (design grids) run it vectorized in
-numpy.  Both give the same bits.  A float lane stops once an energy bound
-proves that no later step can change its outputs; the numpy kernel always
-runs the full horizon.
+The integrator core takes a batch of simulations per call and runs the RK4
+step lane by lane on plain Python floats: every call (a mission impact, a
+swarm, the 27-lane impact sweep) is narrow enough that numpy's per-call
+overhead would dominate a vectorized step, and a lane stops once an energy
+bound proves that no later step can change its outputs.  The tests hold a
+numpy RK4 over all lanes at once as the oracle for its bits.
 
-A float lane of the design cost also stops once its design cannot win.  A
+A lane of the design cost also stops once its design cannot win.  A
 swarm passes ``leg_cost_batch`` each particle's personal-best cost as a
 limit; the servo and joint-momentum peaks only grow as a lane integrates,
 and the suite carries a design's peaks from lane to lane, fastest speed
@@ -26,9 +25,8 @@ limit and the exact one, which the swarm reads as "no better".
 The model is mirror-symmetric: a branch below the boresight (zb -> -zb)
 drives the leg the other way (phi -> -phi), and every output keeps its bits,
 since IEEE negation is exact and sine is odd and cosine even in libm and
-numpy alike (the tests check both).  So both kernels see |zb|, and a float
-call integrates each distinct lane once: the impact sweep's -3 cm lanes
-reuse its +3 cm rows.
+numpy alike (the tests check both).  So a call integrates |zb|, and each
+distinct lane once: the impact sweep's -3 cm lanes reuse its +3 cm rows.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ class LegParams:
     link_length_m: float = ranged(0.20, "(0, inf)")
     leg_mass_kg: float = ranged(0.12, "(0, inf)")
     leg_spring_rate_n_m: float = ranged(1200.0, "(0, inf)")
-    leg_spring_rest_m: float = ranged(0.10, "[0, inf)")
     servo_limit_torque_nm: float = ranged(1.72, "[1.47, 1.96]")
     servo_joint_stiffness_nm_rad: float = ranged(2.0, "(0, inf)")
     # diagonal-spring moment arm / link length
@@ -94,16 +91,6 @@ class ImpactRecord:
     servo_peak_torque_nm: float
     joint_angular_momentum: float   # kg*m^2/s, peak about the hip
     locked: bool
-
-
-# Up to this many lanes a Python loop over ``_impact_lane`` is faster than the
-# numpy kernel, whose cost is mostly per-call overhead until the batch is wide
-# (about 0.23 ms per numpy step from 48 to 80 lanes).  A lane that runs the
-# full horizon costs about 2.8-3.6 us per step on floats and crosses over at
-# 48-64 lanes at dt 1e-4 and 2e-4; design-suite lanes, which stop early at
-# about 2.2-2.6 us per nominal step, still win at 80 lanes.  The limit stays
-# at the full-horizon crossover.
-_FLOAT_MAX_LANES = 48
 
 
 def simulate_impact_batch(
@@ -124,25 +111,19 @@ def simulate_impact_batch(
     """Batched impact core.  All array inputs broadcast to a common shape.
 
     Returns (peak_force, time_to_bounce_s, servo_peak_torque, peak_joint_L,
-    locked) as arrays of the broadcast shape.  Up to ``_FLOAT_MAX_LANES``
-    lanes are integrated one by one on Python floats by ``_impact_lane``,
-    wider calls by the numpy kernel; a lane's outputs are the same bits on
-    either path as long as ``math.sin``/``math.cos`` round as ``np.sin``/
-    ``np.cos`` do, which the tests check.  A lane that diverges raises
-    ``IntegrationError`` on either path.
+    locked) as arrays of the broadcast shape.  Each lane is integrated on
+    Python floats by ``_impact_lane``; a lane that diverges raises
+    ``IntegrationError``.
 
-    The outputs are even in the misalignment, so both paths integrate
-    ``|misalignment_z|``; the float path then runs ``_impact_lane`` once per
-    distinct lane (its 11 per-lane floats) and gives that row to every lane
-    equal to it.
+    The outputs are even in the misalignment, so the lanes integrate
+    ``|misalignment_z|``, and ``_impact_lane`` runs once per distinct lane
+    (its 11 per-lane floats), whose row every lane equal to it gets.
 
     ``cap`` serves ``leg_cost_batch``: ``(weights, servo_peak, joint_peak,
-    mass_term, limit)``, the last four broadcasting with the lanes.  A float
-    lane then starts its servo and joint peaks at the given ones and may stop
+    mass_term, limit)``, the last four broadcasting with the lanes.  A lane
+    then starts its servo and joint peaks at the given ones and may stop
     once ``_cost`` of its peaks reaches its limit, so those two outputs are
-    running maxima that may fall short of the full horizon's.  The numpy
-    kernel ignores ``cap`` and returns each lane's own full-horizon peaks,
-    whose maximum with the starting ones is exact.
+    running maxima that may fall short of the full horizon's.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
@@ -164,14 +145,11 @@ def simulate_impact_batch(
         i_hip = m * l * l / 3.0   # uniform rod about the hip
         c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
         c_c = 2.0 * CONTACT_DAMPING_RATIO * np.sqrt(CONTACT_STIFFNESS * mt)
-        capture = np.abs(zb) <= CAPTURE_HALF_WIDTH
+        capture = zb <= CAPTURE_HALF_WIDTH
         # mass matrix [[m11, m12], [m12, i_hip]], m12 = -m (l/2) sin(phi)
         m11 = mb + m
         lanes = (l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, m * (l / 2.0),
                  m11, m11 * i_hip)
-        if l.size > _FLOAT_MAX_LANES:
-            return _impact_numpy(shape, *lanes, servo_stiffness, servo_damping,
-                                 dt, t_max)
     columns = [a.ravel().tolist() for a in lanes]
     weights = None
     if cap is not None:
@@ -191,111 +169,27 @@ def simulate_impact_batch(
                  for i, dtype in enumerate((float,) * 4 + (bool,)))
 
 
-def _impact_numpy(shape, l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half,
-                  m11, m11_m22, servo_stiffness, servo_damping, dt, t_max):
-    """The impact RK4 on arrays of the broadcast ``shape``, one numpy
-    operation per term for all lanes at once."""
-    k_c = CONTACT_STIFFNESS
-    neg_ml_half = -ml_half
-
-    # state rows: x, phi, xd, phid; x is the body, phi the leg about the hip
-    # (0 = aligned with flight)
-    s = np.zeros((4,) + shape)
-    s[2] = v0
-
-    peak = np.zeros(shape)
-    servo_peak = np.zeros(shape)
-    l_peak = np.zeros(shape)
-    x_max = np.zeros(shape)   # running max |x|; a NaN anywhere stays NaN
-    touched = np.zeros(shape, dtype=bool)
-    bounced = np.zeros(shape, dtype=bool)
-    t_touch = np.zeros(shape)
-    t_bounce = np.zeros(shape)
-
-    def contact_force(s_):
-        sin_p, cos_p = np.sin(s_[1]), np.cos(s_[1])
-        r_y = l * sin_p + zb * cos_p
-        delta = s_[0] + l * cos_p - zb * sin_p - l
-        ddot = s_[2] - r_y * s_[3]
-        f = np.zeros(shape)
-        np.maximum(0.0, k_c * delta + c_c * ddot, out=f,
-                   where=capture & (delta > 0.0))
-        return f, r_y, sin_p, cos_p
-
-    def deriv(s_, contact):
-        """Rows xd, phid, xdd, phidd; ``contact`` is evaluated at ``s_``."""
-        f, r_y, sin_p, cos_p = contact
-        m12 = neg_ml_half * sin_p
-        q_x = ml_half * cos_p * s_[3] * s_[3] - f
-        q_phi = f * r_y - k_rot * s_[1] - c_rot * s_[3]
-        det = m11_m22 - m12 * m12
-        k = np.empty_like(s_)
-        k[:2] = s_[2:]
-        k[2] = (i_hip * q_x - m12 * q_phi) / det
-        k[3] = (m11 * q_phi - m12 * q_x) / det
-        return k
-
-    n_steps = int(round(t_max / dt))
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    t = 0.0
-    contact = contact_force(s)   # a step's end contact is the next k1 contact
-    for _ in range(n_steps):
-        k1 = deriv(s, contact)
-        s2 = s + half_dt * k1
-        k2 = deriv(s2, contact_force(s2))
-        s3 = s + half_dt * k2
-        k3 = deriv(s3, contact_force(s3))
-        s4 = s + dt * k3
-        k4 = deriv(s4, contact_force(s4))
-        s = s + sixth_dt * (((k1 + 2 * k2) + 2 * k3) + k4)
-        t += dt
-
-        contact = contact_force(s)
-        f_now, _, sin_p, _ = contact
-        in_contact = f_now > 0.0
-        new_touch = in_contact & ~touched
-        np.copyto(t_touch, t, where=new_touch)
-        touched |= in_contact
-        new_bounce = touched & ~in_contact & ~bounced
-        np.copyto(t_bounce, t - t_touch, where=new_bounce)
-        bounced |= new_bounce
-
-        np.maximum(peak, f_now, out=peak)
-        servo_tau = np.abs(servo_stiffness * s[1] + servo_damping * s[3])
-        np.maximum(servo_peak, servo_tau, out=servo_peak)
-        joint_l = np.abs(i_hip * s[3] - ml_half * sin_p * s[2])
-        np.maximum(l_peak, joint_l, out=l_peak)
-        np.maximum(x_max, np.abs(s[0]), out=x_max)
-
-    if not np.all(x_max <= 2.0):
-        raise IntegrationError("contact integration diverged; reduce dt")
-
-    time_to_bounce = np.where(touched, np.where(bounced, t_bounce, t_max), 0.0)
-    locked = touched & capture
-    return peak, time_to_bounce, servo_peak, l_peak, locked
-
-
 def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
                  m11_m22, servo_stiffness, servo_damping, dt, t_max, cap,
                  weights):
-    """One lane of ``_impact_numpy`` on Python floats.
+    """One lane of the impact RK4 on Python floats, ``zb`` >= 0 (or NaN).
 
-    Every product and sum is the numpy kernel's, associated the same way, so
-    the five outputs equal that lane of a numpy call bit for bit when libm's
-    sin and cos match numpy's.  The right-hand side (contact force, then the
-    2x2 mass-matrix solve for xdd and phidd) is written out in place at each
-    of its five evaluations rather than called: the call, and the tuple it
-    built and unpacked, were about a quarter of a lane-step.  Where numpy
-    would carry an inf or NaN into the state (``math.sin`` of inf, a zero
-    mass-matrix determinant) this path raises ``IntegrationError``, as the
-    numpy kernel's final |x| check does.  Every 16 steps after the bounce,
-    or from the first step for a claw outside the capture window,
-    ``_outputs_final`` may end the lane early; the steps it skips would not
-    have changed an output.  A lane given ``cap = (servo_peak, joint_peak,
-    mass_term, limit)`` (an uncapped one gets ``()``) starts from those
-    peaks and, every 16 steps, also stops once ``_cost`` of its peaks and
-    ``weights`` reaches ``limit``: every later step could only raise them,
-    and the cost with them.
+    Every product and sum is that of the numpy RK4 the tests hold as the
+    oracle, associated the same way, so the five outputs equal that lane of
+    the oracle bit for bit when libm's sin and cos match numpy's.  The
+    right-hand side (contact force, then the 2x2 mass-matrix solve for xdd
+    and phidd) is written out in place at each of its five evaluations
+    rather than called: the call, and the tuple it built and unpacked, were
+    about a quarter of a lane-step.  Where numpy would carry an inf or NaN
+    into the state (``math.sin`` of inf, a zero mass-matrix determinant)
+    this lane raises ``IntegrationError``, as the oracle's final |x| check
+    does.  Every 16 steps after the bounce, or from the first step for a
+    claw outside the capture window, ``_outputs_final`` may end the lane
+    early; the steps it skips would not have changed an output.  A lane
+    given ``cap = (servo_peak, joint_peak, mass_term, limit)`` (an uncapped
+    one gets ``()``) starts from those peaks and, every 16 steps, also stops
+    once ``_cost`` of its peaks and ``weights`` reaches ``limit``: every
+    later step could only raise them, and the cost with them.
     """
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
@@ -466,8 +360,9 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
     / m11.  The claw pushes again only where delta = x + l (cos phi - 1)
     - zb sin phi and k_c delta + c_c ddot are both positive, with ddot
     = xd - r_y phid = P/m11 - (l - ml_half/m11) sin phi phid
-    - zb cos phi phid.  The caller ensures l > 0, k_rot > 0, c_rot >= 0 and
-    i_min > 0.  A NaN or inf state fails a comparison and runs on.
+    - zb cos phi phid.  The caller ensures l > 0, k_rot > 0, c_rot >= 0,
+    i_min > 0 and zb >= 0.  A NaN or inf state fails a comparison and runs
+    on.
     """
     mom = m11 * xd + m12 * pd
     e2 = 1.01 * ((i_hip - m12 * m12 / m11) * pd * pd + k_rot * p * p)
@@ -480,8 +375,8 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
     sin_pd_b = min(1.0, 0.5 * p_b) * pd_b
     xd_b = (abs(mom) + ml_half * sin_pd_b) / m11
     delta_b = (x + t_rem * max(0.0, mom + ml_half * sin_pd_b) / m11
-               + abs(zb) * sin_b)
-    ddot_b = (mom + (m11 * l - ml_half) * sin_pd_b) / m11 + abs(zb) * pd_b
+               + zb * sin_b)
+    ddot_b = (mom + (m11 * l - ml_half) * sin_pd_b) / m11 + zb * pd_b
     return (abs(servo_stiffness) * p_b + abs(servo_damping) * pd_b
             <= servo_peak
             and i_hip * pd_b + ml_half * sin_b * xd_b <= l_peak

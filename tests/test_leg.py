@@ -202,9 +202,10 @@ class TestPinnedOutputs:
 
 class TestIntegrationError:
     def test_uncaptured_body_flies_past_two_metres(self):
-        for speed in (20.0, [20.0, 3.0], np.append(WIDE_SPEEDS, 20.0)):
-            with pytest.raises(IntegrationError):
-                simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, speed, 0.1)
+        for speed in (20.0, [20.0, 3.0], [3.0, 20.0]):
+            for integrate in (simulate_impact_batch, numpy_rk4):
+                with pytest.raises(IntegrationError):
+                    integrate(0.2, 0.12, 1200.0, 0.7, speed, 0.1)
 
     def test_uncaptured_lane_just_past_two_metres_runs_on(self):
         # 13.4 m/s for 0.15 s carries the body 2.01 m, so no check may stop
@@ -226,17 +227,19 @@ class TestIntegrationError:
         (0.0, 1200.0),  # zero mass-matrix determinant
     ])
     def test_degenerate_lane_on_both_paths(self, link, spring):
-        for speed in (2.0, np.array([2.0, 3.0]), WIDE_SPEEDS):
-            with pytest.raises(IntegrationError):
-                simulate_impact_batch(link, 0.12, spring, 0.7, speed, 0.0)
+        for speed in (2.0, np.array([2.0, 3.0])):
+            for integrate in (simulate_impact_batch, numpy_rk4):
+                with pytest.raises(IntegrationError):
+                    integrate(link, 0.12, spring, 0.7, speed, 0.0)
 
     def test_negative_contact_radicand_uncaptured(self):
         # k_c * mt < 0 leaves c_c NaN, which a lane that never touches the
-        # branch never reads: both paths return the same finite miss
+        # branch never reads: the lane and the oracle give the same finite
+        # miss
         args = (0.2, -1.0, -1e6, -0.5)
         single = simulate_impact_batch(*args, 2.0, 0.1)
-        batch = simulate_impact_batch(*args, WIDE_SPEEDS, 0.1)
-        assert [a.item() for a in single] == [a[0].item() for a in batch]
+        oracle = numpy_rk4(*args, [2.0, 3.0], 0.1)
+        assert [a.item() for a in single] == [a[0].item() for a in oracle]
         assert single[0] == 0.0
 
 
@@ -258,13 +261,112 @@ def sin_calls(monkeypatch):
     return calls
 
 
-# wide enough to take the numpy kernel, the oracle for the float lanes
-WIDE_SPEEDS = np.linspace(2.0, 4.0, legmod._FLOAT_MAX_LANES + 1)
+def numpy_rk4(link_length, leg_mass, spring_rate, total_mass, speed,
+              misalignment_z, servo_stiffness=2.0, servo_damping=0.02,
+              spring_anchor_fraction=0.4, joint_damping_ratio=0.7, dt=1e-4,
+              t_max=0.15):
+    """The impact RK4 on arrays, one numpy operation per term for all lanes
+    at once: the oracle for ``simulate_impact_batch``'s float lanes.
+
+    It takes the same arguments and returns the same five arrays, but
+    integrates the signed misalignment with no mirroring, runs every lane
+    to ``t_max`` and checks |x| <= 2 only at the end.  Its products and sums
+    are associated as the float lanes' are, so the two agree bit for bit
+    when libm's sin and cos round as numpy's do and sine is odd and cosine
+    even (``test_libm_sin_cos_match_numpy``).
+    """
+    l, m, k_sp, mt, v0, zb = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in
+          (link_length, leg_mass, spring_rate, total_mass, speed,
+           misalignment_z)))
+    shape = l.shape
+    k_c = legmod.CONTACT_STIFFNESS
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mb = mt - m
+        arm = spring_anchor_fraction * l
+        k_rot = servo_stiffness + k_sp * arm * arm
+        i_hip = m * l * l / 3.0
+        c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
+        c_c = 2.0 * legmod.CONTACT_DAMPING_RATIO * np.sqrt(k_c * mt)
+        capture = np.abs(zb) <= legmod.CAPTURE_HALF_WIDTH
+        ml_half = m * (l / 2.0)
+        m11 = mb + m
+        m11_m22 = m11 * i_hip
+
+        # state rows: x, phi, xd, phid
+        s = np.zeros((4,) + shape)
+        s[2] = v0
+        peak = np.zeros(shape)
+        servo_peak = np.zeros(shape)
+        l_peak = np.zeros(shape)
+        x_max = np.zeros(shape)   # a NaN anywhere stays NaN
+        touched = np.zeros(shape, dtype=bool)
+        bounced = np.zeros(shape, dtype=bool)
+        t_touch = np.zeros(shape)
+        t_bounce = np.zeros(shape)
+
+        def contact_force(s_):
+            sin_p, cos_p = np.sin(s_[1]), np.cos(s_[1])
+            r_y = l * sin_p + zb * cos_p
+            delta = s_[0] + l * cos_p - zb * sin_p - l
+            ddot = s_[2] - r_y * s_[3]
+            f = np.zeros(shape)
+            np.maximum(0.0, k_c * delta + c_c * ddot, out=f,
+                       where=capture & (delta > 0.0))
+            return f, r_y, sin_p, cos_p
+
+        def deriv(s_, contact):
+            f, r_y, sin_p, cos_p = contact
+            m12 = -ml_half * sin_p
+            q_x = ml_half * cos_p * s_[3] * s_[3] - f
+            q_phi = f * r_y - k_rot * s_[1] - c_rot * s_[3]
+            det = m11_m22 - m12 * m12
+            k = np.empty_like(s_)
+            k[:2] = s_[2:]
+            k[2] = (i_hip * q_x - m12 * q_phi) / det
+            k[3] = (m11 * q_phi - m12 * q_x) / det
+            return k
+
+        half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+        t = 0.0
+        contact = contact_force(s)
+        for _ in range(int(round(t_max / dt))):
+            k1 = deriv(s, contact)
+            s2 = s + half_dt * k1
+            k2 = deriv(s2, contact_force(s2))
+            s3 = s + half_dt * k2
+            k3 = deriv(s3, contact_force(s3))
+            s4 = s + dt * k3
+            k4 = deriv(s4, contact_force(s4))
+            s = s + sixth_dt * (((k1 + 2 * k2) + 2 * k3) + k4)
+            t += dt
+
+            contact = contact_force(s)
+            f_now, _, sin_p, _ = contact
+            in_contact = f_now > 0.0
+            np.copyto(t_touch, t, where=in_contact & ~touched)
+            touched |= in_contact
+            new_bounce = touched & ~in_contact & ~bounced
+            np.copyto(t_bounce, t - t_touch, where=new_bounce)
+            bounced |= new_bounce
+
+            np.maximum(peak, f_now, out=peak)
+            np.maximum(servo_peak, np.abs(servo_stiffness * s[1]
+                                          + servo_damping * s[3]),
+                       out=servo_peak)
+            np.maximum(l_peak, np.abs(i_hip * s[3] - ml_half * sin_p * s[2]),
+                       out=l_peak)
+            np.maximum(x_max, np.abs(s[0]), out=x_max)
+
+    if not np.all(x_max <= 2.0):
+        raise IntegrationError("contact integration diverged")
+    time_to_bounce = np.where(touched, np.where(bounced, t_bounce, t_max), 0.0)
+    return peak, time_to_bounce, servo_peak, l_peak, touched & capture
 
 
 class TestFloatLanes:
-    """Calls of up to ``_FLOAT_MAX_LANES`` lanes run on Python floats; the
-    numpy kernel of a wider call is the oracle for them."""
+    """``simulate_impact_batch`` integrates each lane on Python floats;
+    ``numpy_rk4`` is the oracle for its bits."""
 
     def test_libm_sin_cos_match_numpy(self):
         # the two paths agree bit for bit only if these do
@@ -308,28 +410,47 @@ class TestFloatLanes:
     def test_matches_numpy_kernel(self, lanes, joint, dt):
         n = len(lanes)
         columns = [np.array(c) for c in zip(*lanes)]
-        wide = [np.resize(c, legmod._FLOAT_MAX_LANES + 1) for c in columns]
         narrow = simulate_impact_batch(*columns, **joint, dt=dt)
-        oracle = simulate_impact_batch(*wide, **joint, dt=dt)
+        oracle = numpy_rk4(*columns, **joint, dt=dt)
         assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
         single = simulate_impact_batch(*lanes[0], **joint, dt=dt)
         assert [a.item() for a in single] == [a[0].item() for a in oracle]
 
     @pytest.mark.parametrize("dt", [1e-4, 2e-4])
-    def test_widest_float_call_matches_numpy_kernel(self, monkeypatch, dt):
+    def test_widest_float_call_matches_numpy_kernel(self, dt):
         rng = np.random.default_rng(7)
-        n = legmod._FLOAT_MAX_LANES
-        columns = [rng.uniform(0.12, 0.30, n + 1), rng.uniform(0.06, 0.20, n + 1),
-                   rng.uniform(600.0, 2000.0, n + 1), rng.uniform(0.0, 6.0, n + 1),
-                   rng.uniform(-0.08, 0.08, n + 1)]
-        link, leg_mass, spring, speed, misalignment = columns
-        oracle = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
-                                       misalignment, dt=dt)
-        monkeypatch.setattr(legmod, "_impact_numpy", None)  # floats only
-        link, leg_mass, spring, speed, misalignment = [c[:n] for c in columns]
-        narrow = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
-                                       misalignment, dt=dt)
-        assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
+        n = 64
+        link, leg_mass, spring, speed, misalignment = (
+            rng.uniform(0.12, 0.30, n), rng.uniform(0.06, 0.20, n),
+            rng.uniform(600.0, 2000.0, n), rng.uniform(0.0, 6.0, n),
+            rng.uniform(-0.08, 0.08, n))
+        out = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
+                                    misalignment, dt=dt)
+        oracle = numpy_rk4(link, leg_mass, spring, 0.700, speed,
+                           misalignment, dt=dt)
+        assert [a.tolist() for a in out] == [a.tolist() for a in oracle]
+
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
+    def test_signed_misalignment_oracle(self, dt):
+        """The lanes integrate |zb|; the oracle integrates the signed zb, so
+        a lane and its mirror must get the same bits from both."""
+        rng = np.random.default_rng(11)
+        n = 8
+        link, leg_mass, spring = (rng.uniform(0.12, 0.30, n),
+                                  rng.uniform(0.06, 0.20, n),
+                                  rng.uniform(600.0, 2000.0, n))
+        speed = rng.uniform(0.0, 6.0, n)
+        misalignment = rng.uniform(0.0, 0.08, n)
+        misalignment[:4] = (0.03, 0.04, 0.05, 0.0)
+        # each lane, then its mirror
+        args = [np.tile(a, 2) for a in (link, leg_mass, spring)]
+        args += [0.700, np.tile(speed, 2),
+                 np.concatenate([misalignment, -misalignment])]
+        out = simulate_impact_batch(*args, dt=dt)
+        oracle = numpy_rk4(*args, dt=dt)
+        assert [a.tolist() for a in out] == [a.tolist() for a in oracle]
+        assert [a[:n].tolist() for a in oracle] == \
+            [a[n:].tolist() for a in oracle]
 
     def test_stops_lanes_whose_outputs_are_final(self, sin_calls):
         legmod._baselines()   # cached, so only the cost call is counted
@@ -339,36 +460,6 @@ class TestFloatLanes:
         leg_cost_batch(np.random.default_rng(0).uniform(lo, hi, (20, 3)))
         full_horizon = 3 * 20 * (4 * 750 + 1)   # 4 sin per step, 1 at t = 0
         assert len(sin_calls) < 0.7 * full_horizon
-
-    @pytest.mark.parametrize("dt", [1e-4, 2e-4])
-    def test_signed_misalignment_oracle(self, monkeypatch, dt):
-        """Both paths integrate |zb|; the numpy kernel run on the raw signed
-        zb, as it was before, must give the same bits."""
-        rng = np.random.default_rng(11)
-        n = legmod._FLOAT_MAX_LANES + 1
-        link, leg_mass, spring = (rng.uniform(0.12, 0.30, n),
-                                  rng.uniform(0.06, 0.20, n),
-                                  rng.uniform(600.0, 2000.0, n))
-        speed = rng.uniform(0.0, 6.0, n)
-        misalignment = rng.uniform(-0.08, 0.08, n)
-        misalignment[:4] = (-0.03, -0.04, -0.05, -0.0)
-        kernel, seen = legmod._impact_numpy, []
-
-        def spy(shape, l, zb, *rest):
-            seen.append((shape, l, zb, rest))
-            return kernel(shape, l, zb, *rest)
-
-        monkeypatch.setattr(legmod, "_impact_numpy", spy)
-        wide = simulate_impact_batch(link, leg_mass, spring, 0.700, speed,
-                                     misalignment, dt=dt)
-        (shape, l, zb, rest), = seen
-        assert zb.tolist() == np.abs(misalignment).tolist()
-        raw = kernel(shape, l, misalignment, *rest)
-        assert [a.tolist() for a in wide] == [a.tolist() for a in raw]
-        narrow = simulate_impact_batch(link[:8], leg_mass[:8], spring[:8],
-                                       0.700, speed[:8], misalignment[:8],
-                                       dt=dt)
-        assert [a.tolist() for a in narrow] == [a[:8].tolist() for a in raw]
 
     def test_integrates_each_distinct_lane_once(self, monkeypatch, tmp_path):
         lane_calls = []
@@ -414,8 +505,7 @@ class TestFloatLanes:
         assert out[1].item() == t_bounce
         assert len(sin_calls) == 4 * 1500 + 1
 
-    @pytest.mark.parametrize("width", [1, legmod._FLOAT_MAX_LANES,
-                                       legmod._FLOAT_MAX_LANES + 1])
+    @pytest.mark.parametrize("width", [1, 48, 49])
     def test_keeps_the_broadcast_shape(self, default_leg, width):
         out = simulate_impact_batch(
             np.full(width, default_leg.link_length_m), default_leg.leg_mass_kg,
@@ -426,8 +516,7 @@ class TestFloatLanes:
 
 POSITIVE_LEG_FIELDS = ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
                        "servo_joint_stiffness_nm_rad", "joint_damping_ratio")
-NON_NEGATIVE_LEG_FIELDS = ("leg_spring_rest_m", "spring_anchor_fraction",
-                           "servo_damping_nm_s")
+NON_NEGATIVE_LEG_FIELDS = ("spring_anchor_fraction", "servo_damping_nm_s")
 
 
 class TestParamsValidation:
@@ -531,12 +620,14 @@ class TestCostCap:
         assert capped.best_cost == exact.best_cost
         assert capped.best_x.tobytes() == exact.best_x.tobytes()
 
-    def test_rows_at_or_over_their_limit_lie_between(self):
+    # 64 rows: the cap holds at any call width
+    @pytest.mark.parametrize("rows", [24, 64])
+    def test_rows_at_or_over_their_limit_lie_between(self, rows):
         lo, hi = np.array(legmod.DESIGN_BOUNDS).T
-        params = np.random.default_rng(3).uniform(lo, hi, (24, 3))
+        params = np.random.default_rng(3).uniform(lo, hi, (rows, 3))
         exact = leg_cost_batch(params)
         # under, at and over each row's cost, and no cap at all
-        scale = np.resize([0.0, 0.5, 0.99, 1.0, 1.01, np.inf], 24)
+        scale = np.resize([0.0, 0.5, 0.99, 1.0, 1.01, np.inf], rows)
         limit = exact * scale
         capped = leg_cost_batch(params, limit)
         below = exact < limit
@@ -572,6 +663,19 @@ class TestCostCap:
         for i in (0, 2):   # capped at the first check
             assert servo[i] < exact[2][i] and joint[i] < exact[3][i]
         assert servo[0] == servo[2] and joint[0] == joint[2]
+
+    def test_chunked_grid_search_keeps_the_minimum_bits(self):
+        """``test_c09_pso`` finds its grid's best cost in 40-row chunks, each
+        capped at the best so far; a row under its limit is exact, so the
+        minimum keeps its bits."""
+        axes = [np.linspace(lo, hi, 5) for lo, hi in legmod.DESIGN_BOUNDS]
+        grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
+        best = math.inf
+        for i in range(0, len(grid), 40):
+            rows = grid[i:i + 40]
+            best = min(best, float(np.min(
+                leg_cost_batch(rows, np.full(len(rows), best)))))
+        assert best == float(np.min(leg_cost_batch(grid)))
 
     def test_design_box_integrates_uncapped(self):
         """A capped lane skips the steps where a lane could diverge, so no

@@ -40,8 +40,7 @@ DECLARED = {
     "LegParams": dict.fromkeys(
         ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
          "servo_joint_stiffness_nm_rad", "joint_damping_ratio"), POS) | {
-        "leg_spring_rest_m": NON_NEG, "spring_anchor_fraction": NON_NEG,
-        "servo_damping_nm_s": NON_NEG,
+        "spring_anchor_fraction": NON_NEG, "servo_damping_nm_s": NON_NEG,
         "servo_limit_torque_nm": "[1.47, 1.96]"},
     "SensorSpec": {
         "ifov_arcmin": POS, "read_hz_capability": POS, "read_hz": POS,
