@@ -34,7 +34,8 @@ def main():
 
     rng = np.random.default_rng(7)
     pose = SensorPose(x_m=12.1, z_m=2.0)  # 1.9 m out, branch on boresight
-    frame = render_scan(pose, branch, spec, rng)
+    frame = render_scan(pose, branch, spec,
+                        rng.normal(0.0, spec.noise_sigma, PIXELS))
     det = detect_branch(frame, spec)
     bar = "".join("#" if b < 0.5 else "-" for b in frame.brightness)
     print(f"\nnoisy frame at 1.9 m (dark pixels '#'):\n{bar}")
@@ -49,7 +50,8 @@ def main():
         pose = SensorPose(x_m=12.1, z_m=2.0,
                           boresight_rad=np.radians(state.beta_cmd_deg - 45.0)
                           - step_rad)
-        frame = render_scan(pose, branch, spec, rng)
+        frame = render_scan(pose, branch, spec,
+                            rng.normal(0.0, spec.noise_sigma, PIXELS))
         det = detect_branch(frame, spec)
         offset = 0.0 if det is None else det - center
         _, state = leg_pd_step(offset, gains, dt, state)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import MISSING, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,11 @@ LAUNCH_SPEED_CAP_MPS = 5.0
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
 DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM = 0.003
+# Sensor noise rows and gust normals are drawn this many frames or cycles at
+# a time.  A numpy Generator carries nothing from one call to the next, so a
+# block holds the same bits as one draw per frame or cycle.
+NOISE_BLOCK_FRAMES = 64
+GUST_BLOCK_CYCLES = 128
 
 
 class OrderingError(RuntimeError):
@@ -102,8 +107,7 @@ class LoopGains:
             raise ValueError("integrator clamp exceeds the output window")
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     integral: float = 0.0
     prev_error: float = 0.0
     initialized: bool = False
@@ -119,7 +123,7 @@ def pid_step(gains: LoopGains, setpoint: float, measurement: float,
     derivative = (error - state.prev_error) / dt if state.initialized else 0.0
     u = gains.kp * error + gains.ki * integral + gains.kd * derivative
     u = min(gains.out_max, max(gains.out_min, u))
-    return u, PidState(integral=integral, prev_error=error, initialized=True)
+    return u, PidState(integral, error, True)
 
 
 class Phase(enum.Enum):
@@ -129,6 +133,13 @@ class Phase(enum.Enum):
     GLIDE_STOP = 3
     IMPACT = 4
     TERMINAL = 5
+
+
+# Per-cycle phase lookups test members by identity in module-level tuples
+# and compare ``_value_``: ``Phase(n)``, ``.value`` and an enum member's
+# hash each run Python code.
+_UNPOWERED = (Phase.GLIDE_STOP, Phase.IMPACT, Phase.TERMINAL)
+_LEG_STEERED = (Phase.CONTROLLED_FLIGHT, Phase.APPROACH, Phase.GLIDE_STOP)
 
 
 # Gains produced by the stage-2 tuning sweep (see demos/tune_gains.py).
@@ -181,8 +192,10 @@ class MissionConfig:
                              f"minimum {self.claw_geom.min_spike_diameter_m} m")
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
+    """One control cycle's record; the fields are the trajectory CSV's
+    columns, in order."""
+
     t_s: float
     x_m: float
     y_m: float
@@ -218,22 +231,23 @@ class Autopilot:
         self.beta_cmd = 45.0
         self.branch_z_est: Optional[float] = None
         self.phase = Phase.LAUNCH
-        self.sensor_rng = np.random.Generator(
+        sensor_rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(config.seed), np.uint64(1)]))
+        self.noise_rows = _noise_rows(sensor_rng, config.sensor.noise_sigma)
 
     def advance_phase(self, state: RobotState) -> Phase:
         """Forward-only transitions keyed on range to the branch."""
         rng_m = self.config.branch.center[0] - state.x_m
-        order = self.phase.value
-        if self.phase is Phase.LAUNCH:
-            order = Phase.CONTROLLED_FLIGHT.value
-        if rng_m <= APPROACH_RANGE_M:
-            order = max(order, Phase.APPROACH.value)
-        if rng_m <= GLIDE_STOP_RANGE_M:
-            order = max(order, Phase.GLIDE_STOP.value)
         if rng_m <= 0.0:
-            order = max(order, Phase.IMPACT.value)
-        self.phase = Phase(max(order, self.phase.value))
+            reached = Phase.IMPACT
+        elif rng_m <= GLIDE_STOP_RANGE_M:
+            reached = Phase.GLIDE_STOP
+        elif rng_m <= APPROACH_RANGE_M:
+            reached = Phase.APPROACH
+        else:
+            reached = Phase.CONTROLLED_FLIGHT
+        if reached._value_ > self.phase._value_:
+            self.phase = reached
         return self.phase
 
     def _update_leg(self, state: RobotState, dt: float) -> None:
@@ -249,8 +263,9 @@ class Autopilot:
         cfg = self.config
         boresight = math.radians(state.beta_deg - 45.0)
         claw_z = state.claw_z_m(cfg.leg.link_length_m)
-        pose = SensorPose(x_m=state.x_m, z_m=claw_z, boresight_rad=boresight)
-        frame = render_scan(pose, cfg.branch, cfg.sensor, self.sensor_rng)
+        pose = SensorPose(state.x_m, claw_z, boresight)
+        frame = render_scan(pose, cfg.branch, cfg.sensor,
+                            next(self.noise_rows))
         det = detect_branch(frame, cfg.sensor)
         rng_m = cfg.branch.center[0] - state.x_m
         if det is not None and rng_m > 0.05:
@@ -288,20 +303,21 @@ class Autopilot:
         flap_corr, self.alt_pid = pid_step(
             cfg.altitude_gains, cfg.altitude_setpoint_m, state.altitude_m,
             dt, self.alt_pid)
-        flap = self.trim_flap + flap_corr
-        if phase in (Phase.GLIDE_STOP, Phase.IMPACT, Phase.TERMINAL):
-            flap = 0.0
+        flap = 0.0 if phase in _UNPOWERED else self.trim_flap + flap_corr
 
-        if phase in (Phase.CONTROLLED_FLIGHT, Phase.APPROACH,
-                     Phase.GLIDE_STOP):
+        if phase in _LEG_STEERED:
             self._update_leg(state, dt)
 
-        return ControlCommand(
-            delta_e_deg=delta_e,
-            delta_r_deg=delta_r,
-            flap_hz=flap,
-            beta_cmd_deg=self.beta_cmd,
-        ).clamped(cfg.robot)
+        return ControlCommand.limited(cfg.robot, delta_e, delta_r, flap,
+                                      self.beta_cmd)
+
+
+def _noise_rows(rng: np.random.Generator,
+                sigma: float) -> Iterator[np.ndarray]:
+    """Sensor noise, one row of ``PIXELS`` N(0, sigma) draws per frame,
+    drawn ``NOISE_BLOCK_FRAMES`` rows at a time."""
+    while True:
+        yield from rng.normal(0.0, sigma, (NOISE_BLOCK_FRAMES, PIXELS))
 
 
 class _Disturbance:
@@ -315,8 +331,9 @@ class _Disturbance:
     AXIS_WEIGHT = (0.1, 0.25, 1.0)
 
     def __init__(self, config: MissionConfig):
-        self.rng = np.random.Generator(
+        rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
+        self.normals = _gust_normals(rng)
         self.rho = math.exp(-DT / config.disturbance_tau_s)
         scale = math.sqrt(1.0 - self.rho * self.rho)
         # per-axis innovation gains, associated as ((sigma*scale)*weight)*noise
@@ -328,8 +345,7 @@ class _Disturbance:
 
     def step(self) -> Tuple[Tuple[float, float, float], Tuple[float, float]]:
         rho = self.rho
-        n0, n1, n2 = self.rng.standard_normal(3).tolist()
-        n3, n4 = self.rng.standard_normal(2).tolist()
+        n0, n1, n2, n3, n4 = next(self.normals)
         f0, f1, f2 = self.force
         g0, g1, g2 = self.force_gain
         m0, m1 = self.moment
@@ -338,6 +354,13 @@ class _Disturbance:
                       rho * f2 + g2 * n2)
         self.moment = (rho * m0 + gm * n3, rho * m1 + gm * n4)
         return self.force, self.moment
+
+
+def _gust_normals(rng: np.random.Generator) -> Iterator[List[float]]:
+    """Five standard normals per cycle (three force axes, then two
+    moments), drawn ``GUST_BLOCK_CYCLES`` cycles at a time."""
+    while True:
+        yield from rng.standard_normal((GUST_BLOCK_CYCLES, 5)).tolist()
 
 
 def _touchdown_of(config: MissionConfig, state: RobotState,
@@ -403,12 +426,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
             break
         t += DT
         trajectory.append(TrajectoryRow(
-            t_s=t, x_m=state.x_m, y_m=state.y_m, z_m=state.altitude_m,
-            vx_mps=state.vx_mps, theta_deg=state.pitch_deg,
-            psi_deg=state.yaw_deg, flap_hz=cmd.flap_hz,
-            delta_e_deg=cmd.delta_e_deg, delta_r_deg=cmd.delta_r_deg,
-            beta_deg=state.beta_deg,
-        ))
+            t, state.x_m, state.y_m, state.altitude_m, state.vx_mps,
+            state.pitch_deg, state.yaw_deg, cmd.flap_hz, cmd.delta_e_deg,
+            cmd.delta_r_deg, state.beta_deg))
         if state.on_ground:
             diagnostics["ground_strike_x_m"] = state.x_m
             outcome = PerchOutcome.MISSED

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -192,10 +191,14 @@ def _mission_config(cfg: RunConfig) -> MissionConfig:
 
 
 def _write_trajectory(path: Path, result: MissionResult) -> None:
-    """One CSV row per control cycle, one column per TrajectoryRow field."""
-    columns = [f.name for f in fields(TrajectoryRow)]
-    row = operator.attrgetter(*columns)
-    _write_csv(path, columns, [row(r) for r in result.trajectory])
+    """One CSV row per control cycle, one column per TrajectoryRow field.
+
+    Every field is a float, so each row is its ``repr``s joined by commas:
+    the bytes `_write_csv` writes, without its per-value calls."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(TrajectoryRow._fields) + "\n")
+        handle.writelines([",".join(map(repr, row)) + "\n"
+                           for row in result.trajectory])
 
 
 def _divergence_lines(result: MissionResult) -> List[str]:

@@ -10,6 +10,12 @@ approach.
 The pixel geometry (each pixel's off-boresight angle and its cosine falloff)
 depends only on the field of view, so it is computed once per ``SensorSpec``
 and shared, read-only, by every frame rendered or read with that spec.
+
+`render_scan` is a pure function of the pose, the scene and one row of
+sensor noise: the caller owns the noise stream.  A mission draws that
+stream in blocks of rows (`autopilot.Autopilot`), which gives each frame the
+same bits as one draw per frame, because a numpy ``Generator`` carries
+nothing from one call to the next.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -79,9 +85,16 @@ class SensorSpec:
         falloff.flags.writeable = False
         return falloff
 
+    @functools.cached_property
+    def dark_falloff(self) -> np.ndarray:
+        """``dark_level * pixel_falloff``: the branch as every pixel sees
+        it, read-only."""
+        dark = self.dark_level * self.pixel_falloff
+        dark.flags.writeable = False
+        return dark
 
-@dataclass(frozen=True)
-class SensorPose:
+
+class SensorPose(NamedTuple):
     """Sensor origin and boresight direction in the vertical X-Z plane."""
 
     x_m: float
@@ -102,27 +115,29 @@ def render_scan(
     pose: SensorPose,
     branch: BranchSpec,
     spec: SensorSpec,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> SensorFrame:
     """Project the branch cylinder onto the pixel line.
 
     Pixels whose line of sight crosses the branch silhouette are dark; all
     others show the bright background.  Both are attenuated by the cosine
-    off-axis falloff, then seeded Gaussian noise is added and the values are
-    clamped to [0, 1].
+    off-axis falloff, then ``noise`` is added and the values are clamped to
+    [0, 1].  ``noise`` is one row of ``PIXELS`` N(0, ``spec.noise_sigma``)
+    draws from the caller's stream; it is only read.
     """
     bx, bz = branch.center[0], branch.center[2]
     dx = bx - pose.x_m
     dz = bz - pose.z_m
     dist = math.hypot(dx, dz)
-    scene = 1.0  # the bright background
     if dist > branch.diameter_m / 2.0 and dx > 0.0:
         center_angle = math.atan2(dz, dx) - pose.boresight_rad
         half_width = math.atan2(branch.diameter_m / 2.0, dist)
         dark = np.abs(spec.pixel_angles - center_angle) <= half_width
-        scene = np.where(dark, spec.dark_level, 1.0)
-    brightness = rng.normal(0.0, spec.noise_sigma, PIXELS)
-    brightness += scene * spec.pixel_falloff
+        # the scene times the falloff, the dark level's product precomputed
+        brightness = np.where(dark, spec.dark_falloff, spec.pixel_falloff)
+        brightness += noise
+    else:
+        brightness = noise + spec.pixel_falloff   # the bright background
     return SensorFrame(brightness=brightness.clip(0.0, 1.0))
 
 
@@ -138,14 +153,19 @@ def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
     # the frame mean, summed as ndarray.mean sums it
     threshold = spec.threshold_fraction * float(
         np.add.reduce(rectified) / PIXELS)
-    dark = rectified < threshold
-    # the diff of the padded mask is True where a run starts or ends
-    padded = np.concatenate(([False], dark, [False]))
-    edges = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
-    # later runs sit higher in the scene, so search from the last one
-    for start, end in reversed(list(zip(edges[0::2], edges[1::2]))):
-        if end - start >= spec.min_run_px:
-            return start + (end - start - 1) / 2.0
+    dark = (rectified < threshold).nonzero()[0].tolist()
+    # later runs sit higher in the scene, so search from the last one; a
+    # run is a stretch of consecutive indices
+    last = len(dark) - 1
+    while last >= 0:
+        stop = dark[last]
+        first = last
+        while first > 0 and dark[first - 1] == dark[first] - 1:
+            first -= 1
+        start = dark[first]
+        if stop - start + 1 >= spec.min_run_px:
+            return start + (stop - start) / 2.0
+        last = first - 1
     return None
 
 

@@ -107,15 +107,31 @@ class ControlCommand:
     flap_hz: float = 0.0
     beta_cmd_deg: float = 0.0
 
-    def clamped(self, params: RobotParams) -> "ControlCommand":
-        # min(max(...)) keeps NaN and the sign of a zero, as np.clip does
+    @classmethod
+    def limited(cls, params: RobotParams, delta_e_deg: float,
+                delta_r_deg: float, flap_hz: float,
+                beta_cmd_deg: float) -> "ControlCommand":
+        """The command with each input clamped to its actuator's range.
+
+        Each clamp is ``min(max(x, lo), hi)``, which keeps NaN and the sign
+        of a zero, as np.clip does, written as the builtins decide it:
+        ``max(x, lo)`` is ``lo if lo > x else x`` and ``min(y, hi)`` is
+        ``hi if hi < y else y``."""
         e, r = params.elevator_limit_deg, params.rudder_limit_deg
-        return ControlCommand(
-            delta_e_deg=float(min(max(self.delta_e_deg, -e), e)),
-            delta_r_deg=float(min(max(self.delta_r_deg, -r), r)),
-            flap_hz=float(min(max(self.flap_hz, 0.0), params.max_flap_hz)),
-            beta_cmd_deg=float(min(max(self.beta_cmd_deg, 0.0), 90.0)),
-        )
+        f = params.max_flap_hz
+        e_lo, r_lo = -e, -r
+        delta_e_deg = e_lo if e_lo > delta_e_deg else delta_e_deg
+        delta_r_deg = r_lo if r_lo > delta_r_deg else delta_r_deg
+        flap_hz = 0.0 if 0.0 > flap_hz else flap_hz
+        beta_cmd_deg = 0.0 if 0.0 > beta_cmd_deg else beta_cmd_deg
+        return cls(float(e if e < delta_e_deg else delta_e_deg),
+                   float(r if r < delta_r_deg else delta_r_deg),
+                   float(f if f < flap_hz else flap_hz),
+                   float(90.0 if 90.0 < beta_cmd_deg else beta_cmd_deg))
+
+    def clamped(self, params: RobotParams) -> "ControlCommand":
+        return self.limited(params, self.delta_e_deg, self.delta_r_deg,
+                            self.flap_hz, self.beta_cmd_deg)
 
 
 class AttitudeDivergence(ValueError):

@@ -25,6 +25,7 @@ from perchsim.config import parse_config, serialize_config
 from perchsim.harness import RunConfig, Scenario, launch_profile, run_scenario
 from perchsim.leg import DESIGN_BOUNDS, LegParams, impact_sweep, leg_cost_batch, simulate_impact
 from perchsim.perception import (
+    PIXELS,
     SensorPose,
     SensorSpec,
     detect_branch,
@@ -224,13 +225,13 @@ def test_c08_perception():
     pose = SensorPose(x_m=14.0 - 1.9, z_m=2.0)
     hits = 0
     for _ in range(1000):
-        frame = render_scan(pose, branch, spec, rng)
+        frame = render_scan(pose, branch, spec,
+                            rng.normal(0.0, spec.noise_sigma, PIXELS))
         det = detect_branch(frame, spec)
         if det is not None and abs(det - 63.5) <= 1.0:
             hits += 1
     clean = render_scan(SensorPose(13.0, 2.0), branch,
-                        SensorSpec(noise_sigma=0.0),
-                        np.random.default_rng(0))
+                        SensorSpec(noise_sigma=0.0), np.zeros(PIXELS))
     from perchsim.perception import SensorFrame
     dimmed = SensorFrame(brightness=clean.brightness * 0.5)
     gain_ok = detect_branch(dimmed, spec) == detect_branch(clean, spec)

@@ -25,6 +25,7 @@ from perchsim.autopilot import (
     tuning_procedure,
 )
 from perchsim.leg import LegParams
+from perchsim.perception import PIXELS, SensorSpec
 from perchsim.plant import RobotState, plant_step
 from perchsim.touchdown import PerchOutcome
 
@@ -277,6 +278,72 @@ class TestDisturbance:
                                               for v in want_force]
             assert list(map(repr, moment)) == [repr(float(v))
                                                for v in want_moment]
+
+
+def per_frame_noise(rng, sigma):
+    """Reference: one draw per frame, the sensor stream before blocks."""
+    while True:
+        yield rng.normal(0.0, sigma, PIXELS)
+
+
+def per_cycle_gusts(rng):
+    """Reference: the gust stream before blocks, two draws per cycle."""
+    while True:
+        yield rng.standard_normal(3).tolist() + rng.standard_normal(2).tolist()
+
+
+def sensor_rng(config):
+    return np.random.Generator(
+        np.random.Philox(key=[np.uint64(config.seed), np.uint64(1)]))
+
+
+class TestBlockDraws:
+    """Sensor noise and gusts are drawn in blocks; each frame and cycle
+    still gets the bits of a draw of its own."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 1.0])
+    def test_noise_rows_match_per_frame_draws(self, sigma):
+        config = MissionConfig(seed=11, sensor=SensorSpec(noise_sigma=sigma))
+        rows = Autopilot(config).noise_rows
+        want = per_frame_noise(sensor_rng(config), sigma)
+        # across three block boundaries and into a fourth block
+        for _ in range(3 * autopilot.NOISE_BLOCK_FRAMES + 1):
+            assert next(rows).tobytes() == next(want).tobytes()
+
+    def test_gust_reference_crosses_blocks(self):
+        # TestDisturbance compares 500 cycles, which must span two blocks
+        assert 500 > 2 * autopilot.GUST_BLOCK_CYCLES
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_mission_matches_per_frame_draws(self, monkeypatch, seed):
+        # at the default 0.02 the noise flips no detection, so a mission
+        # would not show a wrong noise bit; at 0.2 it does
+        config = MissionConfig(
+            seed=seed, sensor=SensorSpec(noise_sigma=0.2),
+            disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+            disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
+        frames = []
+        render_scan = autopilot.render_scan
+
+        def counted(*args):
+            frames.append(None)
+            return render_scan(*args)
+
+        monkeypatch.setattr(autopilot, "render_scan", counted)
+        blocked = run_mission(config)
+        frames_flown = len(frames)
+        monkeypatch.setattr(autopilot, "_noise_rows", per_frame_noise)
+        monkeypatch.setattr(autopilot, "_gust_normals", per_cycle_gusts)
+        reference = run_mission(config)
+        # the mission ends inside a block of each stream
+        assert frames_flown % autopilot.NOISE_BLOCK_FRAMES != 0
+        assert len(blocked.trajectory) % autopilot.GUST_BLOCK_CYCLES != 0
+        # repr tells -0.0 from 0.0
+        assert [list(map(repr, row)) for row in blocked.trajectory] == \
+            [list(map(repr, row)) for row in reference.trajectory]
+        assert blocked.outcome is reference.outcome
+        assert blocked.crossing == reference.crossing
+        assert blocked.impact == reference.impact
 
 
 class TestEnsemble:

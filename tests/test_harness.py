@@ -235,9 +235,9 @@ class TestScenarios:
         perched = sum(r[1] == "Perched" for r in rows[1:])
         assert perched >= 6
 
-    # SHA-256 of every file the two flight-test scenarios write at seed 0
-    # (perfbench pins FullPerch's): a change to the flight stack must keep
-    # every byte
+    # SHA-256 of every file the three flight scenarios write at seed 0
+    # (FullPerch's are perfbench/expected.json's perch_ensemble digests): a
+    # change to the flight stack must keep every byte
     @pytest.mark.parametrize("scenario, digests", [
         (Scenario.FLIGHT_ONLY, {
             "summary.txt": "17f58263de144212ca5339891887334b"
@@ -250,6 +250,30 @@ class TestScenarios:
                            "fec0d89a5b964ece7eae7900f655bb5e",
             "trajectory.csv": "f5c169c1c0fa31e6313067b3f5e15759"
                               "d23d0c2600d617fa5c922ab6664c06b6",
+        }),
+        (Scenario.FULL_PERCH, {
+            "ensemble.csv": "7fc1b3d5fa9bf8757b9c84d07c8d845c"
+                            "70fea5b9cdd46dd804251f7db23001c5",
+            "run_0.csv": "db033eaea290f54bde975db50b996199"
+                         "5467b1f29cbb5846dd500bb3ed04dba3",
+            "run_1.csv": "fdd17544405e2032f5748a3b6e017839"
+                         "35044ee87c2bf423356f570138c3e0f8",
+            "run_2.csv": "8c51a97f87d6ecb7431d7b8d43a74030"
+                         "5710041b0bcc939f086ce5a15b37101a",
+            "run_3.csv": "4a5687e3414199e6ed433996bbbf097d"
+                         "b5a9a6f9afe7378b15bb8880b7a0b495",
+            "run_4.csv": "d3ac490bf3bdc93bf97a6824824a1144"
+                         "daee74afa89ec2625f089a33bdf96924",
+            "run_5.csv": "990d78854494f7953b1c716df41173fc"
+                         "f266d34c03f31b0cd0dd3368bfebb697",
+            "run_6.csv": "5cec1becfbee700dedb42a6b7fb58724"
+                         "be80543fc05a0d581124321c1c45ab1a",
+            "run_7.csv": "f519eb466d6a38ad9766e2c7115e310a"
+                         "a0db4889e0fbae179ee75e05a484d474",
+            "run_8.csv": "f233366c5630c2d5da25d23612934b17"
+                         "82c53c377fed19df8177a883f615643a",
+            "summary.txt": "520a5bdff57f5b0a41165a0616adc075"
+                           "392baa267ef4537c2b4848cf0fe8a047",
         }),
     ])
     def test_flight_outputs_pinned(self, tmp_path, scenario, digests):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from perchsim import leg as legmod
 from perchsim.harness import RunConfig, Scenario, run_scenario
@@ -383,8 +383,12 @@ class TestFloatLanes:
         assert np.sin(-phi).tolist() == (-np.sin(phi)).tolist()
         assert np.cos(-phi).tolist() == np.cos(phi).tolist()
 
-    # the early stop reads every input, so each one is drawn
-    @settings(deadline=None, max_examples=40)
+    # the early stop reads every input, so each one is drawn; a failing
+    # example is reported as found, not shrunk: each shrink step would run
+    # numpy_rk4 over the full horizon, minutes in all
+    @settings(deadline=None, max_examples=40,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target))
     @given(lanes=st.lists(st.tuples(
                st.floats(0.12, 0.30), st.floats(0.06, 0.20),
                st.floats(600.0, 2000.0), st.floats(0.3, 1.5),
