@@ -12,15 +12,18 @@ callers can advance by a 120 Hz control period in one call.  The state is 14
 named Python floats, not a numpy array or a list: at 32 right-hand-side
 evaluations per control cycle, numpy's per-call overhead on such small
 vectors, or building and unpacking lists, would cost more than the
-arithmetic.  For the same reason the right-hand side (`_rhs`) takes and
-returns plain floats and writes the lift/drag polar out in place.
+arithmetic.  For the same reason the right-hand side is not a function:
+`plant_step` writes it out in place at each of the four RK4 stages, lift/drag
+polar included, and reads what depends on the airframe alone from
+`RobotParams.rhs_constants`, computed once per airframe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .config import check_ranges, ranged
 
@@ -40,6 +43,10 @@ GRAVITY = 9.81
 AIR_DENSITY = 1.225
 PLANT_RATE_HZ = 960.0
 CONTROL_RATE_HZ = 120.0
+# the factors math.radians and math.degrees multiply by, so a product with
+# them has those functions' bits without their call
+_RADIANS = math.pi / 180.0
+_DEGREES = 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,28 @@ class RobotParams:
         over = max(0.0, abs(alpha_deg) - self.alpha_stall_deg)
         cd = self.cd0 + self.cd_induced * cl * cl + self.cd_stall_per_deg2 * over * over
         return min(self.cd_max, cd)
+
+    @functools.cached_property
+    def rhs_constants(self) -> Tuple[float, ...]:
+        """What `plant_step`'s right-hand side takes from the airframe alone,
+        in the order it unpacks them: mass and weight; wing area and the
+        polar (``cl0``, lift slope, stall angle, lift at the stall, post-stall
+        slope, ``cd0``, induced and stall drag, drag cap); side force;
+        stiffness, damping and inertia in pitch, then in yaw; heave damping
+        and stiffness; leg servo lag and rate cap (rad/s) and its negative."""
+        omega = 2.0 * math.pi * self.heave_nat_freq_hz
+        rate_cap = self.beta_rate_limit_dps * _RADIANS
+        cl0, cl_alpha = self.cl0, self.cl_alpha_per_deg
+        a_s = self.alpha_stall_deg
+        return (self.mass_kg, self.mass_kg * GRAVITY, self.wing_area_m2,
+                cl0, cl_alpha, a_s, cl0 + cl_alpha * a_s,
+                self.cl_post_stall_per_deg, self.cd0, self.cd_induced,
+                self.cd_stall_per_deg2, self.cd_max, self.side_force_n_per_rad,
+                self.pitch_stiffness_nm_rad, self.pitch_damping_nm_s,
+                self.pitch_inertia, self.yaw_stiffness_nm_rad,
+                self.yaw_damping_nm_s, self.yaw_inertia,
+                2.0 * self.heave_damping_ratio * omega, omega * omega,
+                self.beta_lag_s, rate_cap, -rate_cap)
 
 
 @dataclass(frozen=True)
@@ -183,147 +212,11 @@ class RobotState:
         return self.altitude_m - link_length_m * math.cos(
             math.radians(self.beta_deg))
 
-    def to_vector(self) -> Tuple[float, ...]:
-        """The 14-element integration state, angles in radians."""
-        return (
-            self.x_m, self.y_m, self.z_m,
-            self.vx_mps, self.vy_mps, self.vz_mps,
-            math.radians(self.pitch_deg), math.radians(self.pitch_rate_dps),
-            math.radians(self.yaw_deg), math.radians(self.yaw_rate_dps),
-            self.flap_phase_rad, self.heave_m, self.heave_rate_mps,
-            math.radians(self.beta_deg),
-        )
-
-    @staticmethod
-    def from_vector(v: Sequence[float]) -> "RobotState":
-        x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
-        return RobotState(
-            x_m=x, y_m=y, z_m=z, vx_mps=vx, vy_mps=vy, vz_mps=vz,
-            pitch_deg=math.degrees(th), pitch_rate_dps=math.degrees(q),
-            yaw_deg=math.degrees(psi), yaw_rate_dps=math.degrees(r),
-            flap_phase_rad=phase, heave_m=hv, heave_rate_mps=hvd,
-            beta_deg=math.degrees(beta),
-        )
-
 
 def thrust_model(flap_hz: float, params: RobotParams) -> float:
     """Thrust (N) for a flap frequency clamped to 0..max_flap_hz."""
     f = min(params.max_flap_hz, max(0.0, flap_hz))
     return params.thrust_n_per_hz2 * f * f
-
-
-def _rhs(cmd: ControlCommand, params: RobotParams,
-         ext_force: Tuple[float, float, float],
-         ext_moment: Tuple[float, float]
-         ) -> Callable[..., Tuple[float, ...]]:
-    """The state derivative for a held (clamped) command and gust, as a
-    closure over what those fix, computed here once.
-
-    The closure takes the 11 floats the derivative depends on and returns
-    the 7 derivatives that need arithmetic; the other 7 are the stage's own
-    ``vx``, ``vy``, ``vz``, ``q``, ``r``, ``hvd`` and the phase rate, which
-    `plant_step` reads directly.  The polar of `RobotParams.lift_coeff` and
-    `drag_coeff` is inline, with ``max(a, x)`` as ``x if x > a else a`` and
-    ``min(a, x)`` as ``x if x < a else a`` (NaN included, the builtins'
-    result): two method calls per evaluation cost more than its arithmetic.
-    Every product, sum and association is theirs, so every bit matches."""
-    m = params.mass_kg
-    weight = m * GRAVITY
-    thrust = thrust_model(cmd.flap_hz, params)
-    # tail download acts immediately on pitch-up commands (non-minimum phase)
-    download = params.elevator_download_n_per_deg * cmd.delta_e_deg
-    pitch_tail = params.elevator_nm_per_deg * cmd.delta_e_deg
-    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
-    # gusts arrive as numpy scalars; plain floats keep numpy out of the loop
-    efx, efy, efz = map(float, ext_force)
-    pitch_ext, yaw_ext = map(float, ext_moment)
-    omega = 2.0 * math.pi * params.heave_nat_freq_hz
-    heave_damping = 2.0 * params.heave_damping_ratio * omega
-    heave_stiffness = omega * omega
-    heave_gain = params.flap_oscillation_gain * cmd.flap_hz
-    beta_cmd = math.radians(cmd.beta_cmd_deg)
-    rate_cap = math.radians(params.beta_rate_limit_dps)
-    neg_rate_cap = -rate_cap
-    wing_area = params.wing_area_m2
-    cl0, cl_alpha = params.cl0, params.cl_alpha_per_deg
-    a_s = params.alpha_stall_deg
-    cl_stall = cl0 + cl_alpha * a_s
-    cl_post_stall = params.cl_post_stall_per_deg
-    cd0, cd_induced = params.cd0, params.cd_induced
-    cd_stall, cd_max = params.cd_stall_per_deg2, params.cd_max
-    side_force = params.side_force_n_per_rad
-    pitch_stiffness = params.pitch_stiffness_nm_rad
-    pitch_damping = params.pitch_damping_nm_s
-    yaw_stiffness = params.yaw_stiffness_nm_rad
-    yaw_damping = params.yaw_damping_nm_s
-    pitch_inertia, yaw_inertia = params.pitch_inertia, params.yaw_inertia
-    beta_lag = params.beta_lag_s
-    hypot, atan2, sin, cos = math.hypot, math.atan2, math.sin, math.cos
-    degrees = math.degrees
-
-    def rhs(vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta):
-        v_h = hypot(vx, vy)
-        speed = hypot(v_h, vz)
-        track = atan2(vy, vx) if v_h > 1e-9 else psi
-        gamma = atan2(vz, v_h) if speed > 1e-9 else 0.0
-        alpha_deg = degrees(th - gamma)
-
-        q_dyn = 0.5 * AIR_DENSITY * speed * speed * wing_area
-        if alpha_deg <= a_s:
-            cl = cl0 + cl_alpha * alpha_deg
-        else:
-            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
-            cl = cl if cl > 0.2 else 0.2
-        over = abs(alpha_deg) - a_s
-        over = over if over > 0.0 else 0.0
-        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
-        cd = cd if cd < cd_max else cd_max
-        lift = q_dyn * cl
-        drag = q_dyn * cd
-
-        sin_track, cos_track = sin(track), cos(track)
-        if speed > 1e-9:
-            sin_gamma = sin(gamma)
-            # drag opposes the velocity; lift is perpendicular to it in the
-            # vertical plane containing the track ("0.0 +" turns a -0.0
-            # into 0.0, as accumulating from zero did)
-            fx = 0.0 + (-drag * (vx / speed) - lift * sin_gamma * cos_track)
-            fy = 0.0 + (-drag * (vy / speed) - lift * sin_gamma * sin_track)
-            fz = 0.0 + (-drag * (vz / speed) + lift * cos(gamma))
-        else:
-            fx = fy = fz = 0.0
-
-        cos_th = cos(th)
-        fx += thrust * cos_th * cos(psi)
-        fy += thrust * cos_th * sin(psi)
-        fz += thrust * sin(th)
-
-        # sideslip: heading vs track; fuselage side force turns the velocity
-        # vector toward the heading
-        beta_side = psi - track
-        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
-        fx += -f_side * sin_track
-        fy += f_side * cos_track
-
-        fz -= download
-        fz -= weight
-        fx += efx
-        fy += efy
-        fz += efz
-
-        pitch_moment = (pitch_tail - pitch_stiffness * th
-                        - pitch_damping * q + pitch_ext)
-        yaw_moment = (yaw_tail - yaw_stiffness * beta_side
-                      - yaw_damping * r + yaw_ext)
-        heave_acc = (heave_gain * sin(phase)
-                     - heave_damping * hvd - heave_stiffness * hv)
-        beta_rate = (beta_cmd - beta) / beta_lag
-        beta_rate = beta_rate if beta_rate > neg_rate_cap else neg_rate_cap
-        beta_rate = beta_rate if beta_rate < rate_cap else rate_cap
-        return (fx / m, fy / m, fz / m, pitch_moment / pitch_inertia,
-                yaw_moment / yaw_inertia, heave_acc, beta_rate)
-
-    return rhs
 
 
 def plant_step(
@@ -337,39 +230,223 @@ def plant_step(
     """Advance the plant by ``dt`` (in (0, one 120 Hz control period]) with
     the command held; integrates internally with RK4 substeps at >= 960 Hz.
 
-    Each stage ``i`` state is ``v + c * k_{i-1}`` on named floats; stage
-    positions are never formed, because the right-hand side does not read
-    them.  Suffix 2-4 names a stage value (``vx3``) or derivative (``ax3``)."""
+    The right-hand side is written out in place at each of the four RK4
+    stages, in bodies alike but for the suffix of the stage values they read
+    and the derivatives they leave: none at stage 1, the substep's start
+    (``vx``, ``ax``), 2-4 at the others (``vx3``, ``ax3``).  Stage positions
+    are never formed, because the right-hand side does not read them, and
+    stages 2 and 3, at the same flap phase, share its heave forcing.
+
+    Drag opposes the velocity; lift is perpendicular to it in the vertical
+    plane containing the track ("0.0 +" turns a -0.0 into 0.0, as the
+    oracle's sum from zero does); the fuselage side force, from the sideslip
+    ``beta_side`` of heading against track, turns the velocity toward the
+    heading.  The polar is that of `RobotParams.lift_coeff` and
+    `drag_coeff`, with ``max(a, x)`` as ``x if x > a else a`` and
+    ``min(a, x)`` as ``x if x < a else a`` (NaN included, the builtins'
+    result).  Every product, sum and association is that of the list-based
+    RK4 the tests hold as the oracle, so every output bit matches it.
+    """
     if not 0.0 < dt <= 1.0 / CONTROL_RATE_HZ + 1e-12:
         raise ValueError("plant_step dt must be positive and must not exceed "
                          "one control period")
+    (m, weight, wing_area, cl0, cl_alpha, a_s, cl_stall, cl_post_stall, cd0,
+     cd_induced, cd_stall, cd_max, side_force, k_pitch, c_pitch, i_pitch,
+     k_yaw, c_yaw, i_yaw, heave_damping, heave_stiffness, beta_lag, rate_cap,
+     neg_rate_cap) = params.rhs_constants
     clamped = cmd.clamped(params)
-    rhs = _rhs(clamped, params, ext_force, ext_moment)
-    phase_rate = 2.0 * math.pi * clamped.flap_hz
+    flap_hz, delta_e = clamped.flap_hz, clamped.delta_e_deg
+    thrust = thrust_model(flap_hz, params)
+    # tail download acts immediately on pitch-up commands (non-minimum phase)
+    download = params.elevator_download_n_per_deg * delta_e
+    pitch_tail = params.elevator_nm_per_deg * delta_e
+    yaw_tail = params.rudder_nm_per_deg * clamped.delta_r_deg
+    heave_gain = params.flap_oscillation_gain * flap_hz
+    beta_cmd = clamped.beta_cmd_deg * _RADIANS
+    phase_rate = 2.0 * math.pi * flap_hz
+    # gusts arrive as numpy scalars; plain floats keep numpy out of the loop
+    efx, efy, efz = map(float, ext_force)
+    pitch_ext, yaw_ext = map(float, ext_moment)
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
-    x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = \
-        state.to_vector()
+    phase_step = sixth_h * (((phase_rate + 2.0 * phase_rate)
+                             + 2.0 * phase_rate) + phase_rate)
+    half_rho, to_deg = 0.5 * AIR_DENSITY, _DEGREES
+    hypot, atan2, sin, cos = math.hypot, math.atan2, math.sin, math.cos
+    x, y, z = state.x_m, state.y_m, state.z_m
+    vx, vy, vz = state.vx_mps, state.vy_mps, state.vz_mps
+    th, q = state.pitch_deg * _RADIANS, state.pitch_rate_dps * _RADIANS
+    psi, r = state.yaw_deg * _RADIANS, state.yaw_rate_dps * _RADIANS
+    phase, hv, hvd = state.flap_phase_rad, state.heave_m, state.heave_rate_mps
+    beta = state.beta_deg * _RADIANS
     for _ in range(n_sub):
-        ax, ay, az, qd, rd, ha, br = rhs(
-            vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta)
+        # stage 1 at the substep's start
+        forcing = heave_gain * sin(phase)
+        v_h = hypot(vx, vy)
+        speed = hypot(v_h, vz)
+        track = atan2(vy, vx) if v_h > 1e-9 else psi
+        gamma = atan2(vz, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = (th - gamma) * to_deg
+        q_dyn = half_rho * speed * speed * wing_area
+        if alpha_deg <= a_s:
+            cl = cl0 + cl_alpha * alpha_deg
+        else:
+            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
+            cl = cl if cl > 0.2 else 0.2
+        over = abs(alpha_deg) - a_s
+        over = over if over > 0.0 else 0.0
+        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
+        cd = cd if cd < cd_max else cd_max
+        lift, drag = q_dyn * cl, q_dyn * cd
+        sin_track, cos_track = sin(track), cos(track)
+        if speed > 1e-9:
+            sin_gamma = sin(gamma)
+            fx = 0.0 + (-drag * (vx / speed) - lift * sin_gamma * cos_track)
+            fy = 0.0 + (-drag * (vy / speed) - lift * sin_gamma * sin_track)
+            fz = 0.0 + (-drag * (vz / speed) + lift * cos(gamma))
+        else:
+            fx = fy = fz = 0.0
+        thrust_h = thrust * cos(th)
+        beta_side = psi - track
+        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
+        ax = (fx + thrust_h * cos(psi) + -f_side * sin_track + efx) / m
+        ay = (fy + thrust_h * sin(psi) + f_side * cos_track + efy) / m
+        az = (fz + thrust * sin(th) - download - weight + efz) / m
+        qd = (pitch_tail - k_pitch * th - c_pitch * q + pitch_ext) / i_pitch
+        rd = (yaw_tail - k_yaw * beta_side - c_yaw * r + yaw_ext) / i_yaw
+        ha = forcing - heave_damping * hvd - heave_stiffness * hv
+        br = (beta_cmd - beta) / beta_lag
+        br = br if br > neg_rate_cap else neg_rate_cap
+        br = br if br < rate_cap else rate_cap
+        # stage 2 at half a substep along stage 1's derivatives
         vx2, vy2, vz2 = vx + half_h * ax, vy + half_h * ay, vz + half_h * az
-        q2, r2, hvd2 = q + half_h * qd, r + half_h * rd, hvd + half_h * ha
-        phase2 = phase + half_h * phase_rate
-        ax2, ay2, az2, qd2, rd2, ha2, br2 = rhs(
-            vx2, vy2, vz2, th + half_h * q, q2, psi + half_h * r, r2,
-            phase2, hv + half_h * hvd, hvd2, beta + half_h * br)
+        th2, q2 = th + half_h * q, q + half_h * qd
+        psi2, r2 = psi + half_h * r, r + half_h * rd
+        hv2, hvd2 = hv + half_h * hvd, hvd + half_h * ha
+        beta2 = beta + half_h * br
+        forcing = heave_gain * sin(phase + half_h * phase_rate)
+        v_h = hypot(vx2, vy2)
+        speed = hypot(v_h, vz2)
+        track = atan2(vy2, vx2) if v_h > 1e-9 else psi2
+        gamma = atan2(vz2, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = (th2 - gamma) * to_deg
+        q_dyn = half_rho * speed * speed * wing_area
+        if alpha_deg <= a_s:
+            cl = cl0 + cl_alpha * alpha_deg
+        else:
+            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
+            cl = cl if cl > 0.2 else 0.2
+        over = abs(alpha_deg) - a_s
+        over = over if over > 0.0 else 0.0
+        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
+        cd = cd if cd < cd_max else cd_max
+        lift, drag = q_dyn * cl, q_dyn * cd
+        sin_track, cos_track = sin(track), cos(track)
+        if speed > 1e-9:
+            sin_gamma = sin(gamma)
+            fx = 0.0 + (-drag * (vx2 / speed) - lift * sin_gamma * cos_track)
+            fy = 0.0 + (-drag * (vy2 / speed) - lift * sin_gamma * sin_track)
+            fz = 0.0 + (-drag * (vz2 / speed) + lift * cos(gamma))
+        else:
+            fx = fy = fz = 0.0
+        thrust_h = thrust * cos(th2)
+        beta_side = psi2 - track
+        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
+        ax2 = (fx + thrust_h * cos(psi2) + -f_side * sin_track + efx) / m
+        ay2 = (fy + thrust_h * sin(psi2) + f_side * cos_track + efy) / m
+        az2 = (fz + thrust * sin(th2) - download - weight + efz) / m
+        qd2 = (pitch_tail - k_pitch * th2 - c_pitch * q2 + pitch_ext) / i_pitch
+        rd2 = (yaw_tail - k_yaw * beta_side - c_yaw * r2 + yaw_ext) / i_yaw
+        ha2 = forcing - heave_damping * hvd2 - heave_stiffness * hv2
+        br2 = (beta_cmd - beta2) / beta_lag
+        br2 = br2 if br2 > neg_rate_cap else neg_rate_cap
+        br2 = br2 if br2 < rate_cap else rate_cap
+        # stage 3 at half a substep along stage 2's, at stage 2's phase
         vx3, vy3, vz3 = vx + half_h * ax2, vy + half_h * ay2, vz + half_h * az2
-        q3, r3, hvd3 = q + half_h * qd2, r + half_h * rd2, hvd + half_h * ha2
-        ax3, ay3, az3, qd3, rd3, ha3, br3 = rhs(
-            vx3, vy3, vz3, th + half_h * q2, q3, psi + half_h * r2, r3,
-            phase2, hv + half_h * hvd2, hvd3, beta + half_h * br2)
+        th3, q3 = th + half_h * q2, q + half_h * qd2
+        psi3, r3 = psi + half_h * r2, r + half_h * rd2
+        hv3, hvd3 = hv + half_h * hvd2, hvd + half_h * ha2
+        beta3 = beta + half_h * br2
+        v_h = hypot(vx3, vy3)
+        speed = hypot(v_h, vz3)
+        track = atan2(vy3, vx3) if v_h > 1e-9 else psi3
+        gamma = atan2(vz3, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = (th3 - gamma) * to_deg
+        q_dyn = half_rho * speed * speed * wing_area
+        if alpha_deg <= a_s:
+            cl = cl0 + cl_alpha * alpha_deg
+        else:
+            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
+            cl = cl if cl > 0.2 else 0.2
+        over = abs(alpha_deg) - a_s
+        over = over if over > 0.0 else 0.0
+        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
+        cd = cd if cd < cd_max else cd_max
+        lift, drag = q_dyn * cl, q_dyn * cd
+        sin_track, cos_track = sin(track), cos(track)
+        if speed > 1e-9:
+            sin_gamma = sin(gamma)
+            fx = 0.0 + (-drag * (vx3 / speed) - lift * sin_gamma * cos_track)
+            fy = 0.0 + (-drag * (vy3 / speed) - lift * sin_gamma * sin_track)
+            fz = 0.0 + (-drag * (vz3 / speed) + lift * cos(gamma))
+        else:
+            fx = fy = fz = 0.0
+        thrust_h = thrust * cos(th3)
+        beta_side = psi3 - track
+        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
+        ax3 = (fx + thrust_h * cos(psi3) + -f_side * sin_track + efx) / m
+        ay3 = (fy + thrust_h * sin(psi3) + f_side * cos_track + efy) / m
+        az3 = (fz + thrust * sin(th3) - download - weight + efz) / m
+        qd3 = (pitch_tail - k_pitch * th3 - c_pitch * q3 + pitch_ext) / i_pitch
+        rd3 = (yaw_tail - k_yaw * beta_side - c_yaw * r3 + yaw_ext) / i_yaw
+        ha3 = forcing - heave_damping * hvd3 - heave_stiffness * hv3
+        br3 = (beta_cmd - beta3) / beta_lag
+        br3 = br3 if br3 > neg_rate_cap else neg_rate_cap
+        br3 = br3 if br3 < rate_cap else rate_cap
+        # stage 4 at a full substep along stage 3's
         vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
-        q4, r4, hvd4 = q + h * qd3, r + h * rd3, hvd + h * ha3
-        ax4, ay4, az4, qd4, rd4, ha4, br4 = rhs(
-            vx4, vy4, vz4, th + h * q3, q4, psi + h * r3, r4,
-            phase + h * phase_rate, hv + h * hvd3, hvd4, beta + h * br3)
+        th4, q4 = th + h * q3, q + h * qd3
+        psi4, r4 = psi + h * r3, r + h * rd3
+        hv4, hvd4 = hv + h * hvd3, hvd + h * ha3
+        beta4 = beta + h * br3
+        forcing = heave_gain * sin(phase + h * phase_rate)
+        v_h = hypot(vx4, vy4)
+        speed = hypot(v_h, vz4)
+        track = atan2(vy4, vx4) if v_h > 1e-9 else psi4
+        gamma = atan2(vz4, v_h) if speed > 1e-9 else 0.0
+        alpha_deg = (th4 - gamma) * to_deg
+        q_dyn = half_rho * speed * speed * wing_area
+        if alpha_deg <= a_s:
+            cl = cl0 + cl_alpha * alpha_deg
+        else:
+            cl = cl_stall - cl_post_stall * (alpha_deg - a_s)
+            cl = cl if cl > 0.2 else 0.2
+        over = abs(alpha_deg) - a_s
+        over = over if over > 0.0 else 0.0
+        cd = cd0 + cd_induced * cl * cl + cd_stall * over * over
+        cd = cd if cd < cd_max else cd_max
+        lift, drag = q_dyn * cl, q_dyn * cd
+        sin_track, cos_track = sin(track), cos(track)
+        if speed > 1e-9:
+            sin_gamma = sin(gamma)
+            fx = 0.0 + (-drag * (vx4 / speed) - lift * sin_gamma * cos_track)
+            fy = 0.0 + (-drag * (vy4 / speed) - lift * sin_gamma * sin_track)
+            fz = 0.0 + (-drag * (vz4 / speed) + lift * cos(gamma))
+        else:
+            fx = fy = fz = 0.0
+        thrust_h = thrust * cos(th4)
+        beta_side = psi4 - track
+        f_side = side_force * beta_side * (0.05 if 0.05 > q_dyn else q_dyn)
+        ax4 = (fx + thrust_h * cos(psi4) + -f_side * sin_track + efx) / m
+        ay4 = (fy + thrust_h * sin(psi4) + f_side * cos_track + efy) / m
+        az4 = (fz + thrust * sin(th4) - download - weight + efz) / m
+        qd4 = (pitch_tail - k_pitch * th4 - c_pitch * q4 + pitch_ext) / i_pitch
+        rd4 = (yaw_tail - k_yaw * beta_side - c_yaw * r4 + yaw_ext) / i_yaw
+        ha4 = forcing - heave_damping * hvd4 - heave_stiffness * hv4
+        br4 = (beta_cmd - beta4) / beta_lag
+        br4 = br4 if br4 > neg_rate_cap else neg_rate_cap
+        br4 = br4 if br4 < rate_cap else rate_cap
         x += sixth_h * (((vx + 2.0 * vx2) + 2.0 * vx3) + vx4)
         y += sixth_h * (((vy + 2.0 * vy2) + 2.0 * vy3) + vy4)
         z += sixth_h * (((vz + 2.0 * vz2) + 2.0 * vz3) + vz4)
@@ -380,17 +457,15 @@ def plant_step(
         q += sixth_h * (((qd + 2.0 * qd2) + 2.0 * qd3) + qd4)
         psi += sixth_h * (((r + 2.0 * r2) + 2.0 * r3) + r4)
         r += sixth_h * (((rd + 2.0 * rd2) + 2.0 * rd3) + rd4)
-        phase += sixth_h * (((phase_rate + 2.0 * phase_rate)
-                             + 2.0 * phase_rate) + phase_rate)
+        phase += phase_step
         hv += sixth_h * (((hvd + 2.0 * hvd2) + 2.0 * hvd3) + hvd4)
         hvd += sixth_h * (((ha + 2.0 * ha2) + 2.0 * ha3) + ha4)
         beta += sixth_h * (((br + 2.0 * br2) + 2.0 * br3) + br4)
-    new = RobotState.from_vector(
-        (x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta))
-    if new.altitude_m <= 0.0:
-        new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
-                      vz_mps=0.0, heave_rate_mps=0.0)
-    return new
+    if z + hv <= 0.0:
+        # on the ground: the mean motion and the heave rate stop
+        z, vx, vy, vz, hvd = -hv, 0.0, 0.0, 0.0, 0.0
+    return RobotState(x, y, z, vx, vy, vz, th * to_deg, q * to_deg,
+                      psi * to_deg, r * to_deg, phase, hv, hvd, beta * to_deg)
 
 
 def trim_state(pitch_deg: float,

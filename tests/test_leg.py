@@ -411,6 +411,13 @@ class TestFloatLanes:
              joint={"servo_stiffness": 1.0, "servo_damping": 0.0,
                     "spring_anchor_fraction": 0.0, "joint_damping_ratio": 0.0},
              dt=1e-4)
+    # two lanes whose outputs show the rounding of each of the four RK4
+    # sums: regrouping any of them as (k1 + 2 k2) + (2 k3 + k4) or
+    # (k1 + 2 (k2 + k3)) + k4 changes a bit here, as it does in only about
+    # one lane in five drawn
+    @example(lanes=[(0.238, 0.07, 1817.0, 1.34, 2.82, 0.008),
+                    (0.132, 0.11, 1028.0, 1.14, 1.11, -0.004)], joint={},
+             dt=1e-4)
     def test_matches_numpy_kernel(self, lanes, joint, dt):
         n = len(lanes)
         columns = [np.array(c) for c in zip(*lanes)]

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from perchsim import autopilot
+from perchsim.autopilot import (
+    DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+    DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
+    MissionConfig,
+    run_mission,
+)
 from perchsim.plant import (
     AIR_DENSITY,
     CONTROL_RATE_HZ,
@@ -33,9 +40,34 @@ def mechanical_energy(state, params):
     return ke + params.mass_kg * GRAVITY * state.z_m
 
 
+def to_vector(state):
+    """The 14-element integration state of ``state``, angles in radians."""
+    return (
+        state.x_m, state.y_m, state.z_m,
+        state.vx_mps, state.vy_mps, state.vz_mps,
+        math.radians(state.pitch_deg), math.radians(state.pitch_rate_dps),
+        math.radians(state.yaw_deg), math.radians(state.yaw_rate_dps),
+        state.flap_phase_rad, state.heave_m, state.heave_rate_mps,
+        math.radians(state.beta_deg),
+    )
+
+
+def from_vector(v):
+    """The `RobotState` of a 14-element integration state."""
+    x, y, z, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
+    return RobotState(
+        x_m=x, y_m=y, z_m=z, vx_mps=vx, vy_mps=vy, vz_mps=vz,
+        pitch_deg=math.degrees(th), pitch_rate_dps=math.degrees(q),
+        yaw_deg=math.degrees(psi), yaw_rate_dps=math.degrees(r),
+        flap_phase_rad=phase, heave_m=hv, heave_rate_mps=hvd,
+        beta_deg=math.degrees(beta),
+    )
+
+
 def reference_rhs(cmd, params, ext_force, ext_moment):
-    """The list-based right-hand side `plant._rhs` replaced, kept as the
-    oracle: it calls the ``RobotParams`` polar methods and returns all 14
+    """The list-based right-hand side, the oracle for the one `plant_step`
+    writes out at each stage: it calls the ``RobotParams`` polar methods,
+    computes every airframe constant on each call and returns all 14
     derivatives."""
     m = params.mass_kg
     weight = m * GRAVITY
@@ -105,12 +137,13 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
 
 def reference_plant_step(state, cmd, params, dt=DT,
                          ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0)):
-    """The list-based RK4 `plant_step` replaced, kept as the oracle."""
+    """The list-based RK4 on `to_vector` lists, the oracle for
+    `plant_step`'s bits."""
     rhs = reference_rhs(cmd.clamped(params), params, ext_force, ext_moment)
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
-    v = state.to_vector()
+    v = to_vector(state)
     for _ in range(n_sub):
         k1 = rhs(v)
         k2 = rhs([a + half_h * b for a, b in zip(v, k1)])
@@ -118,7 +151,7 @@ def reference_plant_step(state, cmd, params, dt=DT,
         k4 = rhs([a + h * b for a, b in zip(v, k3)])
         v = [a + sixth_h * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
              for a, b1, b2, b3, b4 in zip(v, k1, k2, k3, k4)]
-    new = RobotState.from_vector(v)
+    new = from_vector(v)
     if new.altitude_m <= 0.0:
         new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
                       vz_mps=0.0, heave_rate_mps=0.0)
@@ -485,46 +518,116 @@ COMMANDS = st.builds(
     beta_cmd_deg=ANGLE)
 
 
+DEFAULT_AIRFRAME = RobotParams()
+# stage 2's airframe, without the leg and claw
+LIGHT_AIRFRAME = RobotParams(mass_kg=DEFAULT_AIRFRAME.mass_no_appendage_kg)
+AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME), st.builds(
+    RobotParams,
+    mass_kg=st.floats(0.3, 1.5), wing_area_m2=st.floats(0.2, 0.8),
+    alpha_stall_deg=st.floats(10.0, 70.0),
+    heave_nat_freq_hz=st.floats(0.2, 3.0), beta_lag_s=st.floats(0.005, 0.2),
+    beta_rate_limit_dps=st.floats(20.0, 1000.0)))
+NO_GUST = {"ext_force": (0.0, 0.0, 0.0), "ext_moment": (0.0, 0.0)}
+
+
 class TestMatchesReference:
-    """`plant_step` against the list-based step it replaced, which reads the
-    polar through ``RobotParams.lift_coeff``/``drag_coeff``: every bit of
-    every field, or the same divergence."""
+    """`plant_step` against the list-based step, which reads the polar
+    through ``RobotParams.lift_coeff``/``drag_coeff`` and derives every
+    airframe constant on each call: every bit of every field, or the same
+    divergence.  Each example steps one or two airframes in turn, so
+    constants cached for one airframe and read for another fail it."""
 
     @settings(max_examples=400, deadline=None)
     @given(state=STATES, cmd=COMMANDS,
+           airframes=st.lists(AIRFRAMES, min_size=1, max_size=2),
            dt=st.floats(0.0, DT, exclude_min=True),
            ext_force=gust(3), ext_moment=gust(2))
     @example(  # post-stall: alpha about 86 deg
         state=RobotState(vx_mps=2.0, vz_mps=-1.2, pitch_deg=55.0),
-        cmd=ControlCommand(flap_hz=4.0), dt=DT,
-        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+        cmd=ControlCommand(flap_hz=4.0), airframes=[DEFAULT_AIRFRAME], dt=DT,
+        **NO_GUST)
     @example(  # alpha -120 deg: climbing straight up, pitched down
         state=RobotState(vz_mps=3.0, pitch_deg=-30.0),
-        cmd=ControlCommand(), dt=DT,
-        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+        cmd=ControlCommand(), airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
     @example(  # standing start, numpy gust
-        state=RobotState(), cmd=ControlCommand(flap_hz=5.0), dt=DT,
+        state=RobotState(), cmd=ControlCommand(flap_hz=5.0),
+        airframes=[DEFAULT_AIRFRAME], dt=DT,
         ext_force=(np.float64(0.1), np.float64(-0.2), np.float64(0.3)),
         ext_moment=(np.float64(0.01), np.float64(-0.02)))
     @example(  # both rate caps, out-of-limit commands
         state=RobotState(vx_mps=3.0, beta_deg=-30.0),
         cmd=ControlCommand(delta_e_deg=35.0, delta_r_deg=-35.0,
                            flap_hz=9.0, beta_cmd_deg=120.0),
-        dt=DT, ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+        airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
     @example(
         state=RobotState(vx_mps=3.0, beta_deg=110.0),
         cmd=ControlCommand(flap_hz=0.0, beta_cmd_deg=-20.0),
-        dt=DT, ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
+        airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
     @example(  # tumbles past 90 deg pitch: both raise
         state=RobotState(vx_mps=3.0, pitch_deg=89.0, pitch_rate_dps=600.0),
-        cmd=ControlCommand(), dt=DT,
-        ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0))
-    def test_bit_identical(self, state, cmd, dt, ext_force, ext_moment):
-        params = RobotParams()
-        assert (outcome(plant_step, state, cmd, params, dt,
-                        ext_force, ext_moment)
-                == outcome(reference_plant_step, state, cmd, params, dt,
-                           ext_force, ext_moment))
+        cmd=ControlCommand(), airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
+    @example(  # the default airframe, then stage 2's lighter one
+        state=RobotState(vx_mps=3.0, pitch_deg=20.0, beta_deg=30.0),
+        cmd=ControlCommand(delta_e_deg=3.0, flap_hz=4.0, beta_cmd_deg=60.0),
+        airframes=[DEFAULT_AIRFRAME, LIGHT_AIRFRAME], dt=DT, **NO_GUST)
+    def test_bit_identical(self, state, cmd, airframes, dt, ext_force,
+                           ext_moment):
+        for params in airframes:
+            assert (outcome(plant_step, state, cmd, params, dt,
+                            ext_force, ext_moment)
+                    == outcome(reference_plant_step, state, cmd, params, dt,
+                               ext_force, ext_moment))
+
+
+class TestMissionReplay:
+    """Every call a gusty mission makes to `plant_step`, replayed through
+    the oracle: the mission's own inputs, not drawn ones."""
+
+    @pytest.mark.parametrize("robot", [
+        DEFAULT_AIRFRAME,
+        # a servo slower than the autopilot's hip slews: the plant's own
+        # leg rate cap engages too
+        RobotParams(beta_rate_limit_dps=40.0),
+    ], ids=["default", "slow-servo"])
+    def test_gusty_mission_bit_identical(self, monkeypatch, robot):
+        calls = []
+
+        def recording(state, cmd, params, dt, ext_force, ext_moment):
+            new = plant_step(state, cmd, params, dt, ext_force, ext_moment)
+            calls.append(((state, cmd, params, dt, ext_force, ext_moment),
+                          new))
+            return new
+
+        monkeypatch.setattr(autopilot, "plant_step", recording)
+        config = MissionConfig(
+            seed=5, robot=robot,
+            disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+            disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
+        run_mission(config)
+        assert len(calls) > 600
+
+        # the mission covers the leg slewing at the autopilot's hip rate
+        # limit, gusts on every cycle and the glide with flapping stopped
+        commands = [args[1] for args, _ in calls]
+        hip_step = config.leg_gains.rate_limit_dps * DT
+        assert any(abs(abs(b.beta_cmd_deg - a.beta_cmd_deg) - hip_step)
+                   < 1e-9 for a, b in zip(commands, commands[1:]))
+        assert all(args[4] != (0.0, 0.0, 0.0) for args, _ in calls)
+        assert sum(c.flap_hz == 0.0 for c in commands) >= 5
+        servo_capped = [
+            abs(math.radians(c.beta_cmd_deg) - math.radians(s.beta_deg))
+            / robot.beta_lag_s > math.radians(robot.beta_rate_limit_dps)
+            for (s, c, *_), _ in calls]
+        assert any(servo_capped) == (robot != DEFAULT_AIRFRAME)
+
+        for args, new in calls:
+            got = tuple(map(float.hex, dataclasses.astuple(new)))
+            assert got == outcome(reference_plant_step, *args)
+            # the gust as numpy scalars, as a numpy gust model hands it in
+            state, cmd, params, dt, ext_force, ext_moment = args
+            assert got == outcome(plant_step, state, cmd, params, dt,
+                                  tuple(map(np.float64, ext_force)),
+                                  tuple(map(np.float64, ext_moment)))
 
 
 class TestStateInvariants:
