@@ -288,7 +288,8 @@ class Autopilot:
                       dt: float = DT) -> ControlCommand:
         cfg = self.config
         if phase is Phase.LAUNCH:
-            return ControlCommand(beta_cmd_deg=self.beta_cmd)
+            return ControlCommand.limited(cfg.robot, 0.0, 0.0, 0.0,
+                                          self.beta_cmd)
 
         delta_e, self.pitch_pid = pid_step(
             cfg.pitch_gains, cfg.pitch_setpoint_deg, state.pitch_deg,

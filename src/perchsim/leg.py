@@ -52,8 +52,6 @@ __all__ = [
     "DESIGN_BOUNDS",
 ]
 
-GRAVITY = 9.81
-
 # Kelvin-Voigt branch contact, calibrated against the published impact force
 # and bounce-time envelope (peak < 150 N up to 4 m/s, ~50 ms to bounce).
 CONTACT_STIFFNESS = 1800.0    # N/m
@@ -100,10 +98,10 @@ def simulate_impact_batch(
     total_mass: np.ndarray,
     speed: np.ndarray,
     misalignment_z: np.ndarray,
-    servo_stiffness: float = 2.0,
-    servo_damping: float = 0.02,
-    spring_anchor_fraction: float = 0.4,
-    joint_damping_ratio: float = 0.7,
+    servo_stiffness: float = LegParams.servo_joint_stiffness_nm_rad,
+    servo_damping: float = LegParams.servo_damping_nm_s,
+    spring_anchor_fraction: float = LegParams.spring_anchor_fraction,
+    joint_damping_ratio: float = LegParams.joint_damping_ratio,
     dt: float = 1e-4,
     t_max: float = 0.15,
     cap=None,
@@ -461,7 +459,7 @@ DESIGN_BOUNDS = ((0.12, 0.30), (600.0, 2000.0), (0.06, 0.20))
 # of the default LegParams (see demos/leg_design_pso.py).
 _BASELINE_SERVO_TORQUE = None
 _BASELINE_JOINT_L = None
-_BASELINE_MASS = 0.12
+_BASELINE_MASS = LegParams.leg_mass_kg
 _COST_MISALIGNMENT = 0.03
 _COST_DT = 2e-4
 

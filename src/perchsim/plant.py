@@ -16,6 +16,9 @@ arithmetic.  For the same reason the right-hand side is not a function:
 `plant_step` writes it out in place at each of the four RK4 stages, lift/drag
 polar included, and reads what depends on the airframe alone from
 `RobotParams.rhs_constants`, computed once per airframe.
+
+`plant_step` takes a command as `ControlCommand.limited`, its one clamp,
+built it, and a gust of Python floats; it neither limits nor converts them.
 """
 
 from __future__ import annotations
@@ -158,10 +161,6 @@ class ControlCommand:
                    float(f if f < flap_hz else flap_hz),
                    float(90.0 if 90.0 < beta_cmd_deg else beta_cmd_deg))
 
-    def clamped(self, params: RobotParams) -> "ControlCommand":
-        return self.limited(params, self.delta_e_deg, self.delta_r_deg,
-                            self.flap_hz, self.beta_cmd_deg)
-
 
 class AttitudeDivergence(ValueError):
     """The pitch left the open (-90, 90) deg range the model covers: the
@@ -230,6 +229,9 @@ def plant_step(
     """Advance the plant by ``dt`` (in (0, one 120 Hz control period]) with
     the command held; integrates internally with RK4 substeps at >= 960 Hz.
 
+    ``cmd`` comes saturated from `ControlCommand.limited`, and ``ext_force``
+    and ``ext_moment`` are Python floats; neither is limited or converted.
+
     The right-hand side is written out in place at each of the four RK4
     stages, in bodies alike but for the suffix of the stage values they read
     and the derivatives they leave: none at stage 1, the substep's start
@@ -254,19 +256,17 @@ def plant_step(
      cd_induced, cd_stall, cd_max, side_force, k_pitch, c_pitch, i_pitch,
      k_yaw, c_yaw, i_yaw, heave_damping, heave_stiffness, beta_lag, rate_cap,
      neg_rate_cap) = params.rhs_constants
-    clamped = cmd.clamped(params)
-    flap_hz, delta_e = clamped.flap_hz, clamped.delta_e_deg
+    flap_hz, delta_e = cmd.flap_hz, cmd.delta_e_deg
     thrust = thrust_model(flap_hz, params)
     # tail download acts immediately on pitch-up commands (non-minimum phase)
     download = params.elevator_download_n_per_deg * delta_e
     pitch_tail = params.elevator_nm_per_deg * delta_e
-    yaw_tail = params.rudder_nm_per_deg * clamped.delta_r_deg
+    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
     heave_gain = params.flap_oscillation_gain * flap_hz
-    beta_cmd = clamped.beta_cmd_deg * _RADIANS
+    beta_cmd = cmd.beta_cmd_deg * _RADIANS
     phase_rate = 2.0 * math.pi * flap_hz
-    # gusts arrive as numpy scalars; plain floats keep numpy out of the loop
-    efx, efy, efz = map(float, ext_force)
-    pitch_ext, yaw_ext = map(float, ext_moment)
+    efx, efy, efz = ext_force
+    pitch_ext, yaw_ext = ext_moment
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -75,8 +76,8 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
     download = params.elevator_download_n_per_deg * cmd.delta_e_deg
     pitch_tail = params.elevator_nm_per_deg * cmd.delta_e_deg
     yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
-    efx, efy, efz = map(float, ext_force)
-    pitch_ext, yaw_ext = map(float, ext_moment)
+    efx, efy, efz = ext_force
+    pitch_ext, yaw_ext = ext_moment
     omega = 2.0 * math.pi * params.heave_nat_freq_hz
     heave_damping = 2.0 * params.heave_damping_ratio * omega
     heave_stiffness = omega * omega
@@ -138,8 +139,9 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
 def reference_plant_step(state, cmd, params, dt=DT,
                          ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0)):
     """The list-based RK4 on `to_vector` lists, the oracle for
-    `plant_step`'s bits."""
-    rhs = reference_rhs(cmd.clamped(params), params, ext_force, ext_moment)
+    `plant_step`'s bits; like it, it takes a limited command and a float
+    gust."""
+    rhs = reference_rhs(cmd, params, ext_force, ext_moment)
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
@@ -336,8 +338,7 @@ class TestPlantStep:
 
 class TestCommandClamping:
     def test_limits(self, params):
-        cmd = ControlCommand(delta_e_deg=50.0, delta_r_deg=-50.0,
-                             flap_hz=9.0, beta_cmd_deg=120.0).clamped(params)
+        cmd = ControlCommand.limited(params, 50.0, -50.0, 9.0, 120.0)
         assert cmd.delta_e_deg == params.elevator_limit_deg
         assert cmd.delta_r_deg == -params.rudder_limit_deg
         assert cmd.flap_hz == params.max_flap_hz
@@ -351,8 +352,7 @@ class TestCommandClamping:
     @example(-math.inf)
     def test_matches_np_clip(self, x):
         params = RobotParams()
-        cmd = ControlCommand(delta_e_deg=x, delta_r_deg=x, flap_hz=x,
-                             beta_cmd_deg=x).clamped(params)
+        cmd = ControlCommand.limited(params, x, x, x, x)
         limits = {
             "delta_e_deg": (-params.elevator_limit_deg,
                             params.elevator_limit_deg),
@@ -369,6 +369,11 @@ class TestCommandClamping:
             else:
                 assert got == want
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        # limiting a limited command keeps every bit, so plant_step need
+        # not limit the autopilot's commands again
+        again = ControlCommand.limited(params, *dataclasses.astuple(cmd))
+        assert (struct.pack("4d", *dataclasses.astuple(again))
+                == struct.pack("4d", *dataclasses.astuple(cmd)))
 
 
 class TestParamsValidation:
@@ -395,12 +400,11 @@ class TestPinnedOutputs:
     def test_trim_with_numpy_gust(self, params):
         state, cmd = trim_setup(params)
         cmd = dataclasses.replace(cmd, beta_cmd_deg=45.0)
-        # numpy scalars in the gust give the same bits as floats
-        got = self.step(
-            state, cmd,
-            ext_force=(np.float64(0.012), np.float64(-0.021),
-                       np.float64(0.083)),
-            ext_moment=(np.float64(0.0015), np.float64(-0.0007)))
+        # a numpy gust model's scalars, converted at the call
+        force = (np.float64(0.012), np.float64(-0.021), np.float64(0.083))
+        moment = (np.float64(0.0015), np.float64(-0.0007))
+        got = self.step(state, cmd, ext_force=tuple(map(float, force)),
+                        ext_moment=tuple(map(float, moment)))
         assert got == (
             0.021520517715374426, -1.0373384106336323e-06, 2.0000040505013823,
             2.5825256701589323, -0.00024844867561257903,
@@ -416,8 +420,8 @@ class TestPinnedOutputs:
             pitch_deg=55.0, pitch_rate_dps=20.0, yaw_deg=8.0,
             yaw_rate_dps=-5.0, flap_phase_rad=1.0, heave_m=0.01,
             heave_rate_mps=-0.05, beta_deg=10.0)
-        cmd = ControlCommand(delta_e_deg=25.0, delta_r_deg=-3.0, flap_hz=4.0,
-                             beta_cmd_deg=90.0)
+        # the elevator is limited to 20 deg
+        cmd = ControlCommand.limited(RobotParams(), 25.0, -3.0, 4.0, 90.0)
         assert self.step(state, cmd) == (
             1.01664643108814, 0.10249600770532201, 1.4898048612891714,
             1.9951722334111792, 0.29904296580775724, -1.2468353862254165,
@@ -483,12 +487,8 @@ def outcome(step, *args, **kwargs):
 
 
 def gust(n):
-    """``n`` gust components, as plain floats or, as the mission's gust model
-    hands them in, numpy scalars."""
-    component = st.floats(-0.5, 0.5)
-    return st.one_of(
-        st.tuples(*[component] * n),
-        st.tuples(*[component.map(np.float64)] * n))
+    """``n`` gust components, as plain floats."""
+    return st.tuples(*[st.floats(-0.5, 0.5)] * n)
 
 
 ANGLE = st.floats(-120.0, 120.0)
@@ -510,7 +510,7 @@ STATES = st.builds(
         lambda vz: replace(s, vx_mps=0.0, vy_mps=0.0, vz_mps=vz)),
     st.just(replace(s, vx_mps=0.0, vy_mps=0.0, vz_mps=0.0)),
 ))
-# out-of-limit commands included: plant_step clamps them
+# out-of-limit commands included: the test limits them, as the autopilot does
 COMMANDS = st.builds(
     ControlCommand,
     delta_e_deg=st.floats(-40.0, 40.0), delta_r_deg=st.floats(-40.0, 40.0),
@@ -549,11 +549,10 @@ class TestMatchesReference:
     @example(  # alpha -120 deg: climbing straight up, pitched down
         state=RobotState(vz_mps=3.0, pitch_deg=-30.0),
         cmd=ControlCommand(), airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
-    @example(  # standing start, numpy gust
+    @example(  # standing start, gusty
         state=RobotState(), cmd=ControlCommand(flap_hz=5.0),
         airframes=[DEFAULT_AIRFRAME], dt=DT,
-        ext_force=(np.float64(0.1), np.float64(-0.2), np.float64(0.3)),
-        ext_moment=(np.float64(0.01), np.float64(-0.02)))
+        ext_force=(0.1, -0.2, 0.3), ext_moment=(0.01, -0.02))
     @example(  # both rate caps, out-of-limit commands
         state=RobotState(vx_mps=3.0, beta_deg=-30.0),
         cmd=ControlCommand(delta_e_deg=35.0, delta_r_deg=-35.0,
@@ -573,10 +572,11 @@ class TestMatchesReference:
     def test_bit_identical(self, state, cmd, airframes, dt, ext_force,
                            ext_moment):
         for params in airframes:
-            assert (outcome(plant_step, state, cmd, params, dt,
+            limited = ControlCommand.limited(params, *dataclasses.astuple(cmd))
+            assert (outcome(plant_step, state, limited, params, dt,
                             ext_force, ext_moment)
-                    == outcome(reference_plant_step, state, cmd, params, dt,
-                               ext_force, ext_moment))
+                    == outcome(reference_plant_step, state, limited, params,
+                               dt, ext_force, ext_moment))
 
 
 class TestMissionReplay:
@@ -623,11 +623,16 @@ class TestMissionReplay:
         for args, new in calls:
             got = tuple(map(float.hex, dataclasses.astuple(new)))
             assert got == outcome(reference_plant_step, *args)
-            # the gust as numpy scalars, as a numpy gust model hands it in
+            # a float gust gives a state of floats
             state, cmd, params, dt, ext_force, ext_moment = args
+            assert all(type(v) is float for v in ext_force + ext_moment)
+            assert all(type(v) is float for v in dataclasses.astuple(new))
+            # a numpy gust model's scalars, converted at the call
+            numpy_force = tuple(map(np.float64, ext_force))
+            numpy_moment = tuple(map(np.float64, ext_moment))
             assert got == outcome(plant_step, state, cmd, params, dt,
-                                  tuple(map(np.float64, ext_force)),
-                                  tuple(map(np.float64, ext_moment)))
+                                  tuple(map(float, numpy_force)),
+                                  tuple(map(float, numpy_moment)))
 
 
 class TestStateInvariants:

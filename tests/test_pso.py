@@ -129,15 +129,3 @@ class TestErrors:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             PsoConfig(bounds=[(2.0, 1.0)])
-
-    def test_too_few_particles(self):
-        with pytest.raises(ValueError):
-            PsoConfig(bounds=BOUNDS3, particles=1)
-
-    def test_inertia_range(self):
-        with pytest.raises(ValueError):
-            PsoConfig(bounds=BOUNDS3, inertia=1.5)
-
-    def test_negative_iterations(self):
-        with pytest.raises(ValueError):
-            PsoConfig(bounds=BOUNDS3, iterations=-3)

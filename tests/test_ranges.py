@@ -1,8 +1,10 @@
 """The valid range of every numeric input, declared once beside its field.
 
 ``RANGES`` pins each declaration, so a range that is loosened, narrowed or
-dropped fails here.  Each interval is then checked at its edges and on any
-float, against this file's own reading of the interval's text.
+dropped fails here.  Each interval is then checked at its edges, at NaN and
+both infinities, and on any float, against this file's own reading of the
+interval's text.  This file is the one home of single-field range cases;
+a per-class test checks only what compares fields.
 """
 
 import dataclasses
@@ -119,7 +121,7 @@ def test_declarations_match_table():
 
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_interval_edges(key):
-    values = [math.nan]
+    values = [math.nan, -math.inf, math.inf]
     for text in RANGES[key][1:-1].split(", "):
         end = exact(text)
         values += [math.nextafter(end, -math.inf), float(end),

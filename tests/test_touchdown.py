@@ -126,12 +126,6 @@ class TestEvaluateTouchdown:
                                              r"lie in \[-180, 180\] deg, got"):
             evaluate_touchdown(st, hold, geom)
 
-    def test_invalid_state(self):
-        with pytest.raises(ValueError):
-            TouchdownState(speed_mps=-1.0)
-        with pytest.raises(ValueError):
-            TouchdownState(theta_leg_deg=120.0)
-
     @pytest.mark.parametrize("field, value", [
         (field, value)
         for field in ("speed_mps", "com_offset_m", "inertia_kgm2", "mass_kg")
