@@ -193,8 +193,9 @@ class MissionConfig:
 
 
 class TrajectoryRow(NamedTuple):
-    """One control cycle's record; the fields are the trajectory CSV's
-    columns, in order."""
+    """The columns of a mission's trajectory, in order: one control cycle's
+    record, and the trajectory CSV's header.  `MissionResult.trajectory`
+    holds the rows as one float64 array."""
 
     t_s: float
     x_m: float
@@ -211,7 +212,11 @@ class TrajectoryRow(NamedTuple):
 
 @dataclass
 class MissionResult:
-    trajectory: List[TrajectoryRow]
+    """One mission.  ``trajectory`` is a C-contiguous float64 array of shape
+    ``(cycles, 11)``, one row per control cycle flown and one column per
+    `TrajectoryRow` field in its order, 88 B a row."""
+
+    trajectory: np.ndarray
     impact: Optional[ImpactRecord]
     outcome: PerchOutcome
     crossing: Optional[RobotState]
@@ -391,7 +396,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         pitch_deg=0.0,
         beta_deg=45.0,
     )
-    trajectory: List[TrajectoryRow] = []
+    rows: List[Tuple[float, ...]] = []
     crossing: Optional[RobotState] = None
     impact: Optional[ImpactRecord] = None
     outcome = PerchOutcome.MISSED
@@ -426,7 +431,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
             outcome = PerchOutcome.MISSED
             break
         t += DT
-        trajectory.append(TrajectoryRow(
+        rows.append((
             t, state.x_m, state.y_m, state.altitude_m, state.vx_mps,
             state.pitch_deg, state.yaw_deg, cmd.flap_hz, cmd.delta_e_deg,
             cmd.delta_r_deg, state.beta_deg))
@@ -437,6 +442,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
     if crossing is not None:
         diagnostics["altitude_error_m"] = abs(
             crossing.altitude_m - config.altitude_setpoint_m)
+    # the reshape also gives a mission that flew no cycle its 11 columns
+    trajectory = np.array(rows, dtype=float).reshape(
+        -1, len(TrajectoryRow._fields))
     return MissionResult(trajectory=trajectory, impact=impact,
                          outcome=outcome, crossing=crossing,
                          diagnostics=diagnostics)

@@ -193,12 +193,15 @@ def _mission_config(cfg: RunConfig) -> MissionConfig:
 def _write_trajectory(path: Path, result: MissionResult) -> None:
     """One CSV row per control cycle, one column per TrajectoryRow field.
 
-    Every field is a float, so each row is its ``repr``s joined by commas:
-    the bytes `_write_csv` writes, without its per-value calls."""
+    The trajectory is a float64 array of shape ``(cycles, 11)``, 88 B a
+    row, its columns in `TrajectoryRow` order.  ``tolist`` gives its values
+    as Python floats, so each row is their ``repr``s joined by commas, never
+    a numpy scalar's: the bytes `_write_csv` writes, without its per-value
+    calls."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(TrajectoryRow._fields) + "\n")
         handle.writelines([",".join(map(repr, row)) + "\n"
-                           for row in result.trajectory])
+                           for row in result.trajectory.tolist()])
 
 
 def _divergence_lines(result: MissionResult) -> List[str]:

@@ -164,7 +164,8 @@ class ControlCommand:
 
 class AttitudeDivergence(ValueError):
     """The pitch left the open (-90, 90) deg range the model covers: the
-    airframe tumbled, or its pitch went non-finite."""
+    airframe tumbled, or its pitch went non-finite.  `plant_step` raises it
+    too when the altitude goes NaN, as a NaN flap makes it."""
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,9 @@ class RobotState:
 
 
 def thrust_model(flap_hz: float, params: RobotParams) -> float:
-    """Thrust (N) for a flap frequency clamped to 0..max_flap_hz."""
-    f = min(params.max_flap_hz, max(0.0, flap_hz))
-    return params.thrust_n_per_hz2 * f * f
+    """Thrust (N) at a flap frequency that `ControlCommand.limited` has
+    already clamped to 0..max_flap_hz; a NaN flap gives NaN thrust."""
+    return params.thrust_n_per_hz2 * flap_hz * flap_hz
 
 
 def plant_step(
@@ -231,6 +232,8 @@ def plant_step(
 
     ``cmd`` comes saturated from `ControlCommand.limited`, and ``ext_force``
     and ``ext_moment`` are Python floats; neither is limited or converted.
+    A NaN flap, which `limited` keeps, makes the altitude NaN, and the step
+    raises `AttitudeDivergence`.
 
     The right-hand side is written out in place at each of the four RK4
     stages, in bodies alike but for the suffix of the stage values they read
@@ -461,7 +464,9 @@ def plant_step(
         hv += sixth_h * (((hvd + 2.0 * hvd2) + 2.0 * hvd3) + hvd4)
         hvd += sixth_h * (((ha + 2.0 * ha2) + 2.0 * ha3) + ha4)
         beta += sixth_h * (((br + 2.0 * br2) + 2.0 * br3) + br4)
-    if z + hv <= 0.0:
+    if not z + hv > 0.0:
+        if z + hv != z + hv:
+            raise AttitudeDivergence("altitude went NaN")
         # on the ground: the mean motion and the heave rate stop
         z, vx, vy, vz, hvd = -hv, 0.0, 0.0, 0.0, 0.0
     return RobotState(x, y, z, vx, vy, vz, th * to_deg, q * to_deg,

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,7 +25,7 @@ from perchsim.harness import (
     launch_profile,
     run_scenario,
 )
-from perchsim.autopilot import MissionConfig, run_stage
+from perchsim.autopilot import MissionConfig, TrajectoryRow, run_stage
 from perchsim.cli import main
 
 
@@ -281,6 +282,32 @@ class TestScenarios:
         assert code == EXIT_SUCCESS
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.iterdir()} == digests
+        # every value is written as a Python float, never a numpy scalar
+        for path in tmp_path.iterdir():
+            assert b"np.float64(" not in path.read_bytes()
+
+    def test_trajectory_csv_reads_back_bit_for_bit(self, tmp_path):
+        cfg = RunConfig(Scenario.FLIGHT_ONLY, out_dir=str(tmp_path),
+                        overrides={"mission.disturbance_sigma_force_n": 0.2})
+        trajectory = run_stage(2, _mission_config(cfg)).missions[0].trajectory
+        run_scenario(cfg)
+        header, *rows = read_csv(tmp_path / "trajectory.csv")
+        assert tuple(header) == TrajectoryRow._fields
+        # bytes tell -0.0 from 0.0
+        assert (np.array(rows, dtype=float).tobytes()
+                == trajectory.tobytes())
+
+    def test_no_cycle_flown_writes_the_header_alone(self, tmp_path):
+        # a branch at the launch point: the first cycle is the crossing
+        cfg = RunConfig(Scenario.SOFT_BRANCH, out_dir=str(tmp_path),
+                        overrides={"branch.x_m": 0.0})
+        trajectory = run_stage(3, _mission_config(cfg)).missions[0].trajectory
+        assert trajectory.shape == (0, 11)
+        assert trajectory.dtype == np.float64
+        assert run_scenario(cfg) == EXIT_CRITERIA_FAILED
+        assert (tmp_path / "trajectory.csv").read_bytes() == (
+            b"t_s,x_m,y_m,z_m,vx_mps,theta_deg,psi_deg,flap_hz,delta_e_deg,"
+            b"delta_r_deg,beta_deg\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -531,16 +531,6 @@ NON_NEGATIVE_LEG_FIELDS = ("spring_anchor_fraction", "servo_damping_nm_s")
 
 
 class TestParamsValidation:
-    def test_servo_limit_range(self):
-        with pytest.raises(ValueError):
-            LegParams(servo_limit_torque_nm=1.0)
-        with pytest.raises(ValueError):
-            LegParams(servo_limit_torque_nm=2.5)
-
-    def test_positive_geometry(self):
-        with pytest.raises(ValueError):
-            LegParams(link_length_m=-0.1)
-
     @pytest.mark.parametrize("field, value", [
         (field, value)
         for field in (POSITIVE_LEG_FIELDS + NON_NEGATIVE_LEG_FIELDS

@@ -154,6 +154,8 @@ def reference_plant_step(state, cmd, params, dt=DT,
         v = [a + sixth_h * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
              for a, b1, b2, b3, b4 in zip(v, k1, k2, k3, k4)]
     new = from_vector(v)
+    if math.isnan(new.altitude_m):
+        raise AttitudeDivergence("altitude went NaN")
     if new.altitude_m <= 0.0:
         new = replace(new, z_m=-new.heave_m, vx_mps=0.0, vy_mps=0.0,
                       vz_mps=0.0, heave_rate_mps=0.0)
@@ -199,11 +201,6 @@ class TestThrustModel:
         t_max = thrust_model(params.max_flap_hz, params)
         t_trim = thrust_model(flap, params)
         assert t_max > t_trim
-
-    def test_out_of_range_clamps_with_flag(self, params):
-        assert (thrust_model(7.0, params)
-                == thrust_model(params.max_flap_hz, params))
-        assert thrust_model(-1.0, params) == 0.0
 
 
 class TestTrim:
@@ -343,6 +340,26 @@ class TestCommandClamping:
         assert cmd.delta_r_deg == -params.rudder_limit_deg
         assert cmd.flap_hz == params.max_flap_hz
         assert cmd.beta_cmd_deg == 90.0
+
+    def test_out_of_range_flap_thrust(self, params):
+        # the command's clamp is the flap's only one: thrust_model and
+        # plant_step take the flap as limited gave it
+        high = ControlCommand.limited(params, 0.0, 0.0, 7.0, 0.0)
+        low = ControlCommand.limited(params, 0.0, 0.0, -1.0, 0.0)
+        assert (thrust_model(high.flap_hz, params)
+                == thrust_model(params.max_flap_hz, params))
+        assert thrust_model(low.flap_hz, params) == 0.0
+
+    def test_nan_flap_diverges(self, params):
+        # limited keeps a NaN flap; its thrust and heave are NaN, so the
+        # altitude goes NaN and the step raises, as on a tumble
+        state, cmd = trim_setup(params)
+        nan_flap = ControlCommand.limited(params, cmd.delta_e_deg, 0.0,
+                                          math.nan, 0.0)
+        assert math.isnan(nan_flap.flap_hz)
+        assert math.isnan(thrust_model(nan_flap.flap_hz, params))
+        with pytest.raises(AttitudeDivergence):
+            plant_step(state, nan_flap, params, DT)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @example(0.0)
@@ -565,6 +582,10 @@ class TestMatchesReference:
     @example(  # tumbles past 90 deg pitch: both raise
         state=RobotState(vx_mps=3.0, pitch_deg=89.0, pitch_rate_dps=600.0),
         cmd=ControlCommand(), airframes=[DEFAULT_AIRFRAME], dt=DT, **NO_GUST)
+    @example(  # a NaN flap: both raise
+        state=RobotState(vx_mps=3.0, pitch_deg=20.0),
+        cmd=ControlCommand(flap_hz=math.nan), airframes=[DEFAULT_AIRFRAME],
+        dt=DT, **NO_GUST)
     @example(  # the default airframe, then stage 2's lighter one
         state=RobotState(vx_mps=3.0, pitch_deg=20.0, beta_deg=30.0),
         cmd=ControlCommand(delta_e_deg=3.0, flap_hz=4.0, beta_cmd_deg=60.0),
