@@ -18,7 +18,7 @@ import numpy as np
 def main():
     cfg = PsoConfig(bounds=DESIGN_BOUNDS, particles=40, iterations=60,
                     seed=2024)
-    result = pso_minimize(leg_cost_batch, cfg, vectorized=True)
+    result = pso_minimize(leg_cost_batch, cfg)
     link, rate, mass = result.best_x
 
     print("== Swarm optimum ==")

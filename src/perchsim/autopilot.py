@@ -190,6 +190,18 @@ class MissionConfig:
         if self.branch.diameter_m < self.claw_geom.min_spike_diameter_m:
             raise ValueError("branch diameter below the claw's spike-contact "
                              f"minimum {self.claw_geom.min_spike_diameter_m} m")
+        # too wide a branch closes the claw short of its snap angle, or past
+        # its travel, and a touchdown could not be classified
+        try:
+            hold = clawmod.holding_torque(self.claw_geom, self.spring,
+                                          self.branch)
+        except ValueError as exc:
+            raise ValueError(f"branch diameter {self.branch.diameter_m} m: "
+                             f"{exc}") from exc
+        if not hold >= 0.0:
+            raise ValueError(f"branch diameter {self.branch.diameter_m} m "
+                             f"gives the claw a holding torque of {hold} N*m; "
+                             "it must be non-negative")
 
 
 class TrajectoryRow(NamedTuple):
@@ -255,7 +267,7 @@ class Autopilot:
             self.phase = reached
         return self.phase
 
-    def _update_leg(self, state: RobotState, dt: float) -> None:
+    def _update_leg(self, state: RobotState) -> None:
         """Steer the hip so the claw meets the branch height.
 
         The leg-mounted sensor reports the branch bearing as a pixel offset
@@ -284,13 +296,13 @@ class Autopilot:
             / cfg.leg.link_length_m
         cos_target = min(1.0, max(-1.0, cos_target))
         beta_target = math.degrees(math.acos(cos_target))
-        max_step = cfg.leg_gains.rate_limit_dps * dt
+        max_step = cfg.leg_gains.rate_limit_dps * DT
         step = beta_target - self.beta_cmd
         step = min(max_step, max(-max_step, step))
         self.beta_cmd = min(90.0, max(0.0, self.beta_cmd + step))
 
-    def control_cycle(self, state: RobotState, phase: Phase,
-                      dt: float = DT) -> ControlCommand:
+    def control_cycle(self, state: RobotState,
+                      phase: Phase) -> ControlCommand:
         cfg = self.config
         if phase is Phase.LAUNCH:
             return ControlCommand.limited(cfg.robot, 0.0, 0.0, 0.0,
@@ -298,21 +310,21 @@ class Autopilot:
 
         delta_e, self.pitch_pid = pid_step(
             cfg.pitch_gains, cfg.pitch_setpoint_deg, state.pitch_deg,
-            dt, self.pitch_pid)
+            DT, self.pitch_pid)
 
         yaw_sp = -LATERAL_GAIN_DEG_PER_M * (state.y_m - LATERAL_AIM_M)
         yaw_sp = min(YAW_SETPOINT_LIMIT_DEG, max(-YAW_SETPOINT_LIMIT_DEG,
                                                  yaw_sp))
         delta_r, self.yaw_pid = pid_step(
-            cfg.yaw_gains, yaw_sp, state.yaw_deg, dt, self.yaw_pid)
+            cfg.yaw_gains, yaw_sp, state.yaw_deg, DT, self.yaw_pid)
 
         flap_corr, self.alt_pid = pid_step(
             cfg.altitude_gains, cfg.altitude_setpoint_m, state.altitude_m,
-            dt, self.alt_pid)
+            DT, self.alt_pid)
         flap = 0.0 if phase in _UNPOWERED else self.trim_flap + flap_corr
 
         if phase in _LEG_STEERED:
-            self._update_leg(state, dt)
+            self._update_leg(state)
 
         return ControlCommand.limited(cfg.robot, delta_e, delta_r, flap,
                                       self.beta_cmd)
@@ -413,7 +425,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
             impact = legmod.simulate_impact(
                 config.leg,
                 total_mass_kg=config.robot.mass_kg,
-                speed_mps=min(6.0, max(0.0, state.vx_mps)),
+                speed_mps=min(legmod.MAX_IMPACT_SPEED_MPS,
+                              max(0.0, state.vx_mps)),
                 misalignment_z_m=claw_mis,
             )
             if config.soft_branch:

@@ -208,13 +208,13 @@ def claw_torque(geom: ClawGeometry, spec: SpringSpec, psi_deg: float) -> float:
     return torque_n_mm / 1000.0
 
 
-def snap_angle(geom: ClawGeometry, spec: SpringSpec, tol_deg: float = 1e-6) -> float:
+def snap_angle(geom: ClawGeometry, spec: SpringSpec) -> float:
     """Unique zero of the claw torque between the open and closed angles.
 
-    Found by a 0.1 deg sign scan followed by bisection.  Returns the open
-    angle itself for the degenerate geometry whose spring line passes through
-    the pivot at rest.  Raises GeometryNotBistableError when no sign change
-    exists.
+    Found by a 0.1 deg sign scan followed by bisection to 1e-6 deg.
+    Returns the open angle itself for the degenerate geometry whose spring
+    line passes through the pivot at rest.  Raises GeometryNotBistableError
+    when no sign change exists.
     """
     lo, hi = sorted((geom.psi_open, geom.psi_closed))
     n = max(8, int(math.ceil((hi - lo) / 0.1)))
@@ -231,7 +231,7 @@ def snap_angle(geom: ClawGeometry, spec: SpringSpec, tol_deg: float = 1e-6) -> f
         raise GeometryNotBistableError("claw torque does not change sign")
     a, b = bracket
     fa = claw_torque(geom, spec, a)
-    while b - a > tol_deg:
+    while b - a > 1e-6:
         m = 0.5 * (a + b)
         fm = claw_torque(geom, spec, m)
         if fa * fm <= 0.0:
@@ -281,24 +281,19 @@ def closing_dynamics(
     geom: ClawGeometry,
     spec: SpringSpec,
     damping: float = 30.0,
-    dt: float = 1e-5,
-    start_psi_deg: Optional[float] = None,
-    record_every: int = 5,
 ) -> Tuple[List[ClawState], float]:
     """Integrate the snap-through closing motion; returns (states, close_time_ms).
 
-    Rigid-body rotation psi'' = tau(psi)/I - c*psi' (RK4, fixed step).  The
-    branch trigger carries the claw just past the snap angle, so integration
-    starts there at rest.  Close time is the first time psi reaches the
-    nominal closed angle.
+    Rigid-body rotation psi'' = tau(psi)/I - c*psi' (RK4, 10 us step).  The
+    branch trigger carries the claw 0.5 deg past the snap angle, so
+    integration starts there at rest.  Close time is the first time psi
+    reaches the nominal closed angle.  States are recorded at the start,
+    every fifth step and on locking.
     """
-    if dt > 1e-4:
-        raise ValueError("closing dynamics requires dt <= 0.1 ms")
-    if start_psi_deg is None:
-        start_psi_deg = snap_angle(geom, spec) + 0.5
+    dt = 1e-5
     inertia = geom.claw_inertia
     psi_closed = math.radians(geom.psi_closed)
-    psi = math.radians(start_psi_deg)
+    psi = math.radians(snap_angle(geom, spec) + 0.5)
     rate = 0.0
     t = 0.0
 
@@ -335,7 +330,7 @@ def closing_dynamics(
             psi = min(psi, psi_closed + 1e-12)
             record(ClawMode.LOCKED)
             break
-        if step % record_every == 0:
+        if step % 5 == 0:
             record(ClawMode.CLOSING)
     return states, t * 1000.0
 
@@ -346,7 +341,6 @@ def reopen_profile(
     speed_mm_s: float = 2.0,
     geom: Optional[ClawGeometry] = None,
     spec: Optional[SpringSpec] = None,
-    drive_efficiency: float = 0.00993,
 ) -> Tuple[float, float, float]:
     """Tendon re-opening: returns (duration_s, avg_power_w, peak_tendon_force_n).
 
@@ -378,7 +372,8 @@ def reopen_profile(
     work_mech = spring_potential(geom, spec, snap) - spring_potential(
         geom, spec, geom.psi_closed
     )
-    work_total = max(0.0, work_mech) / drive_efficiency
+    # the drive passes 0.993% of its electrical work to the spring
+    work_total = max(0.0, work_mech) / 0.00993
     avg_power_w = work_total / duration_s
     return (duration_s, avg_power_w, peak)
 
@@ -387,12 +382,12 @@ def diameter_sweep(
     geom: ClawGeometry,
     spec: SpringSpec,
     diameters_m,
-    surface: BranchSurface = BranchSurface.SPIKES_PLUS_PADS,
 ) -> List[Tuple[float, float, float]]:
-    """(diameter_m, contact_force_N, holding_torque_Nm) rows for a sweep."""
+    """(diameter_m, contact_force_N, holding_torque_Nm) rows for a sweep
+    over branches with the default surface; each diameter as given."""
     rows = []
     for d in diameters_m:
-        branch = BranchSpec(diameter_m=d, surface=surface)
+        branch = BranchSpec(diameter_m=d)
         rows.append(
             (d, contact_force(geom, spec, branch), holding_torque(geom, spec, branch))
         )

@@ -328,7 +328,7 @@ def _scenario_envelope(cfg: RunConfig, out: Path) -> bool:
 def _scenario_optimize(cfg: RunConfig, out: Path) -> bool:
     pso_cfg = PsoConfig(bounds=legmod.DESIGN_BOUNDS, particles=20,
                         iterations=25, seed=cfg.seed)
-    result = pso_minimize(legmod.leg_cost_batch, pso_cfg, vectorized=True)
+    result = pso_minimize(legmod.leg_cost_batch, pso_cfg)
     _write_csv(out / "pso_log.csv", ("iteration", "best_cost"),
                list(enumerate(result.history)))
     monotone = all(b <= a for a, b in zip(result.history,

@@ -38,6 +38,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .config import check_ranges, ranged
+from .plant import RobotParams
 
 __all__ = [
     "LegParams",
@@ -50,6 +51,7 @@ __all__ = [
     "DEFAULT_COST_WEIGHTS",
     "DESIGN_SPEED_SUITE",
     "DESIGN_BOUNDS",
+    "MAX_IMPACT_SPEED_MPS",
 ]
 
 # Kelvin-Voigt branch contact, calibrated against the published impact force
@@ -59,6 +61,7 @@ CONTACT_DAMPING_RATIO = 0.4
 CAPTURE_HALF_WIDTH = 0.05     # m, claw capture window around the boresight
 
 DESIGN_SPEED_SUITE = (2.0, 3.0, 4.0)   # m/s, design-range impact speeds
+MAX_IMPACT_SPEED_MPS = 6.0   # a mission's crossing speed is capped here
 
 
 class IntegrationError(RuntimeError):
@@ -117,11 +120,11 @@ def simulate_impact_batch(
     ``|misalignment_z|``, and ``_impact_lane`` runs once per distinct lane
     (its 11 per-lane floats), whose row every lane equal to it gets.
 
-    ``cap`` serves ``leg_cost_batch``: ``(weights, servo_peak, joint_peak,
-    mass_term, limit)``, the last four broadcasting with the lanes.  A lane
-    then starts its servo and joint peaks at the given ones and may stop
-    once ``_cost`` of its peaks reaches its limit, so those two outputs are
-    running maxima that may fall short of the full horizon's.
+    ``cap`` serves ``leg_cost_batch``: ``(servo_peak, joint_peak, mass_term,
+    limit)``, each broadcasting with the lanes.  A lane then starts its
+    servo and joint peaks at the given ones and may stop once ``_cost`` of
+    its peaks reaches its limit, so those two outputs are running maxima
+    that may fall short of the full horizon's.
     """
     if dt > 2e-4:
         raise ValueError("impact integration requires dt <= 0.2 ms")
@@ -149,11 +152,9 @@ def simulate_impact_batch(
         lanes = (l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, m * (l / 2.0),
                  m11, m11 * i_hip)
     columns = [a.ravel().tolist() for a in lanes]
-    weights = None
     if cap is not None:
-        weights, *per_lane = cap
         columns += [np.broadcast_to(np.asarray(c, dtype=float), shape)
-                    .ravel().tolist() for c in per_lane]
+                    .ravel().tolist() for c in cap]
     lanes = list(zip(*columns))
     # keyed in first-seen order, so the first lane to diverge still raises;
     # lanes equal as floats (0.0 == -0.0) share their outputs' bits, and a
@@ -161,15 +162,14 @@ def simulate_impact_batch(
     rows = dict.fromkeys(lanes)
     for lane in rows:
         rows[lane] = _impact_lane(*lane[:11], servo_stiffness, servo_damping,
-                                  dt, t_max, lane[11:], weights)
+                                  dt, t_max, lane[11:])
     return tuple(np.array([rows[lane][i] for lane in lanes], dtype)
                  .reshape(shape)
                  for i, dtype in enumerate((float,) * 4 + (bool,)))
 
 
 def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
-                 m11_m22, servo_stiffness, servo_damping, dt, t_max, cap,
-                 weights):
+                 m11_m22, servo_stiffness, servo_damping, dt, t_max, cap):
     """One lane of the impact RK4 on Python floats, ``zb`` >= 0 (or NaN).
 
     Every product and sum is that of the numpy RK4 the tests hold as the
@@ -186,8 +186,8 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     early; the steps it skips would not have changed an output.  A lane
     given ``cap = (servo_peak, joint_peak, mass_term, limit)`` (an uncapped
     one gets ``()``) starts from those peaks and, every 16 steps, also stops
-    once ``_cost`` of its peaks and ``weights`` reaches ``limit``: every
-    later step could only raise them, and the cost with them.
+    once ``_cost`` of its peaks reaches ``limit``: every later step could
+    only raise them, and the cost with them.
     """
     k_c = CONTACT_STIFFNESS
     neg_ml_half = -ml_half
@@ -324,7 +324,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
             # first check
             if not i & 15 and (
                     limit is not None
-                    and _cost(servo_peak, l_peak, mass_term, weights) >= limit
+                    and _cost(servo_peak, l_peak, mass_term) >= limit
                     or (bounced or not capture) and bounded and f == 0.0
                     and _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak,
                                        (n_steps - 1 - i) * dt, l, zb, k_rot,
@@ -385,14 +385,15 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
 
 def simulate_impact(
     leg: LegParams,
-    total_mass_kg: float = 0.700,
+    total_mass_kg: float = RobotParams.mass_kg,
     speed_mps: float = 2.5,
     misalignment_z_m: float = 0.0,
     dt: float = 1e-4,
 ) -> ImpactRecord:
     """Single impact run; the claw tip starts touching the branch at ``speed``."""
-    if not 0.0 <= speed_mps <= 6.0:
-        raise ValueError("impact speed must be within 0-6 m/s")
+    if not 0.0 <= speed_mps <= MAX_IMPACT_SPEED_MPS:
+        raise ValueError(
+            f"impact speed must be within 0-{MAX_IMPACT_SPEED_MPS:g} m/s")
     peak, t_b, servo, jl, locked = simulate_impact_batch(
         leg.link_length_m,
         leg.leg_mass_kg,
@@ -419,23 +420,21 @@ def impact_sweep(
     leg: LegParams,
     speeds: Sequence[float],
     misalignments: Sequence[float],
-    total_mass_kg: float = 0.700,
-    dt: float = 1e-4,
 ) -> List[Tuple[float, float, float, float]]:
-    """(speed_mps, misalignment_m, peak_force_N, time_to_bounce_ms) rows."""
+    """(speed_mps, misalignment_m, peak_force_N, time_to_bounce_ms) rows for
+    the airframe's mass."""
     sp, mz = np.meshgrid(np.asarray(speeds), np.asarray(misalignments), indexing="ij")
     peak, t_b, _, _, _ = simulate_impact_batch(
         leg.link_length_m,
         leg.leg_mass_kg,
         leg.leg_spring_rate_n_m,
-        total_mass_kg,
+        RobotParams.mass_kg,
         sp,
         mz,
         servo_stiffness=leg.servo_joint_stiffness_nm_rad,
         servo_damping=leg.servo_damping_nm_s,
         spring_anchor_fraction=leg.spring_anchor_fraction,
         joint_damping_ratio=leg.joint_damping_ratio,
-        dt=dt,
     )
     rows = []
     for i in range(sp.shape[0]):
@@ -447,7 +446,9 @@ def impact_sweep(
     return rows
 
 
-# Cost weights after per-term normalization at the baseline leg.
+# Cost weights after per-term normalization at the baseline leg.  The servo
+# and joint weights are non-negative, so the cost cannot fall as a peak
+# grows, which the cost cap relies on.
 DEFAULT_COST_WEIGHTS = (1.0, 1.0, 5.0)
 
 # Design box for the three-parameter leg problem:
@@ -455,8 +456,9 @@ DEFAULT_COST_WEIGHTS = (1.0, 1.0, 5.0)
 DESIGN_BOUNDS = ((0.12, 0.30), (600.0, 2000.0), (0.06, 0.20))
 
 # Baseline normalization constants: peak servo torque, peak joint angular
-# momentum over the 2-4 m/s design suite at 3 cm misalignment, and leg mass
-# of the default LegParams (see demos/leg_design_pso.py).
+# momentum over the 2-4 m/s design suite at 3 cm misalignment on the
+# airframe's mass, and leg mass of the default LegParams (see
+# demos/leg_design_pso.py).
 _BASELINE_SERVO_TORQUE = None
 _BASELINE_JOINT_L = None
 _BASELINE_MASS = LegParams.leg_mass_kg
@@ -472,77 +474,62 @@ def _baselines() -> Tuple[float, float]:
             np.array([leg.link_length_m]),
             np.array([leg.leg_mass_kg]),
             np.array([leg.leg_spring_rate_n_m]),
-            DESIGN_SPEED_SUITE,
-            (0.700,) * len(DESIGN_SPEED_SUITE),
         )
         _BASELINE_SERVO_TORQUE = float(servo[0])
         _BASELINE_JOINT_L = float(jl[0])
     return _BASELINE_SERVO_TORQUE, _BASELINE_JOINT_L
 
 
-def _suite_peaks(l, m, k, speeds, masses, cap=None):
-    """Worst-case servo torque and joint momentum over an impact suite.
+def _suite_peaks(l, m, k, cap=None):
+    """Worst-case servo torque and joint momentum of designs ``(l, m, k)``
+    over ``DESIGN_SPEED_SUITE`` on the airframe's mass.
 
     The suite runs fastest speed first, since that lane sets the peaks, and
-    each call carries the maxima so far.  With ``cap = (weights, mass_term,
-    limit)`` a design's lanes may stop once ``_cost`` of its running maxima
-    reaches its limit; its peaks then fall short, but its cost does not fall
-    below the limit.
+    each call carries the maxima so far: one leg batch per speed.  With
+    ``cap = (mass_term, limit)`` a design's lanes may stop once ``_cost`` of
+    its running maxima reaches its limit; its peaks then fall short, but
+    its cost does not fall below the limit.
     """
     n = l.shape[0]
     servo_max = np.zeros(n)
     l_max = np.zeros(n)
-    for speed, mass in sorted(zip(speeds, masses), reverse=True):
-        lane_cap = None
-        if cap is not None:
-            weights, mass_term, limit = cap
-            lane_cap = (weights, servo_max, l_max, mass_term, limit)
+    for speed in sorted(DESIGN_SPEED_SUITE, reverse=True):
+        lane_cap = None if cap is None else (servo_max, l_max, *cap)
         _, _, servo, jl, _ = simulate_impact_batch(
-            l, m, k, mass, speed, _COST_MISALIGNMENT, dt=_COST_DT,
-            cap=lane_cap
+            l, m, k, RobotParams.mass_kg, speed, _COST_MISALIGNMENT,
+            dt=_COST_DT, cap=lane_cap
         )
         servo_max = np.maximum(servo_max, servo)
         l_max = np.maximum(l_max, jl)
     return servo_max, l_max
 
 
-def _cost(servo, jl, mass_term, weights):
+def _cost(servo, jl, mass_term):
     """The design cost of suite peaks ``servo`` and ``jl`` and the mass term
-    ``w3 * m / _BASELINE_MASS``, on floats or arrays alike.  With
-    non-negative ``w1`` and ``w2`` it cannot fall as a peak grows, since
-    IEEE rounding is monotone."""
+    ``w3 * m / _BASELINE_MASS``, on floats or arrays alike, with
+    ``DEFAULT_COST_WEIGHTS``.  It cannot fall as a peak grows, since IEEE
+    rounding is monotone."""
     tau0, l0 = _baselines()
-    w1, w2, _ = weights
+    w1, w2, _ = DEFAULT_COST_WEIGHTS
     return w1 * servo / tau0 + w2 * jl / l0 + mass_term
 
 
-def leg_cost_batch(
-    params: np.ndarray,
-    limit: np.ndarray = None,
-    impact_suite: Sequence[Tuple[float, float]] = None,
-    weights: Tuple[float, float, float] = DEFAULT_COST_WEIGHTS,
-) -> np.ndarray:
+def leg_cost_batch(params: np.ndarray, limit: np.ndarray = None) -> np.ndarray:
     """Design cost for rows of (link_length, spring_rate, leg_mass).
 
+    The cost weighs, with ``DEFAULT_COST_WEIGHTS``, the peak servo torque
+    and joint momentum over ``DESIGN_SPEED_SUITE`` at 3 cm misalignment on
+    the airframe's mass, each against the default leg's, and the leg mass.
     A row whose cost is at least its ``limit`` (a swarm passes each
     particle's personal best) may get any value from that limit up to its
     cost, as its lanes stop once it cannot come in under the limit.  Every
     other row, and every row of a call without a limit, gets its exact cost.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    if impact_suite is None:
-        impact_suite = [(s, 0.700) for s in DESIGN_SPEED_SUITE]
-    for speed, _ in impact_suite:
-        if not 2.0 <= speed <= 4.0:
-            raise ValueError("design suite speeds must lie in 2-4 m/s")
     l, k, m = params[:, 0], params[:, 1], params[:, 2]
-    speeds = [s for s, _ in impact_suite]
-    masses = [mm for _, mm in impact_suite]
-    mass_term = weights[2] * m / _BASELINE_MASS
+    mass_term = DEFAULT_COST_WEIGHTS[2] * m / _BASELINE_MASS
     cap = None
-    # the cap is sound only while the cost cannot fall as a peak grows
-    if (limit is not None and weights[0] >= 0.0 and weights[1] >= 0.0
-            and np.any(np.isfinite(limit))):
-        cap = (weights, mass_term, limit)
-    servo_max, l_max = _suite_peaks(l, m, k, speeds, masses, cap)
-    return _cost(servo_max, l_max, mass_term, weights)
+    if limit is not None and np.any(np.isfinite(limit)):
+        cap = (mass_term, limit)
+    servo_max, l_max = _suite_peaks(l, m, k, cap)
+    return _cost(servo_max, l_max, mass_term)

@@ -5,12 +5,13 @@ index, so evaluation order (serial or parallel) cannot change the result.
 Boundary handling is by reflection, velocities are clamped to a fraction of
 the box span, and ties on cost break toward the lower particle index.
 
-A vectorized cost is called as ``cost(xs, limit)``, ``limit`` holding each
-particle's personal-best cost (all inf for the initial swarm).  The swarm
-reads a cost only to ask whether it beats that limit, so a row whose cost
-is at least ``limit[i]`` may return any finite value from ``limit[i]`` up
-to its cost; the result keeps every bit.  A cost may stop evaluating a
-particle once it cannot win, as adaptive capping does (Hutter et al., 2009).
+The cost is called once per round on the whole swarm, as ``cost(xs, limit)``
+with ``limit`` holding each particle's personal-best cost (all inf for the
+initial swarm).  The swarm reads a cost only to ask whether it beats that
+limit, so a row whose cost is at least ``limit[i]`` may return any finite
+value from ``limit[i]`` up to its cost; the result keeps every bit.  A cost
+may stop evaluating a particle once it cannot win, as adaptive capping does
+(Hutter et al., 2009).
 """
 
 from __future__ import annotations
@@ -72,28 +73,28 @@ def _reflect(x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return x, v
 
 
-def _check_finite(costs: np.ndarray, xs: np.ndarray):
+def _evaluate(cost, xs: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """The swarm's costs at ``xs``; a non-finite one aborts the run."""
+    costs = np.asarray(cost(xs, limit), dtype=float)
     bad = ~np.isfinite(costs)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
             f"cost function returned non-finite value {costs[i]} at x={xs[i]}"
         )
+    return costs
 
 
 def pso_minimize(
-    cost: Callable[..., object],
+    cost: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cfg: PsoConfig,
-    vectorized: bool = False,
 ) -> PsoResult:
     """Minimize ``cost`` over the configured box.
 
-    With ``vectorized=True`` the cost is called as ``cost(xs, limit)`` on an
-    (n, d) array and n limits and must return n costs; a row whose cost is
-    at least its limit may return any finite value in ``[limit, cost]``.
-    The limits are the particles' personal-best costs, all inf for the
-    initial swarm.  Otherwise ``cost`` is called per particle on one
-    position.
+    ``cost(xs, limit)`` takes an (n, d) array of positions and n limits and
+    returns n costs; a row whose cost is at least its limit may return any
+    finite value in ``[limit, cost]``.  The limits are the particles'
+    personal-best costs, all inf for the initial swarm.
     """
     lo = np.array([b[0] for b in cfg.bounds], dtype=float)
     hi = np.array([b[1] for b in cfg.bounds], dtype=float)
@@ -105,15 +106,7 @@ def pso_minimize(
     x = np.stack([lo + span * rngs[i].random(d) for i in range(n)])
     v = np.stack([vmax * (2.0 * rngs[i].random(d) - 1.0) * 0.1 for i in range(n)])
 
-    def evaluate(xs: np.ndarray, limit: np.ndarray) -> np.ndarray:
-        if vectorized:
-            costs = np.asarray(cost(xs, limit), dtype=float)
-        else:
-            costs = np.array([float(cost(xi)) for xi in xs])
-        _check_finite(costs, xs)
-        return costs
-
-    costs = evaluate(x, np.full(n, np.inf))
+    costs = _evaluate(cost, x, np.full(n, np.inf))
     pbest_x = x.copy()
     pbest_cost = costs.copy()
     gbest_i = int(np.argmin(pbest_cost))  # argmin takes the lowest index on ties
@@ -135,7 +128,7 @@ def pso_minimize(
 
         # a row that cannot beat its personal best may come back capped,
         # but never below it, so `improved` is the exact costs' verdict
-        costs = evaluate(x, pbest_cost.copy())
+        costs = _evaluate(cost, x, pbest_cost.copy())
         improved = costs < pbest_cost
         pbest_x[improved] = x[improved]
         pbest_cost[improved] = costs[improved]

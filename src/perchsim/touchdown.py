@@ -38,6 +38,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .config import check_ranges, ranged
+from .plant import GRAVITY, RobotParams
 
 __all__ = [
     "TouchdownState",
@@ -46,8 +47,6 @@ __all__ = [
     "evaluate_touchdown",
     "sweep_envelope",
 ]
-
-GRAVITY = 9.81
 
 # Relative margin on the hold torque for the bisection's early exit.  A few
 # ULP would cover libm's sin and the rounding of the torque product; a
@@ -75,7 +74,7 @@ class TouchdownState:
     com_offset_m: float = ranged(0.35, "(0, inf)")
     # two point masses: body + leg
     inertia_kgm2: float = ranged(0.0898, "(0, inf)")
-    mass_kg: float = ranged(0.700, "(0, inf)")
+    mass_kg: float = ranged(RobotParams.mass_kg, "(0, inf)")
     locked: bool = True
 
     __post_init__ = check_ranges
@@ -201,12 +200,11 @@ def sweep_envelope(
     speeds: Sequence[float],
     psi_branches: Sequence[float],
     hold_nm: float,
-    geom: TouchdownGeom = TouchdownGeom(),
-    yaw_sweep_speed_mps: float = 2.5,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Outcome grids: (theta_leg x speed) and (theta_leg x psi_branch).
 
-    The yaw grid is evaluated at a fixed speed.  Returns object arrays of
+    Every cell uses the default ``TouchdownGeom``, and the yaw grid the
+    default ``TouchdownState`` speed, 2.5 m/s.  Returns object arrays of
     PerchOutcome with shapes (len(theta_legs), len(speeds)) and
     (len(theta_legs), len(psi_branches)).
     """
@@ -214,13 +212,12 @@ def sweep_envelope(
     for i, th in enumerate(theta_legs):
         for j, v in enumerate(speeds):
             st = TouchdownState(speed_mps=float(v), theta_leg_deg=float(th))
-            speed_grid[i, j] = evaluate_touchdown(st, hold_nm, geom)
+            speed_grid[i, j] = evaluate_touchdown(st, hold_nm)
     yaw_grid = np.empty((len(theta_legs), len(psi_branches)), dtype=object)
     for i, th in enumerate(theta_legs):
         for j, psi in enumerate(psi_branches):
-            st = TouchdownState(speed_mps=yaw_sweep_speed_mps,
-                                theta_leg_deg=float(th),
+            st = TouchdownState(theta_leg_deg=float(th),
                                 psi_branch_deg=float(psi))
-            yaw_grid[i, j] = evaluate_touchdown(st, hold_nm, geom)
+            yaw_grid[i, j] = evaluate_touchdown(st, hold_nm)
     return speed_grid, yaw_grid
 

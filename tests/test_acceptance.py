@@ -261,8 +261,8 @@ def test_c09_pso():
             leg_cost_batch(rows, np.full(len(rows), grid_best)))))
     cfg = PsoConfig(bounds=DESIGN_BOUNDS, particles=40, iterations=60,
                     seed=2024)
-    a = pso_minimize(leg_cost_batch, cfg, vectorized=True)
-    b = pso_minimize(leg_cost_batch, cfg, vectorized=True)
+    a = pso_minimize(leg_cost_batch, cfg)
+    b = pso_minimize(leg_cost_batch, cfg)
     deterministic = (a.best_cost == b.best_cost
                      and np.array_equal(a.best_x, b.best_x))
     monotone = all(y <= x for x, y in zip(a.history, a.history[1:]))

@@ -268,10 +268,6 @@ class TestClosingDynamics:
         _, t2 = claw.closing_dynamics(heavy, spring, damping=0.0)
         assert t2 / t1 == pytest.approx(2.0, rel=0.01)
 
-    def test_coarse_step_rejected(self, geom, spring):
-        with pytest.raises(ValueError):
-            claw.closing_dynamics(geom, spring, dt=1e-3)
-
 
 class TestReopenProfile:
     def test_defaults_match_published_figures(self):

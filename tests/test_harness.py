@@ -361,6 +361,11 @@ class TestCli:
         # trims on the light airframe only: checked against the full one
         pytest.param("mission.pitch_setpoint_deg = 36", "FlightOnly",
                      id="FlightOnly-mission.pitch_setpoint_deg = 36"),
+        # too wide for the claw: it would close short of its snap angle
+        # (0.219), or past its travel (0.25 and up)
+        *[pytest.param(f"branch.diameter_m = {d}", "FullPerch",
+                       id=f"FullPerch-branch.diameter_m = {d}")
+          for d in (0.219, 0.25, 0.5)],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, line,
                                        scenario):
@@ -372,6 +377,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("perchsim: configuration error: ")
         assert err.count("\n") == 1
+
+    def test_widest_branch_flies(self, tmp_path, capsys):
+        """A branch just narrower than the widest the claw holds with a
+        non-negative torque flies the ensemble, and the seeds that lock
+        have their touchdowns classified."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("branch.diameter_m = 0.215\n")
+        code = main(["FullPerch", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code in (EXIT_SUCCESS, EXIT_CRITERIA_FAILED)
+        assert capsys.readouterr().err == ""
+        outcomes = [row[1] for row in read_csv(tmp_path / "ensemble.csv")[1:]]
+        assert len(outcomes) == 9 and "FallBackward" in outcomes
 
     # FullPerch flies the seed and the next eight, each a uint64 Philox key
     @pytest.mark.parametrize("scenario, seed, code", [

@@ -558,10 +558,10 @@ class TestSweep:
         assert by_key[(3.0, 0.0)][2] > by_key[(2.0, 0.0)][2]
 
 
-def leg_cost(leg, impact_suite=None):
+def leg_cost(leg):
     """Scalar design cost of one leg: one row of ``leg_cost_batch``."""
     params = [[leg.link_length_m, leg.leg_spring_rate_n_m, leg.leg_mass_kg]]
-    return float(leg_cost_batch(params, impact_suite=impact_suite)[0])
+    return float(leg_cost_batch(params)[0])
 
 
 class TestDesignCost:
@@ -585,10 +585,6 @@ class TestDesignCost:
         other = LegParams(link_length_m=0.18, leg_spring_rate_n_m=900.0,
                           leg_mass_kg=0.10)
         assert batch[1] == pytest.approx(leg_cost(other), rel=1e-12)
-
-    def test_out_of_range_suite_speed_rejected(self, default_leg):
-        with pytest.raises(ValueError):
-            leg_cost(default_leg, impact_suite=[(5.0, 0.7)])
 
 
 def exact_leg_cost(xs, limit):
@@ -615,8 +611,8 @@ class TestCostCap:
     def test_swarm_keeps_every_bit(self, seed, particles, iterations):
         cfg = PsoConfig(bounds=legmod.DESIGN_BOUNDS, particles=particles,
                         iterations=iterations, seed=seed)
-        capped = pso_minimize(leg_cost_batch, cfg, vectorized=True)
-        exact = pso_minimize(exact_leg_cost, cfg, vectorized=True)
+        capped = pso_minimize(leg_cost_batch, cfg)
+        exact = pso_minimize(exact_leg_cost, cfg)
         assert capped.history == exact.history
         assert capped.best_cost == exact.best_cost
         assert capped.best_x.tobytes() == exact.best_x.tobytes()
@@ -649,14 +645,14 @@ class TestCostCap:
         assert capped[3] == exact   # a cost at its limit may only be exact
 
     def test_mirrored_lanes_with_different_limits(self):
-        weights = legmod.DEFAULT_COST_WEIGHTS
+        mass_term = legmod.DEFAULT_COST_WEIGHTS[2]
         zb = [0.03, -0.03, -0.03, 0.03]
         limit = [0.0, np.inf, 0.0, np.inf]
         args = (0.2, 0.12, 1200.0, 0.700, 4.0, zb)
         exact = simulate_impact_batch(*args, dt=legmod._COST_DT)
         capped = simulate_impact_batch(
             *args, dt=legmod._COST_DT,
-            cap=(weights, 0.0, 0.0, weights[2], limit))
+            cap=(0.0, 0.0, mass_term, limit))
         servo, joint = capped[2], capped[3]
         for i in (1, 3):   # no cap: the exact row, mirrored or not
             assert [a[i].item() for a in capped] == \

@@ -6,12 +6,8 @@ import pytest
 from perchsim.pso import PsoConfig, PsoResult, pso_minimize
 
 
-def sphere(x):
-    return float(np.sum(np.asarray(x) ** 2))
-
-
-def sphere_vec(xs, limit):
-    """The vectorized sphere; exact costs satisfy any ``limit``."""
+def sphere(xs, limit):
+    """The sphere on each row; exact costs satisfy any ``limit``."""
     return np.sum(xs * xs, axis=1)
 
 
@@ -25,17 +21,10 @@ class TestConvergence:
         assert res.best_cost < 1e-4
         assert np.all(np.abs(res.best_x) < 0.1)
 
-    def test_vectorized_matches_scalar(self):
-        cfg = PsoConfig(bounds=BOUNDS3, particles=20, iterations=50, seed=3)
-        res_s = pso_minimize(sphere, cfg)
-        res_v = pso_minimize(sphere_vec, cfg, vectorized=True)
-        assert res_s.best_cost == res_v.best_cost
-        assert np.array_equal(res_s.best_x, res_v.best_x)
-
     def test_shifted_optimum(self):
         target = np.array([1.0, -2.0, 3.0])
         cfg = PsoConfig(bounds=BOUNDS3, seed=11)
-        res = pso_minimize(lambda x: sphere(x - target), cfg)
+        res = pso_minimize(lambda xs, limit: sphere(xs - target, limit), cfg)
         assert np.allclose(res.best_x, target, atol=0.05)
 
 
@@ -45,10 +34,10 @@ class TestCostLimit:
 
         def spy(xs, limit):
             seen.append(limit.copy())
-            return sphere_vec(xs, limit)
+            return sphere(xs, limit)
 
         cfg = PsoConfig(bounds=BOUNDS3, particles=6, iterations=8, seed=4)
-        pso_minimize(spy, cfg, vectorized=True)
+        pso_minimize(spy, cfg)
         assert len(seen) == cfg.iterations + 1
         assert np.all(seen[0] == np.inf)
         assert np.all(np.isfinite(seen[1]))
@@ -59,16 +48,16 @@ class TestCostLimit:
         """A row at or over its limit may return any value from the limit
         up to its cost: here the limit itself, or half-way."""
         def at_limit(xs, limit):
-            return np.minimum(sphere_vec(xs, limit), limit)
+            return np.minimum(sphere(xs, limit), limit)
 
         def half_way(xs, limit):
-            costs = sphere_vec(xs, limit)
+            costs = sphere(xs, limit)
             return np.where(costs >= limit, (limit + costs) / 2.0, costs)
 
         cfg = PsoConfig(bounds=BOUNDS3, particles=12, iterations=30, seed=8)
-        exact = pso_minimize(sphere_vec, cfg, vectorized=True)
+        exact = pso_minimize(sphere, cfg)
         for cost in (at_limit, half_way):
-            res = pso_minimize(cost, cfg, vectorized=True)
+            res = pso_minimize(cost, cfg)
             assert res.history == exact.history
             assert res.best_x.tobytes() == exact.best_x.tobytes()
 
@@ -108,20 +97,20 @@ class TestInvariants:
         bounds = [(-1.0, 1.0)] * 2
         seen = []
 
-        def spy(x):
-            seen.append(np.array(x))
-            return sphere(x)
+        def spy(xs, limit):
+            seen.append(xs.copy())
+            return sphere(xs, limit)
 
         pso_minimize(spy, PsoConfig(bounds=bounds, particles=10,
                                     iterations=30, seed=9))
-        stacked = np.stack(seen)
+        stacked = np.concatenate(seen)
         assert np.all(stacked >= -1.0) and np.all(stacked <= 1.0)
 
 
 class TestErrors:
     def test_non_finite_cost_aborts_with_location(self):
-        def bad(x):
-            return np.nan if x[0] > 0 else sphere(x)
+        def bad(xs, limit):
+            return np.where(xs[:, 0] > 0, np.nan, sphere(xs, limit))
 
         with pytest.raises(ValueError, match="non-finite"):
             pso_minimize(bad, PsoConfig(bounds=BOUNDS3, seed=1))
