@@ -23,7 +23,7 @@ def main():
           f"y={c.y_m:+.3f} m  pitch={c.pitch_deg:.1f} deg  "
           f"yaw={c.yaw_deg:+.1f} deg")
     print(f"altitude hold error: "
-          f"{result.diagnostics['altitude_error_m'] * 100:.1f} cm")
+          f"{result.altitude_error_m * 100:.1f} cm")
     if result.impact:
         print(f"touchdown peak force: {result.impact.peak_force_n:.1f} N")
 

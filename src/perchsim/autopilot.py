@@ -8,8 +8,7 @@ fourth loop steers the leg: the line-scan detection is fused with the
 along-track range into a branch-height estimate and the hip slews, under
 its rate limit, to the angle that puts the claw on the branch.  A
 forward-only phase machine sequences the mission: Launch ->
-ControlledFlight -> Approach -> GlideStop (flapping off) -> Impact ->
-Terminal.
+ControlledFlight -> Approach -> GlideStop (flapping off) -> Impact.
 
 `run_stage` holds the four development stages, each defined once:
 launcher-only claw tests (1), flight without the appendage (2), soft-branch
@@ -56,6 +55,7 @@ __all__ = [
     "PidState",
     "pid_step",
     "Phase",
+    "Termination",
     "MissionConfig",
     "Autopilot",
     "run_mission",
@@ -132,13 +132,21 @@ class Phase(enum.Enum):
     APPROACH = 2
     GLIDE_STOP = 3
     IMPACT = 4
-    TERMINAL = 5
+
+
+class Termination(enum.Enum):
+    """How a mission ended."""
+
+    CROSSED = "crossed"  # the airframe reached the branch's x
+    GROUND_STRIKE = "ground_strike"
+    DIVERGED = "diverged"  # the plant raised `AttitudeDivergence`
+    TIMEOUT = "timeout"  # ``max_time_s`` ran out first
 
 
 # Per-cycle phase lookups test members by identity in module-level tuples
 # and compare ``_value_``: ``Phase(n)``, ``.value`` and an enum member's
 # hash each run Python code.
-_UNPOWERED = (Phase.GLIDE_STOP, Phase.IMPACT, Phase.TERMINAL)
+_UNPOWERED = (Phase.GLIDE_STOP, Phase.IMPACT)
 _LEG_STEERED = (Phase.CONTROLLED_FLIGHT, Phase.APPROACH, Phase.GLIDE_STOP)
 
 
@@ -226,13 +234,21 @@ class TrajectoryRow(NamedTuple):
 class MissionResult:
     """One mission.  ``trajectory`` is a C-contiguous float64 array of shape
     ``(cycles, 11)``, one row per control cycle flown and one column per
-    `TrajectoryRow` field in its order, 88 B a row."""
+    `TrajectoryRow` field in its order, 88 B a row.
+
+    ``end_t_s`` is the end of the last plant step flown or tried: for a
+    divergence, that of the step that diverged.  ``crossing`` and ``impact``
+    are None, ``altitude_error_m`` is inf and ``claw_misalignment_m`` NaN
+    unless the mission ``CROSSED``."""
 
     trajectory: np.ndarray
     impact: Optional[ImpactRecord]
     outcome: PerchOutcome
     crossing: Optional[RobotState]
-    diagnostics: Dict[str, float]
+    termination: Termination
+    end_t_s: float
+    altitude_error_m: float
+    claw_misalignment_m: float
 
 
 class Autopilot:
@@ -383,7 +399,7 @@ def _gust_normals(rng: np.random.Generator) -> Iterator[List[float]]:
 
 def _touchdown_of(config: MissionConfig, state: RobotState,
                   impact: ImpactRecord) -> PerchOutcome:
-    if config.soft_branch or not impact.locked:
+    if not impact.locked:
         return PerchOutcome.MISSED
     hold = clawmod.holding_torque(config.claw_geom, config.spring,
                                   config.branch)
@@ -392,6 +408,7 @@ def _touchdown_of(config: MissionConfig, state: RobotState,
         theta_leg_deg=min(90.0, max(0.0, state.beta_deg)),
         psi_branch_deg=state.yaw_deg - config.branch.axis_yaw_deg,
         body_pitch_deg=state.pitch_deg,
+        mass_kg=config.robot.mass_kg,
     )
     return evaluate_touchdown(st, hold, config.touchdown_geom)
 
@@ -409,58 +426,57 @@ def run_mission(config: MissionConfig) -> MissionResult:
         beta_deg=45.0,
     )
     rows: List[Tuple[float, ...]] = []
-    crossing: Optional[RobotState] = None
-    impact: Optional[ImpactRecord] = None
-    outcome = PerchOutcome.MISSED
-    diagnostics: Dict[str, float] = {}
+    termination = Termination.TIMEOUT
     t = 0.0
     n_max = int(config.max_time_s / DT)
     for _ in range(n_max):
         phase = ap.advance_phase(state)
         cmd = ap.control_cycle(state, phase)
         if phase is Phase.IMPACT:
-            crossing = state
-            claw_mis = (config.branch.center[2]
-                        - state.claw_z_m(config.leg.link_length_m))
-            impact = legmod.simulate_impact(
-                config.leg,
-                total_mass_kg=config.robot.mass_kg,
-                speed_mps=min(legmod.MAX_IMPACT_SPEED_MPS,
-                              max(0.0, state.vx_mps)),
-                misalignment_z_m=claw_mis,
-            )
-            if config.soft_branch:
-                impact = replace(impact, locked=False)
-            outcome = _touchdown_of(config, state, impact)
-            diagnostics["claw_misalignment_m"] = claw_mis
-            ap.phase = Phase.TERMINAL
+            termination = Termination.CROSSED
             break
         force, moment = disturbance.step()
+        t += DT
         try:
             state = plant_step(state, cmd, config.robot, DT,
                                ext_force=force, ext_moment=moment)
         except AttitudeDivergence:
-            diagnostics["diverged_t_s"] = t + DT
-            outcome = PerchOutcome.MISSED
+            termination = Termination.DIVERGED
             break
-        t += DT
         rows.append((
             t, state.x_m, state.y_m, state.altitude_m, state.vx_mps,
             state.pitch_deg, state.yaw_deg, cmd.flap_hz, cmd.delta_e_deg,
             cmd.delta_r_deg, state.beta_deg))
         if state.on_ground:
-            diagnostics["ground_strike_x_m"] = state.x_m
-            outcome = PerchOutcome.MISSED
+            termination = Termination.GROUND_STRIKE
             break
+    crossing = state if termination is Termination.CROSSED else None
+    impact = None
+    outcome = PerchOutcome.MISSED
+    altitude_error = math.inf
+    claw_mis = math.nan
     if crossing is not None:
-        diagnostics["altitude_error_m"] = abs(
-            crossing.altitude_m - config.altitude_setpoint_m)
+        claw_mis = (config.branch.center[2]
+                    - crossing.claw_z_m(config.leg.link_length_m))
+        impact = legmod.simulate_impact(
+            config.leg,
+            total_mass_kg=config.robot.mass_kg,
+            speed_mps=min(legmod.MAX_IMPACT_SPEED_MPS,
+                          max(0.0, crossing.vx_mps)),
+            misalignment_z_m=claw_mis,
+        )
+        if config.soft_branch:
+            impact = replace(impact, locked=False)
+        outcome = _touchdown_of(config, crossing, impact)
+        altitude_error = abs(crossing.altitude_m - config.altitude_setpoint_m)
     # the reshape also gives a mission that flew no cycle its 11 columns
     trajectory = np.array(rows, dtype=float).reshape(
         -1, len(TrajectoryRow._fields))
     return MissionResult(trajectory=trajectory, impact=impact,
                          outcome=outcome, crossing=crossing,
-                         diagnostics=diagnostics)
+                         termination=termination, end_t_s=t,
+                         altitude_error_m=altitude_error,
+                         claw_misalignment_m=claw_mis)
 
 
 def run_ensemble(
@@ -510,7 +526,9 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
         # launcher-only claw tests, 1 m/s up to the launch speed cap in 0.5 m/s
         # steps (the quarter-step margin keeps the cap itself on the grid)
         speeds = np.arange(1.0, LAUNCH_SPEED_CAP_MPS + 0.25, 0.5)
-        locks = [legmod.simulate_impact(config.leg, speed_mps=float(v),
+        locks = [legmod.simulate_impact(config.leg,
+                                        total_mass_kg=config.robot.mass_kg,
+                                        speed_mps=float(v),
                                         misalignment_z_m=0.0).locked
                  for v in speeds]
         rate = sum(locks) / len(locks)
@@ -528,7 +546,7 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
                       launch_altitude_offset_m=-0.26)
         result = run_mission(cfg)
         settle = _pitch_settle_metrics(cfg)
-        alt_err = result.diagnostics.get("altitude_error_m", math.inf)
+        alt_err = result.altitude_error_m
         passed = (settle["settle_s"] <= 1.0 and settle["overshoot_deg"] < 5.0
                   and alt_err <= 0.10)
         return StageReport(2, passed, {**settle, "altitude_error_m": alt_err},

@@ -25,6 +25,7 @@ from .autopilot import (
     MissionConfig,
     MissionResult,
     StageReport,
+    Termination,
     TrajectoryRow,
     run_stage,
 )
@@ -172,9 +173,9 @@ def _write_csv(path: Path, header: Sequence[str],
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_summary(path: Path, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+# A scenario's criteria verdict and its own lines of summary.txt, which
+# `run_scenario` frames with the scenario's name and the verdict.
+Verdict = Tuple[bool, List[str]]
 
 
 def _mission_config(cfg: RunConfig) -> MissionConfig:
@@ -206,11 +207,12 @@ def _write_trajectory(path: Path, result: MissionResult) -> None:
 
 def _divergence_lines(result: MissionResult) -> List[str]:
     """The summary line saying when the airframe tumbled, if it did."""
-    t = result.diagnostics.get("diverged_t_s")
-    return [] if t is None else [f"diverged_t_s = {t!r}"]
+    if result.termination is Termination.DIVERGED:
+        return [f"diverged_t_s = {result.end_t_s!r}"]
+    return []
 
 
-def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> bool:
+def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> Verdict:
     geom, spring = ClawGeometry(), SpringSpec()
     # start above the spike-contact geometric minimum (3.6 cm)
     diameters = np.arange(0.04, 0.1101, 0.005)
@@ -224,17 +226,14 @@ def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> bool:
     ok = (abs(contact - 56.8) / 56.8 <= 0.05
           and abs(release - 11.4) / 11.4 <= 0.15
           and hold >= 2.0)
-    _write_summary(out / "summary.txt", [
-        "scenario = ClawSweep",
+    return ok, [
         f"contact_force_6cm_n = {contact:.3f}",
         f"release_force_n = {release:.3f}",
         f"holding_torque_nm = {hold:.4f}",
-        f"criteria_met = {ok}",
-    ])
-    return ok
+    ]
 
 
-def _scenario_impact_suite(cfg: RunConfig, out: Path) -> bool:
+def _scenario_impact_suite(cfg: RunConfig, out: Path) -> Verdict:
     speeds = np.arange(2.0, 4.01, 0.25)
     misalignments = (-0.03, 0.0, 0.03)
     rows = legmod.impact_sweep(legmod.LegParams(), speeds, misalignments)
@@ -243,12 +242,7 @@ def _scenario_impact_suite(cfg: RunConfig, out: Path) -> bool:
                 "time_to_bounce_ms"), rows)
     peak = max(r[2] for r in rows)
     ok = peak < 150.0
-    _write_summary(out / "summary.txt", [
-        "scenario = ImpactSuite",
-        f"max_peak_force_n = {peak:.2f}",
-        f"criteria_met = {ok}",
-    ])
-    return ok
+    return ok, [f"max_peak_force_n = {peak:.2f}"]
 
 
 def _one_mission_stage(stage: int, cfg: RunConfig, out: Path) -> StageReport:
@@ -258,30 +252,24 @@ def _one_mission_stage(stage: int, cfg: RunConfig, out: Path) -> StageReport:
     return report
 
 
-def _scenario_flight_only(cfg: RunConfig, out: Path) -> bool:
+def _scenario_flight_only(cfg: RunConfig, out: Path) -> Verdict:
     report = _one_mission_stage(2, cfg, out)
-    _write_summary(out / "summary.txt", [
-        "scenario = FlightOnly",
+    return report.passed, [
         f"altitude_error_m = {report.metrics['altitude_error_m']:.4f}",
         *_divergence_lines(report.missions[0]),
-        f"criteria_met = {report.passed}",
-    ])
-    return report.passed
+    ]
 
 
-def _scenario_soft_branch(cfg: RunConfig, out: Path) -> bool:
+def _scenario_soft_branch(cfg: RunConfig, out: Path) -> Verdict:
     report = _one_mission_stage(3, cfg, out)
-    _write_summary(out / "summary.txt", [
-        "scenario = SoftBranch",
+    return report.passed, [
         f"locked = {bool(report.metrics['locked'])}",
         f"peak_force_n = {report.metrics['peak_force_n']:.2f}",
         *_divergence_lines(report.missions[0]),
-        f"criteria_met = {report.passed}",
-    ])
-    return report.passed
+    ]
 
 
-def _scenario_full_perch(cfg: RunConfig, out: Path) -> bool:
+def _scenario_full_perch(cfg: RunConfig, out: Path) -> Verdict:
     report = run_stage(4, _mission_config(cfg))
     summary_rows = []
     # the stage flies consecutive seeds from the config's
@@ -295,15 +283,11 @@ def _scenario_full_perch(cfg: RunConfig, out: Path) -> bool:
     _write_csv(out / "ensemble.csv",
                ("seed", "outcome", "vx_mps", "psi_deg", "theta_deg",
                 "y_m", "z_m", "peak_force_n"), summary_rows)
-    _write_summary(out / "summary.txt", [
-        "scenario = FullPerch",
-        f"perched = {report.metrics['perched']}/{report.metrics['runs']}",
-        f"criteria_met = {report.passed}",
-    ])
-    return report.passed
+    return report.passed, [
+        f"perched = {report.metrics['perched']}/{report.metrics['runs']}"]
 
 
-def _scenario_envelope(cfg: RunConfig, out: Path) -> bool:
+def _scenario_envelope(cfg: RunConfig, out: Path) -> Verdict:
     hold = clawmod.holding_torque(ClawGeometry(), SpringSpec(), BranchSpec())
     thetas = np.arange(40.0, 90.01, 2.5)
     speeds = np.arange(0.0, 8.01, 0.25)
@@ -318,14 +302,10 @@ def _scenario_envelope(cfg: RunConfig, out: Path) -> bool:
                [(float(t), float(p), yaw_grid[i, j].value)
                 for i, t in enumerate(thetas) for j, p in enumerate(psis)])
     perched_any = any(o is PerchOutcome.PERCHED for o in speed_grid.ravel())
-    _write_summary(out / "summary.txt", [
-        "scenario = Envelope",
-        f"criteria_met = {perched_any}",
-    ])
-    return perched_any
+    return perched_any, []
 
 
-def _scenario_optimize(cfg: RunConfig, out: Path) -> bool:
+def _scenario_optimize(cfg: RunConfig, out: Path) -> Verdict:
     pso_cfg = PsoConfig(bounds=legmod.DESIGN_BOUNDS, particles=20,
                         iterations=25, seed=cfg.seed)
     result = pso_minimize(legmod.leg_cost_batch, pso_cfg)
@@ -333,16 +313,13 @@ def _scenario_optimize(cfg: RunConfig, out: Path) -> bool:
                list(enumerate(result.history)))
     monotone = all(b <= a for a, b in zip(result.history,
                                           result.history[1:]))
-    _write_summary(out / "summary.txt", [
-        "scenario = Optimize",
+    return monotone, [
         f"best_cost = {result.best_cost!r}",
         "best_x = " + " ".join(repr(float(v)) for v in result.best_x),
-        f"criteria_met = {monotone}",
-    ])
-    return monotone
+    ]
 
 
-def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> bool:
+def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> Verdict:
     lateral = _fields(cfg, "mission").get("launch_lateral_offset_m",
                                           LaunchProfile.lateral_offset_m)
     profile = launch_profile(**_fields(cfg, "launcher"),
@@ -352,12 +329,7 @@ def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> bool:
                 "lateral_offset_m"),
                [(profile.target_speed_mps, profile.rail_length_m,
                  profile.acceleration_mps2, profile.lateral_offset_m)])
-    _write_summary(out / "summary.txt", [
-        "scenario = LauncherProfile",
-        f"acceleration_mps2 = {profile.acceleration_mps2!r}",
-        "criteria_met = True",
-    ])
-    return True
+    return True, [f"acceleration_mps2 = {profile.acceleration_mps2!r}"]
 
 
 _SCENARIOS = {
@@ -376,5 +348,8 @@ def run_scenario(cfg: RunConfig) -> int:
     """Execute one scenario; returns the CLI exit code."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ok = _SCENARIOS[cfg.scenario](cfg, out)
+    ok, lines = _SCENARIOS[cfg.scenario](cfg, out)
+    with open(out / "summary.txt", "w", encoding="utf-8") as handle:
+        handle.write("\n".join([f"scenario = {cfg.scenario.value}", *lines,
+                                f"criteria_met = {ok}"]) + "\n")
     return EXIT_SUCCESS if ok else EXIT_CRITERIA_FAILED

@@ -201,10 +201,6 @@ class RobotState:
     def on_ground(self) -> bool:
         return self.altitude_m <= 0.0
 
-    @property
-    def speed_mps(self) -> float:
-        return math.hypot(self.vx_mps, self.vy_mps, self.vz_mps)
-
     def claw_z_m(self, link_length_m: float) -> float:
         """Altitude of the claw boresight at the end of a leg of
         ``link_length_m`` for the current leg angle (beta = 0 leg straight

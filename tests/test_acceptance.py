@@ -159,9 +159,9 @@ def test_c05_flight_control():
             settle_s = math.inf
     trim30 = trim_state(30.0, config.robot)
     infeasible = trim_state(45.0, config.robot) is None
-    err0 = run_mission(MissionConfig()).diagnostics["altitude_error_m"]
+    err0 = run_mission(MissionConfig()).altitude_error_m
     errs = [run_mission(MissionConfig(altitude_setpoint_m=sp))
-            .diagnostics["altitude_error_m"] for sp in (1.75, 2.0, 2.25)]
+            .altitude_error_m for sp in (1.75, 2.0, 2.25)]
     mean_err = sum(errs) / len(errs)
     ok = (settle_s <= 1.0 and overshoot < 5.0
           and 2.5 <= trim30[0] <= 3.0 and infeasible

@@ -20,6 +20,7 @@ from perchsim.autopilot import (
     OrderingError,
     Phase,
     PidState,
+    Termination,
     TrajectoryRow,
     pid_step,
     run_ensemble,
@@ -29,7 +30,7 @@ from perchsim.autopilot import (
 )
 from perchsim.leg import LegParams
 from perchsim.perception import PIXELS, SensorSpec
-from perchsim.plant import RobotState, plant_step
+from perchsim.plant import RobotParams, RobotState, plant_step
 from perchsim.touchdown import PerchOutcome
 
 ENVELOPE = {
@@ -190,7 +191,7 @@ class TestRunMission:
 
     def test_disturbance_free_altitude_error(self):
         result = run_mission(MissionConfig())
-        assert result.diagnostics["altitude_error_m"] <= 0.10
+        assert result.altitude_error_m <= 0.10
 
     def test_bit_deterministic(self):
         a = run_mission(MissionConfig(seed=3))
@@ -208,7 +209,7 @@ class TestRunMission:
         errors = []
         for sp in (1.75, 2.0, 2.25):
             result = run_mission(MissionConfig(altitude_setpoint_m=sp))
-            errors.append(result.diagnostics["altitude_error_m"])
+            errors.append(result.altitude_error_m)
         assert sum(errors) / len(errors) <= 0.16
 
     def test_tumble_ends_as_miss(self):
@@ -216,8 +217,9 @@ class TestRunMission:
                                            disturbance_sigma_moment_nm=0.5))
         assert result.outcome is PerchOutcome.MISSED
         assert result.impact is None
-        t_div = result.diagnostics["diverged_t_s"]
-        assert t_div == pytest.approx(column(result, "t_s")[-1] + DT)
+        assert result.termination is Termination.DIVERGED
+        # the step that diverged ends one period after the last row
+        assert result.end_t_s == column(result, "t_s")[-1] + DT
 
     def test_nan_flap_ends_as_miss(self, monkeypatch):
         # a NaN flap reaches the plant as limited left it; the altitude
@@ -232,14 +234,15 @@ class TestRunMission:
         result = run_mission(MissionConfig())
         assert result.outcome is PerchOutcome.MISSED
         assert result.impact is None
-        assert result.diagnostics == {"diverged_t_s": DT}
+        assert result.termination is Termination.DIVERGED
+        assert result.end_t_s == DT
         assert result.trajectory.shape == (0, len(TrajectoryRow._fields))
 
     def test_claw_height_uses_leg_length(self):
         config = MissionConfig(leg=replace(LegParams(), link_length_m=0.25))
         result = run_mission(config)
         assert result.crossing is not None
-        assert result.diagnostics["claw_misalignment_m"] == (
+        assert result.claw_misalignment_m == (
             config.branch.center[2] - result.crossing.claw_z_m(0.25))
 
     def test_soft_branch_never_locks(self):
@@ -247,6 +250,35 @@ class TestRunMission:
         assert result.impact is not None
         assert not result.impact.locked
         assert result.outcome is PerchOutcome.MISSED
+
+    def test_airframe_mass_reaches_impact_and_touchdown(self, monkeypatch):
+        # the leg impact and the touchdown pivot both see the airframe's
+        # mass, not the default's
+        robot = RobotParams(mass_kg=0.8)
+        assert robot.mass_kg != RobotParams.mass_kg
+        masses = []
+        impact = autopilot.legmod.simulate_impact
+        touchdown = autopilot.evaluate_touchdown
+
+        def spy_impact(leg, total_mass_kg=RobotParams.mass_kg, **kwargs):
+            masses.append(("impact", total_mass_kg))
+            return impact(leg, total_mass_kg=total_mass_kg, **kwargs)
+
+        def spy_touchdown(state, *args):
+            masses.append(("touchdown", state.mass_kg))
+            return touchdown(state, *args)
+
+        monkeypatch.setattr(autopilot.legmod, "simulate_impact", spy_impact)
+        monkeypatch.setattr(autopilot, "evaluate_touchdown", spy_touchdown)
+        # the heavier airframe sags about 0.1 m at the branch; a setpoint
+        # 0.1 m higher brings the claw into the capture window, so it locks
+        result = run_mission(MissionConfig(robot=robot,
+                                           altitude_setpoint_m=2.1))
+        assert result.impact.locked
+        assert masses == [("impact", 0.8), ("touchdown", 0.8)]
+        masses.clear()
+        run_stage(1, MissionConfig(robot=robot))
+        assert masses and masses == [("impact", 0.8)] * len(masses)
 
 
 def numpy_gusts(config, steps):
@@ -358,19 +390,24 @@ class TestTrajectoryArray:
     """A mission keeps its trajectory as one float64 array, one row per
     control cycle and one column per `TrajectoryRow` field."""
 
-    @pytest.mark.parametrize("config", [
-        MissionConfig(),
-        MissionConfig(
+    @pytest.mark.parametrize("config, termination", [
+        (MissionConfig(), Termination.CROSSED),
+        (MissionConfig(
             seed=3, soft_branch=True,
             disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
             disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM),
+         Termination.CROSSED),
         # tumbles at 1.57 s
-        MissionConfig(soft_branch=True, disturbance_sigma_moment_nm=0.5),
+        (MissionConfig(soft_branch=True, disturbance_sigma_moment_nm=0.5),
+         Termination.DIVERGED),
         # out of time 1 s into the flight
-        MissionConfig(max_time_s=1.0),
-    ], ids=["nominal", "gusty", "tumble", "timeout"])
-    def test_float64_rows_of_eleven(self, config):
+        (MissionConfig(max_time_s=1.0), Termination.TIMEOUT),
+        # launched at rest, strikes the ground at about 0.93 s
+        (MissionConfig(launch_speed_mps=0.0), Termination.GROUND_STRIKE),
+    ], ids=["nominal", "gusty", "tumble", "timeout", "ground_strike"])
+    def test_float64_rows_of_eleven(self, config, termination):
         result = run_mission(config)
+        assert result.termination is termination
         trajectory = result.trajectory
         assert type(trajectory) is np.ndarray
         assert trajectory.dtype == np.float64
@@ -382,6 +419,15 @@ class TestTrajectoryArray:
         t = column(result, "t_s")
         assert np.all(np.diff(t) > 0.0)
         assert t[0] == DT
+        # the last step flown ends at the last row; a step that diverged
+        # is tried, not flown, and ends one period later
+        tried = DT if termination is Termination.DIVERGED else 0.0
+        assert result.end_t_s == t[-1] + tried
+        crossed = termination is Termination.CROSSED
+        assert (result.crossing is not None) is crossed
+        assert (result.impact is not None) is crossed
+        assert math.isfinite(result.altitude_error_m) is crossed
+        assert math.isfinite(result.claw_misalignment_m) is crossed
 
     def test_bytes_kept_per_row(self):
         config = MissionConfig()

@@ -286,6 +286,46 @@ class TestScenarios:
         for path in tmp_path.iterdir():
             assert b"np.float64(" not in path.read_bytes()
 
+    # SHA-256 of summary.txt at seed 0 for the scenarios that fly nothing
+    @pytest.mark.parametrize("scenario, digest", [
+        pytest.param(Scenario(name), digest, id=name)
+        for name, digest in [
+            ("ClawSweep", "74b2c634743b399db3b92a65689e0586"
+                          "417afddd9a23b3cb5a55997fa7c66f9a"),
+            ("ImpactSuite", "c09a4a2ab2ff158d302932716325f3c9"
+                            "1546566b95592d2c6876967cffb24b23"),
+            ("Envelope", "5df9dac89b25f76cca668974c38a00e3"
+                         "40d92d5b3b7c760341b8a088bd88afba"),
+            ("Optimize", "400c43ff5f9bdde7d3e5b9d80dfb4f46"
+                         "1a7a98eaebfd54a880f5e012d3cff5e9"),
+            ("LauncherProfile", "cc95e5113dbf457e504db268dc4d3b0a"
+                                "5d64b96b672b6bd17ff3f9f829a31e9c"),
+        ]
+    ])
+    def test_summary_pinned(self, tmp_path, scenario, digest):
+        assert run_scenario(RunConfig(scenario, out_dir=str(tmp_path),
+                                      seed=0)) == EXIT_SUCCESS
+        summary = (tmp_path / "summary.txt").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == digest
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        *[pytest.param(s, {}, id=s.value) for s in Scenario],
+        # tumbles before the branch: the criteria fail
+        pytest.param(Scenario.SOFT_BRANCH,
+                     {"mission.disturbance_sigma_moment_nm": 0.5},
+                     id="SoftBranch-tumble"),
+    ])
+    def test_summary_framed_by_name_and_verdict(self, tmp_path, scenario,
+                                                overrides):
+        code = run_scenario(RunConfig(scenario, out_dir=str(tmp_path),
+                                      overrides=overrides))
+        assert code in (EXIT_SUCCESS, EXIT_CRITERIA_FAILED)
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert lines[0] == f"scenario = {scenario.value}"
+        assert lines[-1] == f"criteria_met = {code == EXIT_SUCCESS}"
+        assert sum(line.startswith(("scenario = ", "criteria_met = "))
+                   for line in lines) == 2
+
     def test_trajectory_csv_reads_back_bit_for_bit(self, tmp_path):
         cfg = RunConfig(Scenario.FLIGHT_ONLY, out_dir=str(tmp_path),
                         overrides={"mission.disturbance_sigma_force_n": 0.2})

@@ -66,35 +66,11 @@ def detect_branch_loop(frame, spec):
     return run_start + (run_len - 1) / 2.0
 
 
-class TestSpecValidation:
-    @pytest.mark.parametrize("field, value", [
-        (field, value)
-        for field in ("noise_sigma", "threshold_fraction", "min_run_px")
-        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
-        if not (field == "noise_sigma" and value == 0.0)   # no noise is valid
-    ])
-    def test_bad_value_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            SensorSpec(**{field: value})
-
-    @pytest.mark.parametrize("field", ["read_hz", "ifov_arcmin"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                       0.0, -1.0])
-    def test_rate_and_ifov_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            SensorSpec(**{field: value})
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                       -1.0, 1.0])
-    def test_dark_level_rejected(self, value):
-        # 1.0 is as bright as the background: the branch is invisible
-        with pytest.raises(ValueError):
-            SensorSpec(dark_level=value)
-
-    def test_threshold_fraction_bounds(self):
-        assert SensorSpec(threshold_fraction=1.0).threshold_fraction == 1.0
-        with pytest.raises(ValueError):
-            SensorSpec(threshold_fraction=1.5)
+def test_read_rate_above_capability_rejected():
+    # a cross-field check: each rate alone lies in its range
+    assert SensorSpec(read_hz=330.0).read_hz == 330.0
+    with pytest.raises(ValueError, match="exceeds sensor capability"):
+        SensorSpec(read_hz=400.0)
 
 
 class TestRenderScan:
