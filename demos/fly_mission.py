@@ -1,11 +1,11 @@
 """Fly one full perch mission, then the gusty nine-seed ensemble.
 
-A mission launches the vehicle from a rail 12.6 m from the branch,
-climbs to the 2 m branch height under pitch/yaw/altitude control, raises
-the landing leg as the range closes, cuts the flapping for the final
-glide, and classifies the touchdown.  With gusts disabled the run is
-fully deterministic; the ensemble adds band-limited gust forces and
-reproduces the expected 6-of-9 success rate.
+A mission launches the vehicle from a rail at x = 0, 14 m short of the
+branch, climbs to the 2 m branch height under pitch/yaw/altitude
+control, raises the landing leg as the range closes, cuts the flapping
+for the final glide, and classifies the touchdown.  With gusts disabled
+the run is fully deterministic; the ensemble adds band-limited gust
+forces and reproduces the expected 6-of-9 success rate.
 
 Run: python3 demos/fly_mission.py
 """

@@ -7,8 +7,8 @@ flap frequency (the derivative term damps the post-launch zoom climb).  A
 fourth loop steers the leg: the line-scan detection is fused with the
 along-track range into a branch-height estimate and the hip slews, under
 its rate limit, to the angle that puts the claw on the branch.  A
-forward-only phase machine sequences the mission: Launch ->
-ControlledFlight -> Approach -> GlideStop (flapping off) -> Impact.
+forward-only phase machine sequences the mission: ControlledFlight ->
+GlideStop (flapping off) -> Impact (the crossing ends the flight).
 
 `run_stage` holds the four development stages, each defined once:
 launcher-only claw tests (1), flight without the appendage (2), soft-branch
@@ -71,7 +71,6 @@ __all__ = [
 
 DT = 1.0 / CONTROL_RATE_HZ
 DEFAULT_SEEDS = tuple(range(9))
-APPROACH_RANGE_M = 1.5
 GLIDE_STOP_RANGE_M = 0.2
 LAUNCH_SPEED_CAP_MPS = 5.0
 # Gust level sized so the default 9-seed ensemble lands near a 6/9 perch
@@ -127,11 +126,9 @@ def pid_step(gains: LoopGains, setpoint: float, measurement: float,
 
 
 class Phase(enum.Enum):
-    LAUNCH = 0
-    CONTROLLED_FLIGHT = 1
-    APPROACH = 2
-    GLIDE_STOP = 3
-    IMPACT = 4
+    CONTROLLED_FLIGHT = 1  # flapping, leg steered
+    GLIDE_STOP = 2  # flap 0, leg steered
+    IMPACT = 3  # the crossing ends the flight
 
 
 class Termination(enum.Enum):
@@ -141,13 +138,6 @@ class Termination(enum.Enum):
     GROUND_STRIKE = "ground_strike"
     DIVERGED = "diverged"  # the plant raised `AttitudeDivergence`
     TIMEOUT = "timeout"  # ``max_time_s`` ran out first
-
-
-# Per-cycle phase lookups test members by identity in module-level tuples
-# and compare ``_value_``: ``Phase(n)``, ``.value`` and an enum member's
-# hash each run Python code.
-_UNPOWERED = (Phase.GLIDE_STOP, Phase.IMPACT)
-_LEG_STEERED = (Phase.CONTROLLED_FLIGHT, Phase.APPROACH, Phase.GLIDE_STOP)
 
 
 # Gains produced by the stage-2 tuning sweep (see demos/tune_gains.py).
@@ -263,24 +253,21 @@ class Autopilot:
         self.alt_pid = PidState()
         self.beta_cmd = 45.0
         self.branch_z_est: Optional[float] = None
-        self.phase = Phase.LAUNCH
+        self.phase = Phase.CONTROLLED_FLIGHT
         sensor_rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(config.seed), np.uint64(1)]))
         self.noise_rows = _noise_rows(sensor_rng, config.sensor.noise_sigma)
 
     def advance_phase(self, state: RobotState) -> Phase:
-        """Forward-only transitions keyed on range to the branch."""
+        """Forward-only transitions keyed on range to the branch: the
+        flap cut latches within `GLIDE_STOP_RANGE_M`, the impact at the
+        branch's x."""
         rng_m = self.config.branch.center[0] - state.x_m
         if rng_m <= 0.0:
-            reached = Phase.IMPACT
-        elif rng_m <= GLIDE_STOP_RANGE_M:
-            reached = Phase.GLIDE_STOP
-        elif rng_m <= APPROACH_RANGE_M:
-            reached = Phase.APPROACH
-        else:
-            reached = Phase.CONTROLLED_FLIGHT
-        if reached._value_ > self.phase._value_:
-            self.phase = reached
+            self.phase = Phase.IMPACT
+        elif (rng_m <= GLIDE_STOP_RANGE_M
+              and self.phase is Phase.CONTROLLED_FLIGHT):
+            self.phase = Phase.GLIDE_STOP
         return self.phase
 
     def _update_leg(self, state: RobotState) -> None:
@@ -319,11 +306,9 @@ class Autopilot:
 
     def control_cycle(self, state: RobotState,
                       phase: Phase) -> ControlCommand:
+        """One 120 Hz command: flapping only in `CONTROLLED_FLIGHT`, the
+        leg steered in every phase but `IMPACT`."""
         cfg = self.config
-        if phase is Phase.LAUNCH:
-            return ControlCommand.limited(cfg.robot, 0.0, 0.0, 0.0,
-                                          self.beta_cmd)
-
         delta_e, self.pitch_pid = pid_step(
             cfg.pitch_gains, cfg.pitch_setpoint_deg, state.pitch_deg,
             DT, self.pitch_pid)
@@ -337,9 +322,10 @@ class Autopilot:
         flap_corr, self.alt_pid = pid_step(
             cfg.altitude_gains, cfg.altitude_setpoint_m, state.altitude_m,
             DT, self.alt_pid)
-        flap = 0.0 if phase in _UNPOWERED else self.trim_flap + flap_corr
+        flap = (self.trim_flap + flap_corr
+                if phase is Phase.CONTROLLED_FLIGHT else 0.0)
 
-        if phase in _LEG_STEERED:
+        if phase is not Phase.IMPACT:
             self._update_leg(state)
 
         return ControlCommand.limited(cfg.robot, delta_e, delta_r, flap,
@@ -431,10 +417,10 @@ def run_mission(config: MissionConfig) -> MissionResult:
     n_max = int(config.max_time_s / DT)
     for _ in range(n_max):
         phase = ap.advance_phase(state)
-        cmd = ap.control_cycle(state, phase)
         if phase is Phase.IMPACT:
             termination = Termination.CROSSED
             break
+        cmd = ap.control_cycle(state, phase)
         force, moment = disturbance.step()
         t += DT
         try:

@@ -1,8 +1,10 @@
 """Tests for the control loops, phase machine, and full perch missions."""
 
+import enum
 import gc
 import math
-import tracemalloc
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -96,30 +98,6 @@ class TestPidStep:
                       out_min=-1.0, out_max=1.0)
 
 
-class TestPitchLoop:
-    def test_step_settles_within_one_second(self):
-        """Pitch 0 -> 30 deg on the closed-loop plant: settled (within 5%
-        of target) by 1 s and never more than 5 deg above it."""
-        config = MissionConfig()
-        ap = Autopilot(config)
-        state = RobotState(z_m=2.0, vx_mps=ap.trim_speed, pitch_deg=0.0)
-        overshoot = 0.0
-        settle_s = math.inf
-        t = 0.0
-        for _ in range(int(2.0 / DT)):
-            cmd = ap.control_cycle(state, Phase.CONTROLLED_FLIGHT)
-            state = plant_step(state, cmd, config.robot, DT)
-            t += DT
-            overshoot = max(overshoot, state.pitch_deg - 30.0)
-            if abs(state.pitch_deg - 30.0) <= 1.5:
-                if settle_s is math.inf:
-                    settle_s = t
-            else:
-                settle_s = math.inf
-        assert settle_s <= 1.0
-        assert overshoot < 5.0
-
-
 class TestControlCycle:
     def test_glide_stop_kills_flapping(self):
         ap = Autopilot(MissionConfig())
@@ -136,7 +114,7 @@ class TestControlCycle:
         assert state.claw_z_m(0.2) < 2.0  # claw below the branch center
         before = ap.beta_cmd
         for _ in range(10):
-            cmd = ap.control_cycle(state, Phase.APPROACH)
+            cmd = ap.control_cycle(state, Phase.CONTROLLED_FLIGHT)
         assert cmd.beta_cmd_deg > before
 
     def test_actuation_saturation_every_cycle(self):
@@ -171,15 +149,28 @@ class TestPhaseMachine:
 
     def test_thresholds(self):
         ap = Autopilot(MissionConfig())
-        ap.phase = Phase.CONTROLLED_FLIGHT
+        assert ap.phase is Phase.CONTROLLED_FLIGHT
         assert ap.advance_phase(
             RobotState(x_m=12.49, z_m=2.0)) is Phase.CONTROLLED_FLIGHT
-        assert ap.advance_phase(
-            RobotState(x_m=12.51, z_m=2.0)) is Phase.APPROACH
         assert ap.advance_phase(
             RobotState(x_m=13.81, z_m=2.0)) is Phase.GLIDE_STOP
         assert ap.advance_phase(
             RobotState(x_m=14.0, z_m=2.0)) is Phase.IMPACT
+
+    def test_cut_and_impact_stay_latched(self):
+        # a gust that carries the airframe back past the 0.2 m cut leaves
+        # the flapping off; nothing undoes the impact
+        ap = Autopilot(MissionConfig())
+        assert ap.advance_phase(
+            RobotState(x_m=13.85, z_m=2.0)) is Phase.GLIDE_STOP
+        back = RobotState(x_m=13.5, z_m=2.0, vx_mps=2.5, pitch_deg=30.0)
+        assert ap.advance_phase(back) is Phase.GLIDE_STOP
+        assert ap.control_cycle(back, ap.phase).flap_hz == 0.0
+        assert ap.advance_phase(
+            RobotState(x_m=14.0, z_m=2.0)) is Phase.IMPACT
+        for x_m in (13.9, 12.0):
+            assert ap.advance_phase(
+                RobotState(x_m=x_m, z_m=2.0)) is Phase.IMPACT
 
 
 class TestRunMission:
@@ -250,6 +241,21 @@ class TestRunMission:
         assert result.impact is not None
         assert not result.impact.locked
         assert result.outcome is PerchOutcome.MISSED
+
+    def test_one_command_per_row(self, monkeypatch):
+        # the crossing ends the flight before a command is built for it
+        calls = []
+        control_cycle = Autopilot.control_cycle
+
+        def counted(self, state, phase):
+            calls.append(phase)
+            return control_cycle(self, state, phase)
+
+        monkeypatch.setattr(Autopilot, "control_cycle", counted)
+        result = run_mission(MissionConfig())
+        assert result.termination is Termination.CROSSED
+        assert len(calls) == len(result.trajectory)
+        assert Phase.IMPACT not in calls
 
     def test_airframe_mass_reaches_impact_and_touchdown(self, monkeypatch):
         # the leg impact and the touchdown pivot both see the airframe's
@@ -386,6 +392,24 @@ class TestBlockDraws:
         assert blocked.impact == reference.impact
 
 
+def bytes_reachable(obj):
+    """``sys.getsizeof`` summed over every object reachable from ``obj``,
+    an array's base buffer included.  Classes, modules and enum members
+    outlive any one result, so the walk stops at them."""
+    seen, stack, total = set(), [obj], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               enum.Enum)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    return total
+
+
 class TestTrajectoryArray:
     """A mission keeps its trajectory as one float64 array, one row per
     control cycle and one column per `TrajectoryRow` field."""
@@ -430,21 +454,11 @@ class TestTrajectoryArray:
         assert math.isfinite(result.claw_misalignment_m) is crossed
 
     def test_bytes_kept_per_row(self):
-        config = MissionConfig()
-        run_mission(config)  # first-call caches are not the result's
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = run_mission(config)
-            gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        result = run_mission(MissionConfig())
         rows = len(result.trajectory)
         assert rows > 500
         # 88 B of float64 a row, and the result's few fixed objects
-        assert kept / rows < 150
+        assert bytes_reachable(result) / rows < 150
 
 
 class TestEnsemble:

@@ -525,28 +525,6 @@ class TestFloatLanes:
             ((width,), np.float64)] * 4 + [((width,), np.bool_)]
 
 
-POSITIVE_LEG_FIELDS = ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
-                       "servo_joint_stiffness_nm_rad", "joint_damping_ratio")
-NON_NEGATIVE_LEG_FIELDS = ("spring_anchor_fraction", "servo_damping_nm_s")
-
-
-class TestParamsValidation:
-    @pytest.mark.parametrize("field, value", [
-        (field, value)
-        for field in (POSITIVE_LEG_FIELDS + NON_NEGATIVE_LEG_FIELDS
-                      + ("servo_limit_torque_nm",))
-        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
-        if not (field in NON_NEGATIVE_LEG_FIELDS and value == 0.0)
-    ])
-    def test_bad_value_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            LegParams(**{field: value})
-
-    @pytest.mark.parametrize("field", NON_NEGATIVE_LEG_FIELDS)
-    def test_zero_allowed(self, field):
-        assert getattr(LegParams(**{field: 0.0}), field) == 0.0
-
-
 class TestSweep:
     def test_sweep_shape_and_values(self, default_leg):
         rows = impact_sweep(default_leg, [2.0, 3.0], [0.0, 0.03, 0.08])
