@@ -262,7 +262,7 @@ class Autopilot:
         """Forward-only transitions keyed on range to the branch: the
         flap cut latches within `GLIDE_STOP_RANGE_M`, the impact at the
         branch's x."""
-        rng_m = self.config.branch.center[0] - state.x_m
+        rng_m = self.config.branch.x_m - state.x_m
         if rng_m <= 0.0:
             self.phase = Phase.IMPACT
         elif (rng_m <= GLIDE_STOP_RANGE_M
@@ -287,7 +287,7 @@ class Autopilot:
         frame = render_scan(pose, cfg.branch, cfg.sensor,
                             next(self.noise_rows))
         det = detect_branch(frame, cfg.sensor)
-        rng_m = cfg.branch.center[0] - state.x_m
+        rng_m = cfg.branch.x_m - state.x_m
         if det is not None and rng_m > 0.05:
             # cfg.sensor.pixel_angle_rad(det), on a float
             elevation = boresight + (det - (PIXELS - 1) / 2.0) \
@@ -442,7 +442,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
     altitude_error = math.inf
     claw_mis = math.nan
     if crossing is not None:
-        claw_mis = (config.branch.center[2]
+        claw_mis = (config.branch.z_m
                     - crossing.claw_z_m(config.leg.link_length_m))
         impact = legmod.simulate_impact(
             config.leg,

@@ -88,11 +88,14 @@ MU_EFF_DEFAULTS = {
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """Cylindrical branch target."""
+    """Cylindrical branch target: its axis crosses the flight line at
+    ``x_m`` from the launch point, at height ``z_m``, yawed
+    ``axis_yaw_deg`` from square to it."""
 
     diameter_m: float = ranged(0.06, "(0, inf)")
-    center: Tuple[float, float, float] = (14.0, 0.0, 2.0)
-    axis_yaw_deg: float = 0.0
+    x_m: float = ranged(14.0, "(-inf, inf)")
+    z_m: float = ranged(2.0, "(-inf, inf)")
+    axis_yaw_deg: float = ranged(0.0, "(-inf, inf)")
     surface: BranchSurface = BranchSurface.SPIKES_PLUS_PADS
     mu_eff: Optional[float] = ranged(None, "[0, inf)")
 

@@ -63,73 +63,6 @@ class Scenario(enum.Enum):
     LAUNCHER_PROFILE = "LauncherProfile"
 
 
-# Every key a config file may set: key -> (field it sets, value type).  The
-# section before the dot names the target: ``mission`` -> MissionConfig,
-# ``branch`` -> BranchSpec (``center.x``/``center.z`` are components 0 and 2
-# of its ``center``), ``launcher`` -> launch_profile().  Fields that no key
-# sets keep their dataclass defaults.
-OVERRIDES: Dict[str, Tuple[str, type]] = {
-    "mission.launch_speed_mps": ("launch_speed_mps", float),
-    "mission.pitch_setpoint_deg": ("pitch_setpoint_deg", float),
-    "mission.altitude_setpoint_m": ("altitude_setpoint_m", float),
-    "mission.launch_lateral_offset_m": ("launch_lateral_offset_m", float),
-    "mission.launch_altitude_offset_m": ("launch_altitude_offset_m", float),
-    "mission.disturbance_sigma_force_n": ("disturbance_sigma_force_n", float),
-    "mission.disturbance_sigma_moment_nm":
-        ("disturbance_sigma_moment_nm", float),
-    "mission.soft_branch": ("soft_branch", bool),
-    "branch.diameter_m": ("diameter_m", float),
-    "branch.x_m": ("center.x", float),
-    "branch.z_m": ("center.z", float),
-    "branch.axis_yaw_deg": ("axis_yaw_deg", float),
-    "launcher.target_speed_mps": ("target_speed_mps", float),
-    "launcher.rail_length_m": ("rail_length_m", float),
-}
-
-
-def _typed(key: str, value: Value):
-    """``value`` as the type ``OVERRIDES`` gives ``key``: a bool, or a finite
-    float (an int is accepted for a float)."""
-    kind = OVERRIDES[key][1]
-    if kind is bool and type(value) is bool:
-        return value
-    if (kind is float and type(value) in (int, float)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    expected = "true or false" if kind is bool else "a finite number"
-    raise ConfigError(f"{key} must be {expected}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: Scenario
-    out_dir: str = "."
-    # FullPerch flies this seed and the next eight (stage 4)
-    seed: int = ranged(0, f"[0, {MAX_SEED - len(DEFAULT_SEEDS) + 1}]",
-                       integer=True)
-    overrides: Dict[str, Value] = field(default_factory=dict)
-
-    def __post_init__(self):
-        try:
-            check_ranges(self)
-            check_integers(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        unknown = set(self.overrides) - set(OVERRIDES)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, value in self.overrides.items():
-            _typed(key, value)
-
-
-def _fields(cfg: RunConfig, section: str) -> Dict[str, Value]:
-    """The overrides of one config section, as {field: typed value}."""
-    return {OVERRIDES[key][0]: _typed(key, value)
-            for key, value in cfg.overrides.items()
-            if key.startswith(section + ".")}
-
-
 @dataclass(frozen=True)
 class LaunchProfile:
     target_speed_mps: float = ranged_as(MissionConfig, "launch_speed_mps")
@@ -158,6 +91,85 @@ def launch_profile(target_speed_mps: float = LaunchProfile.target_speed_mps,
         raise ConfigError(str(exc)) from exc
 
 
+_SECTIONS = {"mission": MissionConfig, "branch": BranchSpec,
+             "launcher": LaunchProfile}
+
+# Every key a config file may set.  A key ``section.field`` sets the field
+# of that name on the section's class in `_SECTIONS`; fields that no key
+# sets keep their defaults.  The launcher takes its speed and lateral
+# offset from the mission's.
+OVERRIDES: Tuple[str, ...] = (
+    "mission.launch_speed_mps",
+    "mission.pitch_setpoint_deg",
+    "mission.altitude_setpoint_m",
+    "mission.launch_lateral_offset_m",
+    "mission.launch_altitude_offset_m",
+    "mission.disturbance_sigma_force_n",
+    "mission.disturbance_sigma_moment_nm",
+    "mission.soft_branch",
+    "branch.diameter_m",
+    "branch.x_m",
+    "branch.z_m",
+    "branch.axis_yaw_deg",
+    "launcher.rail_length_m",
+)
+
+
+def _typed(key: str, value: Value):
+    """``value`` as the type of the default of the field ``key`` sets: a
+    bool, or a finite float (an int is accepted for a float)."""
+    section, name = key.split(".")
+    kind = type(_SECTIONS[section].__dataclass_fields__[name].default)
+    if kind is bool and type(value) is bool:
+        return value
+    if (kind is float and type(value) in (int, float)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    expected = "true or false" if kind is bool else "a finite number"
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's scenario, output directory, seed and config-file
+    overrides.  The mission and launcher they describe are built here, so
+    every scenario rejects a bad config before it starts."""
+
+    scenario: Scenario
+    out_dir: str = "."
+    # FullPerch flies this seed and the next eight (stage 4)
+    seed: int = ranged(0, f"[0, {MAX_SEED - len(DEFAULT_SEEDS) + 1}]",
+                       integer=True)
+    overrides: Dict[str, Value] = field(default_factory=dict)
+    # the mission is checked on the full airframe (a development stage may
+    # then fix some of its fields)
+    mission: MissionConfig = field(init=False)
+    launcher: LaunchProfile = field(init=False)
+
+    def __post_init__(self):
+        try:
+            check_ranges(self)
+            check_integers(self)
+            unknown = set(self.overrides) - set(OVERRIDES)
+            if unknown:
+                raise ConfigError(
+                    f"unknown config keys: {', '.join(sorted(unknown))}")
+            sections = {section: {} for section in _SECTIONS}
+            for key, value in self.overrides.items():
+                section, name = key.split(".")
+                sections[section][name] = _typed(key, value)
+            mission = MissionConfig(branch=BranchSpec(**sections["branch"]),
+                                    seed=self.seed, **sections["mission"])
+            launcher = LaunchProfile(
+                target_speed_mps=mission.launch_speed_mps,
+                lateral_offset_m=mission.launch_lateral_offset_m,
+                **sections["launcher"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "mission", mission)
+        object.__setattr__(self, "launcher", launcher)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)  # shortest round-trip decimal
@@ -176,19 +188,6 @@ def _write_csv(path: Path, header: Sequence[str],
 # A scenario's criteria verdict and its own lines of summary.txt, which
 # `run_scenario` frames with the scenario's name and the verdict.
 Verdict = Tuple[bool, List[str]]
-
-
-def _mission_config(cfg: RunConfig) -> MissionConfig:
-    """The mission the config describes, validated for the full airframe
-    (a development stage may then fix some of its fields)."""
-    branch = _fields(cfg, "branch")
-    x, y, z = BranchSpec.center
-    center = (branch.pop("center.x", x), y, branch.pop("center.z", z))
-    try:
-        return MissionConfig(branch=BranchSpec(center=center, **branch),
-                             seed=cfg.seed, **_fields(cfg, "mission"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _write_trajectory(path: Path, result: MissionResult) -> None:
@@ -247,7 +246,7 @@ def _scenario_impact_suite(cfg: RunConfig, out: Path) -> Verdict:
 
 def _one_mission_stage(stage: int, cfg: RunConfig, out: Path) -> StageReport:
     """Run a development stage that flies one mission; write its trajectory."""
-    report = run_stage(stage, _mission_config(cfg))
+    report = run_stage(stage, cfg.mission)
     _write_trajectory(out / "trajectory.csv", report.missions[0])
     return report
 
@@ -270,7 +269,7 @@ def _scenario_soft_branch(cfg: RunConfig, out: Path) -> Verdict:
 
 
 def _scenario_full_perch(cfg: RunConfig, out: Path) -> Verdict:
-    report = run_stage(4, _mission_config(cfg))
+    report = run_stage(4, cfg.mission)
     summary_rows = []
     # the stage flies consecutive seeds from the config's
     for seed, result in enumerate(report.missions, start=cfg.seed):
@@ -320,10 +319,7 @@ def _scenario_optimize(cfg: RunConfig, out: Path) -> Verdict:
 
 
 def _scenario_launcher_profile(cfg: RunConfig, out: Path) -> Verdict:
-    lateral = _fields(cfg, "mission").get("launch_lateral_offset_m",
-                                          LaunchProfile.lateral_offset_m)
-    profile = launch_profile(**_fields(cfg, "launcher"),
-                             lateral_offset_m=lateral)
+    profile = cfg.launcher
     _write_csv(out / "launcher.csv",
                ("target_speed_mps", "rail_length_m", "acceleration_mps2",
                 "lateral_offset_m"),

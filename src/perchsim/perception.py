@@ -125,9 +125,8 @@ def render_scan(
     [0, 1].  ``noise`` is one row of ``PIXELS`` N(0, ``spec.noise_sigma``)
     draws from the caller's stream; it is only read.
     """
-    bx, bz = branch.center[0], branch.center[2]
-    dx = bx - pose.x_m
-    dz = bz - pose.z_m
+    dx = branch.x_m - pose.x_m
+    dz = branch.z_m - pose.z_m
     dist = math.hypot(dx, dz)
     if dist > branch.diameter_m / 2.0 and dx > 0.0:
         center_angle = math.atan2(dz, dx) - pose.boresight_rad

@@ -59,7 +59,7 @@ class RobotParams:
     and a brief 4 m/s launch glide."""
 
     mass_kg: float = ranged(0.700, "(0, inf)")  # with leg/claw appendage
-    mass_no_appendage_kg: float = 0.520
+    mass_no_appendage_kg: float = ranged(0.520, "(0, inf)")
     # 16 N/m^2 wing loading at 0.7 kg
     wing_area_m2: float = ranged(0.43, "(0, inf)")
     max_flap_hz: float = ranged(5.5, "(0, inf)")

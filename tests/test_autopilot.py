@@ -234,7 +234,7 @@ class TestRunMission:
         result = run_mission(config)
         assert result.crossing is not None
         assert result.claw_misalignment_m == (
-            config.branch.center[2] - result.crossing.claw_z_m(0.25))
+            config.branch.z_m - result.crossing.claw_z_m(0.25))
 
     def test_soft_branch_never_locks(self):
         result = run_mission(MissionConfig(soft_branch=True))

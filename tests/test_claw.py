@@ -310,28 +310,3 @@ def test_sweep_rows(geom, spring):
     assert len(rows) == 3
     assert rows[1][1] == pytest.approx(56.8, rel=0.05)
 
-
-BAD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0)
-
-
-class TestSpecValidation:
-    @pytest.mark.parametrize("field, value", [
-        (field, value)
-        for field in ("diameter_m", "mu_eff")
-        for value in BAD_VALUES
-        if not (field == "mu_eff" and value == 0.0)  # frictionless is valid
-    ])
-    def test_branch_bad_value_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            BranchSpec(**{field: value})
-
-    @pytest.mark.parametrize("field", ["rate_n_per_mm", "max_force_n"])
-    @pytest.mark.parametrize("value", BAD_VALUES)
-    def test_spring_bad_value_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            SpringSpec(**{field: value})
-
-    @pytest.mark.parametrize("value", BAD_VALUES)
-    def test_claw_inertia_rejected(self, value):
-        with pytest.raises(ValueError):
-            ClawGeometry(claw_inertia=value)

@@ -20,8 +20,6 @@ from perchsim.harness import (
     LaunchProfile,
     RunConfig,
     Scenario,
-    _fields,
-    _mission_config,
     launch_profile,
     run_scenario,
 )
@@ -70,7 +68,7 @@ class TestConfigFormat:
 def built(overrides):
     """The mission config and launch profile the harness builds."""
     cfg = RunConfig(Scenario.FULL_PERCH, overrides=overrides)
-    return _mission_config(cfg), launch_profile(**_fields(cfg, "launcher"))
+    return cfg.mission, cfg.launcher
 
 
 # One non-default value per accepted key, and where it must land.
@@ -88,10 +86,9 @@ ROUTES = [
      lambda m, p: m.disturbance_sigma_moment_nm),
     ("mission.soft_branch", True, lambda m, p: m.soft_branch),
     ("branch.diameter_m", 0.08, lambda m, p: m.branch.diameter_m),
-    ("branch.x_m", 12.0, lambda m, p: m.branch.center[0]),
-    ("branch.z_m", 1.5, lambda m, p: m.branch.center[2]),
+    ("branch.x_m", 12.0, lambda m, p: m.branch.x_m),
+    ("branch.z_m", 1.5, lambda m, p: m.branch.z_m),
     ("branch.axis_yaw_deg", 10.0, lambda m, p: m.branch.axis_yaw_deg),
-    ("launcher.target_speed_mps", 3.0, lambda m, p: p.target_speed_mps),
     ("launcher.rail_length_m", 0.9, lambda m, p: p.rail_length_m),
 ]
 
@@ -329,7 +326,7 @@ class TestScenarios:
     def test_trajectory_csv_reads_back_bit_for_bit(self, tmp_path):
         cfg = RunConfig(Scenario.FLIGHT_ONLY, out_dir=str(tmp_path),
                         overrides={"mission.disturbance_sigma_force_n": 0.2})
-        trajectory = run_stage(2, _mission_config(cfg)).missions[0].trajectory
+        trajectory = run_stage(2, cfg.mission).missions[0].trajectory
         run_scenario(cfg)
         header, *rows = read_csv(tmp_path / "trajectory.csv")
         assert tuple(header) == TrajectoryRow._fields
@@ -341,7 +338,7 @@ class TestScenarios:
         # a branch at the launch point: the first cycle is the crossing
         cfg = RunConfig(Scenario.SOFT_BRANCH, out_dir=str(tmp_path),
                         overrides={"branch.x_m": 0.0})
-        trajectory = run_stage(3, _mission_config(cfg)).missions[0].trajectory
+        trajectory = run_stage(3, cfg.mission).missions[0].trajectory
         assert trajectory.shape == (0, 11)
         assert trajectory.dtype == np.float64
         assert run_scenario(cfg) == EXIT_CRITERIA_FAILED
@@ -360,10 +357,13 @@ class TestScenarios:
 class TestCli:
     def test_exit_codes_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("mission.warp_drive = 9\n")
-        code = main(["FullPerch", "--config", str(bad),
-                     "--out", str(tmp_path)])
-        assert code == 2
+        # the launcher's speed is mission.launch_speed_mps: no key of its own
+        for line in ("mission.warp_drive = 9",
+                     "launcher.target_speed_mps = 4"):
+            bad.write_text(line + "\n")
+            code = main(["FullPerch", "--config", str(bad),
+                         "--out", str(tmp_path)])
+            assert code == 2
 
     def test_missing_config_file(self, tmp_path):
         code = main(["FullPerch", "--config", str(tmp_path / "absent.cfg"),
@@ -377,16 +377,15 @@ class TestCli:
 
     def test_config_override_applied(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("launcher.target_speed_mps = 3.0\n"
-                       "launcher.rail_length_m = 0.9\n")
+        cfg.write_text("mission.launch_speed_mps = 3.0\n")
         code = main(["LauncherProfile", "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == 0
         rows = read_csv(tmp_path / "launcher.csv")
-        assert float(rows[1][2]) == pytest.approx(5.0)
+        assert rows[1] == ["3.0", "1.6", "2.8125", "0.4"]
 
-    @pytest.mark.parametrize("line, scenario", [
-        *[pytest.param(line, "SoftBranch", id=line) for line in [
+    @pytest.mark.parametrize("line", [
+        *[pytest.param(line, id=line) for line in [
             "branch.diameter_m = abc",
             "branch.diameter_m = -1",
             "launcher.rail_length_m = abc",
@@ -394,29 +393,35 @@ class TestCli:
             "mission.launch_speed_mps = -1",
             "mission.disturbance_sigma_force_n = -1",
             "mission.disturbance_sigma_moment_nm = -1",
-            "launcher.target_speed_mps = nan",
+            "mission.launch_speed_mps = nan",
             "mission.pitch_setpoint_deg = 44",
             "branch.diameter_m = 0.02",
         ]],
-        # trims on the light airframe only: checked against the full one
-        pytest.param("mission.pitch_setpoint_deg = 36", "FlightOnly",
+        # only the light airframe, which FlightOnly flies, trims at 36 deg:
+        # checked against the full one
+        pytest.param("mission.pitch_setpoint_deg = 36",
                      id="FlightOnly-mission.pitch_setpoint_deg = 36"),
-        # too wide for the claw: it would close short of its snap angle
-        # (0.219), or past its travel (0.25 and up)
-        *[pytest.param(f"branch.diameter_m = {d}", "FullPerch",
+        # too wide for the claw, so FullPerch could not classify its
+        # touchdowns: it would close short of its snap angle (0.219), or
+        # past its travel (0.25 and up)
+        *[pytest.param(f"branch.diameter_m = {d}",
                        id=f"FullPerch-branch.diameter_m = {d}")
           for d in (0.219, 0.25, 0.5)],
     ])
-    def test_bad_value_is_config_error(self, tmp_path, capsys, line,
-                                       scenario):
+    def test_bad_value_is_config_error(self, tmp_path, capsys, line):
+        """Every scenario checks every key: a bad value exits 2 with one
+        line on stderr, before the output directory is made."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        code = main([scenario, "--config", str(cfg),
-                     "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("perchsim: configuration error: ")
-        assert err.count("\n") == 1
+        for scenario in Scenario:
+            out = tmp_path / scenario.value
+            code = main([scenario.value, "--config", str(cfg),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2, scenario
+            assert err.startswith("perchsim: configuration error: ")
+            assert err.count("\n") == 1
+            assert not out.exists(), scenario
 
     def test_widest_branch_flies(self, tmp_path, capsys):
         """A branch just narrower than the widest the claw holds with a
@@ -485,7 +490,7 @@ class TestCli:
 
     def test_overspeed_config_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("launcher.target_speed_mps = 5.5\n")
+        cfg.write_text("mission.launch_speed_mps = 5.5\n")
         code = main(["LauncherProfile", "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == 2

@@ -230,17 +230,19 @@ class TestDetectBranch:
         assert detect_branch(dimmed, spec) == detect_branch(frame, spec)
 
     def test_translation_monotone(self, branch):
-        """Raising the branch never lowers the detected pixel index."""
+        """Raising the branch never lowers the detected pixel index, and
+        raising it 0.6 m moves it."""
         spec = noiseless()
-        prev = -1.0
+        dets = []
         for dz in np.arange(-0.3, 0.31, 0.05):
-            b = BranchSpec(center=(14.0, 0.0, 2.0 + float(dz)))
+            b = BranchSpec(z_m=2.0 + float(dz))
             frame = render_scan(SensorPose(12.5, 2.0), b, spec,
                                 noise(spec, np.random.default_rng(0)))
             det = detect_branch(frame, spec)
             assert det is not None
-            assert det >= prev
-            prev = det
+            assert det >= (dets[-1] if dets else -1.0)
+            dets.append(det)
+        assert dets[-1] > dets[0]
 
     @given(mask=st.lists(st.booleans(), min_size=128, max_size=128),
            min_run_px=st.integers(1, 12))
@@ -343,7 +345,7 @@ class TestLegLoop:
         initial boresight: the loop steers the claw into the capture
         window before contact."""
         leg = 0.2
-        branch = BranchSpec(center=(14.0, 0.0, 2.05))
+        branch = BranchSpec(z_m=2.05)
         state = LegLoopState(beta_cmd_deg=45.0)
         beta = 45.0
         dt = 1.0 / spec.read_hz

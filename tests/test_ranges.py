@@ -34,7 +34,8 @@ DECLARED = {
         "max_time_s": POS, "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
     "SpringSpec": {"rate_n_per_mm": POS, "max_force_n": POS},
-    "BranchSpec": {"diameter_m": POS, "mu_eff": NON_NEG},
+    "BranchSpec": {"diameter_m": POS, "mu_eff": NON_NEG, "x_m": FINITE,
+                   "z_m": FINITE, "axis_yaw_deg": FINITE},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
                                   POS),
     "LaunchProfile": {"target_speed_mps": "[0, 5.0]", "rail_length_m": POS,
@@ -51,8 +52,9 @@ DECLARED = {
     "LegPdGains": {"kp_deg_per_px": NON_NEG, "kd_deg_s_per_px": NON_NEG,
                    "rate_limit_dps": POS},
     "RobotParams": dict.fromkeys(
-        ("mass_kg", "wing_area_m2", "max_flap_hz", "pitch_inertia",
-         "yaw_inertia", "cl_alpha_per_deg", "beta_lag_s"), POS),
+        ("mass_kg", "mass_no_appendage_kg", "wing_area_m2", "max_flap_hz",
+         "pitch_inertia", "yaw_inertia", "cl_alpha_per_deg", "beta_lag_s"),
+        POS),
     "PsoConfig": {"particles": "[2, inf)", "iterations": NON_NEG,
                   "inertia": "(0, 1)", "cognitive": POS, "social": POS,
                   "velocity_clamp": POS, "seed": MISSION_SEED},
