@@ -16,19 +16,17 @@ scenarios named below.
 Run: python3 demos/tune_gains.py
 """
 
-from perchsim.autopilot import MissionConfig, tuning_procedure
+from perchsim.autopilot import MissionConfig, run_stage
 
 
 def main():
     config = MissionConfig()
-    completed = []
     for stage in (1, 2, 3, 4):
-        report = tuning_procedure(stage, config, completed)
+        report = run_stage(stage, config)
         status = "pass" if report.passed else "FAIL"
         print(f"stage {report.stage}: {status}")
         for key, value in report.metrics.items():
             print(f"    {key} = {value:.4g}")
-        completed.append(stage)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,13 @@ GlideStop (flapping off) -> Impact (the crossing ends the flight).
 
 `run_stage` holds the four development stages, each defined once:
 launcher-only claw tests (1), flight without the appendage (2), soft-branch
-contact (3) and the full perch ensemble (4).  `tuning_procedure` runs them
-in order; the harness scenarios `FlightOnly`, `SoftBranch` and `FullPerch`
-run stages 2-4.
+contact (3) and the full perch ensemble (4).  They are run in that order,
+each building on the last; the harness scenarios `FlightOnly`, `SoftBranch`
+and `FullPerch` run stages 2-4.
+
+A `MissionConfig` holds what a run varies; the robot's fixed parts (claw,
+spring, loop gains, gust time constant, touchdown calibration) are module
+constants, read where they are used.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import claw as clawmod
 from . import leg as legmod
-from .claw import BranchSpec, ClawGeometry, SpringSpec
+from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
 from .config import MAX_SEED, check_integers, check_ranges, ranged
 from .leg import ImpactRecord, LegParams
 from .perception import (
@@ -48,7 +52,7 @@ from .plant import (
     plant_step,
     trim_state,
 )
-from .touchdown import PerchOutcome, TouchdownGeom, TouchdownState, evaluate_touchdown
+from .touchdown import PerchOutcome, TouchdownState, evaluate_touchdown
 
 __all__ = [
     "LoopGains",
@@ -63,9 +67,7 @@ __all__ = [
     "MissionResult",
     "TrajectoryRow",
     "run_stage",
-    "tuning_procedure",
     "StageReport",
-    "OrderingError",
     "DEFAULT_SEEDS",
 ]
 
@@ -77,15 +79,13 @@ LAUNCH_SPEED_CAP_MPS = 5.0
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
 DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM = 0.003
+# correlation time of the first-order gust filter
+DISTURBANCE_TAU_S = 0.3
 # Sensor noise rows and gust normals are drawn this many frames or cycles at
 # a time.  A numpy Generator carries nothing from one call to the next, so a
 # block holds the same bits as one draw per frame or cycle.
 NOISE_BLOCK_FRAMES = 64
 GUST_BLOCK_CYCLES = 128
-
-
-class OrderingError(RuntimeError):
-    """Tuning stages must run in order."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,9 @@ class Termination(enum.Enum):
     TIMEOUT = "timeout"  # ``max_time_s`` ran out first
 
 
-# Gains produced by the stage-2 tuning sweep (see demos/tune_gains.py).
+# Fixed loop gains.  Stage 2 (`run_stage`) checks them on the light
+# airframe: pitch settles within 1 s with under 5 deg overshoot, and the
+# altitude error is at most 0.10 m.
 DEFAULT_PITCH_GAINS = LoopGains(kp=1.2, ki=1.6, out_min=-20.0, out_max=20.0,
                                 integrator_clamp=3.0)
 DEFAULT_YAW_GAINS = LoopGains(kp=1.5, ki=0.2, kd=0.4, out_min=-20.0,
@@ -163,17 +165,10 @@ class MissionConfig:
     robot: RobotParams = field(default_factory=RobotParams)
     leg: LegParams = field(default_factory=LegParams)
     sensor: SensorSpec = field(default_factory=SensorSpec)
-    claw_geom: ClawGeometry = field(default_factory=ClawGeometry)
-    spring: SpringSpec = field(default_factory=SpringSpec)
-    touchdown_geom: TouchdownGeom = field(default_factory=TouchdownGeom)
-    pitch_gains: LoopGains = DEFAULT_PITCH_GAINS
-    yaw_gains: LoopGains = DEFAULT_YAW_GAINS
-    altitude_gains: LoopGains = DEFAULT_ALT_GAINS
     leg_gains: LegPdGains = field(default_factory=LegPdGains)
     seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
-    disturbance_tau_s: float = ranged(0.3, "(0, inf)")
     launch_lateral_offset_m: float = ranged(0.4, "(-inf, inf)")
     launch_altitude_offset_m: float = ranged(-0.17, "(-inf, inf)")
     soft_branch: bool = False
@@ -185,13 +180,13 @@ class MissionConfig:
         if trim_state(self.pitch_setpoint_deg, self.robot) is None:
             raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
                              "has no trim point")
-        if self.branch.diameter_m < self.claw_geom.min_spike_diameter_m:
+        if self.branch.diameter_m < ROBOT_CLAW.min_spike_diameter_m:
             raise ValueError("branch diameter below the claw's spike-contact "
-                             f"minimum {self.claw_geom.min_spike_diameter_m} m")
+                             f"minimum {ROBOT_CLAW.min_spike_diameter_m} m")
         # too wide a branch closes the claw short of its snap angle, or past
         # its travel, and a touchdown could not be classified
         try:
-            hold = clawmod.holding_torque(self.claw_geom, self.spring,
+            hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
                                           self.branch)
         except ValueError as exc:
             raise ValueError(f"branch diameter {self.branch.diameter_m} m: "
@@ -310,17 +305,17 @@ class Autopilot:
         leg steered in every phase but `IMPACT`."""
         cfg = self.config
         delta_e, self.pitch_pid = pid_step(
-            cfg.pitch_gains, cfg.pitch_setpoint_deg, state.pitch_deg,
+            DEFAULT_PITCH_GAINS, cfg.pitch_setpoint_deg, state.pitch_deg,
             DT, self.pitch_pid)
 
         yaw_sp = -LATERAL_GAIN_DEG_PER_M * (state.y_m - LATERAL_AIM_M)
         yaw_sp = min(YAW_SETPOINT_LIMIT_DEG, max(-YAW_SETPOINT_LIMIT_DEG,
                                                  yaw_sp))
         delta_r, self.yaw_pid = pid_step(
-            cfg.yaw_gains, yaw_sp, state.yaw_deg, DT, self.yaw_pid)
+            DEFAULT_YAW_GAINS, yaw_sp, state.yaw_deg, DT, self.yaw_pid)
 
         flap_corr, self.alt_pid = pid_step(
-            cfg.altitude_gains, cfg.altitude_setpoint_m, state.altitude_m,
+            DEFAULT_ALT_GAINS, cfg.altitude_setpoint_m, state.altitude_m,
             DT, self.alt_pid)
         flap = (self.trim_flap + flap_corr
                 if phase is Phase.CONTROLLED_FLIGHT else 0.0)
@@ -354,7 +349,7 @@ class _Disturbance:
         rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
         self.normals = _gust_normals(rng)
-        self.rho = math.exp(-DT / config.disturbance_tau_s)
+        self.rho = math.exp(-DT / DISTURBANCE_TAU_S)
         scale = math.sqrt(1.0 - self.rho * self.rho)
         # per-axis innovation gains, associated as ((sigma*scale)*weight)*noise
         self.force_gain = tuple(config.disturbance_sigma_force_n * scale * w
@@ -387,8 +382,7 @@ def _touchdown_of(config: MissionConfig, state: RobotState,
                   impact: ImpactRecord) -> PerchOutcome:
     if not impact.locked:
         return PerchOutcome.MISSED
-    hold = clawmod.holding_torque(config.claw_geom, config.spring,
-                                  config.branch)
+    hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING, config.branch)
     st = TouchdownState(
         speed_mps=max(0.0, state.vx_mps),
         theta_leg_deg=min(90.0, max(0.0, state.beta_deg)),
@@ -396,7 +390,7 @@ def _touchdown_of(config: MissionConfig, state: RobotState,
         body_pitch_deg=state.pitch_deg,
         mass_kg=config.robot.mass_kg,
     )
-    return evaluate_touchdown(st, hold, config.touchdown_geom)
+    return evaluate_touchdown(st, hold)
 
 
 def run_mission(config: MissionConfig) -> MissionResult:
@@ -488,9 +482,6 @@ def run_ensemble(
     return [run_mission(c) for c in configs]
 
 
-_STAGES = range(1, 5)
-
-
 @dataclass
 class StageReport:
     stage: int
@@ -505,7 +496,7 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
     The stage's own mission fields win over the config's; every other field,
     the gusts included, is the config's.
     """
-    if stage not in _STAGES:
+    if stage not in (1, 2, 3, 4):
         raise ValueError("stage must be 1-4")
 
     if stage == 1:
@@ -555,15 +546,6 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
     perched = sum(r.outcome is PerchOutcome.PERCHED for r in results)
     return StageReport(4, perched >= 6, {"perched": perched,
                                          "runs": len(results)}, results)
-
-
-def tuning_procedure(stage: int, config: MissionConfig,
-                     completed: Sequence[int] = ()) -> StageReport:
-    """Run one development stage; earlier stages must be completed first."""
-    if stage in _STAGES and any(s not in completed for s in range(1, stage)):
-        raise OrderingError(
-            f"stage {stage} requires stages {list(range(1, stage))} first")
-    return run_stage(stage, config)
 
 
 def _pitch_settle_metrics(config: MissionConfig) -> Dict[str, float]:

@@ -24,6 +24,8 @@ __all__ = [
     "ClawGeometry",
     "BranchSpec",
     "BranchSurface",
+    "ROBOT_CLAW",
+    "ROBOT_SPRING",
     "ClawMode",
     "ClawState",
     "GeometryNotBistableError",
@@ -149,6 +151,11 @@ class ClawGeometry:
         """Mechanical travel limit: closed angle on the thinnest grippable branch."""
         extra = self.closure_slope_deg_per_m * (0.06 - self.min_spike_diameter_m)
         return max(self.psi_open, self.psi_closed) + max(0.0, extra)
+
+
+# The robot's claw and spring: every mission, scenario and stage reads these.
+ROBOT_CLAW = ClawGeometry()
+ROBOT_SPRING = SpringSpec()
 
 
 class ClawMode(Enum):
@@ -342,8 +349,8 @@ def reopen_profile(
     pull_capacity_n: float = 200.0,
     travel_mm: float = 40.0,
     speed_mm_s: float = 2.0,
-    geom: Optional[ClawGeometry] = None,
-    spec: Optional[SpringSpec] = None,
+    geom: ClawGeometry = ROBOT_CLAW,
+    spec: SpringSpec = ROBOT_SPRING,
 ) -> Tuple[float, float, float]:
     """Tendon re-opening: returns (duration_s, avg_power_w, peak_tendon_force_n).
 
@@ -352,10 +359,6 @@ def reopen_profile(
     high-reduction drive, so total electrical work scales with travel and the
     average power follows work / duration.
     """
-    if geom is None:
-        geom = ClawGeometry()
-    if spec is None:
-        spec = SpringSpec()
     if travel_mm < 0 or speed_mm_s <= 0:
         raise ValueError("travel must be >= 0 and speed positive")
     if travel_mm == 0.0:

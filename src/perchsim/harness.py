@@ -29,7 +29,7 @@ from .autopilot import (
     TrajectoryRow,
     run_stage,
 )
-from .claw import BranchSpec, ClawGeometry, SpringSpec
+from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
 from .config import (MAX_SEED, ConfigError, Value, check_integers,
                      check_ranges, ranged, ranged_as)
 from .pso import PsoConfig, pso_minimize
@@ -212,7 +212,7 @@ def _divergence_lines(result: MissionResult) -> List[str]:
 
 
 def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> Verdict:
-    geom, spring = ClawGeometry(), SpringSpec()
+    geom, spring = ROBOT_CLAW, ROBOT_SPRING
     # start above the spike-contact geometric minimum (3.6 cm)
     diameters = np.arange(0.04, 0.1101, 0.005)
     rows = clawmod.diameter_sweep(geom, spring, diameters)
@@ -287,7 +287,8 @@ def _scenario_full_perch(cfg: RunConfig, out: Path) -> Verdict:
 
 
 def _scenario_envelope(cfg: RunConfig, out: Path) -> Verdict:
-    hold = clawmod.holding_torque(ClawGeometry(), SpringSpec(), BranchSpec())
+    hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
+                                  cfg.mission.branch)
     thetas = np.arange(40.0, 90.01, 2.5)
     speeds = np.arange(0.0, 8.01, 0.25)
     psis = np.arange(-25.0, 25.01, 1.0)

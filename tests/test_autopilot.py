@@ -15,11 +15,11 @@ from perchsim.autopilot import (
     DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
     DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
     DEFAULT_SEEDS,
+    DISTURBANCE_TAU_S,
     DT,
     Autopilot,
     LoopGains,
     MissionConfig,
-    OrderingError,
     Phase,
     PidState,
     Termination,
@@ -28,7 +28,6 @@ from perchsim.autopilot import (
     run_ensemble,
     run_mission,
     run_stage,
-    tuning_procedure,
 )
 from perchsim.leg import LegParams
 from perchsim.perception import PIXELS, SensorSpec
@@ -292,7 +291,7 @@ def numpy_gusts(config, steps):
     replaced."""
     rng = np.random.Generator(
         np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
-    rho = math.exp(-DT / config.disturbance_tau_s)
+    rho = math.exp(-DT / DISTURBANCE_TAU_S)
     weight = np.array([0.1, 0.25, 1.0])
     force, moment = np.zeros(3), np.zeros(2)
     for _ in range(steps):
@@ -477,35 +476,30 @@ class TestEnsemble:
 
 
 class TestTuningProcedure:
-    def test_stages_in_order_all_pass(self):
-        completed = []
-        for stage in (1, 2, 3, 4):
-            report = tuning_procedure(stage, MissionConfig(),
-                                      completed=completed)
-            assert report.passed, report
-            completed.append(stage)
+    """The four development stages, each run with `run_stage`."""
 
-    def test_out_of_order_raises(self):
-        with pytest.raises(OrderingError):
-            tuning_procedure(3, MissionConfig(), completed=[1])
+    def test_stages_in_order_all_pass(self):
+        for stage in (1, 2, 3, 4):
+            report = run_stage(stage, MissionConfig())
+            assert report.passed, report
 
     def test_invalid_stage(self):
         with pytest.raises(ValueError):
-            tuning_procedure(5, MissionConfig())
+            run_stage(5, MissionConfig())
 
     def test_stage_one_lock_rate(self):
-        report = tuning_procedure(1, MissionConfig())
+        report = run_stage(1, MissionConfig())
         assert report.metrics["lock_rate"] == 1.0
 
     def test_stage_three_logs_contact_force(self):
-        report = tuning_procedure(3, MissionConfig(), completed=[1, 2])
+        report = run_stage(3, MissionConfig())
         assert report.metrics["locked"] == 0.0
         assert report.metrics["peak_force_n"] > 0.0
 
     def test_stage_three_fails_without_contact(self):
         # gusts tumble the airframe at 1.57 s, before it reaches the branch
         config = MissionConfig(disturbance_sigma_moment_nm=0.5)
-        report = tuning_procedure(3, config, completed=[1, 2])
+        report = run_stage(3, config)
         assert report.passed is False
         assert report.missions[0].impact is None
         assert math.isnan(report.metrics["peak_force_n"])

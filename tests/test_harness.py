@@ -183,6 +183,21 @@ class TestScenarios:
         assert (tmp_path / "envelope_speed.csv").exists()
         assert (tmp_path / "envelope_yaw.csv").exists()
 
+    def test_envelope_reads_the_run_branch(self, tmp_path):
+        """A 0.2 m branch holds 0.372 N*m against the 6 cm branch's 2.001,
+        so fewer cells of each grid perch."""
+        perched = {}
+        for diameter in (0.06, 0.2):
+            out = tmp_path / str(diameter)
+            code = run_scenario(RunConfig(
+                Scenario.ENVELOPE, out_dir=str(out),
+                overrides={"branch.diameter_m": diameter}))
+            assert code == EXIT_SUCCESS
+            perched[diameter] = [
+                sum(row[2] == "Perched" for row in read_csv(out / name))
+                for name in ("envelope_speed.csv", "envelope_yaw.csv")]
+        assert perched == {0.06: [348, 157], 0.2: [6, 0]}
+
     def test_optimize_log_monotone(self, tmp_path):
         code = run_scenario(RunConfig(Scenario.OPTIMIZE,
                                       out_dir=str(tmp_path)))

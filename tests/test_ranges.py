@@ -29,7 +29,7 @@ DECLARED = {
     "MissionConfig": {
         "launch_speed_mps": "[0, 5.0]", "pitch_setpoint_deg": "[0, 45]",
         "altitude_setpoint_m": "(0, 5)", "disturbance_sigma_force_n": NON_NEG,
-        "disturbance_sigma_moment_nm": NON_NEG, "disturbance_tau_s": POS,
+        "disturbance_sigma_moment_nm": NON_NEG,
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
         "max_time_s": POS, "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
