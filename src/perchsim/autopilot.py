@@ -33,7 +33,7 @@ import numpy as np
 from . import claw as clawmod
 from . import leg as legmod
 from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
-from .config import MAX_SEED, check_integers, check_ranges, ranged
+from .config import MAX_SEED, check_ranges, philox_stream, ranged
 from .leg import ImpactRecord, LegParams
 from .perception import (
     PIXELS,
@@ -44,6 +44,7 @@ from .perception import (
     render_scan,
 )
 from .plant import (
+    APPENDAGE_MASS_KG,
     CONTROL_RATE_HZ,
     AttitudeDivergence,
     ControlCommand,
@@ -176,7 +177,6 @@ class MissionConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        check_integers(self)
         if trim_state(self.pitch_setpoint_deg, self.robot) is None:
             raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
                              "has no trim point")
@@ -249,9 +249,8 @@ class Autopilot:
         self.beta_cmd = 45.0
         self.branch_z_est: Optional[float] = None
         self.phase = Phase.CONTROLLED_FLIGHT
-        sensor_rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(config.seed), np.uint64(1)]))
-        self.noise_rows = _noise_rows(sensor_rng, config.sensor.noise_sigma)
+        self.noise_rows = _noise_rows(philox_stream(config.seed, 1),
+                                      config.sensor.noise_sigma)
 
     def advance_phase(self, state: RobotState) -> Phase:
         """Forward-only transitions keyed on range to the branch: the
@@ -284,9 +283,7 @@ class Autopilot:
         det = detect_branch(frame, cfg.sensor)
         rng_m = cfg.branch.x_m - state.x_m
         if det is not None and rng_m > 0.05:
-            # cfg.sensor.pixel_angle_rad(det), on a float
-            elevation = boresight + (det - (PIXELS - 1) / 2.0) \
-                * cfg.sensor.ifov_rad
+            elevation = boresight + cfg.sensor.pixel_angle_rad(det)
             self.branch_z_est = claw_z + rng_m * math.tan(elevation)
         if self.branch_z_est is None:
             return
@@ -346,9 +343,7 @@ class _Disturbance:
     AXIS_WEIGHT = (0.1, 0.25, 1.0)
 
     def __init__(self, config: MissionConfig):
-        rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(config.seed), np.uint64(2)]))
-        self.normals = _gust_normals(rng)
+        self.normals = _gust_normals(philox_stream(config.seed, 2))
         self.rho = math.exp(-DT / DISTURBANCE_TAU_S)
         scale = math.sqrt(1.0 - self.rho * self.rho)
         # per-axis innovation gains, associated as ((sigma*scale)*weight)*noise
@@ -518,7 +513,13 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
         # a slower trim, so the launcher is set lower to absorb the larger
         # post-launch zoom climb (re-tuned for this stage, like the launcher
         # height would be on the field).
-        light = replace(config.robot, mass_kg=config.robot.mass_no_appendage_kg)
+        if not config.robot.mass_kg > APPENDAGE_MASS_KG:
+            raise ValueError(
+                f"stage 2 flies the airframe without its {APPENDAGE_MASS_KG} "
+                f"kg appendage, so its mass_kg {config.robot.mass_kg} kg must "
+                "exceed that")
+        light = replace(config.robot,
+                        mass_kg=config.robot.mass_kg - APPENDAGE_MASS_KG)
         cfg = replace(config, robot=light, soft_branch=True,
                       launch_altitude_offset_m=-0.26)
         result = run_mission(cfg)

@@ -68,7 +68,6 @@ class SpringSpec:
 
     free_length_mm: float = 40.0
     rate_n_per_mm: float = ranged(5.0, "(0, inf)")
-    max_force_n: float = ranged(111.0, "(0, inf)")
 
     __post_init__ = check_ranges
 
@@ -159,7 +158,6 @@ ROBOT_SPRING = SpringSpec()
 
 
 class ClawMode(Enum):
-    OPEN = "open"
     CLOSING = "closing"
     LOCKED = "locked"
 
@@ -168,9 +166,7 @@ class ClawMode(Enum):
 class ClawState:
     psi_deg: float
     psi_rate_dps: float
-    spring_extension_mm: float
     mode: ClawMode
-    t_s: float = 0.0
 
 
 def _anchor_world(geom: ClawGeometry, psi_deg: float) -> Tuple[float, float]:
@@ -291,14 +287,14 @@ def closing_dynamics(
     geom: ClawGeometry,
     spec: SpringSpec,
     damping: float = 30.0,
-) -> Tuple[List[ClawState], float]:
-    """Integrate the snap-through closing motion; returns (states, close_time_ms).
+) -> Tuple[Tuple[ClawState, ClawState], float]:
+    """Integrate the snap-through closing motion; returns ((trigger state,
+    locked state), close_time_ms).
 
     Rigid-body rotation psi'' = tau(psi)/I - c*psi' (RK4, 10 us step).  The
     branch trigger carries the claw 0.5 deg past the snap angle, so
     integration starts there at rest.  Close time is the first time psi
-    reaches the nominal closed angle.  States are recorded at the start,
-    every fifth step and on locking.
+    reaches the nominal closed angle.
     """
     dt = 1e-5
     inertia = geom.claw_inertia
@@ -310,21 +306,7 @@ def closing_dynamics(
     def accel(p: float, v: float) -> float:
         return claw_torque(geom, spec, math.degrees(p)) / inertia - damping * v
 
-    states: List[ClawState] = []
-
-    def record(mode: ClawMode):
-        states.append(
-            ClawState(
-                psi_deg=math.degrees(psi),
-                psi_rate_dps=math.degrees(rate),
-                spring_extension_mm=spring_extension(geom, spec, math.degrees(psi)),
-                mode=mode,
-                t_s=t,
-            )
-        )
-
-    record(ClawMode.CLOSING)
-    step = 0
+    trigger = ClawState(math.degrees(psi), 0.0, ClawMode.CLOSING)
     while psi < psi_closed:
         if t >= 1.0:
             raise StalledClawError("claw did not close within 1 s of simulated time")
@@ -335,14 +317,9 @@ def closing_dynamics(
         psi += dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         rate += dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t += dt
-        step += 1
-        if psi >= psi_closed:
-            psi = min(psi, psi_closed + 1e-12)
-            record(ClawMode.LOCKED)
-            break
-        if step % 5 == 0:
-            record(ClawMode.CLOSING)
-    return states, t * 1000.0
+    psi = min(psi, psi_closed + 1e-12)
+    locked = ClawState(math.degrees(psi), math.degrees(rate), ClawMode.LOCKED)
+    return (trigger, locked), t * 1000.0
 
 
 def reopen_profile(

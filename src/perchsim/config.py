@@ -7,10 +7,11 @@ or string; serialization sorts keys so parse -> serialize -> parse is the
 identity on the mapping.
 
 It also holds the one input-range policy of the library: a dataclass field
-declared with ``ranged`` names its interval, and ``check_ranges`` raises
-``ValueError`` for a value outside it (NaN lies outside every interval).
-A field declared ``integer=True`` must also hold an integer, which
-``check_integers`` checks apart, so float-only classes pay nothing for it.
+declared with ``ranged`` names its interval, and ``check_ranges``, the one
+validator, raises ``ValueError`` for a value outside it (NaN lies outside
+every interval).  A field declared ``integer=True`` must also hold an
+integer, which ``check_ranges`` checks after every interval, so a
+float-only class pays only for an empty loop.
 """
 
 from __future__ import annotations
@@ -20,13 +21,22 @@ import math
 import numbers
 from typing import Dict, Tuple, Union
 
+import numpy as np
+
 __all__ = ["ConfigError", "parse_config", "serialize_config", "load_config",
-           "ranged", "ranged_as", "check_ranges", "check_integers", "MAX_SEED"]
+           "ranged", "ranged_as", "check_ranges", "MAX_SEED", "philox_stream"]
 
 Value = Union[int, float, bool, str]
 
 # a seed is a word of a Philox key, an unsigned 64-bit integer
 MAX_SEED = 2**64 - 1
+
+
+def philox_stream(seed: int, stream: int) -> np.random.Generator:
+    """The random stream keyed on ``(seed, stream)``: a numpy Generator on
+    the Philox key ``[seed, stream]``."""
+    return np.random.Generator(
+        np.random.Philox(key=[np.uint64(seed), np.uint64(stream)]))
 
 
 class ConfigError(ValueError):
@@ -124,40 +134,33 @@ def ranged_as(cls, name: str):
     return ranged(source.default, source.metadata["range"][0])
 
 
-_CHECKS: Dict[type, Tuple[Tuple[str, str, float, float], ...]] = {}
+# per class: (name, interval, lo, hi) of each ranged field, and the names of
+# its integer fields
+_CHECKS: Dict[type, Tuple[tuple, Tuple[str, ...]]] = {}
 
 
 def check_ranges(obj) -> None:
     """Raise ``ValueError`` if a ``ranged`` field of ``obj`` lies outside
-    its interval.  A ``None`` value (an unset optional field) passes."""
+    its interval (a ``None`` value, an unset optional field, passes), or
+    if, once every interval holds, a field declared ``integer=True`` holds
+    anything but an integer: a float, even a whole one, or a bool."""
     cls = type(obj)
     checks = _CHECKS.get(cls)
     if checks is None:
-        checks = _CHECKS[cls] = tuple(
-            (f.name, *f.metadata["range"]) for f in dataclasses.fields(cls)
-            if "range" in f.metadata)
+        fields = dataclasses.fields(cls)
+        checks = _CHECKS[cls] = (
+            tuple((f.name, *f.metadata["range"]) for f in fields
+                  if "range" in f.metadata),
+            tuple(f.name for f in fields if f.metadata.get("integer")))
+    ranges, integers = checks
     values = obj.__dict__  # faster than getattr, for TouchdownState
-    for name, interval, lo, hi in checks:
+    for name, interval, lo, hi in ranges:
         value = values[name]
         if value is not None and not lo <= value <= hi:
             raise ValueError(f"{cls.__name__}.{name} must lie in {interval}, "
                              f"got {value!r}")
-
-
-_INTEGERS: Dict[type, Tuple[str, ...]] = {}
-
-
-def check_integers(obj) -> None:
-    """Raise ``ValueError`` if a field declared ``ranged(..., integer=True)``
-    holds anything but an integer: a float, even a whole one, or a bool."""
-    cls = type(obj)
-    names = _INTEGERS.get(cls)
-    if names is None:
-        names = _INTEGERS[cls] = tuple(
-            f.name for f in dataclasses.fields(cls)
-            if f.metadata.get("integer"))
-    for name in names:
-        value = obj.__dict__[name]
+    for name in integers:
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{cls.__name__}.{name} must be an integer, "
                              f"got {value!r}")

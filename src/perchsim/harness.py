@@ -30,8 +30,8 @@ from .autopilot import (
     run_stage,
 )
 from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
-from .config import (MAX_SEED, ConfigError, Value, check_integers,
-                     check_ranges, ranged, ranged_as)
+from .config import (MAX_SEED, ConfigError, Value, check_ranges, ranged,
+                     ranged_as)
 from .pso import PsoConfig, pso_minimize
 from .touchdown import PerchOutcome, sweep_envelope
 
@@ -149,7 +149,6 @@ class RunConfig:
     def __post_init__(self):
         try:
             check_ranges(self)
-            check_integers(self)
             unknown = set(self.overrides) - set(OVERRIDES)
             if unknown:
                 raise ConfigError(

@@ -52,6 +52,7 @@ __all__ = [
     "DESIGN_SPEED_SUITE",
     "DESIGN_BOUNDS",
     "MAX_IMPACT_SPEED_MPS",
+    "SERVO_LIMIT_TORQUE_NM",
 ]
 
 # Kelvin-Voigt branch contact, calibrated against the published impact force
@@ -62,6 +63,8 @@ CAPTURE_HALF_WIDTH = 0.05     # m, claw capture window around the boresight
 
 DESIGN_SPEED_SUITE = (2.0, 3.0, 4.0)   # m/s, design-range impact speeds
 MAX_IMPACT_SPEED_MPS = 6.0   # a mission's crossing speed is capped here
+# the hip servo's rated torque, within its 1.47-1.96 N*m (15-20 kg*cm) class
+SERVO_LIMIT_TORQUE_NM = 1.72
 
 
 class IntegrationError(RuntimeError):
@@ -70,12 +73,11 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LegParams:
-    """Leg mechanism parameters.  Servo limit torque 1.47-1.96 N*m (15-20 kg*cm)."""
+    """Leg mechanism parameters."""
 
     link_length_m: float = ranged(0.20, "(0, inf)")
     leg_mass_kg: float = ranged(0.12, "(0, inf)")
     leg_spring_rate_n_m: float = ranged(1200.0, "(0, inf)")
-    servo_limit_torque_nm: float = ranged(1.72, "[1.47, 1.96]")
     servo_joint_stiffness_nm_rad: float = ranged(2.0, "(0, inf)")
     # diagonal-spring moment arm / link length
     spring_anchor_fraction: float = ranged(0.4, "[0, inf)")

@@ -45,12 +45,12 @@ __all__ = [
 
 ARCMIN_RAD = math.pi / (180.0 * 60.0)
 PIXELS = 128   # the sensor is a 1x128 line-scan device
+READ_HZ_CAPABILITY = 330.0   # the sensor's fastest line rate
 
 
 @dataclass(frozen=True)
 class SensorSpec:
     ifov_arcmin: float = ranged(28.0, "(0, inf)")
-    read_hz_capability: float = ranged(330.0, "(0, inf)")
     read_hz: float = ranged(200.0, "(0, inf)")
     noise_sigma: float = ranged(0.02, "[0, inf)")  # Gaussian, brightness
     threshold_fraction: float = ranged(0.6, "(0, 1]")  # of the frame mean
@@ -60,16 +60,17 @@ class SensorSpec:
 
     def __post_init__(self):
         check_ranges(self)
-        if self.read_hz > self.read_hz_capability:
+        if self.read_hz > READ_HZ_CAPABILITY:
             raise ValueError("effective read rate exceeds sensor capability")
 
     @property
     def ifov_rad(self) -> float:
         return self.ifov_arcmin * ARCMIN_RAD
 
-    def pixel_angle_rad(self, idx) -> np.ndarray:
-        """Off-boresight angle of pixel centers; higher index looks higher."""
-        return (np.asarray(idx, dtype=float) - (PIXELS - 1) / 2.0) * self.ifov_rad
+    def pixel_angle_rad(self, idx):
+        """Off-boresight angle of a pixel position, a float or an array;
+        higher index looks higher."""
+        return (idx - (PIXELS - 1) / 2.0) * self.ifov_rad
 
     @functools.cached_property
     def pixel_angles(self) -> np.ndarray:

@@ -40,12 +40,15 @@ __all__ = [
     "trim_state",
     "PLANT_RATE_HZ",
     "CONTROL_RATE_HZ",
+    "APPENDAGE_MASS_KG",
 ]
 
 GRAVITY = 9.81
 AIR_DENSITY = 1.225
 PLANT_RATE_HZ = 960.0
 CONTROL_RATE_HZ = 120.0
+# the leg and claw, part of `RobotParams.mass_kg`; stage 2 flies without them
+APPENDAGE_MASS_KG = 0.18
 # the factors math.radians and math.degrees multiply by, so a product with
 # them has those functions' bits without their call
 _RADIANS = math.pi / 180.0
@@ -59,7 +62,6 @@ class RobotParams:
     and a brief 4 m/s launch glide."""
 
     mass_kg: float = ranged(0.700, "(0, inf)")  # with leg/claw appendage
-    mass_no_appendage_kg: float = ranged(0.520, "(0, inf)")
     # 16 N/m^2 wing loading at 0.7 kg
     wing_area_m2: float = ranged(0.43, "(0, inf)")
     max_flap_hz: float = ranged(5.5, "(0, inf)")

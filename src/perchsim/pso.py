@@ -21,9 +21,16 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .config import MAX_SEED, check_integers, check_ranges, ranged
+from .config import MAX_SEED, check_ranges, philox_stream, ranged
 
 __all__ = ["PsoConfig", "PsoResult", "pso_minimize"]
+
+# the velocity update's inertia, cognitive and social weights, and the
+# velocity clamp as a fraction of each dimension's span
+INERTIA = 0.72
+COGNITIVE = 1.49
+SOCIAL = 1.49
+VELOCITY_CLAMP = 0.5
 
 
 @dataclass(frozen=True)
@@ -31,16 +38,10 @@ class PsoConfig:
     bounds: Sequence[Tuple[float, float]]
     particles: int = ranged(40, "[2, inf)", integer=True)
     iterations: int = ranged(200, "[0, inf)", integer=True)
-    inertia: float = ranged(0.72, "(0, 1)")
-    cognitive: float = ranged(1.49, "(0, inf)")
-    social: float = ranged(1.49, "(0, inf)")
     seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
-    # fraction of the per-dimension span
-    velocity_clamp: float = ranged(0.5, "(0, inf)")
 
     def __post_init__(self):
         check_ranges(self)
-        check_integers(self)
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"invalid bound ({lo}, {hi})")
@@ -51,12 +52,6 @@ class PsoResult:
     best_x: np.ndarray
     best_cost: float
     history: List[float]  # global best cost after init and each iteration
-
-
-def _particle_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream keyed on (seed, particle index)."""
-    key = np.array([np.uint64(seed), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _reflect(x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -99,10 +94,10 @@ def pso_minimize(
     lo = np.array([b[0] for b in cfg.bounds], dtype=float)
     hi = np.array([b[1] for b in cfg.bounds], dtype=float)
     span = hi - lo
-    vmax = cfg.velocity_clamp * span
+    vmax = VELOCITY_CLAMP * span
     n, d = cfg.particles, len(cfg.bounds)
 
-    rngs = [_particle_rng(cfg.seed, i) for i in range(n)]
+    rngs = [philox_stream(cfg.seed, i) for i in range(n)]
     x = np.stack([lo + span * rngs[i].random(d) for i in range(n)])
     v = np.stack([vmax * (2.0 * rngs[i].random(d) - 1.0) * 0.1 for i in range(n)])
 
@@ -118,9 +113,9 @@ def pso_minimize(
         r1 = np.stack([rngs[i].random(d) for i in range(n)])
         r2 = np.stack([rngs[i].random(d) for i in range(n)])
         v = (
-            cfg.inertia * v
-            + cfg.cognitive * r1 * (pbest_x - x)
-            + cfg.social * r2 * (gbest_x - x)
+            INERTIA * v
+            + COGNITIVE * r1 * (pbest_x - x)
+            + SOCIAL * r2 * (gbest_x - x)
         )
         np.clip(v, -vmax, vmax, out=v)
         x = x + v

@@ -506,6 +506,28 @@ class TestTuningProcedure:
 
 
 class TestRunStage:
+    def test_stage_two_flies_the_airframe_without_its_appendage(
+            self, monkeypatch):
+        # the 0.8 kg airframe flies stage 2, its mission and its pitch step,
+        # 0.18 kg lighter
+        masses = set()
+        step = autopilot.plant_step
+
+        def spy_step(state, cmd, params, *args, **kwargs):
+            masses.add(params.mass_kg)
+            return step(state, cmd, params, *args, **kwargs)
+
+        monkeypatch.setattr(autopilot, "plant_step", spy_step)
+        run_stage(2, MissionConfig(robot=RobotParams(mass_kg=0.8)))
+        assert len(masses) == 1
+        assert masses.pop() == pytest.approx(0.62, abs=1e-12)
+
+    def test_stage_two_rejects_an_airframe_no_heavier_than_its_appendage(
+            self):
+        with pytest.raises(ValueError, match=r"0\.18 kg appendage, so its "
+                                             r"mass_kg 0\.18 kg must exceed"):
+            run_stage(2, MissionConfig(robot=RobotParams(mass_kg=0.18)))
+
     def test_stage_two_keeps_the_config_gusts(self):
         calm = run_stage(2, MissionConfig())
         gusty = run_stage(2, MissionConfig(disturbance_sigma_force_n=0.5))

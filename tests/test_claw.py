@@ -33,9 +33,8 @@ def finite_difference_torque(geom, spring, psi_deg, h_deg=1e-3):
 
 
 def spring_force(spec, extension_mm):
-    """Spring tension in N; zero below zero extension, reported value capped."""
-    force = spec.rate_n_per_mm * max(0.0, extension_mm)
-    return min(force, spec.max_force_n)
+    """Spring tension in N; zero below zero extension."""
+    return spec.rate_n_per_mm * max(0.0, extension_mm)
 
 
 class TestSpringForce:
@@ -51,9 +50,6 @@ class TestSpringForce:
 
     def test_negative_extension_clamps_to_zero(self, spring):
         assert spring_force(spring, -5.0) == 0.0
-
-    def test_reporting_capped_at_max_force(self, spring):
-        assert spring_force(spring, 30.0) == spring.max_force_n
 
 
 class TestClawTorque:

@@ -10,6 +10,7 @@ from perchsim import leg as legmod
 from perchsim.harness import RunConfig, Scenario, run_scenario
 from perchsim.leg import (
     DESIGN_SPEED_SUITE,
+    SERVO_LIMIT_TORQUE_NM,
     ImpactRecord,
     IntegrationError,
     LegParams,
@@ -40,7 +41,7 @@ class TestImpactEnvelope:
         for v in (2.0, 3.0, 4.0):
             rec = simulate_impact(default_leg, speed_mps=v,
                                   misalignment_z_m=0.03)
-            assert rec.servo_peak_torque_nm <= default_leg.servo_limit_torque_nm
+            assert rec.servo_peak_torque_nm <= SERVO_LIMIT_TORQUE_NM
 
     def test_peak_force_monotone_in_speed(self, default_leg):
         peaks = [

@@ -18,6 +18,7 @@ from perchsim.autopilot import (
 )
 from perchsim.plant import (
     AIR_DENSITY,
+    APPENDAGE_MASS_KG,
     CONTROL_RATE_HZ,
     GRAVITY,
     PLANT_RATE_HZ,
@@ -526,7 +527,8 @@ COMMANDS = st.builds(
 
 DEFAULT_AIRFRAME = RobotParams()
 # stage 2's airframe, without the leg and claw
-LIGHT_AIRFRAME = RobotParams(mass_kg=DEFAULT_AIRFRAME.mass_no_appendage_kg)
+LIGHT_AIRFRAME = RobotParams(mass_kg=DEFAULT_AIRFRAME.mass_kg
+                             - APPENDAGE_MASS_KG)
 AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME), st.builds(
     RobotParams,
     mass_kg=st.floats(0.3, 1.5), wing_area_m2=st.floats(0.2, 0.8),

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from perchsim import autopilot, claw, harness, leg, perception, plant, pso
 from perchsim import touchdown
-from perchsim.config import check_integers, check_ranges
+from perchsim.config import check_ranges
 
 POS, NON_NEG, FINITE = "(0, inf)", "[0, inf)", "(-inf, inf)"
 # a Philox key word (a mission's or a swarm's); FullPerch flies a run's
@@ -33,7 +33,7 @@ DECLARED = {
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
         "max_time_s": POS, "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
-    "SpringSpec": {"rate_n_per_mm": POS, "max_force_n": POS},
+    "SpringSpec": {"rate_n_per_mm": POS},
     "BranchSpec": {"diameter_m": POS, "mu_eff": NON_NEG, "x_m": FINITE,
                    "z_m": FINITE, "axis_yaw_deg": FINITE},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
@@ -43,21 +43,19 @@ DECLARED = {
     "LegParams": dict.fromkeys(
         ("link_length_m", "leg_mass_kg", "leg_spring_rate_n_m",
          "servo_joint_stiffness_nm_rad", "joint_damping_ratio"), POS) | {
-        "spring_anchor_fraction": NON_NEG, "servo_damping_nm_s": NON_NEG,
-        "servo_limit_torque_nm": "[1.47, 1.96]"},
+        "spring_anchor_fraction": NON_NEG, "servo_damping_nm_s": NON_NEG},
     "SensorSpec": {
-        "ifov_arcmin": POS, "read_hz_capability": POS, "read_hz": POS,
+        "ifov_arcmin": POS, "read_hz": POS,
         "noise_sigma": NON_NEG, "threshold_fraction": "(0, 1]",
         "min_run_px": "[1, inf)", "dark_level": "[0, 1)"},
     "LegPdGains": {"kp_deg_per_px": NON_NEG, "kd_deg_s_per_px": NON_NEG,
                    "rate_limit_dps": POS},
     "RobotParams": dict.fromkeys(
-        ("mass_kg", "mass_no_appendage_kg", "wing_area_m2", "max_flap_hz",
+        ("mass_kg", "wing_area_m2", "max_flap_hz",
          "pitch_inertia", "yaw_inertia", "cl_alpha_per_deg", "beta_lag_s"),
         POS),
     "PsoConfig": {"particles": "[2, inf)", "iterations": NON_NEG,
-                  "inertia": "(0, 1)", "cognitive": POS, "social": POS,
-                  "velocity_clamp": POS, "seed": MISSION_SEED},
+                  "seed": MISSION_SEED},
     # any finite pitch: the 80-pass oracle test classifies 120 deg
     "TouchdownState": {
         "speed_mps": NON_NEG, "theta_leg_deg": "[0, 90]",
@@ -101,17 +99,21 @@ def inside(interval, value):
 
 def assert_checked(key, value):
     """``check_ranges`` passes ``value`` in field ``key`` exactly when it
-    lies in the field's interval, and otherwise names the field."""
+    lies in the field's interval and, in an integer field, is an int, and
+    otherwise names the field."""
     cls_name, name = key.split(".")
     obj = build(cls_name)
     object.__setattr__(obj, name, value)  # past the frozen guard
-    if inside(RANGES[key], value):
+    if not inside(RANGES[key], value):
+        problem = f"must lie in {RANGES[key]}"
+    elif key in INTEGER_FIELDS and type(value) is not int:
+        problem = "must be an integer"
+    else:
         check_ranges(obj)
         return
     with pytest.raises(ValueError) as err:
         check_ranges(obj)
-    assert str(err.value) == \
-        f"{key} must lie in {RANGES[key]}, got {value!r}"
+    assert str(err.value) == f"{key} {problem}, got {value!r}"
 
 
 def test_declarations_match_table():
@@ -164,12 +166,8 @@ def test_integer_declarations():
 @pytest.mark.parametrize("key", INTEGER_FIELDS)
 @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, False])
 def test_integer_fields_reject_floats_and_bools(key, value):
-    cls_name, name = key.split(".")
-    obj = build(cls_name)
-    object.__setattr__(obj, name, value)  # past the frozen guard
-    with pytest.raises(ValueError) as err:
-        check_integers(obj)
-    assert str(err.value) == f"{key} must be an integer, got {value!r}"
+    # the interval is checked first: a bool below [2, inf) fails there
+    assert_checked(key, value)
 
 
 @pytest.mark.parametrize("key", INTEGER_FIELDS)

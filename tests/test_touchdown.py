@@ -126,21 +126,6 @@ class TestEvaluateTouchdown:
                                              r"lie in \[-180, 180\] deg, got"):
             evaluate_touchdown(st, hold, geom)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["psi_branch_deg", "body_pitch_deg"])
-    def test_non_finite_angle_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            TouchdownState(**{field: value})
-
-
-class TestGeomValidation:
-    @pytest.mark.parametrize("field, value", [
-        ("start_angle_base_deg", -40.0), ("start_angle_per_leg_deg", 0.0),
-        ("start_angle_per_pitch_deg", -2.0), ("rotation_budget_deg", 1e-3),
-        ("rotation_budget_deg", 300.0), ("yaw_hold_power", 0.0)])
-    def test_edge_value_accepted(self, field, value):
-        assert getattr(TouchdownGeom(**{field: value}), field) == value
-
 
 def eighty_pass_touchdown(st, hold_nm, geom):
     """Reference: the classifier as it was with a fixed 80-pass bisection.
