@@ -320,8 +320,7 @@ class Autopilot:
         if phase is not Phase.IMPACT:
             self._update_leg(state)
 
-        return ControlCommand.limited(cfg.robot, delta_e, delta_r, flap,
-                                      self.beta_cmd)
+        return ControlCommand.limited(delta_e, delta_r, flap, self.beta_cmd)
 
 
 def _noise_rows(rng: np.random.Generator,
@@ -518,8 +517,7 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
                 f"stage 2 flies the airframe without its {APPENDAGE_MASS_KG} "
                 f"kg appendage, so its mass_kg {config.robot.mass_kg} kg must "
                 "exceed that")
-        light = replace(config.robot,
-                        mass_kg=config.robot.mass_kg - APPENDAGE_MASS_KG)
+        light = RobotParams(config.robot.mass_kg - APPENDAGE_MASS_KG)
         cfg = replace(config, robot=light, soft_branch=True,
                       launch_altitude_offset_m=-0.26)
         result = run_mission(cfg)

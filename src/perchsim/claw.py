@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .config import check_ranges, ranged
 
@@ -98,14 +98,11 @@ class BranchSpec:
     z_m: float = ranged(2.0, "(-inf, inf)")
     axis_yaw_deg: float = ranged(0.0, "(-inf, inf)")
     surface: BranchSurface = BranchSurface.SPIKES_PLUS_PADS
-    mu_eff: Optional[float] = ranged(None, "[0, inf)")
 
     __post_init__ = check_ranges
 
     @property
     def mu(self) -> float:
-        if self.mu_eff is not None:
-            return self.mu_eff
         return MU_EFF_DEFAULTS[self.surface]
 
 

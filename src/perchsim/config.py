@@ -8,8 +8,8 @@ identity on the mapping.
 
 It also holds the one input-range policy of the library: a dataclass field
 declared with ``ranged`` names its interval, and ``check_ranges``, the one
-validator, raises ``ValueError`` for a value outside it (NaN lies outside
-every interval).  A field declared ``integer=True`` must also hold an
+validator, raises ``ValueError`` for a value outside it (NaN and None lie
+outside every interval).  A field declared ``integer=True`` must also hold an
 integer, which ``check_ranges`` checks after every interval, so a
 float-only class pays only for an empty loop.
 """
@@ -97,7 +97,11 @@ def serialize_config(mapping: Dict[str, Value]) -> str:
 
 def load_config(path: str) -> Dict[str, Value]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _end(text: str):
@@ -141,9 +145,9 @@ _CHECKS: Dict[type, Tuple[tuple, Tuple[str, ...]]] = {}
 
 def check_ranges(obj) -> None:
     """Raise ``ValueError`` if a ``ranged`` field of ``obj`` lies outside
-    its interval (a ``None`` value, an unset optional field, passes), or
-    if, once every interval holds, a field declared ``integer=True`` holds
-    anything but an integer: a float, even a whole one, or a bool."""
+    its interval, as NaN, None and every other non-number do, or if, once
+    every interval holds, a field declared ``integer=True`` holds anything
+    but an integer: a float, even a whole one, or a bool."""
     cls = type(obj)
     checks = _CHECKS.get(cls)
     if checks is None:
@@ -156,9 +160,13 @@ def check_ranges(obj) -> None:
     values = obj.__dict__  # faster than getattr, for TouchdownState
     for name, interval, lo, hi in ranges:
         value = values[name]
-        if value is not None and not lo <= value <= hi:
-            raise ValueError(f"{cls.__name__}.{name} must lie in {interval}, "
-                             f"got {value!r}")
+        try:
+            if lo <= value <= hi:
+                continue
+        except TypeError:  # None, or another non-number
+            pass
+        raise ValueError(f"{cls.__name__}.{name} must lie in {interval}, "
+                         f"got {value!r}")
     for name in integers:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):

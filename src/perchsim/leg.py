@@ -31,6 +31,7 @@ distinct lane once: the impact sweep's -3 cm lanes reuse its +3 cm rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -457,29 +458,25 @@ DEFAULT_COST_WEIGHTS = (1.0, 1.0, 5.0)
 # (link_length_m, spring_rate_n_m, leg_mass_kg).
 DESIGN_BOUNDS = ((0.12, 0.30), (600.0, 2000.0), (0.06, 0.20))
 
-# Baseline normalization constants: peak servo torque, peak joint angular
-# momentum over the 2-4 m/s design suite at 3 cm misalignment on the
-# airframe's mass, and leg mass of the default LegParams (see
+# The leg mass of the default LegParams, the cost's mass baseline (see
 # demos/leg_design_pso.py).
-_BASELINE_SERVO_TORQUE = None
-_BASELINE_JOINT_L = None
 _BASELINE_MASS = LegParams.leg_mass_kg
 _COST_MISALIGNMENT = 0.03
 _COST_DT = 2e-4
 
 
+@functools.cache
 def _baselines() -> Tuple[float, float]:
-    global _BASELINE_SERVO_TORQUE, _BASELINE_JOINT_L
-    if _BASELINE_SERVO_TORQUE is None:
-        leg = LegParams()
-        servo, jl = _suite_peaks(
-            np.array([leg.link_length_m]),
-            np.array([leg.leg_mass_kg]),
-            np.array([leg.leg_spring_rate_n_m]),
-        )
-        _BASELINE_SERVO_TORQUE = float(servo[0])
-        _BASELINE_JOINT_L = float(jl[0])
-    return _BASELINE_SERVO_TORQUE, _BASELINE_JOINT_L
+    """The cost's other baselines: the default LegParams' peak servo torque
+    and peak joint angular momentum over the 2-4 m/s design suite at 3 cm
+    misalignment on the airframe's mass, computed on the first call."""
+    leg = LegParams()
+    servo, jl = _suite_peaks(
+        np.array([leg.link_length_m]),
+        np.array([leg.leg_mass_kg]),
+        np.array([leg.leg_spring_rate_n_m]),
+    )
+    return float(servo[0]), float(jl[0])
 
 
 def _suite_peaks(l, m, k, cap=None):

@@ -14,8 +14,8 @@ evaluations per control cycle, numpy's per-call overhead on such small
 vectors, or building and unpacking lists, would cost more than the
 arithmetic.  For the same reason the right-hand side is not a function:
 `plant_step` writes it out in place at each of the four RK4 stages, lift/drag
-polar included, and reads what depends on the airframe alone from
-`RobotParams.rhs_constants`, computed once per airframe.
+polar included, and unpacks its constants into locals once per call: the
+airframe's mass, and the rest from one module tuple.
 
 `plant_step` takes a command as `ControlCommand.limited`, its one clamp,
 built it, and a gust of Python floats; it neither limits nor converts them.
@@ -23,7 +23,6 @@ built it, and a gust of Python floats; it neither limits nor converts them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -37,6 +36,8 @@ __all__ = [
     "ControlCommand",
     "plant_step",
     "thrust_model",
+    "lift_coeff",
+    "drag_coeff",
     "trim_state",
     "PLANT_RATE_HZ",
     "CONTROL_RATE_HZ",
@@ -55,83 +56,82 @@ _RADIANS = math.pi / 180.0
 _DEGREES = 180.0 / math.pi
 
 
+# The airframe's calibration, anchored to: trim at 30 deg pitch in 2.5-3
+# m/s, no trim above 40 deg, and a brief 4 m/s launch glide.  Only its mass
+# varies between airframes, in `RobotParams`.
+WING_AREA_M2 = 0.43  # 16 N/m^2 wing loading at 0.7 kg
+MAX_FLAP_HZ = 5.5
+PITCH_INERTIA_KGM2 = 0.010
+YAW_INERTIA_KGM2 = 0.012
+ELEVATOR_NM_PER_DEG = 0.01
+RUDDER_NM_PER_DEG = 0.01
+ELEVATOR_LIMIT_DEG = 20.0
+RUDDER_LIMIT_DEG = 20.0
+# lift/drag polar
+CL0 = 0.4
+CL_ALPHA_PER_DEG = 0.12
+ALPHA_STALL_DEG = 40.0
+CL_POST_STALL_PER_DEG = 0.06
+CD0 = 0.04
+CD_INDUCED = 0.02
+CD_STALL_PER_DEG2 = 0.02
+CD_MAX = 2.0  # flat-plate cap in deep separation
+# thrust and flapping oscillation
+THRUST_N_PER_HZ2 = 0.028
+FLAP_OSCILLATION_GAIN = 6.3  # m/s^2 of vertical forcing per Hz
+HEAVE_NAT_FREQ_HZ = 0.8
+HEAVE_DAMPING_RATIO = 0.2
+# rotational aerodynamics
+PITCH_STIFFNESS_NM_RAD = 0.10
+PITCH_DAMPING_NM_S = 0.10
+YAW_STIFFNESS_NM_RAD = 0.10
+YAW_DAMPING_NM_S = 0.08
+SIDE_FORCE_N_PER_RAD = 1.2
+ELEVATOR_DOWNLOAD_N_PER_DEG = 0.10
+# leg servo response
+BETA_LAG_S = 0.030
+BETA_RATE_LIMIT_DPS = 400.0
+
+
+def lift_coeff(alpha_deg: float) -> float:
+    a_s = ALPHA_STALL_DEG
+    if alpha_deg <= a_s:
+        return CL0 + CL_ALPHA_PER_DEG * alpha_deg
+    cl_stall = CL0 + CL_ALPHA_PER_DEG * a_s
+    return max(0.2, cl_stall - CL_POST_STALL_PER_DEG * (alpha_deg - a_s))
+
+
+def drag_coeff(alpha_deg: float) -> float:
+    cl = lift_coeff(alpha_deg)
+    over = max(0.0, abs(alpha_deg) - ALPHA_STALL_DEG)
+    cd = CD0 + CD_INDUCED * cl * cl + CD_STALL_PER_DEG2 * over * over
+    return min(CD_MAX, cd)
+
+
+# What `plant_step`'s right-hand side reads besides the mass, in the order it
+# unpacks them: wing area; the polar, lift at the stall after the stall
+# angle; side force; stiffness, damping and inertia in pitch, then in yaw;
+# heave damping and stiffness; leg servo lag, rate cap (rad/s), its negative.
+_HEAVE_OMEGA = 2.0 * math.pi * HEAVE_NAT_FREQ_HZ
+_RATE_CAP = BETA_RATE_LIMIT_DPS * _RADIANS
+_RHS_CONSTANTS = (
+    WING_AREA_M2, CL0, CL_ALPHA_PER_DEG, ALPHA_STALL_DEG,
+    CL0 + CL_ALPHA_PER_DEG * ALPHA_STALL_DEG, CL_POST_STALL_PER_DEG, CD0,
+    CD_INDUCED, CD_STALL_PER_DEG2, CD_MAX, SIDE_FORCE_N_PER_RAD,
+    PITCH_STIFFNESS_NM_RAD, PITCH_DAMPING_NM_S, PITCH_INERTIA_KGM2,
+    YAW_STIFFNESS_NM_RAD, YAW_DAMPING_NM_S, YAW_INERTIA_KGM2,
+    2.0 * HEAVE_DAMPING_RATIO * _HEAVE_OMEGA, _HEAVE_OMEGA * _HEAVE_OMEGA,
+    BETA_LAG_S, _RATE_CAP, -_RATE_CAP)
+
+
 @dataclass(frozen=True)
 class RobotParams:
-    """Airframe constants.  Aerodynamic coefficients are calibration values
-    anchored to: trim at 30 deg pitch in 2.5-3 m/s, no trim above 40 deg,
-    and a brief 4 m/s launch glide."""
+    """The airframe: its mass, the one quantity that differs between the
+    airframes flown; the rest of it is this module's constants."""
 
     mass_kg: float = ranged(0.700, "(0, inf)")  # with leg/claw appendage
-    # 16 N/m^2 wing loading at 0.7 kg
-    wing_area_m2: float = ranged(0.43, "(0, inf)")
-    max_flap_hz: float = ranged(5.5, "(0, inf)")
-    pitch_inertia: float = ranged(0.010, "(0, inf)")  # kg*m^2
-    yaw_inertia: float = ranged(0.012, "(0, inf)")
-    elevator_nm_per_deg: float = 0.01
-    rudder_nm_per_deg: float = 0.01
-    elevator_limit_deg: float = 20.0
-    rudder_limit_deg: float = 20.0
-    # lift/drag polar
-    cl0: float = 0.4
-    cl_alpha_per_deg: float = ranged(0.12, "(0, inf)")
-    alpha_stall_deg: float = 40.0
-    cl_post_stall_per_deg: float = 0.06
-    cd0: float = 0.04
-    cd_induced: float = 0.02
-    cd_stall_per_deg2: float = 0.02
-    cd_max: float = 2.0                   # flat-plate cap in deep separation
-    # thrust and flapping oscillation
-    thrust_n_per_hz2: float = 0.028
-    flap_oscillation_gain: float = 6.3    # m/s^2 of vertical forcing per Hz
-    heave_nat_freq_hz: float = 0.8
-    heave_damping_ratio: float = 0.2
-    # rotational aerodynamics
-    pitch_stiffness_nm_rad: float = 0.10
-    pitch_damping_nm_s: float = 0.10
-    yaw_stiffness_nm_rad: float = 0.10
-    yaw_damping_nm_s: float = 0.08
-    side_force_n_per_rad: float = 1.2
-    elevator_download_n_per_deg: float = 0.10
-    # leg servo response
-    beta_lag_s: float = ranged(0.030, "(0, inf)")
-    beta_rate_limit_dps: float = 400.0
 
     __post_init__ = check_ranges
-
-    def lift_coeff(self, alpha_deg: float) -> float:
-        a_s = self.alpha_stall_deg
-        if alpha_deg <= a_s:
-            return self.cl0 + self.cl_alpha_per_deg * alpha_deg
-        cl_stall = self.cl0 + self.cl_alpha_per_deg * a_s
-        return max(0.2, cl_stall - self.cl_post_stall_per_deg * (alpha_deg - a_s))
-
-    def drag_coeff(self, alpha_deg: float) -> float:
-        cl = self.lift_coeff(alpha_deg)
-        over = max(0.0, abs(alpha_deg) - self.alpha_stall_deg)
-        cd = self.cd0 + self.cd_induced * cl * cl + self.cd_stall_per_deg2 * over * over
-        return min(self.cd_max, cd)
-
-    @functools.cached_property
-    def rhs_constants(self) -> Tuple[float, ...]:
-        """What `plant_step`'s right-hand side takes from the airframe alone,
-        in the order it unpacks them: mass and weight; wing area and the
-        polar (``cl0``, lift slope, stall angle, lift at the stall, post-stall
-        slope, ``cd0``, induced and stall drag, drag cap); side force;
-        stiffness, damping and inertia in pitch, then in yaw; heave damping
-        and stiffness; leg servo lag and rate cap (rad/s) and its negative."""
-        omega = 2.0 * math.pi * self.heave_nat_freq_hz
-        rate_cap = self.beta_rate_limit_dps * _RADIANS
-        cl0, cl_alpha = self.cl0, self.cl_alpha_per_deg
-        a_s = self.alpha_stall_deg
-        return (self.mass_kg, self.mass_kg * GRAVITY, self.wing_area_m2,
-                cl0, cl_alpha, a_s, cl0 + cl_alpha * a_s,
-                self.cl_post_stall_per_deg, self.cd0, self.cd_induced,
-                self.cd_stall_per_deg2, self.cd_max, self.side_force_n_per_rad,
-                self.pitch_stiffness_nm_rad, self.pitch_damping_nm_s,
-                self.pitch_inertia, self.yaw_stiffness_nm_rad,
-                self.yaw_damping_nm_s, self.yaw_inertia,
-                2.0 * self.heave_damping_ratio * omega, omega * omega,
-                self.beta_lag_s, rate_cap, -rate_cap)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ class ControlCommand:
     beta_cmd_deg: float = 0.0
 
     @classmethod
-    def limited(cls, params: RobotParams, delta_e_deg: float,
-                delta_r_deg: float, flap_hz: float,
+    def limited(cls, delta_e_deg: float, delta_r_deg: float, flap_hz: float,
                 beta_cmd_deg: float) -> "ControlCommand":
         """The command with each input clamped to its actuator's range.
 
@@ -151,8 +150,7 @@ class ControlCommand:
         of a zero, as np.clip does, written as the builtins decide it:
         ``max(x, lo)`` is ``lo if lo > x else x`` and ``min(y, hi)`` is
         ``hi if hi < y else y``."""
-        e, r = params.elevator_limit_deg, params.rudder_limit_deg
-        f = params.max_flap_hz
+        e, r, f = ELEVATOR_LIMIT_DEG, RUDDER_LIMIT_DEG, MAX_FLAP_HZ
         e_lo, r_lo = -e, -r
         delta_e_deg = e_lo if e_lo > delta_e_deg else delta_e_deg
         delta_r_deg = r_lo if r_lo > delta_r_deg else delta_r_deg
@@ -211,10 +209,10 @@ class RobotState:
             math.radians(self.beta_deg))
 
 
-def thrust_model(flap_hz: float, params: RobotParams) -> float:
+def thrust_model(flap_hz: float) -> float:
     """Thrust (N) at a flap frequency that `ControlCommand.limited` has
-    already clamped to 0..max_flap_hz; a NaN flap gives NaN thrust."""
-    return params.thrust_n_per_hz2 * flap_hz * flap_hz
+    already clamped to 0..MAX_FLAP_HZ; a NaN flap gives NaN thrust."""
+    return THRUST_N_PER_HZ2 * flap_hz * flap_hz
 
 
 def plant_step(
@@ -244,26 +242,28 @@ def plant_step(
     plane containing the track ("0.0 +" turns a -0.0 into 0.0, as the
     oracle's sum from zero does); the fuselage side force, from the sideslip
     ``beta_side`` of heading against track, turns the velocity toward the
-    heading.  The polar is that of `RobotParams.lift_coeff` and
-    `drag_coeff`, with ``max(a, x)`` as ``x if x > a else a`` and
-    ``min(a, x)`` as ``x if x < a else a`` (NaN included, the builtins'
-    result).  Every product, sum and association is that of the list-based
-    RK4 the tests hold as the oracle, so every output bit matches it.
+    heading.  The polar is that of `lift_coeff` and `drag_coeff`, with
+    ``max(a, x)`` as ``x if x > a else a`` and ``min(a, x)`` as
+    ``x if x < a else a`` (NaN included, the builtins' result).  Every
+    product, sum and association is that of the list-based RK4 the tests
+    hold as the oracle, so every output bit matches it.
     """
     if not 0.0 < dt <= 1.0 / CONTROL_RATE_HZ + 1e-12:
         raise ValueError("plant_step dt must be positive and must not exceed "
                          "one control period")
-    (m, weight, wing_area, cl0, cl_alpha, a_s, cl_stall, cl_post_stall, cd0,
-     cd_induced, cd_stall, cd_max, side_force, k_pitch, c_pitch, i_pitch,
-     k_yaw, c_yaw, i_yaw, heave_damping, heave_stiffness, beta_lag, rate_cap,
-     neg_rate_cap) = params.rhs_constants
+    m = params.mass_kg
+    weight = m * GRAVITY
+    (wing_area, cl0, cl_alpha, a_s, cl_stall, cl_post_stall, cd0, cd_induced,
+     cd_stall, cd_max, side_force, k_pitch, c_pitch, i_pitch, k_yaw, c_yaw,
+     i_yaw, heave_damping, heave_stiffness, beta_lag, rate_cap,
+     neg_rate_cap) = _RHS_CONSTANTS
     flap_hz, delta_e = cmd.flap_hz, cmd.delta_e_deg
-    thrust = thrust_model(flap_hz, params)
+    thrust = thrust_model(flap_hz)
     # tail download acts immediately on pitch-up commands (non-minimum phase)
-    download = params.elevator_download_n_per_deg * delta_e
-    pitch_tail = params.elevator_nm_per_deg * delta_e
-    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
-    heave_gain = params.flap_oscillation_gain * flap_hz
+    download = ELEVATOR_DOWNLOAD_N_PER_DEG * delta_e
+    pitch_tail = ELEVATOR_NM_PER_DEG * delta_e
+    yaw_tail = RUDDER_NM_PER_DEG * cmd.delta_r_deg
+    heave_gain = FLAP_OSCILLATION_GAIN * flap_hz
     beta_cmd = cmd.beta_cmd_deg * _RADIANS
     phase_rate = 2.0 * math.pi * flap_hz
     efx, efy, efz = ext_force
@@ -480,23 +480,23 @@ def trim_state(pitch_deg: float,
     """
     if not 0.0 <= pitch_deg <= 60.0:
         raise ValueError("trim pitch must be within 0-60 deg")
-    cl = params.lift_coeff(pitch_deg)
-    cd = params.drag_coeff(pitch_deg)
+    cl = lift_coeff(pitch_deg)
+    cd = drag_coeff(pitch_deg)
     th = math.radians(pitch_deg)
     denom = cl + cd * math.tan(th)
     if denom <= 0.0:
         return None
     # holding this pitch needs a steady elevator deflection whose tail
     # download adds to the weight the wings must carry
-    delta_e = params.pitch_stiffness_nm_rad * th / params.elevator_nm_per_deg
-    download = params.elevator_download_n_per_deg * delta_e
+    delta_e = PITCH_STIFFNESS_NM_RAD * th / ELEVATOR_NM_PER_DEG
+    download = ELEVATOR_DOWNLOAD_N_PER_DEG * delta_e
     v_sq = ((2.0 * (params.mass_kg * GRAVITY + download))
-            / (AIR_DENSITY * params.wing_area_m2 * denom))
-    q_dyn = 0.5 * AIR_DENSITY * v_sq * params.wing_area_m2
+            / (AIR_DENSITY * WING_AREA_M2 * denom))
+    q_dyn = 0.5 * AIR_DENSITY * v_sq * WING_AREA_M2
     thrust = q_dyn * cd / math.cos(th)
-    flap_sq = thrust / params.thrust_n_per_hz2
+    flap_sq = thrust / THRUST_N_PER_HZ2
     flap = math.sqrt(flap_sq)
-    if flap > params.max_flap_hz:
+    if flap > MAX_FLAP_HZ:
         return None
     return math.sqrt(v_sq), flap
 

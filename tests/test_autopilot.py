@@ -31,7 +31,14 @@ from perchsim.autopilot import (
 )
 from perchsim.leg import LegParams
 from perchsim.perception import PIXELS, SensorSpec
-from perchsim.plant import RobotParams, RobotState, plant_step
+from perchsim.plant import (
+    ELEVATOR_LIMIT_DEG,
+    MAX_FLAP_HZ,
+    RUDDER_LIMIT_DEG,
+    RobotParams,
+    RobotState,
+    plant_step,
+)
 from perchsim.touchdown import PerchOutcome
 
 ENVELOPE = {
@@ -119,14 +126,13 @@ class TestControlCycle:
     def test_actuation_saturation_every_cycle(self):
         config = MissionConfig()
         result = run_mission(config)
-        lim = config.robot
         delta_e = column(result, "delta_e_deg")
         delta_r = column(result, "delta_r_deg")
         flap = column(result, "flap_hz")
         beta = column(result, "beta_deg")
-        assert np.all(np.abs(delta_e) <= lim.elevator_limit_deg + 1e-9)
-        assert np.all(np.abs(delta_r) <= lim.rudder_limit_deg + 1e-9)
-        assert np.all((0.0 <= flap) & (flap <= lim.max_flap_hz + 1e-9))
+        assert np.all(np.abs(delta_e) <= ELEVATOR_LIMIT_DEG + 1e-9)
+        assert np.all(np.abs(delta_r) <= RUDDER_LIMIT_DEG + 1e-9)
+        assert np.all((0.0 <= flap) & (flap <= MAX_FLAP_HZ + 1e-9))
         assert np.all((0.0 <= beta) & (beta <= 90.0))
 
 

@@ -211,10 +211,6 @@ class TestHoldingTorque:
             > holds[BranchSurface.BARE_CARBON]
         )
 
-    def test_frictionless_holds_nothing(self, geom, spring):
-        branch = BranchSpec(mu_eff=0.0)
-        assert claw.holding_torque(geom, spring, branch) == 0.0
-
     def test_flat_over_design_range(self, geom, spring):
         nominal = claw.holding_torque(geom, spring, BranchSpec())
         d = 0.04

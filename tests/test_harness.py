@@ -1,8 +1,12 @@
 """Tests for configuration plumbing, launcher kinematics, and scenarios."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from perchsim.config import (
     serialize_config,
 )
 from perchsim.harness import (
+    EXIT_CONFIG_ERROR,
     EXIT_CRITERIA_FAILED,
     EXIT_SUCCESS,
     OVERRIDES,
@@ -369,6 +374,14 @@ class TestScenarios:
             (b / "impact_suite.csv").read_bytes()
 
 
+# a config file: any bytes, or lines that set config keys to any value
+CONFIG_FILES = st.one_of(st.binary(), st.lists(st.builds(
+    "{} = {}".format, st.sampled_from(OVERRIDES),
+    st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
+              st.sampled_from(["true", "false"])))).map(
+    lambda lines: "\n".join(lines).encode("utf-8")))
+
+
 class TestCli:
     def test_exit_codes_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -384,6 +397,36 @@ class TestCli:
         code = main(["FullPerch", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"mission.launch_speed_mps = 3.0\n\xff\n")
+        out = tmp_path / "out"
+        code = main(["LauncherProfile", "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"perchsim: configuration error: {cfg}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(CONFIG_FILES)
+    @example(b"\xff")
+    def test_any_config_file(self, data):
+        """Whatever a config file holds, the CLI runs or exits 2 with one
+        line on stderr and no output directory; it never raises."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+            cfg.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["LauncherProfile", "--config", str(cfg),
+                             "--out", str(out)])
+            assert code in (EXIT_SUCCESS, EXIT_CONFIG_ERROR)
+            if code == EXIT_CONFIG_ERROR:
+                assert err.getvalue().count("\n") == 1
+                assert not out.exists()
 
     def test_launcher_profile_cli(self, tmp_path):
         code = main(["LauncherProfile", "--out", str(tmp_path)])

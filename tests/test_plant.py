@@ -16,16 +16,22 @@ from perchsim.autopilot import (
     MissionConfig,
     run_mission,
 )
+from perchsim import plant
 from perchsim.plant import (
     AIR_DENSITY,
     APPENDAGE_MASS_KG,
     CONTROL_RATE_HZ,
+    ELEVATOR_LIMIT_DEG,
     GRAVITY,
+    MAX_FLAP_HZ,
     PLANT_RATE_HZ,
+    RUDDER_LIMIT_DEG,
     AttitudeDivergence,
     ControlCommand,
     RobotParams,
     RobotState,
+    drag_coeff,
+    lift_coeff,
     plant_step,
     thrust_model,
     trim_state,
@@ -68,24 +74,24 @@ def from_vector(v):
 
 def reference_rhs(cmd, params, ext_force, ext_moment):
     """The list-based right-hand side, the oracle for the one `plant_step`
-    writes out at each stage: it calls the ``RobotParams`` polar methods,
-    computes every airframe constant on each call and returns all 14
-    derivatives."""
+    writes out at each stage: it calls the plant's polar functions, reads
+    the plant's constants by name, derives the rest on each call and
+    returns all 14 derivatives."""
     m = params.mass_kg
     weight = m * GRAVITY
-    thrust = thrust_model(cmd.flap_hz, params)
-    download = params.elevator_download_n_per_deg * cmd.delta_e_deg
-    pitch_tail = params.elevator_nm_per_deg * cmd.delta_e_deg
-    yaw_tail = params.rudder_nm_per_deg * cmd.delta_r_deg
+    thrust = thrust_model(cmd.flap_hz)
+    download = plant.ELEVATOR_DOWNLOAD_N_PER_DEG * cmd.delta_e_deg
+    pitch_tail = plant.ELEVATOR_NM_PER_DEG * cmd.delta_e_deg
+    yaw_tail = plant.RUDDER_NM_PER_DEG * cmd.delta_r_deg
     efx, efy, efz = ext_force
     pitch_ext, yaw_ext = ext_moment
-    omega = 2.0 * math.pi * params.heave_nat_freq_hz
-    heave_damping = 2.0 * params.heave_damping_ratio * omega
+    omega = 2.0 * math.pi * plant.HEAVE_NAT_FREQ_HZ
+    heave_damping = 2.0 * plant.HEAVE_DAMPING_RATIO * omega
     heave_stiffness = omega * omega
-    heave_gain = params.flap_oscillation_gain * cmd.flap_hz
+    heave_gain = plant.FLAP_OSCILLATION_GAIN * cmd.flap_hz
     phase_rate = 2.0 * math.pi * cmd.flap_hz
     beta_cmd = math.radians(cmd.beta_cmd_deg)
-    rate_cap = math.radians(params.beta_rate_limit_dps)
+    rate_cap = math.radians(plant.BETA_RATE_LIMIT_DPS)
 
     def rhs(v):
         _, _, _, vx, vy, vz, th, q, psi, r, phase, hv, hvd, beta = v
@@ -95,9 +101,9 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
         gamma = math.atan2(vz, v_h) if speed > 1e-9 else 0.0
         alpha_deg = math.degrees(th - gamma)
 
-        q_dyn = 0.5 * AIR_DENSITY * speed * speed * params.wing_area_m2
-        lift = q_dyn * params.lift_coeff(alpha_deg)
-        drag = q_dyn * params.drag_coeff(alpha_deg)
+        q_dyn = 0.5 * AIR_DENSITY * speed * speed * plant.WING_AREA_M2
+        lift = q_dyn * lift_coeff(alpha_deg)
+        drag = q_dyn * drag_coeff(alpha_deg)
 
         fx = fy = fz = 0.0
         if speed > 1e-9:
@@ -111,7 +117,7 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
         fz += thrust * math.sin(th)
 
         beta_side = psi - track
-        f_side = params.side_force_n_per_rad * beta_side * max(q_dyn, 0.05)
+        f_side = plant.SIDE_FORCE_N_PER_RAD * beta_side * max(q_dyn, 0.05)
         fx += -f_side * math.sin(track)
         fy += f_side * math.cos(track)
 
@@ -121,17 +127,17 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
         fy += efy
         fz += efz
 
-        pitch_moment = (pitch_tail - params.pitch_stiffness_nm_rad * th
-                        - params.pitch_damping_nm_s * q + pitch_ext)
-        yaw_moment = (yaw_tail - params.yaw_stiffness_nm_rad * beta_side
-                      - params.yaw_damping_nm_s * r + yaw_ext)
+        pitch_moment = (pitch_tail - plant.PITCH_STIFFNESS_NM_RAD * th
+                        - plant.PITCH_DAMPING_NM_S * q + pitch_ext)
+        yaw_moment = (yaw_tail - plant.YAW_STIFFNESS_NM_RAD * beta_side
+                      - plant.YAW_DAMPING_NM_S * r + yaw_ext)
         heave_acc = (heave_gain * math.sin(phase)
                      - heave_damping * hvd - heave_stiffness * hv)
-        beta_rate = (beta_cmd - beta) / params.beta_lag_s
+        beta_rate = (beta_cmd - beta) / plant.BETA_LAG_S
         beta_rate = min(rate_cap, max(-rate_cap, beta_rate))
         return (vx, vy, vz, fx / m, fy / m, fz / m,
-                q, pitch_moment / params.pitch_inertia,
-                r, yaw_moment / params.yaw_inertia,
+                q, pitch_moment / plant.PITCH_INERTIA_KGM2,
+                r, yaw_moment / plant.YAW_INERTIA_KGM2,
                 phase_rate, hvd, heave_acc, beta_rate)
 
     return rhs
@@ -170,8 +176,8 @@ def params():
 
 def trim_setup(params, pitch=30.0):
     speed, flap = trim_state(pitch, params)
-    delta_e = (params.pitch_stiffness_nm_rad * math.radians(pitch)
-               / params.elevator_nm_per_deg)
+    delta_e = (plant.PITCH_STIFFNESS_NM_RAD * math.radians(pitch)
+               / plant.ELEVATOR_NM_PER_DEG)
     state = RobotState(z_m=2.0, vx_mps=speed, pitch_deg=pitch)
     cmd = ControlCommand(delta_e_deg=delta_e, flap_hz=flap)
     return state, cmd
@@ -187,20 +193,20 @@ def fly(state, cmd, params, duration, record=None):
 
 
 class TestThrustModel:
-    def test_zero_flap_zero_thrust(self, params):
-        assert thrust_model(0.0, params) == 0.0
+    def test_zero_flap_zero_thrust(self):
+        assert thrust_model(0.0) == 0.0
 
-    def test_monotone_over_grid(self, params):
-        thrusts = [thrust_model(f, params) for f in np.arange(0.0, 5.6, 0.5)]
+    def test_monotone_over_grid(self):
+        thrusts = [thrust_model(f) for f in np.arange(0.0, 5.6, 0.5)]
         for a, b in zip(thrusts, thrusts[1:]):
             assert b > a
 
     def test_max_flap_supports_trim(self, params):
         # thrust is sized so trim at 30 deg exists below the flap ceiling
         speed, flap = trim_state(30.0, params)
-        assert flap < params.max_flap_hz
-        t_max = thrust_model(params.max_flap_hz, params)
-        t_trim = thrust_model(flap, params)
+        assert flap < MAX_FLAP_HZ
+        t_max = thrust_model(MAX_FLAP_HZ)
+        t_trim = thrust_model(flap)
         assert t_max > t_trim
 
 
@@ -208,7 +214,7 @@ class TestTrim:
     def test_thirty_degrees_in_published_band(self, params):
         speed, flap = trim_state(30.0, params)
         assert 2.5 <= speed <= 3.0
-        assert 0.0 < flap <= params.max_flap_hz
+        assert 0.0 < flap <= MAX_FLAP_HZ
 
     def test_above_forty_infeasible(self, params):
         assert trim_state(45.0, params) is None
@@ -335,30 +341,29 @@ class TestPlantStep:
 
 
 class TestCommandClamping:
-    def test_limits(self, params):
-        cmd = ControlCommand.limited(params, 50.0, -50.0, 9.0, 120.0)
-        assert cmd.delta_e_deg == params.elevator_limit_deg
-        assert cmd.delta_r_deg == -params.rudder_limit_deg
-        assert cmd.flap_hz == params.max_flap_hz
+    def test_limits(self):
+        cmd = ControlCommand.limited(50.0, -50.0, 9.0, 120.0)
+        assert cmd.delta_e_deg == ELEVATOR_LIMIT_DEG
+        assert cmd.delta_r_deg == -RUDDER_LIMIT_DEG
+        assert cmd.flap_hz == MAX_FLAP_HZ
         assert cmd.beta_cmd_deg == 90.0
 
-    def test_out_of_range_flap_thrust(self, params):
+    def test_out_of_range_flap_thrust(self):
         # the command's clamp is the flap's only one: thrust_model and
         # plant_step take the flap as limited gave it
-        high = ControlCommand.limited(params, 0.0, 0.0, 7.0, 0.0)
-        low = ControlCommand.limited(params, 0.0, 0.0, -1.0, 0.0)
-        assert (thrust_model(high.flap_hz, params)
-                == thrust_model(params.max_flap_hz, params))
-        assert thrust_model(low.flap_hz, params) == 0.0
+        high = ControlCommand.limited(0.0, 0.0, 7.0, 0.0)
+        low = ControlCommand.limited(0.0, 0.0, -1.0, 0.0)
+        assert thrust_model(high.flap_hz) == thrust_model(MAX_FLAP_HZ)
+        assert thrust_model(low.flap_hz) == 0.0
 
     def test_nan_flap_diverges(self, params):
         # limited keeps a NaN flap; its thrust and heave are NaN, so the
         # altitude goes NaN and the step raises, as on a tumble
         state, cmd = trim_setup(params)
-        nan_flap = ControlCommand.limited(params, cmd.delta_e_deg, 0.0,
-                                          math.nan, 0.0)
+        nan_flap = ControlCommand.limited(cmd.delta_e_deg, 0.0, math.nan,
+                                          0.0)
         assert math.isnan(nan_flap.flap_hz)
-        assert math.isnan(thrust_model(nan_flap.flap_hz, params))
+        assert math.isnan(thrust_model(nan_flap.flap_hz))
         with pytest.raises(AttitudeDivergence):
             plant_step(state, nan_flap, params, DT)
 
@@ -369,13 +374,11 @@ class TestCommandClamping:
     @example(math.inf)
     @example(-math.inf)
     def test_matches_np_clip(self, x):
-        params = RobotParams()
-        cmd = ControlCommand.limited(params, x, x, x, x)
+        cmd = ControlCommand.limited(x, x, x, x)
         limits = {
-            "delta_e_deg": (-params.elevator_limit_deg,
-                            params.elevator_limit_deg),
-            "delta_r_deg": (-params.rudder_limit_deg, params.rudder_limit_deg),
-            "flap_hz": (0.0, params.max_flap_hz),
+            "delta_e_deg": (-ELEVATOR_LIMIT_DEG, ELEVATOR_LIMIT_DEG),
+            "delta_r_deg": (-RUDDER_LIMIT_DEG, RUDDER_LIMIT_DEG),
+            "flap_hz": (0.0, MAX_FLAP_HZ),
             "beta_cmd_deg": (0.0, 90.0),
         }
         for name, (lo, hi) in limits.items():
@@ -389,7 +392,7 @@ class TestCommandClamping:
                 assert math.copysign(1.0, got) == math.copysign(1.0, want)
         # limiting a limited command keeps every bit, so plant_step need
         # not limit the autopilot's commands again
-        again = ControlCommand.limited(params, *dataclasses.astuple(cmd))
+        again = ControlCommand.limited(*dataclasses.astuple(cmd))
         assert (struct.pack("4d", *dataclasses.astuple(again))
                 == struct.pack("4d", *dataclasses.astuple(cmd)))
 
@@ -428,7 +431,7 @@ class TestPinnedOutputs:
             yaw_rate_dps=-5.0, flap_phase_rad=1.0, heave_m=0.01,
             heave_rate_mps=-0.05, beta_deg=10.0)
         # the elevator is limited to 20 deg
-        cmd = ControlCommand.limited(RobotParams(), 25.0, -3.0, 4.0, 90.0)
+        cmd = ControlCommand.limited(25.0, -3.0, 4.0, 90.0)
         assert self.step(state, cmd) == (
             1.01664643108814, 0.10249600770532201, 1.4898048612891714,
             1.9951722334111792, 0.29904296580775724, -1.2468353862254165,
@@ -529,21 +532,17 @@ DEFAULT_AIRFRAME = RobotParams()
 # stage 2's airframe, without the leg and claw
 LIGHT_AIRFRAME = RobotParams(mass_kg=DEFAULT_AIRFRAME.mass_kg
                              - APPENDAGE_MASS_KG)
-AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME), st.builds(
-    RobotParams,
-    mass_kg=st.floats(0.3, 1.5), wing_area_m2=st.floats(0.2, 0.8),
-    alpha_stall_deg=st.floats(10.0, 70.0),
-    heave_nat_freq_hz=st.floats(0.2, 3.0), beta_lag_s=st.floats(0.005, 0.2),
-    beta_rate_limit_dps=st.floats(20.0, 1000.0)))
+AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME),
+                      st.builds(RobotParams, mass_kg=st.floats(0.3, 1.5)))
 NO_GUST = {"ext_force": (0.0, 0.0, 0.0), "ext_moment": (0.0, 0.0)}
 
 
 class TestMatchesReference:
     """`plant_step` against the list-based step, which reads the polar
-    through ``RobotParams.lift_coeff``/``drag_coeff`` and derives every
-    airframe constant on each call: every bit of every field, or the same
-    divergence.  Each example steps one or two airframes in turn, so
-    constants cached for one airframe and read for another fail it."""
+    through ``plant.lift_coeff``/``drag_coeff`` and derives every constant
+    on each call: every bit of every field, or the same divergence.  Each
+    example steps one or two airframes in turn, so a mass or weight kept
+    from one airframe and read for another fails it."""
 
     @settings(max_examples=400, deadline=None)
     @given(state=STATES, cmd=COMMANDS,
@@ -584,7 +583,7 @@ class TestMatchesReference:
     def test_bit_identical(self, state, cmd, airframes, dt, ext_force,
                            ext_moment):
         for params in airframes:
-            limited = ControlCommand.limited(params, *dataclasses.astuple(cmd))
+            limited = ControlCommand.limited(*dataclasses.astuple(cmd))
             assert (outcome(plant_step, state, limited, params, dt,
                             ext_force, ext_moment)
                     == outcome(reference_plant_step, state, limited, params,
@@ -593,14 +592,11 @@ class TestMatchesReference:
 
 class TestMissionReplay:
     """Every call a gusty mission makes to `plant_step`, replayed through
-    the oracle: the mission's own inputs, not drawn ones."""
+    the oracle: the mission's own inputs, not drawn ones, on the full
+    airframe and on stage 2's light one."""
 
-    @pytest.mark.parametrize("robot", [
-        DEFAULT_AIRFRAME,
-        # a servo slower than the autopilot's hip slews: the plant's own
-        # leg rate cap engages too
-        RobotParams(beta_rate_limit_dps=40.0),
-    ], ids=["default", "slow-servo"])
+    @pytest.mark.parametrize("robot", [DEFAULT_AIRFRAME, LIGHT_AIRFRAME],
+                             ids=["default", "light"])
     def test_gusty_mission_bit_identical(self, monkeypatch, robot):
         calls = []
 
@@ -626,11 +622,6 @@ class TestMissionReplay:
                    < 1e-9 for a, b in zip(commands, commands[1:]))
         assert all(args[4] != (0.0, 0.0, 0.0) for args, _ in calls)
         assert sum(c.flap_hz == 0.0 for c in commands) >= 5
-        servo_capped = [
-            abs(math.radians(c.beta_cmd_deg) - math.radians(s.beta_deg))
-            / robot.beta_lag_s > math.radians(robot.beta_rate_limit_dps)
-            for (s, c, *_), _ in calls]
-        assert any(servo_capped) == (robot != DEFAULT_AIRFRAME)
 
         for args, new in calls:
             got = tuple(map(float.hex, dataclasses.astuple(new)))
