@@ -372,21 +372,6 @@ def _gust_normals(rng: np.random.Generator) -> Iterator[List[float]]:
         yield from rng.standard_normal((GUST_BLOCK_CYCLES, 5)).tolist()
 
 
-def _touchdown_of(config: MissionConfig, state: RobotState,
-                  impact: ImpactRecord) -> PerchOutcome:
-    if not impact.locked:
-        return PerchOutcome.MISSED
-    hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING, config.branch)
-    st = TouchdownState(
-        speed_mps=max(0.0, state.vx_mps),
-        theta_leg_deg=min(90.0, max(0.0, state.beta_deg)),
-        psi_branch_deg=state.yaw_deg - config.branch.axis_yaw_deg,
-        body_pitch_deg=state.pitch_deg,
-        mass_kg=config.robot.mass_kg,
-    )
-    return evaluate_touchdown(st, hold)
-
-
 def run_mission(config: MissionConfig) -> MissionResult:
     """Fly one closed-loop perch mission; deterministic per seed."""
     ap = Autopilot(config)
@@ -441,7 +426,17 @@ def run_mission(config: MissionConfig) -> MissionResult:
         )
         if config.soft_branch:
             impact = replace(impact, locked=False)
-        outcome = _touchdown_of(config, crossing, impact)
+        elif impact.locked:
+            # the branch is square to the track: the airframe's yaw is the
+            # touchdown's yaw against it
+            hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
+                                          config.branch)
+            outcome = evaluate_touchdown(TouchdownState(
+                speed_mps=max(0.0, crossing.vx_mps),
+                theta_leg_deg=min(90.0, max(0.0, crossing.beta_deg)),
+                psi_branch_deg=crossing.yaw_deg,
+                body_pitch_deg=crossing.pitch_deg,
+                mass_kg=config.robot.mass_kg), hold)
         altitude_error = abs(crossing.altitude_m - config.altitude_setpoint_m)
     # the reshape also gives a mission that flew no cycle its 11 columns
     trajectory = np.array(rows, dtype=float).reshape(

@@ -78,8 +78,10 @@ class BranchSurface(Enum):
     SPIKES_PLUS_PADS = "spikes_plus_pads"
 
 
-# Effective Coulomb coefficients per claw-branch interface.  The pads value is
-# calibrated so the locked claw holds 2.0 N*m on the nominal 6 cm branch.
+# The nominal branch diameter, m, on which the claw is calibrated, and the
+# effective Coulomb coefficients per claw-branch interface: the pads value
+# makes the locked claw hold 2.0 N*m on the nominal branch.
+NOMINAL_BRANCH_DIAMETER_M = 0.06
 MU_EFF_DEFAULTS = {
     BranchSurface.BARE_CARBON: 0.35,
     BranchSurface.SPIKES_ONLY: 0.70,
@@ -89,21 +91,17 @@ MU_EFF_DEFAULTS = {
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """Cylindrical branch target: its axis crosses the flight line at
-    ``x_m`` from the launch point, at height ``z_m``, yawed
-    ``axis_yaw_deg`` from square to it."""
+    """Cylindrical branch target, square to the flight line and infinite
+    along y: its axis crosses that line at ``x_m`` from the launch point, at
+    height ``z_m``.  A mission crosses it at ``x_m`` whatever its y, so
+    acceptance check c06's ``y_m`` envelope is the only lateral check."""
 
-    diameter_m: float = ranged(0.06, "(0, inf)")
+    diameter_m: float = ranged(NOMINAL_BRANCH_DIAMETER_M, "(0, inf)")
     x_m: float = ranged(14.0, "(-inf, inf)")
     z_m: float = ranged(2.0, "(-inf, inf)")
-    axis_yaw_deg: float = ranged(0.0, "(-inf, inf)")
     surface: BranchSurface = BranchSurface.SPIKES_PLUS_PADS
 
     __post_init__ = check_ranges
-
-    @property
-    def mu(self) -> float:
-        return MU_EFF_DEFAULTS[self.surface]
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,8 @@ class ClawGeometry:
     @property
     def psi_travel_max(self) -> float:
         """Mechanical travel limit: closed angle on the thinnest grippable branch."""
-        extra = self.closure_slope_deg_per_m * (0.06 - self.min_spike_diameter_m)
+        extra = self.closure_slope_deg_per_m * (
+            NOMINAL_BRANCH_DIAMETER_M - self.min_spike_diameter_m)
         return max(self.psi_open, self.psi_closed) + max(0.0, extra)
 
 
@@ -252,11 +251,13 @@ def release_force(geom: ClawGeometry, spec: SpringSpec) -> float:
 
 def closed_angle(geom: ClawGeometry, diameter_m: float) -> float:
     """Claw angle when locked on a branch of the given diameter, deg."""
-    return geom.psi_closed - geom.closure_slope_deg_per_m * (diameter_m - 0.06)
+    return geom.psi_closed - geom.closure_slope_deg_per_m * (
+        diameter_m - NOMINAL_BRANCH_DIAMETER_M)
 
 
 def _contact_lever_m(geom: ClawGeometry, diameter_m: float) -> float:
-    lever = geom.d_s / 1000.0 + geom.contact_lever_slope * (diameter_m - 0.06)
+    lever = geom.d_s / 1000.0 + geom.contact_lever_slope * (
+        diameter_m - NOMINAL_BRANCH_DIAMETER_M)
     lever += geom.contact_lever_hinge * max(0.0, diameter_m - 0.07)
     return lever
 
@@ -277,7 +278,7 @@ def holding_torque(geom: ClawGeometry, spec: SpringSpec, branch: BranchSpec) -> 
     """Slip-limited torque the locked claw resists about the branch axis, N*m."""
     normal = contact_force(geom, spec, branch)
     grip_radius = math.hypot(geom.grip_offset_mm / 1000.0, branch.diameter_m / 2.0)
-    return branch.mu * normal * grip_radius
+    return MU_EFF_DEFAULTS[branch.surface] * normal * grip_radius
 
 
 def closing_dynamics(

@@ -8,10 +8,10 @@ identity on the mapping.
 
 It also holds the one input-range policy of the library: a dataclass field
 declared with ``ranged`` names its interval, and ``check_ranges``, the one
-validator, raises ``ValueError`` for a value outside it (NaN and None lie
-outside every interval).  A field declared ``integer=True`` must also hold an
-integer, which ``check_ranges`` checks after every interval, so a
-float-only class pays only for an empty loop.
+validator, raises ``ValueError`` for a value outside it (NaN, None and
+bools lie outside every interval).  A field declared ``integer=True`` must
+also hold an integer, which ``check_ranges`` checks after every interval, so
+a float-only class pays only for an empty loop.
 """
 
 from __future__ import annotations
@@ -141,13 +141,16 @@ def ranged_as(cls, name: str):
 # per class: (name, interval, lo, hi) of each ranged field, and the names of
 # its integer fields
 _CHECKS: Dict[type, Tuple[tuple, Tuple[str, ...]]] = {}
+# they compare as 0 and 1, but lie in no interval; checked first, since a
+# numpy bool cannot be compared with an int bound past 2**63
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def check_ranges(obj) -> None:
     """Raise ``ValueError`` if a ``ranged`` field of ``obj`` lies outside
-    its interval, as NaN, None and every other non-number do, or if, once
-    every interval holds, a field declared ``integer=True`` holds anything
-    but an integer: a float, even a whole one, or a bool."""
+    its interval, as NaN, None, a bool and every other non-number do, or
+    if, once every interval holds, a field declared ``integer=True`` holds
+    anything but an integer, such as a float, even a whole one."""
     cls = type(obj)
     checks = _CHECKS.get(cls)
     if checks is None:
@@ -161,7 +164,7 @@ def check_ranges(obj) -> None:
     for name, interval, lo, hi in ranges:
         value = values[name]
         try:
-            if lo <= value <= hi:
+            if type(value) not in _BOOLS and lo <= value <= hi:
                 continue
         except TypeError:  # None, or another non-number
             pass
@@ -169,6 +172,6 @@ def check_ranges(obj) -> None:
                          f"got {value!r}")
     for name in integers:
         value = values[name]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral):
             raise ValueError(f"{cls.__name__}.{name} must be an integer, "
                              f"got {value!r}")

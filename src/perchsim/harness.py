@@ -70,7 +70,11 @@ class LaunchProfile:
     lateral_offset_m: float = ranged_as(MissionConfig,
                                         "launch_lateral_offset_m")
 
-    __post_init__ = check_ranges
+    def __post_init__(self):
+        check_ranges(self)
+        if not math.isfinite(self.acceleration_mps2):
+            raise ValueError("LaunchProfile.rail_length_m gives an infinite "
+                             f"acceleration, got {self.rail_length_m!r}")
 
     @property
     def acceleration_mps2(self) -> float:
@@ -78,15 +82,11 @@ class LaunchProfile:
         return self.target_speed_mps ** 2 / (2.0 * self.rail_length_m)
 
 
-def launch_profile(target_speed_mps: float = LaunchProfile.target_speed_mps,
-                   rail_length_m: float = LaunchProfile.rail_length_m,
-                   lateral_offset_m: float = LaunchProfile.lateral_offset_m
-                   ) -> LaunchProfile:
-    """Validated rail profile for one launch."""
+def launch_profile(*args, **kwargs) -> LaunchProfile:
+    """The rail profile ``LaunchProfile(*args, **kwargs)``, for one launch;
+    a value it rejects is a `ConfigError`."""
     try:
-        return LaunchProfile(target_speed_mps=target_speed_mps,
-                             rail_length_m=rail_length_m,
-                             lateral_offset_m=lateral_offset_m)
+        return LaunchProfile(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -110,7 +110,6 @@ OVERRIDES: Tuple[str, ...] = (
     "branch.diameter_m",
     "branch.x_m",
     "branch.z_m",
-    "branch.axis_yaw_deg",
     "launcher.rail_length_m",
 )
 

@@ -65,9 +65,11 @@ class TestConfigFormat:
             parse_config("a.b = 1\na.b = 2")
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(scenario=Scenario.FULL_PERCH,
-                      overrides={"mission.warp_drive": 9})
+        # the branch is square to the flight line: no key yaws it
+        for key in ("mission.warp_drive", "branch.axis_yaw_deg"):
+            with pytest.raises(ConfigError,
+                               match=f"^unknown config keys: {key}$"):
+                RunConfig(scenario=Scenario.FULL_PERCH, overrides={key: 0.0})
 
 
 def built(overrides):
@@ -93,7 +95,6 @@ ROUTES = [
     ("branch.diameter_m", 0.08, lambda m, p: m.branch.diameter_m),
     ("branch.x_m", 12.0, lambda m, p: m.branch.x_m),
     ("branch.z_m", 1.5, lambda m, p: m.branch.z_m),
-    ("branch.axis_yaw_deg", 10.0, lambda m, p: m.branch.axis_yaw_deg),
     ("launcher.rail_length_m", 0.9, lambda m, p: p.rail_length_m),
 ]
 
@@ -142,8 +143,10 @@ class TestLaunchProfile:
                 launch_profile(speed, 1.6)
 
     def test_invalid_rail(self):
-        with pytest.raises(ConfigError):
-            launch_profile(4.0, 0.0)
+        # 5e-324 m is positive, but 4 m/s over it overflows to inf m/s^2
+        for rail in (0.0, 5e-324):
+            with pytest.raises(ConfigError):
+                launch_profile(4.0, rail)
 
     def test_defaults(self):
         profile = LaunchProfile()
@@ -454,6 +457,8 @@ class TestCli:
             "mission.launch_speed_mps = nan",
             "mission.pitch_setpoint_deg = 44",
             "branch.diameter_m = 0.02",
+            "branch.axis_yaw_deg = 5",
+            "launcher.rail_length_m = 5e-324",
         ]],
         # only the light airframe, which FlightOnly flies, trims at 36 deg:
         # checked against the full one

@@ -34,8 +34,7 @@ DECLARED = {
         "max_time_s": POS, "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
     "SpringSpec": {"rate_n_per_mm": POS},
-    "BranchSpec": {"diameter_m": POS, "x_m": FINITE, "z_m": FINITE,
-                   "axis_yaw_deg": FINITE},
+    "BranchSpec": {"diameter_m": POS, "x_m": FINITE, "z_m": FINITE},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
                                   POS),
     "LaunchProfile": {"target_speed_mps": "[0, 5.0]", "rail_length_m": POS,
@@ -88,7 +87,10 @@ def exact(end):
 
 
 def inside(interval, value):
-    """Whether ``value`` lies in ``interval``, read from its text."""
+    """Whether ``value`` lies in ``interval``, read from its text: a bool,
+    Python's or numpy's, lies in none."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     lo, hi = (exact(end) for end in interval[1:-1].split(", "))
     return ((lo < value or interval[0] == "[" and lo == value)
             and (value < hi or interval[-1] == "]" and value == hi))
@@ -122,7 +124,8 @@ def test_declarations_match_table():
 
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_interval_edges(key):
-    values = [math.nan, -math.inf, math.inf]
+    # bools compare as 0 and 1, but lie in no interval
+    values = [math.nan, -math.inf, math.inf, True, False, np.True_, np.False_]
     for text in RANGES[key][1:-1].split(", "):
         end = exact(text)
         values += [math.nextafter(end, -math.inf), float(end),
@@ -140,9 +143,9 @@ def test_any_float(key, value):
 
 @pytest.mark.parametrize("key", sorted(RANGES))
 def test_constructor_checks_ranges(key):
-    # None and every other non-number lie outside every interval too
+    # None, a bool and every other non-number lie outside every interval too
     cls_name, name = key.split(".")
-    for value in (math.nan, None, "0.5"):
+    for value in (math.nan, None, "0.5", True, np.False_):
         with pytest.raises(ValueError) as err:
             build(cls_name, **{name: value})
         assert str(err.value) == (f"{key} must lie in {RANGES[key]}, "
@@ -163,7 +166,7 @@ def test_integer_declarations():
 @pytest.mark.parametrize("key", INTEGER_FIELDS)
 @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, False])
 def test_integer_fields_reject_floats_and_bools(key, value):
-    # the interval is checked first: a bool below [2, inf) fails there
+    # the interval is checked first, and a bool lies in none
     assert_checked(key, value)
 
 
