@@ -17,8 +17,8 @@ each building on the last; the harness scenarios `FlightOnly`, `SoftBranch`
 and `FullPerch` run stages 2-4.
 
 A `MissionConfig` holds what a run varies; the robot's fixed parts (claw,
-spring, loop gains, gust time constant, touchdown calibration) are module
-constants, read where they are used.
+spring, loop gains, hip slew rate, gust time constant, touchdown
+calibration) are module constants, read where they are used.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ class MissionConfig:
     robot: RobotParams = field(default_factory=RobotParams)
     leg: LegParams = field(default_factory=LegParams)
     sensor: SensorSpec = field(default_factory=SensorSpec)
-    leg_gains: LegPdGains = field(default_factory=LegPdGains)
     seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
@@ -291,7 +290,8 @@ class Autopilot:
             / cfg.leg.link_length_m
         cos_target = min(1.0, max(-1.0, cos_target))
         beta_target = math.degrees(math.acos(cos_target))
-        max_step = cfg.leg_gains.rate_limit_dps * DT
+        # the hip slews at the leg loop's default rate limit, 60 deg/s
+        max_step = LegPdGains.rate_limit_dps * DT
         step = beta_target - self.beta_cmd
         step = min(max_step, max(-max_step, step))
         self.beta_cmd = min(90.0, max(0.0, self.beta_cmd + step))

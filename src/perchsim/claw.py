@@ -334,8 +334,11 @@ def reopen_profile(
     high-reduction drive, so total electrical work scales with travel and the
     average power follows work / duration.
     """
-    if travel_mm < 0 or speed_mm_s <= 0:
-        raise ValueError("travel must be >= 0 and speed positive")
+    if not (0.0 <= travel_mm < math.inf and 0.0 < speed_mm_s < math.inf):
+        raise ValueError("travel must be finite and >= 0, and speed finite "
+                         "and positive")
+    if math.isnan(pull_capacity_n):
+        raise ValueError("pull capacity must not be NaN")
     if travel_mm == 0.0:
         return (0.0, 0.0, 0.0)
     snap = snap_angle(geom, spec)

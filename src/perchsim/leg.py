@@ -5,7 +5,8 @@ the leg rod, hinged at the hip through the servo joint.  Joint compliance
 combines the servo gear train with the diagonal energy-storage spring; the
 branch is a one-sided Kelvin-Voigt contact at the claw.  Vertical
 misalignment of the branch loads the servo joint through the contact moment
-arm.
+arm.  ``LegParams`` is the leg's design, the three variables the design
+search varies; the joint's calibration is module constants.
 
 The integrator core takes a batch of simulations per call and runs the RK4
 step lane by lane on plain Python floats: every call (a mission impact, a
@@ -66,6 +67,12 @@ DESIGN_SPEED_SUITE = (2.0, 3.0, 4.0)   # m/s, design-range impact speeds
 MAX_IMPACT_SPEED_MPS = 6.0   # a mission's crossing speed is capped here
 # the hip servo's rated torque, within its 1.47-1.96 N*m (15-20 kg*cm) class
 SERVO_LIMIT_TORQUE_NM = 1.72
+# the hip joint: servo gear-train stiffness and damping, the diagonal
+# spring's moment arm per link length, and the joint damping ratio
+SERVO_JOINT_STIFFNESS_NM_RAD = 2.0
+SERVO_DAMPING_NM_S = 0.02
+SPRING_ANCHOR_FRACTION = 0.4
+JOINT_DAMPING_RATIO = 0.7
 
 
 class IntegrationError(RuntimeError):
@@ -74,16 +81,11 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LegParams:
-    """Leg mechanism parameters."""
+    """The leg's design: the three variables the design search varies."""
 
     link_length_m: float = ranged(0.20, "(0, inf)")
     leg_mass_kg: float = ranged(0.12, "(0, inf)")
     leg_spring_rate_n_m: float = ranged(1200.0, "(0, inf)")
-    servo_joint_stiffness_nm_rad: float = ranged(2.0, "(0, inf)")
-    # diagonal-spring moment arm / link length
-    spring_anchor_fraction: float = ranged(0.4, "[0, inf)")
-    joint_damping_ratio: float = ranged(0.7, "(0, inf)")
-    servo_damping_nm_s: float = ranged(0.02, "[0, inf)")
 
     __post_init__ = check_ranges
 
@@ -104,10 +106,6 @@ def simulate_impact_batch(
     total_mass: np.ndarray,
     speed: np.ndarray,
     misalignment_z: np.ndarray,
-    servo_stiffness: float = LegParams.servo_joint_stiffness_nm_rad,
-    servo_damping: float = LegParams.servo_damping_nm_s,
-    spring_anchor_fraction: float = LegParams.spring_anchor_fraction,
-    joint_damping_ratio: float = LegParams.joint_damping_ratio,
     dt: float = 1e-4,
     t_max: float = 0.15,
     cap=None,
@@ -144,10 +142,10 @@ def simulate_impact_batch(
         mb = mt - m
         if np.any(mb <= 0):
             raise ValueError("leg mass exceeds total mass")
-        arm = spring_anchor_fraction * l
-        k_rot = servo_stiffness + k_sp * arm * arm
+        arm = SPRING_ANCHOR_FRACTION * l
+        k_rot = SERVO_JOINT_STIFFNESS_NM_RAD + k_sp * arm * arm
         i_hip = m * l * l / 3.0   # uniform rod about the hip
-        c_rot = 2.0 * joint_damping_ratio * np.sqrt(k_rot * i_hip)
+        c_rot = 2.0 * JOINT_DAMPING_RATIO * np.sqrt(k_rot * i_hip)
         c_c = 2.0 * CONTACT_DAMPING_RATIO * np.sqrt(CONTACT_STIFFNESS * mt)
         capture = zb <= CAPTURE_HALF_WIDTH
         # mass matrix [[m11, m12], [m12, i_hip]], m12 = -m (l/2) sin(phi)
@@ -164,15 +162,14 @@ def simulate_impact_batch(
     # capped lane's key holds its starting peaks and limit too
     rows = dict.fromkeys(lanes)
     for lane in rows:
-        rows[lane] = _impact_lane(*lane[:11], servo_stiffness, servo_damping,
-                                  dt, t_max, lane[11:])
+        rows[lane] = _impact_lane(*lane[:11], dt, t_max, lane[11:])
     return tuple(np.array([rows[lane][i] for lane in lanes], dtype)
                  .reshape(shape)
                  for i, dtype in enumerate((float,) * 4 + (bool,)))
 
 
 def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
-                 m11_m22, servo_stiffness, servo_damping, dt, t_max, cap):
+                 m11_m22, dt, t_max, cap):
     """One lane of the impact RK4 on Python floats, ``zb`` >= 0 (or NaN).
 
     Every product and sum is that of the numpy RK4 the tests hold as the
@@ -193,6 +190,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     only raise them, and the cost with them.
     """
     k_c = CONTACT_STIFFNESS
+    servo_k, servo_c = SERVO_JOINT_STIFFNESS_NM_RAD, SERVO_DAMPING_NM_S
     neg_ml_half = -ml_half
     sin, cos = math.sin, math.cos
 
@@ -312,7 +310,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
             # NaN within a step, so x_max still fails the check below
             if not f <= peak:
                 peak = f
-            servo_tau = abs(servo_stiffness * p + servo_damping * pd)
+            servo_tau = abs(servo_k * p + servo_c * pd)
             if not servo_tau <= servo_peak:
                 servo_peak = servo_tau
             joint_l = abs(i_hip * pd - ml_half * sin_p * xd)
@@ -332,8 +330,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
                     and _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak,
                                        (n_steps - 1 - i) * dt, l, zb, k_rot,
                                        i_hip, i_min, ml_half, m11, c_c,
-                                       capture, servo_stiffness,
-                                       servo_damping)):
+                                       capture)):
                 break
     except (ValueError, ZeroDivisionError):
         x_max = math.nan
@@ -345,8 +342,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
 
 
 def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
-                   k_rot, i_hip, i_min, ml_half, m11, c_c, capture,
-                   servo_stiffness, servo_damping):
+                   k_rot, i_hip, i_min, ml_half, m11, c_c, capture):
     """Whether ``_impact_lane``, out of contact at this step's end, can stop:
     no step in the ``t_rem`` left can raise ``servo_peak`` or ``l_peak``,
     take |x| past 2 or bring the claw back into contact.  A claw outside
@@ -378,7 +374,7 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
     delta_b = (x + t_rem * max(0.0, mom + ml_half * sin_pd_b) / m11
                + zb * sin_b)
     ddot_b = (mom + (m11 * l - ml_half) * sin_pd_b) / m11 + zb * pd_b
-    return (abs(servo_stiffness) * p_b + abs(servo_damping) * pd_b
+    return (SERVO_JOINT_STIFFNESS_NM_RAD * p_b + SERVO_DAMPING_NM_S * pd_b
             <= servo_peak
             and i_hip * pd_b + ml_half * sin_b * xd_b <= l_peak
             and abs(x) + t_rem * xd_b <= 2.0
@@ -393,10 +389,14 @@ def simulate_impact(
     misalignment_z_m: float = 0.0,
     dt: float = 1e-4,
 ) -> ImpactRecord:
-    """Single impact run; the claw tip starts touching the branch at ``speed``."""
+    """Single impact run; the claw tip starts touching the branch at ``speed``.
+    A speed out of range, or a non-finite mass or misalignment, raises
+    ``ValueError``."""
     if not 0.0 <= speed_mps <= MAX_IMPACT_SPEED_MPS:
         raise ValueError(
             f"impact speed must be within 0-{MAX_IMPACT_SPEED_MPS:g} m/s")
+    if not (math.isfinite(total_mass_kg) and math.isfinite(misalignment_z_m)):
+        raise ValueError("total mass and misalignment must be finite")
     peak, t_b, servo, jl, locked = simulate_impact_batch(
         leg.link_length_m,
         leg.leg_mass_kg,
@@ -404,10 +404,6 @@ def simulate_impact(
         total_mass_kg,
         speed_mps,
         misalignment_z_m,
-        servo_stiffness=leg.servo_joint_stiffness_nm_rad,
-        servo_damping=leg.servo_damping_nm_s,
-        spring_anchor_fraction=leg.spring_anchor_fraction,
-        joint_damping_ratio=leg.joint_damping_ratio,
         dt=dt,
     )
     return ImpactRecord(
@@ -434,10 +430,6 @@ def impact_sweep(
         RobotParams.mass_kg,
         sp,
         mz,
-        servo_stiffness=leg.servo_joint_stiffness_nm_rad,
-        servo_damping=leg.servo_damping_nm_s,
-        spring_anchor_fraction=leg.spring_anchor_fraction,
-        joint_damping_ratio=leg.joint_damping_ratio,
     )
     rows = []
     for i in range(sp.shape[0]):

@@ -10,6 +10,9 @@ tears the grip loose (forward fall); anything between is a perch.
 The classifier walks the energy balance in closed form; tests compare it
 against a brute-force integration of the pivot ODE.
 
+A ``TouchdownState`` holds the five values a crossing gives, for a claw
+that has locked; the pivot's lever arm and inertia are module constants.
+
 The stop angle is found by bisection, but the outcome only needs to know
 which side of the hold torque the gravity torque at the stop angle falls
 on.  Each later bracket nests inside the current ``[lo, hi]``, so the final
@@ -54,6 +57,11 @@ __all__ = [
 _HOLD_MARGIN = 1e-12
 _HALF_PI = 0.5 * math.pi
 
+# CoM lever arm about the branch, and the inertia about it of two point
+# masses, body and leg
+COM_OFFSET_M = 0.35
+INERTIA_KGM2 = 0.0898
+
 
 class PerchOutcome(enum.Enum):
     MISSED = "Missed"
@@ -70,12 +78,7 @@ class TouchdownState:
     theta_leg_deg: float = ranged(90.0, "[0, 90]")  # 90 = leg horizontal
     psi_branch_deg: float = ranged(0.0, "(-inf, inf)")  # branch yaw deviation
     body_pitch_deg: float = ranged(30.0, "(-inf, inf)")
-    # CoM lever arm about the branch
-    com_offset_m: float = ranged(0.35, "(0, inf)")
-    # two point masses: body + leg
-    inertia_kgm2: float = ranged(0.0898, "(0, inf)")
     mass_kg: float = ranged(RobotParams.mass_kg, "(0, inf)")
-    locked: bool = True
 
     __post_init__ = check_ranges
 
@@ -156,8 +159,6 @@ def evaluate_touchdown(
     """
     if not hold_nm >= 0.0:
         raise ValueError("holding torque must be non-negative")
-    if not st.locked:
-        return PerchOutcome.MISSED
     if math.isinf(hold_nm):
         return PerchOutcome.PERCHED
     start_deg = geom.start_angle_deg(st)
@@ -167,16 +168,16 @@ def evaluate_touchdown(
         raise ValueError(f"touchdown start angle must lie in [-180, 180] deg, "
                          f"got {start_deg!r}")
     hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
-    mgr = st.mass_kg * GRAVITY * st.com_offset_m
+    mgr = st.mass_kg * GRAVITY * COM_OFFSET_M
     delta0 = math.radians(start_deg)
     cos0 = math.cos(delta0)
     budget = math.radians(geom.rotation_budget_deg)
 
     # impact momentum: tangential share of the linear momentum about the pivot
     tangential = max(0.0, cos0)
-    omega0 = st.mass_kg * st.speed_mps * st.com_offset_m * tangential \
-        / st.inertia_kgm2
-    energy = 0.5 * st.inertia_kgm2 * omega0 * omega0
+    omega0 = st.mass_kg * st.speed_mps * COM_OFFSET_M * tangential \
+        / INERTIA_KGM2
+    energy = 0.5 * INERTIA_KGM2 * omega0 * omega0
 
     # the impact energy outlasts the work the whole rotation budget absorbs
     if energy >= mgr * (math.cos(delta0 - budget) - cos0) + hold * budget:

@@ -282,6 +282,14 @@ class TestReopenProfile:
         with pytest.raises(claw.CannotReopenError):
             claw.reopen_profile(pull_capacity_n=10.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("travel_mm", math.nan), ("travel_mm", math.inf), ("travel_mm", -1.0),
+        ("speed_mm_s", math.nan), ("speed_mm_s", math.inf),
+        ("speed_mm_s", 0.0), ("pull_capacity_n", math.nan)])
+    def test_bad_input_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            claw.reopen_profile(**{name: value})
+
 
 class TestEnergyConsistencyProperty:
     def test_torque_is_energy_gradient_for_random_geometries(self):

@@ -89,7 +89,7 @@ class TestSingleDofOracle:
         expected_peak = float(force[:end_idx].max())
         expected_bounce_ms = float(t[end_idx]) * 1000.0
 
-        stiff = LegParams(leg_spring_rate_n_m=1e6, joint_damping_ratio=0.7)
+        stiff = LegParams(leg_spring_rate_n_m=1e6)
         rec = simulate_impact(stiff, total_mass_kg=mt, speed_mps=v0, dt=5e-5)
         assert rec.peak_force_n == pytest.approx(expected_peak, rel=0.02)
         assert rec.time_to_bounce_ms == pytest.approx(expected_bounce_ms,
@@ -106,10 +106,6 @@ class TestNumerics:
             0.700,
             speeds,
             0.02,
-            servo_stiffness=default_leg.servo_joint_stiffness_nm_rad,
-            servo_damping=default_leg.servo_damping_nm_s,
-            spring_anchor_fraction=default_leg.spring_anchor_fraction,
-            joint_damping_ratio=default_leg.joint_damping_ratio,
         )
         for i, v in enumerate(speeds):
             rec = simulate_impact(default_leg, speed_mps=float(v),
@@ -138,6 +134,17 @@ class TestNumerics:
     def test_speed_range_enforced(self, default_leg):
         with pytest.raises(ValueError):
             simulate_impact(default_leg, speed_mps=8.0)
+
+    # not an IntegrationError, which would blame the step size
+    @pytest.mark.parametrize("mass, misalignment", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.7, math.inf), (0.7, -math.inf),
+        (0.7, math.nan)])
+    def test_non_finite_mass_or_misalignment_rejected(
+            self, default_leg, mass, misalignment):
+        with pytest.raises(ValueError, match="^total mass and misalignment "
+                                             "must be finite$"):
+            simulate_impact(default_leg, total_mass_kg=mass,
+                            misalignment_z_m=misalignment)
 
 
 class TestPinnedOutputs:
@@ -269,12 +276,13 @@ def numpy_rk4(link_length, leg_mass, spring_rate, total_mass, speed,
     """The impact RK4 on arrays, one numpy operation per term for all lanes
     at once: the oracle for ``simulate_impact_batch``'s float lanes.
 
-    It takes the same arguments and returns the same five arrays, but
-    integrates the signed misalignment with no mirroring, runs every lane
-    to ``t_max`` and checks |x| <= 2 only at the end.  Its products and sums
-    are associated as the float lanes' are, so the two agree bit for bit
-    when libm's sin and cos round as numpy's do and sine is odd and cosine
-    even (``test_libm_sin_cos_match_numpy``).
+    It takes the same lane arguments, and the joint's calibration as
+    keywords whose defaults are the leg module's constants.  It returns the
+    same five arrays, but integrates the signed misalignment with no
+    mirroring, runs every lane to ``t_max`` and checks |x| <= 2 only at the
+    end.  Its products and sums are associated as the float lanes' are, so
+    the two agree bit for bit when libm's sin and cos round as numpy's do
+    and sine is odd and cosine even (``test_libm_sin_cos_match_numpy``).
     """
     l, m, k_sp, mt, v0, zb = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
@@ -384,7 +392,7 @@ class TestFloatLanes:
         assert np.sin(-phi).tolist() == (-np.sin(phi)).tolist()
         assert np.cos(-phi).tolist() == np.cos(phi).tolist()
 
-    # the early stop reads every input, so each one is drawn; a failing
+    # the early stop reads every lane input, so each one is drawn; a failing
     # example is reported as found, not shrunk: each shrink step would run
     # numpy_rk4 over the full horizon, minutes in all
     @settings(deadline=None, max_examples=40,
@@ -396,37 +404,43 @@ class TestFloatLanes:
                st.floats(0.0, 6.0),
                st.floats(-0.08, 0.08) | st.floats(-0.5, 0.5)),
                min_size=1, max_size=3),
-           joint=st.fixed_dictionaries({
-               "servo_stiffness": st.floats(0.0, 6.0),
-               "servo_damping": st.floats(0.0, 0.1),
-               "spring_anchor_fraction": st.floats(0.0, 0.8),
-               "joint_damping_ratio": st.floats(0.0, 1.5)}),
            dt=st.sampled_from([1e-4, 2e-4]))
     # a leg exactly at rest, one whose energy squares flush to zero, and
     # fast lanes outside the capture window, the first carried 1.95 m
-    @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 2.5, 0.0)], joint={}, dt=2e-4)
+    @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 2.5, 0.0)], dt=2e-4)
     @example(lanes=[(0.2, 0.12, 1200.0, 0.7, 13.0, -0.1),
                     (0.2, 0.12, 1200.0, 0.7, 6.0, 0.0500001),
-                    (0.2, 0.12, 1200.0, 0.7, 2.5, 0.05)], joint={}, dt=1e-4)
+                    (0.2, 0.12, 1200.0, 0.7, 2.5, 0.05)], dt=1e-4)
     @example(lanes=[(0.25, 0.125, 600.0, 1.0, 1.0, 7.549783701938385e-247)],
-             joint={"servo_stiffness": 1.0, "servo_damping": 0.0,
-                    "spring_anchor_fraction": 0.0, "joint_damping_ratio": 0.0},
              dt=1e-4)
     # two lanes whose outputs show the rounding of each of the four RK4
     # sums: regrouping any of them as (k1 + 2 k2) + (2 k3 + k4) or
     # (k1 + 2 (k2 + k3)) + k4 changes a bit here, as it does in only about
     # one lane in five drawn
     @example(lanes=[(0.238, 0.07, 1817.0, 1.34, 2.82, 0.008),
-                    (0.132, 0.11, 1028.0, 1.14, 1.11, -0.004)], joint={},
-             dt=1e-4)
-    def test_matches_numpy_kernel(self, lanes, joint, dt):
+                    (0.132, 0.11, 1028.0, 1.14, 1.11, -0.004)], dt=1e-4)
+    def test_matches_numpy_kernel(self, lanes, dt):
         n = len(lanes)
         columns = [np.array(c) for c in zip(*lanes)]
-        narrow = simulate_impact_batch(*columns, **joint, dt=dt)
-        oracle = numpy_rk4(*columns, **joint, dt=dt)
+        narrow = simulate_impact_batch(*columns, dt=dt)
+        oracle = numpy_rk4(*columns, dt=dt)
         assert [a.tolist() for a in narrow] == [a[:n].tolist() for a in oracle]
-        single = simulate_impact_batch(*lanes[0], **joint, dt=dt)
+        single = simulate_impact_batch(*lanes[0], dt=dt)
         assert [a.item() for a in single] == [a[0].item() for a in oracle]
+
+    def test_undamped_joint_runs_past_a_flushed_energy_bound(
+            self, monkeypatch):
+        """With no joint damping the leg swings on after the bounce, and
+        its energy squares flush to zero: a lane that took that zero as a
+        bound would stop early, short of the oracle's servo and joint
+        peaks."""
+        monkeypatch.setattr(legmod, "SPRING_ANCHOR_FRACTION", 0.0)
+        monkeypatch.setattr(legmod, "JOINT_DAMPING_RATIO", 0.0)
+        lane = (0.25, 0.125, 600.0, 1.0, 1.0, 7.549783701938385e-247)
+        out = simulate_impact_batch(*lane)
+        oracle = numpy_rk4(*lane, spring_anchor_fraction=0.0,
+                           joint_damping_ratio=0.0)
+        assert [a.item() for a in out] == [a.item() for a in oracle]
 
     @pytest.mark.parametrize("dt", [1e-4, 2e-4])
     def test_widest_float_call_matches_numpy_kernel(self, dt):

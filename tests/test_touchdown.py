@@ -40,19 +40,18 @@ def geom():
 def brute_force_outcome(st, hold_nm, geom, dt=2e-5):
     """Independent oracle: integrate the pivot ODE with Coulomb friction at
     the hold torque and classify from where the motion stops."""
-    if not st.locked:
-        return PerchOutcome.MISSED
+    com, inertia = touchdown.COM_OFFSET_M, touchdown.INERTIA_KGM2
     hold_eff = geom.effective_hold(hold_nm, st.psi_branch_deg)
-    mgr = st.mass_kg * GRAVITY * st.com_offset_m
+    mgr = st.mass_kg * GRAVITY * com
     delta0 = math.radians(geom.start_angle_deg(st))
     budget = math.radians(geom.rotation_budget_deg)
     tangential = max(0.0, math.cos(delta0))
-    omega = -(st.mass_kg * st.speed_mps * st.com_offset_m * tangential
-              / st.inertia_kgm2)  # forward rotation decreases delta
+    omega = -(st.mass_kg * st.speed_mps * com * tangential
+              / inertia)  # forward rotation decreases delta
     delta = delta0
     if omega < 0.0:
         for _ in range(int(10.0 / dt)):
-            acc = (mgr * math.sin(delta) + hold_eff) / st.inertia_kgm2
+            acc = (mgr * math.sin(delta) + hold_eff) / inertia
             omega += acc * dt  # gravity pulls back toward delta0; friction resists
             delta += omega * dt
             if delta0 - delta >= budget:
@@ -72,7 +71,7 @@ class TestEvaluateTouchdown:
         assert evaluate_touchdown(st, hold) is PerchOutcome.PERCHED
 
     def test_zero_speed_falls_backward(self, hold):
-        st = TouchdownState(speed_mps=0.0, com_offset_m=0.5)
+        st = TouchdownState(speed_mps=0.0)
         assert evaluate_touchdown(st, hold) is PerchOutcome.FALL_BACKWARD
 
     def test_infinite_hold_always_perches(self):
@@ -81,17 +80,12 @@ class TestEvaluateTouchdown:
             assert evaluate_touchdown(st, math.inf) is PerchOutcome.PERCHED
 
     @pytest.mark.parametrize("hold_nm", [math.nan, -1e-9, -1.0, -math.inf])
-    @pytest.mark.parametrize("locked", [True, False])
-    def test_bad_hold_rejected(self, hold_nm, locked):
+    def test_bad_hold_rejected(self, hold_nm):
         # NaN fails every comparison, which would let a 7.9 m/s touchdown
         # perch
-        st = TouchdownState(speed_mps=7.9, locked=locked)
+        st = TouchdownState(speed_mps=7.9)
         with pytest.raises(ValueError):
             evaluate_touchdown(st, hold_nm)
-
-    def test_unlocked_is_missed(self, hold):
-        st = TouchdownState(locked=False)
-        assert evaluate_touchdown(st, hold) is PerchOutcome.MISSED
 
     def test_high_speed_falls_forward(self, hold):
         st = TouchdownState(speed_mps=7.5, theta_leg_deg=90.0)
@@ -132,12 +126,11 @@ def eighty_pass_touchdown(st, hold_nm, geom):
 
     Returns the outcome, the name of the return that gave it and, past the
     forward-fall check, the bisection's inputs with the stop angle."""
-    if not st.locked:
-        return PerchOutcome.MISSED, "unlocked", None
+    com, inertia = touchdown.COM_OFFSET_M, touchdown.INERTIA_KGM2
     if math.isinf(hold_nm):
         return PerchOutcome.PERCHED, "infinite_hold", None
     hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
-    mgr = st.mass_kg * GRAVITY * st.com_offset_m
+    mgr = st.mass_kg * GRAVITY * com
     delta0 = math.radians(geom.start_angle_deg(st))
     budget = math.radians(geom.rotation_budget_deg)
 
@@ -146,9 +139,8 @@ def eighty_pass_touchdown(st, hold_nm, geom):
                 + hold * dtheta)
 
     tangential = max(0.0, math.cos(delta0))
-    omega0 = st.mass_kg * st.speed_mps * st.com_offset_m * tangential \
-        / st.inertia_kgm2
-    energy = 0.5 * st.inertia_kgm2 * omega0 * omega0
+    omega0 = st.mass_kg * st.speed_mps * com * tangential / inertia
+    energy = 0.5 * inertia * omega0 * omega0
     if energy >= work(budget):
         return PerchOutcome.FALL_FORWARD, "over_budget", None
     lo, hi = 0.0, budget
@@ -181,7 +173,6 @@ class TestEightyPassOracle:
     """
 
     EXAMPLES = {
-        "unlocked": (TouchdownState(locked=False), 2.0, TouchdownGeom()),
         "infinite_hold": (TouchdownState(), math.inf, TouchdownGeom()),
         "over_budget": (TouchdownState(speed_mps=6.0), 2.0, TouchdownGeom()),
         # no impact energy: the midpoint halves toward 0 for all 80 passes
@@ -199,12 +190,10 @@ class TestEightyPassOracle:
                           speed_mps=strategies.floats(0.0, 8.0),
                           theta_leg_deg=strategies.floats(0.0, 90.0),
                           psi_branch_deg=strategies.floats(-89.0, 89.0),
-                          body_pitch_deg=strategies.floats(-120.0, 120.0),
-                          locked=strategies.booleans()),
+                          body_pitch_deg=strategies.floats(-120.0, 120.0)),
         strategies.floats(0.0, 4.0) | strategies.just(math.inf),
         strategies.builds(TouchdownGeom, rotation_budget_deg=strategies.floats(
             1.0, 300.0))))
-    @example(case=EXAMPLES["unlocked"])
     @example(case=EXAMPLES["infinite_hold"])
     @example(case=EXAMPLES["over_budget"])
     @example(case=EXAMPLES["slips_back"])
