@@ -5,7 +5,8 @@ path.  The branch shows up as a dark band; ``detect_branch`` divides out
 the cosine shading, thresholds, and returns the band's center pixel.
 This script prints the detection range limit, an ASCII rendering of a
 noisy frame, and the leg PD loop re-centering the branch after a step
-offset.
+offset.  The PD loop steps at the sensor's ``read_hz``; that is the only
+rate it sets, since a mission reads one frame per 120 Hz control cycle.
 
 Run: python3 demos/branch_sensing.py
 """
@@ -15,10 +16,10 @@ import numpy as np
 from perchsim.claw import BranchSpec
 from perchsim.perception import (
     PIXELS,
+    ROBOT_SENSOR,
     LegLoopState,
     LegPdGains,
     SensorPose,
-    SensorSpec,
     detect_branch,
     detection_limit,
     leg_pd_step,
@@ -27,7 +28,7 @@ from perchsim.perception import (
 
 
 def main():
-    spec, branch = SensorSpec(), BranchSpec()
+    spec, branch = ROBOT_SENSOR, BranchSpec()
     center = (PIXELS - 1) / 2.0
     print(f"detection limit for a 6 cm branch: "
           f"{detection_limit(spec, 0.06, 1):.2f} m")

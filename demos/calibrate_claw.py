@@ -19,11 +19,11 @@ Run: python3 demos/calibrate_claw.py
 import numpy as np
 
 from perchsim import claw
-from perchsim.claw import BranchSpec, ClawGeometry, SpringSpec
+from perchsim.claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
 
 
 def main():
-    geom, spring = ClawGeometry(), SpringSpec()
+    geom, spring = ROBOT_CLAW, ROBOT_SPRING
     branch = BranchSpec()  # 6 cm diameter
 
     print("== Static calibration ==")

@@ -11,7 +11,8 @@ optimum with the stock leg.
 Run: python3 demos/leg_design_pso.py
 """
 
-from perchsim.leg import DESIGN_BOUNDS, LegParams, leg_cost_batch, simulate_impact
+from perchsim.leg import (DESIGN_BOUNDS, ROBOT_LEG, LegParams, leg_cost_batch,
+                          simulate_impact)
 from perchsim.pso import PsoConfig, pso_minimize
 
 import numpy as np
@@ -22,7 +23,7 @@ def main():
                     seed=2024)
     result = pso_minimize(leg_cost_batch, cfg)
     link, rate, mass = result.best_x
-    stock = LegParams()
+    stock = ROBOT_LEG
     stock_cost = float(leg_cost_batch(np.array([[
         stock.link_length_m, stock.leg_spring_rate_n_m,
         stock.leg_mass_kg]]))[0])

@@ -11,7 +11,7 @@ Run: python3 demos/touchdown_envelope.py
 
 import numpy as np
 
-from perchsim.claw import BranchSpec, ClawGeometry, SpringSpec
+from perchsim.claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
 from perchsim.claw import holding_torque
 from perchsim.touchdown import PerchOutcome, sweep_envelope
 
@@ -20,7 +20,7 @@ GLYPH = {PerchOutcome.FALL_BACKWARD: "<", PerchOutcome.PERCHED: "P",
 
 
 def main():
-    hold = holding_torque(ClawGeometry(), SpringSpec(), BranchSpec())
+    hold = holding_torque(ROBOT_CLAW, ROBOT_SPRING, BranchSpec())
     thetas = np.arange(40.0, 90.01, 5.0)
     speeds = np.arange(0.0, 8.01, 0.5)
     psis = np.arange(-25.0, 25.01, 2.5)

@@ -17,8 +17,10 @@ each building on the last; the harness scenarios `FlightOnly`, `SoftBranch`
 and `FullPerch` run stages 2-4.
 
 A `MissionConfig` holds what a run varies; the robot's fixed parts (claw,
-spring, loop gains, hip slew rate, gust time constant, touchdown
-calibration) are module constants, read where they are used.
+spring, leg, sensor, loop gains, hip slew rate, gust time constant,
+touchdown calibration) and the mission time limit are module constants,
+read where they are used: `ROBOT_LEG`, `ROBOT_SENSOR` (one frame per
+control cycle) and `MAX_MISSION_TIME_S` among them.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from . import claw as clawmod
 from . import leg as legmod
 from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
 from .config import MAX_SEED, check_ranges, philox_stream, ranged
-from .leg import ImpactRecord, LegParams
+from .leg import ROBOT_LEG, ImpactRecord
 from .perception import (
     PIXELS,
+    ROBOT_SENSOR,
     LegPdGains,
     SensorPose,
-    SensorSpec,
     detect_branch,
     render_scan,
 )
@@ -70,12 +72,15 @@ __all__ = [
     "run_stage",
     "StageReport",
     "DEFAULT_SEEDS",
+    "MAX_MISSION_TIME_S",
 ]
 
 DT = 1.0 / CONTROL_RATE_HZ
 DEFAULT_SEEDS = tuple(range(9))
 GLIDE_STOP_RANGE_M = 0.2
 LAUNCH_SPEED_CAP_MPS = 5.0
+# a mission that has not crossed, struck the ground or diverged by then ends
+MAX_MISSION_TIME_S = 12.0
 # Gust level sized so the default 9-seed ensemble lands near a 6/9 perch
 # rate, with the failed runs exiting the crossing-state envelope.
 DEFAULT_DISTURBANCE_SIGMA_FORCE_N = 0.2
@@ -138,7 +143,7 @@ class Termination(enum.Enum):
     CROSSED = "crossed"  # the airframe reached the branch's x
     GROUND_STRIKE = "ground_strike"
     DIVERGED = "diverged"  # the plant raised `AttitudeDivergence`
-    TIMEOUT = "timeout"  # ``max_time_s`` ran out first
+    TIMEOUT = "timeout"  # ``MAX_MISSION_TIME_S`` ran out first
 
 
 # Fixed loop gains.  Stage 2 (`run_stage`) checks them on the light
@@ -164,15 +169,12 @@ class MissionConfig:
     altitude_setpoint_m: float = ranged(2.0, "(0, 5)")
     branch: BranchSpec = field(default_factory=BranchSpec)
     robot: RobotParams = field(default_factory=RobotParams)
-    leg: LegParams = field(default_factory=LegParams)
-    sensor: SensorSpec = field(default_factory=SensorSpec)
     seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
     launch_lateral_offset_m: float = ranged(0.4, "(-inf, inf)")
     launch_altitude_offset_m: float = ranged(-0.17, "(-inf, inf)")
     soft_branch: bool = False
-    max_time_s: float = ranged(12.0, "(0, inf)")
 
     def __post_init__(self):
         check_ranges(self)
@@ -249,7 +251,7 @@ class Autopilot:
         self.branch_z_est: Optional[float] = None
         self.phase = Phase.CONTROLLED_FLIGHT
         self.noise_rows = _noise_rows(philox_stream(config.seed, 1),
-                                      config.sensor.noise_sigma)
+                                      ROBOT_SENSOR.noise_sigma)
 
     def advance_phase(self, state: RobotState) -> Phase:
         """Forward-only transitions keyed on range to the branch: the
@@ -275,19 +277,19 @@ class Autopilot:
         """
         cfg = self.config
         boresight = math.radians(state.beta_deg - 45.0)
-        claw_z = state.claw_z_m(cfg.leg.link_length_m)
+        claw_z = state.claw_z_m(ROBOT_LEG.link_length_m)
         pose = SensorPose(state.x_m, claw_z, boresight)
-        frame = render_scan(pose, cfg.branch, cfg.sensor,
+        frame = render_scan(pose, cfg.branch, ROBOT_SENSOR,
                             next(self.noise_rows))
-        det = detect_branch(frame, cfg.sensor)
+        det = detect_branch(frame, ROBOT_SENSOR)
         rng_m = cfg.branch.x_m - state.x_m
         if det is not None and rng_m > 0.05:
-            elevation = boresight + cfg.sensor.pixel_angle_rad(det)
+            elevation = boresight + ROBOT_SENSOR.pixel_angle_rad(det)
             self.branch_z_est = claw_z + rng_m * math.tan(elevation)
         if self.branch_z_est is None:
             return
         cos_target = (state.altitude_m - self.branch_z_est) \
-            / cfg.leg.link_length_m
+            / ROBOT_LEG.link_length_m
         cos_target = min(1.0, max(-1.0, cos_target))
         beta_target = math.degrees(math.acos(cos_target))
         # the hip slews at the leg loop's default rate limit, 60 deg/s
@@ -387,7 +389,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
     rows: List[Tuple[float, ...]] = []
     termination = Termination.TIMEOUT
     t = 0.0
-    n_max = int(config.max_time_s / DT)
+    n_max = int(MAX_MISSION_TIME_S / DT)
     for _ in range(n_max):
         phase = ap.advance_phase(state)
         if phase is Phase.IMPACT:
@@ -416,9 +418,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
     claw_mis = math.nan
     if crossing is not None:
         claw_mis = (config.branch.z_m
-                    - crossing.claw_z_m(config.leg.link_length_m))
+                    - crossing.claw_z_m(ROBOT_LEG.link_length_m))
         impact = legmod.simulate_impact(
-            config.leg,
+            ROBOT_LEG,
             total_mass_kg=config.robot.mass_kg,
             speed_mps=min(legmod.MAX_IMPACT_SPEED_MPS,
                           max(0.0, crossing.vx_mps)),
@@ -492,7 +494,7 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
         # launcher-only claw tests, 1 m/s up to the launch speed cap in 0.5 m/s
         # steps (the quarter-step margin keeps the cap itself on the grid)
         speeds = np.arange(1.0, LAUNCH_SPEED_CAP_MPS + 0.25, 0.5)
-        locks = [legmod.simulate_impact(config.leg,
+        locks = [legmod.simulate_impact(ROBOT_LEG,
                                         total_mass_kg=config.robot.mass_kg,
                                         speed_mps=float(v),
                                         misalignment_z_m=0.0).locked

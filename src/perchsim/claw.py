@@ -292,8 +292,11 @@ def closing_dynamics(
     Rigid-body rotation psi'' = tau(psi)/I - c*psi' (RK4, 10 us step).  The
     branch trigger carries the claw 0.5 deg past the snap angle, so
     integration starts there at rest.  Close time is the first time psi
-    reaches the nominal closed angle.
+    reaches the nominal closed angle.  A non-finite or negative damping
+    raises ``ValueError``.
     """
+    if not 0.0 <= damping < math.inf:
+        raise ValueError(f"damping must be finite and >= 0, got {damping!r}")
     dt = 1e-5
     inertia = geom.claw_inertia
     psi_closed = math.radians(geom.psi_closed)

@@ -233,7 +233,7 @@ def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> Verdict:
 def _scenario_impact_suite(cfg: RunConfig, out: Path) -> Verdict:
     speeds = np.arange(2.0, 4.01, 0.25)
     misalignments = (-0.03, 0.0, 0.03)
-    rows = legmod.impact_sweep(legmod.LegParams(), speeds, misalignments)
+    rows = legmod.impact_sweep(legmod.ROBOT_LEG, speeds, misalignments)
     _write_csv(out / "impact_suite.csv",
                ("speed_mps", "misalignment_m", "peak_force_n",
                 "time_to_bounce_ms"), rows)

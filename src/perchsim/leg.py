@@ -6,7 +6,8 @@ combines the servo gear train with the diagonal energy-storage spring; the
 branch is a one-sided Kelvin-Voigt contact at the claw.  Vertical
 misalignment of the branch loads the servo joint through the contact moment
 arm.  ``LegParams`` is the leg's design, the three variables the design
-search varies; the joint's calibration is module constants.
+search varies; the joint's calibration is module constants, and the robot's
+own leg is ``ROBOT_LEG``.
 
 The integrator core takes a batch of simulations per call and runs the RK4
 step lane by lane on plain Python floats: every call (a mission impact, a
@@ -44,6 +45,7 @@ from .plant import RobotParams
 
 __all__ = [
     "LegParams",
+    "ROBOT_LEG",
     "ImpactRecord",
     "IntegrationError",
     "simulate_impact",
@@ -90,6 +92,10 @@ class LegParams:
     __post_init__ = check_ranges
 
 
+# the robot's leg: every mission flies it, the design cost its baseline
+ROBOT_LEG = LegParams()
+
+
 @dataclass(frozen=True)
 class ImpactRecord:
     peak_force_n: float
@@ -127,8 +133,9 @@ def simulate_impact_batch(
     its peaks reaches its limit, so those two outputs are running maxima
     that may fall short of the full horizon's.
     """
-    if dt > 2e-4:
-        raise ValueError("impact integration requires dt <= 0.2 ms")
+    if not 0.0 < dt <= 2e-4:
+        raise ValueError(f"impact integration requires 0 < dt <= 0.2 ms, "
+                         f"got {dt!r}")
     l, m, k_sp, mt, v0, zb = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in
           (link_length, leg_mass, spring_rate, total_mass, speed, misalignment_z))
@@ -450,23 +457,21 @@ DEFAULT_COST_WEIGHTS = (1.0, 1.0, 5.0)
 # (link_length_m, spring_rate_n_m, leg_mass_kg).
 DESIGN_BOUNDS = ((0.12, 0.30), (600.0, 2000.0), (0.06, 0.20))
 
-# The leg mass of the default LegParams, the cost's mass baseline (see
-# demos/leg_design_pso.py).
-_BASELINE_MASS = LegParams.leg_mass_kg
+# The robot's leg mass, the cost's mass baseline (see demos/leg_design_pso.py).
+_BASELINE_MASS = ROBOT_LEG.leg_mass_kg
 _COST_MISALIGNMENT = 0.03
 _COST_DT = 2e-4
 
 
 @functools.cache
 def _baselines() -> Tuple[float, float]:
-    """The cost's other baselines: the default LegParams' peak servo torque
-    and peak joint angular momentum over the 2-4 m/s design suite at 3 cm
+    """The cost's other baselines: the robot's leg's peak servo torque and
+    peak joint angular momentum over the 2-4 m/s design suite at 3 cm
     misalignment on the airframe's mass, computed on the first call."""
-    leg = LegParams()
     servo, jl = _suite_peaks(
-        np.array([leg.link_length_m]),
-        np.array([leg.leg_mass_kg]),
-        np.array([leg.leg_spring_rate_n_m]),
+        np.array([ROBOT_LEG.link_length_m]),
+        np.array([ROBOT_LEG.leg_mass_kg]),
+        np.array([ROBOT_LEG.leg_spring_rate_n_m]),
     )
     return float(servo[0]), float(jl[0])
 
@@ -510,7 +515,7 @@ def leg_cost_batch(params: np.ndarray, limit: np.ndarray = None) -> np.ndarray:
 
     The cost weighs, with ``DEFAULT_COST_WEIGHTS``, the peak servo torque
     and joint momentum over ``DESIGN_SPEED_SUITE`` at 3 cm misalignment on
-    the airframe's mass, each against the default leg's, and the leg mass.
+    the airframe's mass, each against the robot's leg's, and the leg mass.
     A row whose cost is at least its ``limit`` (a swarm passes each
     particle's personal best) may get any value from that limit up to its
     cost, as its lanes stop once it cannot come in under the limit.  Every

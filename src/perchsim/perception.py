@@ -33,6 +33,7 @@ from .config import check_ranges, ranged
 __all__ = [
     "PIXELS",
     "SensorSpec",
+    "ROBOT_SENSOR",
     "SensorPose",
     "SensorFrame",
     "LegPdGains",
@@ -51,6 +52,7 @@ READ_HZ_CAPABILITY = 330.0   # the sensor's fastest line rate
 @dataclass(frozen=True)
 class SensorSpec:
     ifov_arcmin: float = ranged(28.0, "(0, inf)")
+    # the PD leg loop's rate; a mission reads a frame per control cycle
     read_hz: float = ranged(200.0, "(0, inf)")
     noise_sigma: float = ranged(0.02, "[0, inf)")  # Gaussian, brightness
     threshold_fraction: float = ranged(0.6, "(0, 1]")  # of the frame mean
@@ -93,6 +95,10 @@ class SensorSpec:
         dark = self.dark_level * self.pixel_falloff
         dark.flags.writeable = False
         return dark
+
+
+# the robot's sensor, which every mission reads
+ROBOT_SENSOR = SensorSpec()
 
 
 class SensorPose(NamedTuple):
@@ -171,11 +177,14 @@ def detect_branch(frame: SensorFrame, spec: SensorSpec) -> Optional[float]:
 
 def detection_limit(spec: SensorSpec, diameter_m: float,
                     min_pixels: int = 1) -> float:
-    """Distance at which the branch subtends ``min_pixels`` of angular width."""
-    if diameter_m <= 0:
-        raise ValueError("diameter must be positive")
-    if min_pixels < 1:
-        raise ValueError("min_pixels must be at least 1")
+    """Distance at which the branch subtends ``min_pixels`` of angular width.
+    A non-finite diameter or pixel count raises ``ValueError``."""
+    if not 0.0 < diameter_m < math.inf:
+        raise ValueError(f"diameter must be finite and positive, "
+                         f"got {diameter_m!r}")
+    if not 1 <= min_pixels < math.inf:
+        raise ValueError(f"min_pixels must be finite and at least 1, "
+                         f"got {min_pixels!r}")
     subtended = min_pixels * spec.ifov_rad
     return diameter_m / (2.0 * math.tan(subtended / 2.0))
 

@@ -16,6 +16,7 @@ may stop evaluating a particle once it cannot win, as adaptive capping does
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -43,7 +44,8 @@ class PsoConfig:
     def __post_init__(self):
         check_ranges(self)
         for lo, hi in self.bounds:
-            if not lo < hi:
+            # NaN, an infinite end and a span past the largest float fail
+            if not 0.0 < hi - lo < math.inf:
                 raise ValueError(f"invalid bound ({lo}, {hi})")
 
 

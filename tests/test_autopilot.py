@@ -5,7 +5,6 @@ import gc
 import math
 import sys
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from perchsim.autopilot import (
     run_mission,
     run_stage,
 )
+from perchsim.claw import BranchSpec
 from perchsim.leg import LegParams
 from perchsim.perception import PIXELS, SensorSpec
 from perchsim.plant import (
@@ -234,8 +234,10 @@ class TestRunMission:
         assert result.end_t_s == DT
         assert result.trajectory.shape == (0, len(TrajectoryRow._fields))
 
-    def test_claw_height_uses_leg_length(self):
-        config = MissionConfig(leg=replace(LegParams(), link_length_m=0.25))
+    def test_claw_height_uses_leg_length(self, monkeypatch):
+        monkeypatch.setattr(autopilot, "ROBOT_LEG",
+                            LegParams(link_length_m=0.25))
+        config = MissionConfig()
         result = run_mission(config)
         assert result.crossing is not None
         assert result.claw_misalignment_m == (
@@ -353,8 +355,10 @@ class TestBlockDraws:
     still gets the bits of a draw of its own."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.02, 1.0])
-    def test_noise_rows_match_per_frame_draws(self, sigma):
-        config = MissionConfig(seed=11, sensor=SensorSpec(noise_sigma=sigma))
+    def test_noise_rows_match_per_frame_draws(self, monkeypatch, sigma):
+        monkeypatch.setattr(autopilot, "ROBOT_SENSOR",
+                            SensorSpec(noise_sigma=sigma))
+        config = MissionConfig(seed=11)
         rows = Autopilot(config).noise_rows
         want = per_frame_noise(sensor_rng(config), sigma)
         # across three block boundaries and into a fourth block
@@ -369,8 +373,10 @@ class TestBlockDraws:
     def test_mission_matches_per_frame_draws(self, monkeypatch, seed):
         # at the default 0.02 the noise flips no detection, so a mission
         # would not show a wrong noise bit; at 0.2 it does
+        monkeypatch.setattr(autopilot, "ROBOT_SENSOR",
+                            SensorSpec(noise_sigma=0.2))
         config = MissionConfig(
-            seed=seed, sensor=SensorSpec(noise_sigma=0.2),
+            seed=seed,
             disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
             disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
         frames = []
@@ -429,8 +435,8 @@ class TestTrajectoryArray:
         # tumbles at 1.57 s
         (MissionConfig(soft_branch=True, disturbance_sigma_moment_nm=0.5),
          Termination.DIVERGED),
-        # out of time 1 s into the flight
-        (MissionConfig(max_time_s=1.0), Termination.TIMEOUT),
+        # out of time: the branch lies beyond MAX_MISSION_TIME_S of flight
+        (MissionConfig(branch=BranchSpec(x_m=100.0)), Termination.TIMEOUT),
         # launched at rest, strikes the ground at about 0.93 s
         (MissionConfig(launch_speed_mps=0.0), Termination.GROUND_STRIKE),
     ], ids=["nominal", "gusty", "tumble", "timeout", "ground_strike"])

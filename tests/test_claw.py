@@ -260,6 +260,13 @@ class TestClosingDynamics:
         _, t2 = claw.closing_dynamics(heavy, spring, damping=0.0)
         assert t2 / t1 == pytest.approx(2.0, rel=0.01)
 
+    # a claw that gains energy, or a damping that is no number, is rejected
+    # by name rather than closing, or failing on its travel range
+    @pytest.mark.parametrize("damping", [math.nan, math.inf, -1.0])
+    def test_bad_damping_rejected(self, geom, spring, damping):
+        with pytest.raises(ValueError, match="^damping must be"):
+            claw.closing_dynamics(geom, spring, damping=damping)
+
 
 class TestReopenProfile:
     def test_defaults_match_published_figures(self):

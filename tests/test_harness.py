@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -102,9 +103,31 @@ CONFIG_VALUES = st.one_of(st.text(), st.booleans(), st.integers(),
                           st.floats())
 
 
+def settable_paths(obj, prefix=""):
+    """The dotted path of every init field of ``obj``, a nested dataclass
+    walked field by field."""
+    for f in dataclasses.fields(obj):
+        if f.init:
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from settable_paths(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+
 class TestOverrides:
     def test_accepted_keys(self):
         assert set(OVERRIDES) == {key for key, _, _ in ROUTES}
+
+    def test_mission_holds_only_what_a_run_sets(self):
+        # a config key, the seed, stage 2's airframe mass or the branch
+        # surface; the robot's fixed parts are module constants
+        keys = {key.removeprefix("mission.") for key in OVERRIDES
+                if not key.startswith("launcher.")}
+        paths = list(settable_paths(MissionConfig()))
+        assert len(paths) == len(set(paths)) == 14
+        assert set(paths) == keys | {"seed", "robot.mass_kg",
+                                     "branch.surface"}
 
     @pytest.mark.parametrize("key,value,target", ROUTES,
                              ids=[key for key, _, _ in ROUTES])

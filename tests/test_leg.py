@@ -127,9 +127,12 @@ class TestNumerics:
         assert coarse.time_to_bounce_ms == pytest.approx(
             fine.time_to_bounce_ms, abs=1.0)
 
-    def test_coarse_step_rejected(self, default_leg):
-        with pytest.raises(ValueError):
-            simulate_impact(default_leg, dt=1e-3)
+    # a step of zero or less, or NaN, is no step either; not a
+    # ZeroDivisionError, nor an all-zero record that reads as a miss
+    @pytest.mark.parametrize("dt", [1e-3, 0.0, -1e-4, math.nan])
+    def test_coarse_step_rejected(self, default_leg, dt):
+        with pytest.raises(ValueError, match="dt"):
+            simulate_impact(default_leg, dt=dt)
 
     def test_speed_range_enforced(self, default_leg):
         with pytest.raises(ValueError):

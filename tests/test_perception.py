@@ -271,14 +271,19 @@ class TestDetectionLimit:
             detection_limit(spec, 0.06, 1) / 2.0, rel=1e-4)
 
     def test_invalid_inputs(self, spec):
-        with pytest.raises(ValueError):
-            detection_limit(spec, -0.01, 1)
-        with pytest.raises(ValueError):
-            detection_limit(spec, 0.06, 0)
+        for diameter in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^diameter must be"):
+                detection_limit(spec, diameter, 1)
+        for min_pixels in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^min_pixels must be"):
+                detection_limit(spec, 0.06, min_pixels)
 
 
 def closed_loop_rms(closed, amp, freq, gains, spec, branch, seconds=3.0):
-    """Leg-mounted sensor tracking a vertically oscillating body."""
+    """Leg-mounted sensor tracking a vertically oscillating body, the loop
+    acceptance check c08 scores.  The PD loop steps at ``spec.read_hz``,
+    the one rate that field sets: a mission reads one frame per 120 Hz
+    control cycle."""
     leg = 0.2
     state = LegLoopState(beta_cmd_deg=45.0)
     beta = 45.0

@@ -1,5 +1,7 @@
 """Tests for the deterministic particle swarm optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,8 @@ class TestErrors:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             PsoConfig(bounds=[(2.0, 1.0)])
+        # a box of infinite span is rejected here, not blamed on the cost
+        for bound in ((-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308),
+                      (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="^invalid bound"):
+                PsoConfig(bounds=[bound])

@@ -31,7 +31,7 @@ DECLARED = {
         "altitude_setpoint_m": "(0, 5)", "disturbance_sigma_force_n": NON_NEG,
         "disturbance_sigma_moment_nm": NON_NEG,
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
-        "max_time_s": POS, "seed": MISSION_SEED},
+        "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
     "SpringSpec": {"rate_n_per_mm": POS},
     "BranchSpec": {"diameter_m": POS, "x_m": FINITE, "z_m": FINITE},
