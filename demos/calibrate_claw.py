@@ -19,39 +19,39 @@ Run: python3 demos/calibrate_claw.py
 import numpy as np
 
 from perchsim import claw
-from perchsim.claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
+from perchsim.claw import ROBOT_CLAW, BranchSpec
 
 
 def main():
-    geom, spring = ROBOT_CLAW, ROBOT_SPRING
+    geom = ROBOT_CLAW
     branch = BranchSpec()  # 6 cm diameter
 
     print("== Static calibration ==")
     print(f"open-detent residual torque : "
-          f"{claw.claw_torque(geom, spring, geom.psi_open):+.4f} N*m")
+          f"{claw.claw_torque(geom, geom.psi_open):+.4f} N*m")
     print(f"contact (trigger) force     : "
-          f"{claw.contact_force(geom, spring, branch):.1f} N")
+          f"{claw.contact_force(geom, branch):.1f} N")
     print(f"release tendon force        : "
-          f"{claw.release_force(geom, spring):.1f} N")
+          f"{claw.release_force(geom):.1f} N")
     print(f"holding torque on 6 cm      : "
-          f"{claw.holding_torque(geom, spring, branch):.3f} N*m")
+          f"{claw.holding_torque(geom, branch):.3f} N*m")
 
     print("\n== Diameter robustness ==")
     print("diameter  contact-N  hold-N*m")
     diameters = np.arange(0.04, 0.1101, 0.01)
-    for d, contact, hold in claw.diameter_sweep(geom, spring, diameters):
+    for d, contact, hold in claw.diameter_sweep(geom, diameters):
         print(f"{d * 100:5.1f} cm  {contact:8.1f}  {hold:8.3f}")
     try:
-        claw.contact_force(geom, spring, BranchSpec(diameter_m=0.03))
+        claw.contact_force(geom, BranchSpec(diameter_m=0.03))
     except claw.NoSpikeContactError as exc:
         print(f"3.0 cm: rejected ({exc})")
 
     print("\n== Snap-through dynamics ==")
-    _, close_ms = claw.closing_dynamics(geom, spring)
+    _, close_ms = claw.closing_dynamics(geom)
     print(f"closing time after trigger  : {close_ms:.1f} ms")
 
     print("\n== Tendon re-opening ==")
-    duration_s, power_w, peak_n = claw.reopen_profile(geom=geom, spec=spring)
+    duration_s, power_w, peak_n = claw.reopen_profile(geom=geom)
     print(f"re-opening duration         : {duration_s:.1f} s")
     print(f"average drive power         : {power_w:.2f} W")
     print(f"peak tendon force           : {peak_n:.1f} N")

@@ -16,11 +16,12 @@ contact (3) and the full perch ensemble (4).  They are run in that order,
 each building on the last; the harness scenarios `FlightOnly`, `SoftBranch`
 and `FullPerch` run stages 2-4.
 
-A `MissionConfig` holds what a run varies; the robot's fixed parts (claw,
-spring, leg, sensor, loop gains, hip slew rate, gust time constant,
-touchdown calibration) and the mission time limit are module constants,
-read where they are used: `ROBOT_LEG`, `ROBOT_SENSOR` (one frame per
-control cycle) and `MAX_MISSION_TIME_S` among them.
+A `MissionConfig` holds what a run varies; the robot's fixed parts and the
+mission time limit are module constants, read where they are used: the
+claw `ROBOT_CLAW` and its spring (`claw.SPRING_*`), `ROBOT_LEG`,
+`ROBOT_SENSOR` (one frame per control cycle), the loop gains, hip slew
+rate and gust time constant, the touchdown pivot (`touchdown.START_ANGLE_*`,
+`ROTATION_BUDGET_DEG`, `YAW_HOLD_POWER`) and `MAX_MISSION_TIME_S`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import claw as clawmod
 from . import leg as legmod
-from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
+from .claw import ROBOT_CLAW, BranchSpec
 from .config import MAX_SEED, check_ranges, philox_stream, ranged
 from .leg import ROBOT_LEG, ImpactRecord
 from .perception import (
@@ -187,8 +188,7 @@ class MissionConfig:
         # too wide a branch closes the claw short of its snap angle, or past
         # its travel, and a touchdown could not be classified
         try:
-            hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
-                                          self.branch)
+            hold = clawmod.holding_torque(ROBOT_CLAW, self.branch)
         except ValueError as exc:
             raise ValueError(f"branch diameter {self.branch.diameter_m} m: "
                              f"{exc}") from exc
@@ -431,8 +431,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         elif impact.locked:
             # the branch is square to the track: the airframe's yaw is the
             # touchdown's yaw against it
-            hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
-                                          config.branch)
+            hold = clawmod.holding_torque(ROBOT_CLAW, config.branch)
             outcome = evaluate_touchdown(TouchdownState(
                 speed_mps=max(0.0, crossing.vx_mps),
                 theta_leg_deg=min(90.0, max(0.0, crossing.beta_deg)),

@@ -7,7 +7,8 @@ sits behind the pivot in the open position (small opening torque) and swings
 in front of it past the snap angle, slamming the claw shut onto the branch.
 
 Angles are in degrees, claw-local lengths in mm, branch diameters in m.
-All functions are pure; geometry and spring objects are value types.
+All functions are pure and geometry objects are value types.  The spring
+is the robot's one linear tension spring, two module constants.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from typing import List, Tuple
 from .config import check_ranges, ranged
 
 __all__ = [
-    "SpringSpec",
     "ClawGeometry",
     "BranchSpec",
     "BranchSurface",
     "ROBOT_CLAW",
-    "ROBOT_SPRING",
     "ClawMode",
     "ClawState",
     "GeometryNotBistableError",
@@ -62,14 +61,10 @@ class CannotReopenError(RuntimeError):
     """Tendon force required along the re-opening path exceeds capacity."""
 
 
-@dataclass(frozen=True)
-class SpringSpec:
-    """Linear tension spring, zero preload, force clamped at zero extension."""
-
-    free_length_mm: float = 40.0
-    rate_n_per_mm: float = ranged(5.0, "(0, inf)")
-
-    __post_init__ = check_ranges
+# The claw's linear tension spring: zero preload, no force below its free
+# length.
+SPRING_FREE_LENGTH_MM = 40.0
+SPRING_RATE_N_PER_MM = 5.0
 
 
 class BranchSurface(Enum):
@@ -148,9 +143,8 @@ class ClawGeometry:
         return max(self.psi_open, self.psi_closed) + max(0.0, extra)
 
 
-# The robot's claw and spring: every mission, scenario and stage reads these.
+# The robot's claw: every mission, scenario and stage reads it.
 ROBOT_CLAW = ClawGeometry()
-ROBOT_SPRING = SpringSpec()
 
 
 class ClawMode(Enum):
@@ -172,21 +166,21 @@ def _anchor_world(geom: ClawGeometry, psi_deg: float) -> Tuple[float, float]:
     return (c * ax - s * ay, s * ax + c * ay)
 
 
-def spring_extension(geom: ClawGeometry, spec: SpringSpec, psi_deg: float) -> float:
+def spring_extension(geom: ClawGeometry, psi_deg: float) -> float:
     """Spring extension in mm at claw angle psi."""
     ax, ay = _anchor_world(geom, psi_deg)
     bx, by = geom.spring_anchor_frame
-    return math.hypot(bx - ax, by - ay) - spec.free_length_mm
+    return math.hypot(bx - ax, by - ay) - SPRING_FREE_LENGTH_MM
 
 
-def spring_potential(geom: ClawGeometry, spec: SpringSpec, psi_deg: float) -> float:
+def spring_potential(geom: ClawGeometry, psi_deg: float) -> float:
     """Stored elastic energy in J at claw angle psi."""
-    ext_m = max(0.0, spring_extension(geom, spec, psi_deg)) / 1000.0
-    rate_n_per_m = spec.rate_n_per_mm * 1000.0
+    ext_m = max(0.0, spring_extension(geom, psi_deg)) / 1000.0
+    rate_n_per_m = SPRING_RATE_N_PER_MM * 1000.0
     return 0.5 * rate_n_per_m * ext_m * ext_m
 
 
-def claw_torque(geom: ClawGeometry, spec: SpringSpec, psi_deg: float) -> float:
+def claw_torque(geom: ClawGeometry, psi_deg: float) -> float:
     """Spring torque about the pivot in N*m, positive in the closing direction.
 
     Negative before the snap angle (holds the claw open), positive after it.
@@ -201,16 +195,16 @@ def claw_torque(geom: ClawGeometry, spec: SpringSpec, psi_deg: float) -> float:
     bx, by = geom.spring_anchor_frame
     sx, sy = bx - ax, by - ay
     length = math.hypot(sx, sy)
-    ext = length - spec.free_length_mm
+    ext = length - SPRING_FREE_LENGTH_MM
     if ext <= 0.0:
         return 0.0
-    force = spec.rate_n_per_mm * ext  # N (unclamped: torque model, not reporting)
+    force = SPRING_RATE_N_PER_MM * ext  # N (unclamped: torque model, not reporting)
     fx, fy = force * sx / length, force * sy / length
     torque_n_mm = ax * fy - ay * fx
     return torque_n_mm / 1000.0
 
 
-def snap_angle(geom: ClawGeometry, spec: SpringSpec) -> float:
+def snap_angle(geom: ClawGeometry) -> float:
     """Unique zero of the claw torque between the open and closed angles.
 
     Found by a 0.1 deg sign scan followed by bisection to 1e-6 deg.
@@ -221,7 +215,7 @@ def snap_angle(geom: ClawGeometry, spec: SpringSpec) -> float:
     lo, hi = sorted((geom.psi_open, geom.psi_closed))
     n = max(8, int(math.ceil((hi - lo) / 0.1)))
     psis = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    torques = [claw_torque(geom, spec, p) for p in psis]
+    torques = [claw_torque(geom, p) for p in psis]
     bracket = None
     for i in range(n):
         if torques[i] * torques[i + 1] < 0.0:
@@ -232,10 +226,10 @@ def snap_angle(geom: ClawGeometry, spec: SpringSpec) -> float:
             return lo  # degenerate: snap collapsed onto the open stop
         raise GeometryNotBistableError("claw torque does not change sign")
     a, b = bracket
-    fa = claw_torque(geom, spec, a)
+    fa = claw_torque(geom, a)
     while b - a > 1e-6:
         m = 0.5 * (a + b)
-        fm = claw_torque(geom, spec, m)
+        fm = claw_torque(geom, m)
         if fa * fm <= 0.0:
             b = m
         else:
@@ -243,9 +237,9 @@ def snap_angle(geom: ClawGeometry, spec: SpringSpec) -> float:
     return 0.5 * (a + b)
 
 
-def release_force(geom: ClawGeometry, spec: SpringSpec) -> float:
+def release_force(geom: ClawGeometry) -> float:
     """Force at the trigger tip needed to initiate closing from rest, N."""
-    torque_open = claw_torque(geom, spec, geom.psi_open)
+    torque_open = claw_torque(geom, geom.psi_open)
     return abs(torque_open) / (geom.trigger_lever / 1000.0)
 
 
@@ -262,7 +256,7 @@ def _contact_lever_m(geom: ClawGeometry, diameter_m: float) -> float:
     return lever
 
 
-def contact_force(geom: ClawGeometry, spec: SpringSpec, branch: BranchSpec) -> float:
+def contact_force(geom: ClawGeometry, branch: BranchSpec) -> float:
     """Normal force pressed onto the branch by the locked claw, N."""
     d = branch.diameter_m
     if d < geom.min_spike_diameter_m:
@@ -271,19 +265,18 @@ def contact_force(geom: ClawGeometry, spec: SpringSpec, branch: BranchSpec) -> f
             f"{geom.min_spike_diameter_m} m"
         )
     psi_c = closed_angle(geom, d)
-    return claw_torque(geom, spec, psi_c) / _contact_lever_m(geom, d)
+    return claw_torque(geom, psi_c) / _contact_lever_m(geom, d)
 
 
-def holding_torque(geom: ClawGeometry, spec: SpringSpec, branch: BranchSpec) -> float:
+def holding_torque(geom: ClawGeometry, branch: BranchSpec) -> float:
     """Slip-limited torque the locked claw resists about the branch axis, N*m."""
-    normal = contact_force(geom, spec, branch)
+    normal = contact_force(geom, branch)
     grip_radius = math.hypot(geom.grip_offset_mm / 1000.0, branch.diameter_m / 2.0)
     return MU_EFF_DEFAULTS[branch.surface] * normal * grip_radius
 
 
 def closing_dynamics(
     geom: ClawGeometry,
-    spec: SpringSpec,
     damping: float = 30.0,
 ) -> Tuple[Tuple[ClawState, ClawState], float]:
     """Integrate the snap-through closing motion; returns ((trigger state,
@@ -300,12 +293,12 @@ def closing_dynamics(
     dt = 1e-5
     inertia = geom.claw_inertia
     psi_closed = math.radians(geom.psi_closed)
-    psi = math.radians(snap_angle(geom, spec) + 0.5)
+    psi = math.radians(snap_angle(geom) + 0.5)
     rate = 0.0
     t = 0.0
 
     def accel(p: float, v: float) -> float:
-        return claw_torque(geom, spec, math.degrees(p)) / inertia - damping * v
+        return claw_torque(geom, math.degrees(p)) / inertia - damping * v
 
     trigger = ClawState(math.degrees(psi), 0.0, ClawMode.CLOSING)
     while psi < psi_closed:
@@ -328,7 +321,6 @@ def reopen_profile(
     travel_mm: float = 40.0,
     speed_mm_s: float = 2.0,
     geom: ClawGeometry = ROBOT_CLAW,
-    spec: SpringSpec = ROBOT_SPRING,
 ) -> Tuple[float, float, float]:
     """Tendon re-opening: returns (duration_s, avg_power_w, peak_tendon_force_n).
 
@@ -344,21 +336,20 @@ def reopen_profile(
         raise ValueError("pull capacity must not be NaN")
     if travel_mm == 0.0:
         return (0.0, 0.0, 0.0)
-    snap = snap_angle(geom, spec)
+    snap = snap_angle(geom)
     lever_m = geom.tendon_lever_mm / 1000.0
     n = 200
     peak = 0.0
     for i in range(n + 1):
         psi = snap + (geom.psi_closed - snap) * i / n
-        peak = max(peak, claw_torque(geom, spec, psi) / lever_m)
+        peak = max(peak, claw_torque(geom, psi) / lever_m)
     if peak > pull_capacity_n:
         raise CannotReopenError(
             f"peak tendon force {peak:.1f} N exceeds capacity {pull_capacity_n} N"
         )
     duration_s = travel_mm / speed_mm_s
-    work_mech = spring_potential(geom, spec, snap) - spring_potential(
-        geom, spec, geom.psi_closed
-    )
+    work_mech = (spring_potential(geom, snap)
+                 - spring_potential(geom, geom.psi_closed))
     # the drive passes 0.993% of its electrical work to the spring
     work_total = max(0.0, work_mech) / 0.00993
     avg_power_w = work_total / duration_s
@@ -367,7 +358,6 @@ def reopen_profile(
 
 def diameter_sweep(
     geom: ClawGeometry,
-    spec: SpringSpec,
     diameters_m,
 ) -> List[Tuple[float, float, float]]:
     """(diameter_m, contact_force_N, holding_torque_Nm) rows for a sweep
@@ -376,6 +366,6 @@ def diameter_sweep(
     for d in diameters_m:
         branch = BranchSpec(diameter_m=d)
         rows.append(
-            (d, contact_force(geom, spec, branch), holding_torque(geom, spec, branch))
+            (d, contact_force(geom, branch), holding_torque(geom, branch))
         )
     return rows

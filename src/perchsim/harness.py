@@ -29,7 +29,7 @@ from .autopilot import (
     TrajectoryRow,
     run_stage,
 )
-from .claw import ROBOT_CLAW, ROBOT_SPRING, BranchSpec
+from .claw import ROBOT_CLAW, BranchSpec
 from .config import (MAX_SEED, ConfigError, Value, check_ranges, ranged,
                      ranged_as)
 from .pso import PsoConfig, pso_minimize
@@ -210,16 +210,15 @@ def _divergence_lines(result: MissionResult) -> List[str]:
 
 
 def _scenario_claw_sweep(cfg: RunConfig, out: Path) -> Verdict:
-    geom, spring = ROBOT_CLAW, ROBOT_SPRING
     # start above the spike-contact geometric minimum (3.6 cm)
     diameters = np.arange(0.04, 0.1101, 0.005)
-    rows = clawmod.diameter_sweep(geom, spring, diameters)
+    rows = clawmod.diameter_sweep(ROBOT_CLAW, diameters)
     _write_csv(out / "claw_sweep.csv",
                ("diameter_m", "contact_force_n", "holding_torque_nm"), rows)
     branch6 = BranchSpec()
-    contact = clawmod.contact_force(geom, spring, branch6)
-    release = clawmod.release_force(geom, spring)
-    hold = clawmod.holding_torque(geom, spring, branch6)
+    contact = clawmod.contact_force(ROBOT_CLAW, branch6)
+    release = clawmod.release_force(ROBOT_CLAW)
+    hold = clawmod.holding_torque(ROBOT_CLAW, branch6)
     ok = (abs(contact - 56.8) / 56.8 <= 0.05
           and abs(release - 11.4) / 11.4 <= 0.15
           and hold >= 2.0)
@@ -285,8 +284,7 @@ def _scenario_full_perch(cfg: RunConfig, out: Path) -> Verdict:
 
 
 def _scenario_envelope(cfg: RunConfig, out: Path) -> Verdict:
-    hold = clawmod.holding_torque(ROBOT_CLAW, ROBOT_SPRING,
-                                  cfg.mission.branch)
+    hold = clawmod.holding_torque(ROBOT_CLAW, cfg.mission.branch)
     thetas = np.arange(40.0, 90.01, 2.5)
     speeds = np.arange(0.0, 8.01, 0.25)
     psis = np.arange(-25.0, 25.01, 1.0)

@@ -11,7 +11,8 @@ The classifier walks the energy balance in closed form; tests compare it
 against a brute-force integration of the pivot ODE.
 
 A ``TouchdownState`` holds the five values a crossing gives, for a claw
-that has locked; the pivot's lever arm and inertia are module constants.
+that has locked; the pivot's lever arm, inertia, start angle, rotation
+budget and yaw hold law are module constants.
 
 The stop angle is found by bisection, but the outcome only needs to know
 which side of the hold torque the gravity torque at the stop angle falls
@@ -26,9 +27,9 @@ The comparison keeps a relative margin of ``_HOLD_MARGIN`` on the hold, so
 the early exit gives the same outcome as the full bisection as long as
 libm's ``sin`` is within 1 ULP of the true sine, which increases on
 [0, pi/2].  Brackets within the margin, or straddling 0 or +-pi/2, run to
-convergence.  The argument needs finite angles: ``TouchdownState`` and
-``TouchdownGeom`` hold finite fields, and ``evaluate_touchdown`` rejects a
-start angle outside [-180, 180] deg, which finite fields can still give.
+convergence.  The argument needs finite angles: ``TouchdownState`` holds
+finite fields, and ``evaluate_touchdown`` rejects a start angle outside
+[-180, 180] deg, which finite fields can still give.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .plant import GRAVITY, RobotParams
 
 __all__ = [
     "TouchdownState",
-    "TouchdownGeom",
     "PerchOutcome",
     "evaluate_touchdown",
     "sweep_envelope",
@@ -61,6 +61,17 @@ _HALF_PI = 0.5 * math.pi
 # masses, body and leg
 COM_OFFSET_M = 0.35
 INERTIA_KGM2 = 0.0898
+
+# The CoM's start angle behind vertical-up: the base is for a horizontal leg
+# at 30 deg pitch, and a more vertical leg (per degree below 90 of
+# theta_leg) or a steeper pitch trails the body further back
+START_ANGLE_BASE_DEG = 58.5
+START_ANGLE_PER_LEG_DEG = 0.25
+START_ANGLE_PER_PITCH_DEG = 0.5
+# how far the grip can wrap before it slips off
+ROTATION_BUDGET_DEG = 60.0
+# a yawed branch holds hold * cos(psi) ** YAW_HOLD_POWER
+YAW_HOLD_POWER = 2.0
 
 
 class PerchOutcome(enum.Enum):
@@ -81,34 +92,6 @@ class TouchdownState:
     mass_kg: float = ranged(RobotParams.mass_kg, "(0, inf)")
 
     __post_init__ = check_ranges
-
-
-@dataclass(frozen=True)
-class TouchdownGeom:
-    """Pivot-model calibration constants.
-
-    ``start_angle_base_deg`` is the CoM angle behind vertical-up when the leg
-    is horizontal; more vertical legs trail the body further back.  The
-    rotation budget caps how far the grip can wrap before it slips off.
-    """
-
-    start_angle_base_deg: float = ranged(58.5, "(-inf, inf)")
-    # per degree below 90 of theta_leg
-    start_angle_per_leg_deg: float = ranged(0.25, "(-inf, inf)")
-    start_angle_per_pitch_deg: float = ranged(0.5, "(-inf, inf)")
-    rotation_budget_deg: float = ranged(60.0, "(0, inf)")
-    yaw_hold_power: float = ranged(2.0, "[0, inf)")  # hold *= cos(psi)^power
-
-    __post_init__ = check_ranges
-
-    def start_angle_deg(self, st: TouchdownState) -> float:
-        return (self.start_angle_base_deg
-                + self.start_angle_per_leg_deg * (90.0 - st.theta_leg_deg)
-                + self.start_angle_per_pitch_deg * (st.body_pitch_deg - 30.0))
-
-    def effective_hold(self, hold_nm: float, psi_branch_deg: float) -> float:
-        c = math.cos(math.radians(min(89.9, abs(psi_branch_deg))))
-        return hold_nm * c ** self.yaw_hold_power
 
 
 def _stop_rotation(delta0: float, cos0: float, budget: float, mgr: float,
@@ -147,31 +130,30 @@ def _stop_rotation(delta0: float, cos0: float, budget: float, mgr: float,
     return 0.5 * (lo + hi)
 
 
-def evaluate_touchdown(
-    st: TouchdownState,
-    hold_nm: float,
-    geom: TouchdownGeom = TouchdownGeom(),
-) -> PerchOutcome:
+def evaluate_touchdown(st: TouchdownState, hold_nm: float) -> PerchOutcome:
     """Classify a touchdown from the locked-claw pivot energy balance.
 
     ``hold_nm`` must be non-negative; an infinite hold always perches.  The
-    start angle ``geom`` gives ``st`` must lie in [-180, 180] deg.
+    start angle ``st`` gives must lie in [-180, 180] deg.
     """
     if not hold_nm >= 0.0:
         raise ValueError("holding torque must be non-negative")
     if math.isinf(hold_nm):
         return PerchOutcome.PERCHED
-    start_deg = geom.start_angle_deg(st)
-    # finite fields can still overflow it to inf, or start the CoM more than
-    # a half turn from the top
+    start_deg = (START_ANGLE_BASE_DEG
+                 + START_ANGLE_PER_LEG_DEG * (90.0 - st.theta_leg_deg)
+                 + START_ANGLE_PER_PITCH_DEG * (st.body_pitch_deg - 30.0))
+    # a finite pitch can still start the CoM more than a half turn from the
+    # top
     if not -180.0 <= start_deg <= 180.0:
         raise ValueError(f"touchdown start angle must lie in [-180, 180] deg, "
                          f"got {start_deg!r}")
-    hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
+    c = math.cos(math.radians(min(89.9, abs(st.psi_branch_deg))))
+    hold = hold_nm * c ** YAW_HOLD_POWER
     mgr = st.mass_kg * GRAVITY * COM_OFFSET_M
     delta0 = math.radians(start_deg)
     cos0 = math.cos(delta0)
-    budget = math.radians(geom.rotation_budget_deg)
+    budget = math.radians(ROTATION_BUDGET_DEG)
 
     # impact momentum: tangential share of the linear momentum about the pivot
     tangential = max(0.0, cos0)
@@ -204,10 +186,9 @@ def sweep_envelope(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Outcome grids: (theta_leg x speed) and (theta_leg x psi_branch).
 
-    Every cell uses the default ``TouchdownGeom``, and the yaw grid the
-    default ``TouchdownState`` speed, 2.5 m/s.  Returns object arrays of
-    PerchOutcome with shapes (len(theta_legs), len(speeds)) and
-    (len(theta_legs), len(psi_branches)).
+    The yaw grid uses the default ``TouchdownState`` speed, 2.5 m/s.
+    Returns object arrays of PerchOutcome with shapes
+    (len(theta_legs), len(speeds)) and (len(theta_legs), len(psi_branches)).
     """
     speed_grid = np.empty((len(theta_legs), len(speeds)), dtype=object)
     for i, th in enumerate(theta_legs):

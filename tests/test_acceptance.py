@@ -20,7 +20,7 @@ from perchsim.autopilot import (
     run_ensemble,
     run_mission,
 )
-from perchsim.claw import BranchSpec, BranchSurface, ClawGeometry, SpringSpec
+from perchsim.claw import BranchSpec, BranchSurface, ClawGeometry
 from perchsim.config import parse_config, serialize_config
 from perchsim.harness import RunConfig, Scenario, launch_profile, run_scenario
 from perchsim.leg import DESIGN_BOUNDS, LegParams, impact_sweep, leg_cost_batch, simulate_impact
@@ -36,7 +36,6 @@ from perchsim.plant import RobotState, plant_step, trim_state
 from perchsim.pso import PsoConfig, pso_minimize
 from perchsim.touchdown import (
     PerchOutcome,
-    TouchdownGeom,
     TouchdownState,
     evaluate_touchdown,
     sweep_envelope,
@@ -62,11 +61,11 @@ def test_c01_claw_statics():
     """Contact 56.8 N +-5%, open torque <= 0.2 N*m, release 11.4 N +-15%,
     holding >= 2.0 N*m; runtime < 1 s."""
     t0 = time.time()
-    geom, spring, branch = ClawGeometry(), SpringSpec(), BranchSpec()
-    contact = claw.contact_force(geom, spring, branch)
-    open_tau = abs(claw.claw_torque(geom, spring, geom.psi_open))
-    release = claw.release_force(geom, spring)
-    hold = claw.holding_torque(geom, spring, branch)
+    geom, branch = ClawGeometry(), BranchSpec()
+    contact = claw.contact_force(geom, branch)
+    open_tau = abs(claw.claw_torque(geom, geom.psi_open))
+    release = claw.release_force(geom)
+    hold = claw.holding_torque(geom, branch)
     ok = (abs(contact - 56.8) / 56.8 <= 0.05 and open_tau <= 0.2
           and abs(release - 11.4) / 11.4 <= 0.15 and hold >= 2.0
           and time.time() - t0 < 1.0)
@@ -77,14 +76,14 @@ def test_c01_claw_statics():
 def test_c02_diameter_robustness():
     """Holding within 10% of the 6 cm value over 4-7 cm, positive at 11 cm,
     NoSpikeContact below the geometric minimum; runtime < 1 s."""
-    geom, spring = ClawGeometry(), SpringSpec()
-    hold6 = claw.holding_torque(geom, spring, BranchSpec())
-    holds = [claw.holding_torque(geom, spring, BranchSpec(diameter_m=d))
+    geom = ClawGeometry()
+    hold6 = claw.holding_torque(geom, BranchSpec())
+    holds = [claw.holding_torque(geom, BranchSpec(diameter_m=d))
              for d in np.arange(0.04, 0.0701, 0.005)]
     within = all(abs(h - hold6) / hold6 <= 0.10 for h in holds)
-    at11 = claw.holding_torque(geom, spring, BranchSpec(diameter_m=0.11))
+    at11 = claw.holding_torque(geom, BranchSpec(diameter_m=0.11))
     try:
-        claw.contact_force(geom, spring, BranchSpec(diameter_m=0.03))
+        claw.contact_force(geom, BranchSpec(diameter_m=0.03))
         no_contact_raised = False
     except claw.NoSpikeContactError:
         no_contact_raised = True
@@ -97,21 +96,21 @@ def test_c02_diameter_robustness():
 def test_c03_claw_dynamics():
     """Close time 25 ms +-40%, undamped energy balance within 0.5%,
     torque = -dU/dpsi rel err < 1e-4 over 100 random geometries."""
-    geom, spring = ClawGeometry(), SpringSpec()
-    _, close_ms = claw.closing_dynamics(geom, spring)
-    states, _ = claw.closing_dynamics(geom, spring, damping=0.0)
-    drop = claw.spring_potential(geom, spring, states[0].psi_deg) \
-        - claw.spring_potential(geom, spring, states[-1].psi_deg)
+    geom = ClawGeometry()
+    _, close_ms = claw.closing_dynamics(geom)
+    states, _ = claw.closing_dynamics(geom, damping=0.0)
+    drop = claw.spring_potential(geom, states[0].psi_deg) \
+        - claw.spring_potential(geom, states[-1].psi_deg)
     kinetic = 0.5 * geom.claw_inertia * math.radians(
         states[-1].psi_rate_dps) ** 2
     energy_ok = abs(kinetic - drop) / drop <= 0.005
     rng = random.Random(20240817)
     max_rel = 0.0
     for _ in range(100):
-        g, s = random_bistable_geometry(rng)
+        g = random_bistable_geometry(rng)
         psi = rng.uniform(g.psi_open + 0.1, g.psi_closed - 0.1)
-        expected = finite_difference_torque(g, s, psi)
-        got = claw.claw_torque(g, s, psi)
+        expected = finite_difference_torque(g, psi)
+        got = claw.claw_torque(g, psi)
         denom = max(abs(expected), 1e-7)
         max_rel = max(max_rel, abs(got - expected) / denom)
     ok = (abs(close_ms - 25.0) / 25.0 <= 0.40 and energy_ok
@@ -188,8 +187,7 @@ def test_c06_mission_ensemble():
 def test_c07_envelopes():
     """Speed ordering per theta_leg row, yaw Perched half-width 10-20 deg,
     and >= 95% agreement with the brute-force pivot ODE on a 20x20 grid."""
-    hold = claw.holding_torque(ClawGeometry(), SpringSpec(), BranchSpec())
-    geom = TouchdownGeom()
+    hold = claw.holding_torque(ClawGeometry(), BranchSpec())
     thetas = np.arange(40.0, 90.01, 5.0)
     speeds = np.arange(0.0, 8.01, 0.25)
     psis = np.arange(-25.0, 25.01, 0.5)
@@ -206,8 +204,7 @@ def test_c07_envelopes():
     for th in np.linspace(40.0, 90.0, 20):
         for v in np.linspace(0.0, 8.0, 20):
             st = TouchdownState(speed_mps=float(v), theta_leg_deg=float(th))
-            if evaluate_touchdown(st, hold, geom) is \
-                    brute_force_outcome(st, hold, geom):
+            if evaluate_touchdown(st, hold) is brute_force_outcome(st, hold):
                 agree += 1
     ok = ordered and 10.0 <= half_width <= 20.0 and agree >= 380
     report(7, ok, f"rows ordered: {ordered}, yaw half-width="

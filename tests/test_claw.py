@@ -11,7 +11,6 @@ from perchsim.claw import (
     BranchSurface,
     ClawGeometry,
     ClawMode,
-    SpringSpec,
 )
 
 
@@ -20,57 +19,52 @@ def geom():
     return ClawGeometry()
 
 
-@pytest.fixture
-def spring():
-    return SpringSpec()
-
-
-def finite_difference_torque(geom, spring, psi_deg, h_deg=1e-3):
+def finite_difference_torque(geom, psi_deg, h_deg=1e-3):
     """Independent oracle: torque = -dU/dpsi by central differences."""
-    u_plus = claw.spring_potential(geom, spring, psi_deg + h_deg)
-    u_minus = claw.spring_potential(geom, spring, psi_deg - h_deg)
+    u_plus = claw.spring_potential(geom, psi_deg + h_deg)
+    u_minus = claw.spring_potential(geom, psi_deg - h_deg)
     return -(u_plus - u_minus) / (2.0 * math.radians(h_deg))
 
 
-def spring_force(spec, extension_mm):
+def spring_force(extension_mm):
     """Spring tension in N; zero below zero extension."""
-    return spec.rate_n_per_mm * max(0.0, extension_mm)
+    return claw.SPRING_RATE_N_PER_MM * max(0.0, extension_mm)
 
 
 class TestSpringForce:
-    def test_zero_extension(self, spring):
-        assert spring_force(spring, 0.0) == 0.0
+    def test_zero_extension(self):
+        assert spring_force(0.0) == 0.0
 
-    def test_rated_extension(self, spring):
+    def test_rated_extension(self):
         # 111 N / (5 N/mm) = 22.2 mm
-        assert spring_force(spring, 22.2) == pytest.approx(111.0)
+        assert spring_force(22.2) == pytest.approx(111.0)
 
-    def test_linear_law(self, spring):
-        assert spring_force(spring, 10.0) == pytest.approx(50.0)
+    def test_linear_law(self):
+        assert spring_force(10.0) == pytest.approx(50.0)
 
-    def test_negative_extension_clamps_to_zero(self, spring):
-        assert spring_force(spring, -5.0) == 0.0
+    def test_negative_extension_clamps_to_zero(self):
+        assert spring_force(-5.0) == 0.0
 
 
 class TestClawTorque:
-    def test_zero_at_snap(self, geom, spring):
-        snap = claw.snap_angle(geom, spring)
-        assert abs(claw.claw_torque(geom, spring, snap)) < 1e-6
+    def test_zero_at_snap(self, geom):
+        snap = claw.snap_angle(geom)
+        assert abs(claw.claw_torque(geom, snap)) < 1e-6
 
-    def test_small_opening_torque_at_rest(self, geom, spring):
-        tau = claw.claw_torque(geom, spring, geom.psi_open)
+    def test_small_opening_torque_at_rest(self, geom):
+        tau = claw.claw_torque(geom, geom.psi_open)
         assert abs(tau) < 0.2
         assert tau < 0.0  # holds the claw open
 
-    def test_matches_energy_gradient(self, geom, spring):
+    def test_matches_energy_gradient(self, geom):
         for psi in [-3.5, 0.0, 10.0, 25.0, 40.0, 54.0]:
-            expected = finite_difference_torque(geom, spring, psi)
-            got = claw.claw_torque(geom, spring, psi)
+            expected = finite_difference_torque(geom, psi)
+            got = claw.claw_torque(geom, psi)
             assert got == pytest.approx(expected, rel=1e-4, abs=1e-9)
 
-    def test_out_of_range_rejected(self, geom, spring):
+    def test_out_of_range_rejected(self, geom):
         with pytest.raises(ValueError):
-            claw.claw_torque(geom, spring, -30.0)
+            claw.claw_torque(geom, -30.0)
 
 
 def random_bistable_geometry(rng):
@@ -88,33 +82,32 @@ def random_bistable_geometry(rng):
             psi_open=rng.uniform(-6.0, -2.0),
             psi_closed=rng.uniform(48.0, 60.0),
         )
-        spring = SpringSpec()
         try:
-            snap = claw.snap_angle(geom, spring)
+            snap = claw.snap_angle(geom)
         except claw.GeometryNotBistableError:
             continue
         if geom.psi_open < snap < geom.psi_closed:
-            return geom, spring
+            return geom
 
 
 class TestSnapAngle:
-    def test_sign_change_across_snap(self, geom, spring):
-        snap = claw.snap_angle(geom, spring)
+    def test_sign_change_across_snap(self, geom):
+        snap = claw.snap_angle(geom)
         assert geom.psi_open < snap < geom.psi_closed
         # independent sign-scan oracle at 0.1 deg steps
         psi = geom.psi_open
         crossings = 0
-        prev = claw.claw_torque(geom, spring, psi)
+        prev = claw.claw_torque(geom, psi)
         while psi < geom.psi_closed - 0.1:
             psi += 0.1
-            cur = claw.claw_torque(geom, spring, psi)
+            cur = claw.claw_torque(geom, psi)
             if prev * cur < 0:
                 crossings += 1
                 assert psi - 0.1 <= snap <= psi
             prev = cur
         assert crossings == 1
 
-    def test_degenerate_anchor_on_pivot_line(self, geom, spring):
+    def test_degenerate_anchor_on_pivot_line(self, geom):
         # claw anchor rotated so the spring line passes the pivot at psi_open:
         # anchor opposite the frame anchor at psi_open (straight up at -4 deg)
         r_a = 30.0
@@ -125,84 +118,82 @@ class TestSnapAngle:
                 r_a * math.sin(math.radians(theta0)),
             )
         )
-        assert claw.snap_angle(degenerate, spring) == pytest.approx(
+        assert claw.snap_angle(degenerate) == pytest.approx(
             degenerate.psi_open, abs=1e-6
         )
 
-    def test_mirror_symmetry(self, geom, spring):
-        snap = claw.snap_angle(geom, spring)
+    def test_mirror_symmetry(self, geom):
+        snap = claw.snap_angle(geom)
         ax, ay = geom.spring_anchor_claw
         mirrored = ClawGeometry(
             spring_anchor_claw=(-ax, ay),
             psi_open=-geom.psi_closed,
             psi_closed=-geom.psi_open,
         )
-        assert claw.snap_angle(mirrored, spring) == pytest.approx(-snap, abs=1e-5)
+        assert claw.snap_angle(mirrored) == pytest.approx(-snap, abs=1e-5)
 
-    def test_not_bistable_raises(self, spring):
+    def test_not_bistable_raises(self):
         # anchor so close to the pivot that the spring never goes slack-side
         bad = ClawGeometry(spring_anchor_claw=(0.0, 2.0))
         with pytest.raises(claw.GeometryNotBistableError):
-            claw.snap_angle(bad, spring)
+            claw.snap_angle(bad)
 
 
 class TestReleaseForce:
-    def test_calibrated_value(self, geom, spring):
-        assert claw.release_force(geom, spring) == pytest.approx(11.4, rel=0.15)
+    def test_calibrated_value(self, geom):
+        assert claw.release_force(geom) == pytest.approx(11.4, rel=0.15)
 
     def test_division_consistency(self):
         # the two published numbers: 0.2 N*m over a 17.5 mm lever
         assert 0.2 / 0.0175 == pytest.approx(11.43, abs=0.01)
 
-    def test_exact_by_construction(self, geom, spring):
-        force = claw.release_force(geom, spring)
-        tau = abs(claw.claw_torque(geom, spring, geom.psi_open))
+    def test_exact_by_construction(self, geom):
+        force = claw.release_force(geom)
+        tau = abs(claw.claw_torque(geom, geom.psi_open))
         assert force * geom.trigger_lever / 1000.0 == pytest.approx(tau, rel=1e-12)
 
-    def test_lever_doubled_halves_force(self, geom, spring):
+    def test_lever_doubled_halves_force(self, geom):
         doubled = ClawGeometry(trigger_lever=2 * geom.trigger_lever)
-        assert claw.release_force(doubled, spring) == pytest.approx(
-            0.5 * claw.release_force(geom, spring)
+        assert claw.release_force(doubled) == pytest.approx(
+            0.5 * claw.release_force(geom)
         )
 
-    def test_bad_lever_rejected(self, spring):
+    def test_bad_lever_rejected(self):
         with pytest.raises(ValueError):
-            claw.release_force(ClawGeometry(trigger_lever=0.0), spring)
+            claw.release_force(ClawGeometry(trigger_lever=0.0))
 
 
 class TestContactForce:
-    def test_nominal_branch(self, geom, spring):
-        force = claw.contact_force(geom, spring, BranchSpec())
+    def test_nominal_branch(self, geom):
+        force = claw.contact_force(geom, BranchSpec())
         assert force == pytest.approx(56.8, rel=0.05)
 
-    def test_flat_over_design_range(self, geom, spring):
-        nominal = claw.contact_force(geom, spring, BranchSpec())
+    def test_flat_over_design_range(self, geom):
+        nominal = claw.contact_force(geom, BranchSpec())
         d = 0.04
         while d <= 0.0701:
-            force = claw.contact_force(geom, spring, BranchSpec(diameter_m=d))
+            force = claw.contact_force(geom, BranchSpec(diameter_m=d))
             assert abs(force - nominal) <= 0.10 * nominal
             d += 0.0025
 
-    def test_degraded_but_positive_at_11cm(self, geom, spring):
-        nominal = claw.contact_force(geom, spring, BranchSpec())
-        wide = claw.contact_force(geom, spring, BranchSpec(diameter_m=0.11))
+    def test_degraded_but_positive_at_11cm(self, geom):
+        nominal = claw.contact_force(geom, BranchSpec())
+        wide = claw.contact_force(geom, BranchSpec(diameter_m=0.11))
         assert 0.0 < wide < nominal
 
-    def test_too_thin_branch_rejected(self, geom, spring):
+    def test_too_thin_branch_rejected(self, geom):
         with pytest.raises(claw.NoSpikeContactError):
-            claw.contact_force(geom, spring, BranchSpec(diameter_m=0.03))
+            claw.contact_force(geom, BranchSpec(diameter_m=0.03))
 
 
 class TestHoldingTorque:
-    def test_pads_hold_two_newton_meters(self, geom, spring):
-        hold = claw.holding_torque(geom, spring, BranchSpec())
+    def test_pads_hold_two_newton_meters(self, geom):
+        hold = claw.holding_torque(geom, BranchSpec())
         assert hold >= 2.0
 
-    def test_surface_ranking(self, geom, spring):
+    def test_surface_ranking(self, geom):
         holds = {
-            surface: claw.holding_torque(
-                geom, spring, BranchSpec(surface=surface)
-            )
+            surface: claw.holding_torque(geom, BranchSpec(surface=surface))
             for surface in BranchSurface
         }
         assert (
@@ -211,22 +202,22 @@ class TestHoldingTorque:
             > holds[BranchSurface.BARE_CARBON]
         )
 
-    def test_flat_over_design_range(self, geom, spring):
-        nominal = claw.holding_torque(geom, spring, BranchSpec())
+    def test_flat_over_design_range(self, geom):
+        nominal = claw.holding_torque(geom, BranchSpec())
         d = 0.04
         while d <= 0.0701:
-            hold = claw.holding_torque(geom, spring, BranchSpec(diameter_m=d))
+            hold = claw.holding_torque(geom, BranchSpec(diameter_m=d))
             assert abs(hold - nominal) <= 0.10 * nominal
             d += 0.0025
 
-    def test_monotone_above_seven_cm(self, geom, spring):
+    def test_monotone_above_seven_cm(self, geom):
         diameters = [0.07 + 0.001 * i for i in range(41)]
         forces = [
-            claw.contact_force(geom, spring, BranchSpec(diameter_m=d))
+            claw.contact_force(geom, BranchSpec(diameter_m=d))
             for d in diameters
         ]
         holds = [
-            claw.holding_torque(geom, spring, BranchSpec(diameter_m=d))
+            claw.holding_torque(geom, BranchSpec(diameter_m=d))
             for d in diameters
         ]
         for a, b in zip(forces, forces[1:]):
@@ -236,36 +227,35 @@ class TestHoldingTorque:
 
 
 class TestClosingDynamics:
-    def test_close_time_near_25ms(self, geom, spring):
-        _, close_ms = claw.closing_dynamics(geom, spring)
+    def test_close_time_near_25ms(self, geom):
+        _, close_ms = claw.closing_dynamics(geom)
         assert close_ms == pytest.approx(25.0, rel=0.40)
 
-    def test_final_state_locked(self, geom, spring):
-        states, _ = claw.closing_dynamics(geom, spring)
+    def test_final_state_locked(self, geom):
+        states, _ = claw.closing_dynamics(geom)
         assert states[-1].mode is ClawMode.LOCKED
         assert states[0].mode is ClawMode.CLOSING
 
-    def test_undamped_energy_balance(self, geom, spring):
-        states, _ = claw.closing_dynamics(geom, spring, damping=0.0)
+    def test_undamped_energy_balance(self, geom):
+        states, _ = claw.closing_dynamics(geom, damping=0.0)
         start, end = states[0], states[-1]
         potential_drop = claw.spring_potential(
-            geom, spring, start.psi_deg
-        ) - claw.spring_potential(geom, spring, end.psi_deg)
+            geom, start.psi_deg) - claw.spring_potential(geom, end.psi_deg)
         kinetic = 0.5 * geom.claw_inertia * math.radians(end.psi_rate_dps) ** 2
         assert kinetic == pytest.approx(potential_drop, rel=0.005)
 
-    def test_pendulum_time_scaling(self, geom, spring):
-        _, t1 = claw.closing_dynamics(geom, spring, damping=0.0)
+    def test_pendulum_time_scaling(self, geom):
+        _, t1 = claw.closing_dynamics(geom, damping=0.0)
         heavy = ClawGeometry(claw_inertia=4.0 * geom.claw_inertia)
-        _, t2 = claw.closing_dynamics(heavy, spring, damping=0.0)
+        _, t2 = claw.closing_dynamics(heavy, damping=0.0)
         assert t2 / t1 == pytest.approx(2.0, rel=0.01)
 
     # a claw that gains energy, or a damping that is no number, is rejected
     # by name rather than closing, or failing on its travel range
     @pytest.mark.parametrize("damping", [math.nan, math.inf, -1.0])
-    def test_bad_damping_rejected(self, geom, spring, damping):
+    def test_bad_damping_rejected(self, geom, damping):
         with pytest.raises(ValueError, match="^damping must be"):
-            claw.closing_dynamics(geom, spring, damping=damping)
+            claw.closing_dynamics(geom, damping=damping)
 
 
 class TestReopenProfile:
@@ -302,18 +292,18 @@ class TestEnergyConsistencyProperty:
     def test_torque_is_energy_gradient_for_random_geometries(self):
         rng = random.Random(20240817)
         for _ in range(100):
-            geom, spring = random_bistable_geometry(rng)
+            geom = random_bistable_geometry(rng)
             lo = geom.psi_open + 0.1
             hi = geom.psi_closed - 0.1
             for _ in range(5):
                 psi = rng.uniform(lo, hi)
-                expected = finite_difference_torque(geom, spring, psi)
-                got = claw.claw_torque(geom, spring, psi)
+                expected = finite_difference_torque(geom, psi)
+                got = claw.claw_torque(geom, psi)
                 assert got == pytest.approx(expected, rel=1e-4, abs=1e-7)
 
 
-def test_sweep_rows(geom, spring):
-    rows = claw.diameter_sweep(geom, spring, [0.04, 0.06, 0.07])
+def test_sweep_rows(geom):
+    rows = claw.diameter_sweep(geom, [0.04, 0.06, 0.07])
     assert len(rows) == 3
     assert rows[1][1] == pytest.approx(56.8, rel=0.05)
 

@@ -329,27 +329,51 @@ class TestScenarios:
         for path in tmp_path.iterdir():
             assert b"np.float64(" not in path.read_bytes()
 
-    # SHA-256 of summary.txt at seed 0 for the scenarios that fly nothing
-    @pytest.mark.parametrize("scenario, digest", [
-        pytest.param(Scenario(name), digest, id=name)
-        for name, digest in [
-            ("ClawSweep", "74b2c634743b399db3b92a65689e0586"
-                          "417afddd9a23b3cb5a55997fa7c66f9a"),
-            ("ImpactSuite", "c09a4a2ab2ff158d302932716325f3c9"
-                            "1546566b95592d2c6876967cffb24b23"),
-            ("Envelope", "5df9dac89b25f76cca668974c38a00e3"
-                         "40d92d5b3b7c760341b8a088bd88afba"),
-            ("Optimize", "400c43ff5f9bdde7d3e5b9d80dfb4f46"
-                         "1a7a98eaebfd54a880f5e012d3cff5e9"),
-            ("LauncherProfile", "cc95e5113dbf457e504db268dc4d3b0a"
-                                "5d64b96b672b6bd17ff3f9f829a31e9c"),
+    # SHA-256 of every file the scenarios that fly nothing write at seed 0
+    # (perfbench/expected.json's digests), but claw_sweep.csv: it writes
+    # numpy scalar reprs (see test_claw_sweep_fields_are_numbers), so its
+    # bytes are not pinned here
+    @pytest.mark.parametrize("scenario, digests", [
+        pytest.param(Scenario(name), digests, id=name)
+        for name, digests in [
+            ("ClawSweep", {
+                "summary.txt": "74b2c634743b399db3b92a65689e0586"
+                               "417afddd9a23b3cb5a55997fa7c66f9a",
+            }),
+            ("ImpactSuite", {
+                "impact_suite.csv": "65bba1b67aac7600d4fa0f51c4f8f2d0"
+                                    "eda14b5735866b38f4b364c0d996a46e",
+                "summary.txt": "c09a4a2ab2ff158d302932716325f3c9"
+                               "1546566b95592d2c6876967cffb24b23",
+            }),
+            ("Envelope", {
+                "envelope_speed.csv": "f6555be1af25c8ec490f3321c6f2e536"
+                                      "6ead7781e1c29535979831a4b077c71f",
+                "envelope_yaw.csv": "03d98acf8677519d741ce9fa2ee0de65"
+                                    "29c71cfb80f07ffd3a2d85cbfee08cda",
+                "summary.txt": "5df9dac89b25f76cca668974c38a00e3"
+                               "40d92d5b3b7c760341b8a088bd88afba",
+            }),
+            ("Optimize", {
+                "pso_log.csv": "deb99a83494c5eb12ec6cd625b8eb227"
+                               "2c23e436d185ce6553ba33699dac81b1",
+                "summary.txt": "400c43ff5f9bdde7d3e5b9d80dfb4f46"
+                               "1a7a98eaebfd54a880f5e012d3cff5e9",
+            }),
+            ("LauncherProfile", {
+                "launcher.csv": "18611363c4a17395aa8a95f51df6b489"
+                                "f015cf4a854a5571002d70c82835e582",
+                "summary.txt": "cc95e5113dbf457e504db268dc4d3b0a"
+                               "5d64b96b672b6bd17ff3f9f829a31e9c",
+            }),
         ]
     ])
-    def test_summary_pinned(self, tmp_path, scenario, digest):
+    def test_summary_pinned(self, tmp_path, scenario, digests):
         assert run_scenario(RunConfig(scenario, out_dir=str(tmp_path),
                                       seed=0)) == EXIT_SUCCESS
-        summary = (tmp_path / "summary.txt").read_bytes()
-        assert hashlib.sha256(summary).hexdigest() == digest
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir() if p.name != "claw_sweep.csv"}
+        assert written == digests
 
     @pytest.mark.parametrize("scenario, overrides", [
         *[pytest.param(s, {}, id=s.value) for s in Scenario],

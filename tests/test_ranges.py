@@ -33,7 +33,6 @@ DECLARED = {
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
         "seed": MISSION_SEED},
     "RunConfig": {"seed": RUN_SEED},
-    "SpringSpec": {"rate_n_per_mm": POS},
     "BranchSpec": {"diameter_m": POS, "x_m": FINITE, "z_m": FINITE},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
                                   POS),
@@ -54,10 +53,6 @@ DECLARED = {
     "TouchdownState": {
         "speed_mps": NON_NEG, "theta_leg_deg": "[0, 90]",
         "psi_branch_deg": FINITE, "body_pitch_deg": FINITE, "mass_kg": POS},
-    "TouchdownGeom": dict.fromkeys(
-        ("start_angle_base_deg", "start_angle_per_leg_deg",
-         "start_angle_per_pitch_deg"), FINITE) | {
-        "rotation_budget_deg": POS, "yaw_hold_power": NON_NEG},
 }
 RANGES = {f"{cls}.{name}": interval for cls, table in DECLARED.items()
           for name, interval in table.items()}

@@ -1,18 +1,18 @@
 """Tests for touchdown classification and perching envelopes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies
 
 from perchsim import claw, touchdown
-from perchsim.claw import BranchSpec, ClawGeometry, SpringSpec
+from perchsim.claw import BranchSpec, ClawGeometry
 from perchsim.harness import RunConfig, Scenario, run_scenario
 from perchsim.touchdown import (
     GRAVITY,
     PerchOutcome,
-    TouchdownGeom,
     TouchdownState,
     evaluate_touchdown,
     sweep_envelope,
@@ -29,22 +29,36 @@ def scaling_envelope(length_m, reference_length_m=1.5,
 
 @pytest.fixture
 def hold():
-    return claw.holding_torque(ClawGeometry(), SpringSpec(), BranchSpec())
+    return claw.holding_torque(ClawGeometry(), BranchSpec())
 
 
-@pytest.fixture
-def geom():
-    return TouchdownGeom()
+def start_angle_deg(st):
+    """The CoM's start angle behind vertical-up, from the module constants."""
+    return (touchdown.START_ANGLE_BASE_DEG
+            + touchdown.START_ANGLE_PER_LEG_DEG * (90.0 - st.theta_leg_deg)
+            + touchdown.START_ANGLE_PER_PITCH_DEG * (st.body_pitch_deg - 30.0))
 
 
-def brute_force_outcome(st, hold_nm, geom, dt=2e-5):
+def yawed_hold(hold_nm, psi_branch_deg):
+    """The hold a branch yawed by ``psi_branch_deg`` leaves the grip."""
+    c = math.cos(math.radians(min(89.9, abs(psi_branch_deg))))
+    return hold_nm * c ** touchdown.YAW_HOLD_POWER
+
+
+def rotation_budget(budget_deg):
+    """Run the touchdown, and the oracles here, with another rotation
+    budget."""
+    return mock.patch.object(touchdown, "ROTATION_BUDGET_DEG", budget_deg)
+
+
+def brute_force_outcome(st, hold_nm, dt=2e-5):
     """Independent oracle: integrate the pivot ODE with Coulomb friction at
     the hold torque and classify from where the motion stops."""
     com, inertia = touchdown.COM_OFFSET_M, touchdown.INERTIA_KGM2
-    hold_eff = geom.effective_hold(hold_nm, st.psi_branch_deg)
+    hold_eff = yawed_hold(hold_nm, st.psi_branch_deg)
     mgr = st.mass_kg * GRAVITY * com
-    delta0 = math.radians(geom.start_angle_deg(st))
-    budget = math.radians(geom.rotation_budget_deg)
+    delta0 = math.radians(start_angle_deg(st))
+    budget = math.radians(touchdown.ROTATION_BUDGET_DEG)
     tangential = max(0.0, math.cos(delta0))
     omega = -(st.mass_kg * st.speed_mps * com * tangential
               / inertia)  # forward rotation decreases delta
@@ -104,24 +118,21 @@ class TestEvaluateTouchdown:
     @pytest.mark.parametrize("pitch", [273.0, -447.0])
     def test_half_turn_start_angle_accepted(self, hold, pitch):
         st = TouchdownState(theta_leg_deg=90.0, body_pitch_deg=pitch)
-        assert abs(TouchdownGeom().start_angle_deg(st)) == 180.0
+        assert abs(start_angle_deg(st)) == 180.0
         evaluate_touchdown(st, hold)
 
-    @pytest.mark.parametrize("pitch, geom", [
-        (273.001, TouchdownGeom()),
-        (-447.001, TouchdownGeom()),
-        (1e308, TouchdownGeom()),   # was classified Perched
-        # finite fields whose start angle overflows to inf
-        (100.0, TouchdownGeom(start_angle_per_pitch_deg=1e307)),
-    ])
-    def test_start_angle_past_a_half_turn_rejected(self, hold, pitch, geom):
+    # a pitch of 1e308 was classified Perched; the ids are those the cases
+    # had when each also carried a pivot calibration
+    @pytest.mark.parametrize("pitch", [273.001, -447.001, 1e308], ids=[
+        "273.001-geom0", "-447.001-geom1", "1e+308-geom2"])
+    def test_start_angle_past_a_half_turn_rejected(self, hold, pitch):
         st = TouchdownState(theta_leg_deg=90.0, body_pitch_deg=pitch)
         with pytest.raises(ValueError, match=r"^touchdown start angle must "
                                              r"lie in \[-180, 180\] deg, got"):
-            evaluate_touchdown(st, hold, geom)
+            evaluate_touchdown(st, hold)
 
 
-def eighty_pass_touchdown(st, hold_nm, geom):
+def eighty_pass_touchdown(st, hold_nm):
     """Reference: the classifier as it was with a fixed 80-pass bisection.
 
     Returns the outcome, the name of the return that gave it and, past the
@@ -129,10 +140,10 @@ def eighty_pass_touchdown(st, hold_nm, geom):
     com, inertia = touchdown.COM_OFFSET_M, touchdown.INERTIA_KGM2
     if math.isinf(hold_nm):
         return PerchOutcome.PERCHED, "infinite_hold", None
-    hold = geom.effective_hold(hold_nm, st.psi_branch_deg)
+    hold = yawed_hold(hold_nm, st.psi_branch_deg)
     mgr = st.mass_kg * GRAVITY * com
-    delta0 = math.radians(geom.start_angle_deg(st))
-    budget = math.radians(geom.rotation_budget_deg)
+    delta0 = math.radians(start_angle_deg(st))
+    budget = math.radians(touchdown.ROTATION_BUDGET_DEG)
 
     def work(dtheta):
         return (mgr * (math.cos(delta0 - dtheta) - math.cos(delta0))
@@ -172,18 +183,22 @@ class TestEightyPassOracle:
     gravity torque past the vertical is at most the hold.
     """
 
+    # (touchdown, hold, rotation budget)
+    BUDGET = touchdown.ROTATION_BUDGET_DEG
     EXAMPLES = {
-        "infinite_hold": (TouchdownState(), math.inf, TouchdownGeom()),
-        "over_budget": (TouchdownState(speed_mps=6.0), 2.0, TouchdownGeom()),
+        "infinite_hold": (TouchdownState(), math.inf, BUDGET),
+        "over_budget": (TouchdownState(speed_mps=6.0), 2.0, BUDGET),
         # no impact energy: the midpoint halves toward 0 for all 80 passes
-        "slips_back": (TouchdownState(speed_mps=0.0), 2.0, TouchdownGeom()),
-        "holds": (TouchdownState(), 2.0, TouchdownGeom()),
+        "slips_back": (TouchdownState(speed_mps=0.0), 2.0, BUDGET),
+        "holds": (TouchdownState(), 2.0, BUDGET),
     }
 
     def test_examples_reach_each_return(self):
-        assert {name: eighty_pass_touchdown(*case)[1]
-                for name, case in self.EXAMPLES.items()} == {
-                    name: name for name in self.EXAMPLES}
+        returns = {}
+        for name, (st, hold_nm, budget) in self.EXAMPLES.items():
+            with rotation_budget(budget):
+                returns[name] = eighty_pass_touchdown(st, hold_nm)[1]
+        assert returns == {name: name for name in self.EXAMPLES}
 
     @given(case=strategies.tuples(
         strategies.builds(TouchdownState,
@@ -192,8 +207,7 @@ class TestEightyPassOracle:
                           psi_branch_deg=strategies.floats(-89.0, 89.0),
                           body_pitch_deg=strategies.floats(-120.0, 120.0)),
         strategies.floats(0.0, 4.0) | strategies.just(math.inf),
-        strategies.builds(TouchdownGeom, rotation_budget_deg=strategies.floats(
-            1.0, 300.0))))
+        strategies.floats(1.0, 300.0)))
     @example(case=EXAMPLES["infinite_hold"])
     @example(case=EXAMPLES["over_budget"])
     @example(case=EXAMPLES["slips_back"])
@@ -202,10 +216,13 @@ class TestEightyPassOracle:
     # the angle grows: an end of the bracket does not bound it there
     @example(case=(TouchdownState(speed_mps=0.25, theta_leg_deg=27.0,
                                   psi_branch_deg=30.0, body_pitch_deg=120.0),
-                   2.9, TouchdownGeom(rotation_budget_deg=190.0)))
+                   2.9, 190.0))
     def test_matches_eighty_passes(self, case):
-        outcome, _, bisection = eighty_pass_touchdown(*case)
-        assert evaluate_touchdown(*case) is outcome
+        st, hold_nm, budget = case
+        # patched in the body: hypothesis rejects a function-scoped fixture
+        with rotation_budget(budget):
+            outcome, _, bisection = eighty_pass_touchdown(st, hold_nm)
+            assert evaluate_touchdown(st, hold_nm) is outcome
         if bisection is not None:
             args, delta_stop = bisection
             # infinite bounds never end the bisection early: full depth
@@ -227,30 +244,29 @@ class TestKnifeEdge:
     @example(case=(90.0, 0.0, 30.0, 2.0, 60.0))
     def test_matches_oracle_across_the_flip(self, case):
         theta, psi, pitch, hold_nm, budget = case
-        geom = TouchdownGeom(rotation_budget_deg=budget)
 
         def at(speed):
             return TouchdownState(speed_mps=speed, theta_leg_deg=theta,
                                   psi_branch_deg=psi, body_pitch_deg=pitch)
 
         def oracle(speed):
-            return eighty_pass_touchdown(at(speed), hold_nm, geom)[0]
+            return eighty_pass_touchdown(at(speed), hold_nm)[0]
 
-        slow, fast = 0.0, 8.0
-        first = oracle(slow)
-        assume(oracle(fast) is not first)
-        while True:   # bisect on speed down to adjacent doubles
-            mid = 0.5 * (slow + fast)
-            if mid == slow or mid == fast:
-                break
-            if oracle(mid) is first:
-                slow = mid
-            else:
-                fast = mid
-        assert math.nextafter(slow, math.inf) == fast
-        for speed in (slow, fast):
-            assert evaluate_touchdown(at(speed), hold_nm, geom) is \
-                oracle(speed)
+        with rotation_budget(budget):
+            slow, fast = 0.0, 8.0
+            first = oracle(slow)
+            assume(oracle(fast) is not first)
+            while True:   # bisect on speed down to adjacent doubles
+                mid = 0.5 * (slow + fast)
+                if mid == slow or mid == fast:
+                    break
+                if oracle(mid) is first:
+                    slow = mid
+                else:
+                    fast = mid
+            assert math.nextafter(slow, math.inf) == fast
+            for speed in (slow, fast):
+                assert evaluate_touchdown(at(speed), hold_nm) is oracle(speed)
 
 
 @pytest.fixture
@@ -287,7 +303,7 @@ class TestEarlyExit:
 
 
 class TestOdeOracle:
-    def test_agreement_on_grid(self, hold, geom):
+    def test_agreement_on_grid(self, hold):
         """Closed-form energy walk vs brute-force pivot ODE: >= 95%
         agreement on a 20x20 grid."""
         thetas = np.linspace(40.0, 90.0, 20)
@@ -297,8 +313,8 @@ class TestOdeOracle:
             for v in speeds:
                 st = TouchdownState(speed_mps=float(v),
                                     theta_leg_deg=float(th))
-                if evaluate_touchdown(st, hold, geom) is \
-                        brute_force_outcome(st, hold, geom):
+                if evaluate_touchdown(st, hold) is \
+                        brute_force_outcome(st, hold):
                     agree += 1
         assert agree >= 0.95 * 400
 
