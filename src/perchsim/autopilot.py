@@ -41,7 +41,6 @@ from .leg import ROBOT_LEG, ImpactRecord
 from .perception import (
     PIXELS,
     ROBOT_SENSOR,
-    LegPdGains,
     SensorPose,
     detect_branch,
     render_scan,
@@ -161,6 +160,8 @@ LATERAL_GAIN_DEG_PER_M = 17.0
 # in flight is asymmetric, so biasing the track keeps gusty runs inside it.
 LATERAL_AIM_M = -0.06
 YAW_SETPOINT_LIMIT_DEG = 8.0
+# the fastest the leg loop slews the hip command
+HIP_SLEW_RATE_DPS = 60.0
 
 
 @dataclass(frozen=True)
@@ -292,8 +293,7 @@ class Autopilot:
             / ROBOT_LEG.link_length_m
         cos_target = min(1.0, max(-1.0, cos_target))
         beta_target = math.degrees(math.acos(cos_target))
-        # the hip slews at the leg loop's default rate limit, 60 deg/s
-        max_step = LegPdGains.rate_limit_dps * DT
+        max_step = HIP_SLEW_RATE_DPS * DT
         step = beta_target - self.beta_cmd
         step = min(max_step, max(-max_step, step))
         self.beta_cmd = min(90.0, max(0.0, self.beta_cmd + step))
@@ -453,20 +453,11 @@ def run_ensemble(
     config: Optional[MissionConfig] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> List[MissionResult]:
-    """Run the seeded disturbance ensemble.
-
-    If the config leaves both disturbance sigmas at zero, the calibrated
-    default gust level is applied so the ensemble exercises the perch/fail
-    boundary instead of repeating the nominal run nine times.
-    """
-    base = config if config is not None else MissionConfig()
-    if (base.disturbance_sigma_force_n == 0.0
-            and base.disturbance_sigma_moment_nm == 0.0):
-        base = replace(
-            base,
-            disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
-            disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
-        )
+    """Run the seeded disturbance ensemble: ``config`` as given, or with no
+    config, `MissionConfig` at the default gust level."""
+    base = config if config is not None else MissionConfig(
+        disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+        disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
     # every seed is checked before the first mission flies
     configs = [replace(base, seed=s) for s in seeds]
     return [run_mission(c) for c in configs]

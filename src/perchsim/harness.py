@@ -14,13 +14,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import claw as clawmod
 from . import leg as legmod
 from .autopilot import (
+    DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+    DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
     DEFAULT_SEEDS,
     MissionConfig,
     MissionResult,
@@ -95,9 +97,9 @@ _SECTIONS = {"mission": MissionConfig, "branch": BranchSpec,
              "launcher": LaunchProfile}
 
 # Every key a config file may set.  A key ``section.field`` sets the field
-# of that name on the section's class in `_SECTIONS`; fields that no key
-# sets keep their defaults.  The launcher takes its speed and lateral
-# offset from the mission's.
+# of that name on the section's class in `_SECTIONS`; a field that no key
+# sets keeps its default, unless `READS` gives it a starting value.  The
+# launcher takes its speed and lateral offset from the mission's.
 OVERRIDES: Tuple[str, ...] = (
     "mission.launch_speed_mps",
     "mission.pitch_setpoint_deg",
@@ -112,6 +114,30 @@ OVERRIDES: Tuple[str, ...] = (
     "branch.z_m",
     "launcher.rail_length_m",
 )
+
+# The keys each scenario reads, each with the value it starts from before
+# the config file's (None: its field's default).  A field a stage sets is
+# not read: stage 2 sets the launch altitude offset and the soft branch,
+# stage 3 the soft branch.  FullPerch starts at the default gust level.
+_PERCH = [key for key in OVERRIDES if key != "launcher.rail_length_m"]
+_SOFT = [key for key in _PERCH if key != "mission.soft_branch"]
+READS: Dict[Scenario, Dict[str, Optional[float]]] = {
+    Scenario.CLAW_SWEEP: {},
+    Scenario.IMPACT_SUITE: {},
+    Scenario.FLIGHT_ONLY: dict.fromkeys(
+        key for key in _SOFT if key != "mission.launch_altitude_offset_m"),
+    Scenario.SOFT_BRANCH: dict.fromkeys(_SOFT),
+    Scenario.FULL_PERCH: {
+        **dict.fromkeys(_PERCH),
+        "mission.disturbance_sigma_force_n": DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+        "mission.disturbance_sigma_moment_nm":
+            DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM},
+    Scenario.ENVELOPE: {"branch.diameter_m": None},
+    Scenario.OPTIMIZE: {},
+    Scenario.LAUNCHER_PROFILE: dict.fromkeys((
+        "mission.launch_speed_mps", "mission.launch_lateral_offset_m",
+        "launcher.rail_length_m")),
+}
 
 
 def _typed(key: str, value: Value):
@@ -132,7 +158,8 @@ def _typed(key: str, value: Value):
 class RunConfig:
     """One run's scenario, output directory, seed and config-file
     overrides.  The mission and launcher they describe are built here, so
-    every scenario rejects a bad config before it starts."""
+    a scenario rejects a bad value, or a key it does not read, before it
+    starts."""
 
     scenario: Scenario
     out_dir: str = "."
@@ -152,8 +179,15 @@ class RunConfig:
             if unknown:
                 raise ConfigError(
                     f"unknown config keys: {', '.join(sorted(unknown))}")
+            reads = READS[self.scenario]
+            unread = set(self.overrides) - set(reads)
+            if unread:
+                raise ConfigError(f"{self.scenario.value} does not read "
+                                  f"config keys: {', '.join(sorted(unread))}")
+            starts = {key: start for key, start in reads.items()
+                      if start is not None}
             sections = {section: {} for section in _SECTIONS}
-            for key, value in self.overrides.items():
+            for key, value in {**starts, **self.overrides}.items():
                 section, name = key.split(".")
                 sections[section][name] = _typed(key, value)
             mission = MissionConfig(branch=BranchSpec(**sections["branch"]),

@@ -491,8 +491,12 @@ class TestTuningProcedure:
     """The four development stages, each run with `run_stage`."""
 
     def test_stages_in_order_all_pass(self):
+        # the ensemble flies the default gust level, the others calm air
+        gusty = MissionConfig(
+            disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+            disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
         for stage in (1, 2, 3, 4):
-            report = run_stage(stage, MissionConfig())
+            report = run_stage(stage, gusty if stage == 4 else MissionConfig())
             assert report.passed, report
 
     def test_invalid_stage(self):
@@ -558,6 +562,25 @@ class TestRunStage:
         report = run_stage(4, config)
         assert flown == [(config, list(range(5, 14)))]
         assert report.passed is False
+
+    def test_stage_four_flies_the_config_gusts(self, monkeypatch):
+        # zero gusts mean zero; only an ensemble given no config flies the
+        # default gust level
+        flown = []
+
+        def fake_mission(config):
+            flown.append((config.disturbance_sigma_force_n,
+                          config.disturbance_sigma_moment_nm))
+            return types.SimpleNamespace(outcome=PerchOutcome.MISSED)
+
+        monkeypatch.setattr(autopilot, "run_mission", fake_mission)
+        run_stage(4, MissionConfig())
+        assert flown == [(0.0, 0.0)] * len(DEFAULT_SEEDS)
+        flown.clear()
+        run_ensemble()
+        assert flown == [(DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+                          DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)] * len(
+                              DEFAULT_SEEDS)
 
     def test_stage_four_checks_every_seed_before_flying(self, monkeypatch):
         flown = []

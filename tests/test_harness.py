@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -23,13 +24,20 @@ from perchsim.harness import (
     EXIT_CRITERIA_FAILED,
     EXIT_SUCCESS,
     OVERRIDES,
+    READS,
     LaunchProfile,
     RunConfig,
     Scenario,
     launch_profile,
     run_scenario,
 )
-from perchsim.autopilot import MissionConfig, TrajectoryRow, run_stage
+from perchsim.autopilot import (
+    DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+    DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
+    MissionConfig,
+    TrajectoryRow,
+    run_stage,
+)
 from perchsim.cli import main
 
 
@@ -74,8 +82,10 @@ class TestConfigFormat:
 
 
 def built(overrides):
-    """The mission config and launch profile the harness builds."""
-    cfg = RunConfig(Scenario.FULL_PERCH, overrides=overrides)
+    """The mission config and launch profile the harness builds, for the
+    first scenario that reads every key of ``overrides``."""
+    scenario = next(s for s in Scenario if set(overrides) <= set(READS[s]))
+    cfg = RunConfig(scenario, overrides=overrides)
     return cfg.mission, cfg.launcher
 
 
@@ -98,6 +108,8 @@ ROUTES = [
     ("branch.z_m", 1.5, lambda m, p: m.branch.z_m),
     ("launcher.rail_length_m", 0.9, lambda m, p: p.rail_length_m),
 ]
+
+NEARBY = {key: value for key, value, _ in ROUTES}
 
 CONFIG_VALUES = st.one_of(st.text(), st.booleans(), st.integers(),
                           st.floats())
@@ -139,6 +151,24 @@ class TestOverrides:
         _, profile = built({"launcher.rail_length_m": 2})
         assert repr(profile.rail_length_m) == "2.0"  # launcher.csv bytes
 
+    def test_full_perch_starts_at_the_default_gusts(self):
+        # a file that sets one sigma flies the other at its default; the
+        # other scenarios start calm
+        def sigmas(scenario, **overrides):
+            mission = RunConfig(scenario, overrides={
+                f"mission.disturbance_sigma_{k}": v
+                for k, v in overrides.items()}).mission
+            return (mission.disturbance_sigma_force_n,
+                    mission.disturbance_sigma_moment_nm)
+
+        force = DEFAULT_DISTURBANCE_SIGMA_FORCE_N
+        moment = DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM
+        assert sigmas(Scenario.FULL_PERCH) == (force, moment)
+        assert sigmas(Scenario.FULL_PERCH, force_n=0.0) == (0.0, moment)
+        assert sigmas(Scenario.FULL_PERCH, moment_nm=0) == (force, 0.0)
+        for scenario in set(Scenario) - {Scenario.FULL_PERCH}:
+            assert sigmas(scenario) == (0.0, 0.0)
+
     @settings(deadline=None)
     @given(key=st.sampled_from(sorted(OVERRIDES)), value=CONFIG_VALUES)
     @example(key="branch.x_m", value=10 ** 400)  # too large for a float
@@ -147,6 +177,46 @@ class TestOverrides:
             built({key: value})
         except ConfigError:
             pass
+
+
+class TestReads:
+    """Each key in a scenario's row of `READS` changes what it flies or
+    writes; each other key is rejected."""
+
+    def test_accepted_pairs(self):
+        assert set(READS) == set(Scenario)
+        assert sum(len(row) for row in READS.values()) == 34
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(s, id=s.value) for s in Scenario
+        if READS[s] and s is not Scenario.FULL_PERCH])
+    def test_each_key_read_changes_a_written_byte(self, tmp_path, scenario):
+        def written(name, overrides):
+            out = tmp_path / name
+            run_scenario(RunConfig(scenario, out_dir=str(out),
+                                   overrides=overrides))
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        default = written("default", {})
+        for key in READS[scenario]:
+            assert written(key, {key: NEARBY[key]}) != default, key
+
+    def test_each_key_full_perch_reads_changes_its_mission(self):
+        # the built config, so that no nine-mission ensemble is flown
+        default = RunConfig(Scenario.FULL_PERCH).mission
+        for key in READS[Scenario.FULL_PERCH]:
+            mission = RunConfig(Scenario.FULL_PERCH,
+                                overrides={key: NEARBY[key]}).mission
+            assert mission != default, key
+
+    @pytest.mark.parametrize("scenario", list(Scenario),
+                             ids=[s.value for s in Scenario])
+    def test_each_key_not_read_is_rejected(self, scenario):
+        for key in set(OVERRIDES) - set(READS[scenario]):
+            with pytest.raises(ConfigError, match=(
+                    f"^{scenario.value} does not read config keys: "
+                    f"{re.escape(key)}$")):
+                RunConfig(scenario, overrides={key: NEARBY[key]})
 
 
 class TestLaunchProfile:
@@ -519,10 +589,12 @@ class TestCli:
           for d in (0.219, 0.25, 0.5)],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, line):
-        """Every scenario checks every key: a bad value exits 2 with one
-        line on stderr, before the output directory is made."""
+        """A bad value exits 2 with one line on stderr, before the output
+        directory is made: a scenario that reads the key reports the value,
+        any other rejects the key."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
+        key = line.split(" = ")[0]
         for scenario in Scenario:
             out = tmp_path / scenario.value
             code = main([scenario.value, "--config", str(cfg),
@@ -530,8 +602,22 @@ class TestCli:
             err = capsys.readouterr().err
             assert code == 2, scenario
             assert err.startswith("perchsim: configuration error: ")
+            rejected = key in OVERRIDES and key not in READS[scenario]
+            assert ("does not read config keys" in err) is rejected, err
             assert err.count("\n") == 1
             assert not out.exists(), scenario
+
+    def test_calm_full_perch_perches_every_seed(self, tmp_path, capsys):
+        # zero gusts mean zero: the calm ensemble perches 9 of 9
+        cfg = tmp_path / "calm.cfg"
+        cfg.write_text("mission.disturbance_sigma_force_n = 0\n"
+                       "mission.disturbance_sigma_moment_nm = 0\n")
+        out = tmp_path / "out"
+        code = main(["FullPerch", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_SUCCESS
+        assert capsys.readouterr().err == ""
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "perched = 9/9" in summary
 
     def test_widest_branch_flies(self, tmp_path, capsys):
         """A branch just narrower than the widest the claw holds with a

@@ -16,7 +16,6 @@ from perchsim.autopilot import (
     MissionConfig,
     run_mission,
 )
-from perchsim.perception import LegPdGains
 from perchsim import plant
 from perchsim.plant import (
     AIR_DENSITY,
@@ -618,7 +617,7 @@ class TestMissionReplay:
         # the mission covers the leg slewing at the autopilot's hip rate
         # limit, gusts on every cycle and the glide with flapping stopped
         commands = [args[1] for args, _ in calls]
-        hip_step = LegPdGains.rate_limit_dps * DT
+        hip_step = autopilot.HIP_SLEW_RATE_DPS * DT
         assert any(abs(abs(b.beta_cmd_deg - a.beta_cmd_deg) - hip_step)
                    < 1e-9 for a, b in zip(commands, commands[1:]))
         assert all(args[4] != (0.0, 0.0, 0.0) for args, _ in calls)
