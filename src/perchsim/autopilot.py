@@ -6,9 +6,9 @@ launch offset back onto the branch line), and an altitude PID trimming the
 flap frequency (the derivative term damps the post-launch zoom climb).  A
 fourth loop steers the leg: the line-scan detection is fused with the
 along-track range into a branch-height estimate and the hip slews, under
-its rate limit, to the angle that puts the claw on the branch.  A
-forward-only phase machine sequences the mission: ControlledFlight ->
-GlideStop (flapping off) -> Impact (the crossing ends the flight).
+its rate limit, to the angle that puts the claw on the branch.  The flapping
+stops for good once the airframe comes within `GLIDE_STOP_RANGE_M` of the
+branch, and the flight ends when it reaches the branch's x.
 
 `run_stage` holds the four development stages, each defined once:
 launcher-only claw tests (1), flight without the appendage (2), soft-branch
@@ -46,11 +46,11 @@ from .perception import (
     render_scan,
 )
 from .plant import (
+    AIRFRAME_MASS_KG,
     APPENDAGE_MASS_KG,
     CONTROL_RATE_HZ,
     AttitudeDivergence,
     ControlCommand,
-    RobotParams,
     RobotState,
     plant_step,
     trim_state,
@@ -61,7 +61,6 @@ __all__ = [
     "LoopGains",
     "PidState",
     "pid_step",
-    "Phase",
     "Termination",
     "MissionConfig",
     "Autopilot",
@@ -131,12 +130,6 @@ def pid_step(gains: LoopGains, setpoint: float, measurement: float,
     return u, PidState(integral, error, True)
 
 
-class Phase(enum.Enum):
-    CONTROLLED_FLIGHT = 1  # flapping, leg steered
-    GLIDE_STOP = 2  # flap 0, leg steered
-    IMPACT = 3  # the crossing ends the flight
-
-
 class Termination(enum.Enum):
     """How a mission ended."""
 
@@ -170,7 +163,7 @@ class MissionConfig:
     pitch_setpoint_deg: float = ranged(30.0, "[0, 45]")
     altitude_setpoint_m: float = ranged(2.0, "(0, 5)")
     branch: BranchSpec = field(default_factory=BranchSpec)
-    robot: RobotParams = field(default_factory=RobotParams)
+    mass_kg: float = ranged(AIRFRAME_MASS_KG, "(0, inf)")
     seed: int = ranged(0, f"[0, {MAX_SEED}]", integer=True)
     disturbance_sigma_force_n: float = ranged(0.0, "[0, inf)")
     disturbance_sigma_moment_nm: float = ranged(0.0, "[0, inf)")
@@ -180,7 +173,7 @@ class MissionConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        if trim_state(self.pitch_setpoint_deg, self.robot) is None:
+        if trim_state(self.pitch_setpoint_deg, self.mass_kg) is None:
             raise ValueError(f"pitch setpoint {self.pitch_setpoint_deg} deg "
                              "has no trim point")
         if self.branch.diameter_m < ROBOT_CLAW.min_spike_diameter_m:
@@ -239,41 +232,29 @@ class MissionResult:
 
 
 class Autopilot:
-    """Loop states plus the phase machine for one mission run."""
+    """Loop states plus the flap-cut latch for one mission run."""
 
     def __init__(self, config: MissionConfig):
         self.config = config
         self.trim_speed, self.trim_flap = trim_state(
-            config.pitch_setpoint_deg, config.robot)
+            config.pitch_setpoint_deg, config.mass_kg)
         self.pitch_pid = PidState()
         self.yaw_pid = PidState()
         self.alt_pid = PidState()
         self.beta_cmd = 45.0
         self.branch_z_est: Optional[float] = None
-        self.phase = Phase.CONTROLLED_FLIGHT
+        self.flapping = True
         self.noise_rows = _noise_rows(philox_stream(config.seed, 1),
                                       ROBOT_SENSOR.noise_sigma)
 
-    def advance_phase(self, state: RobotState) -> Phase:
-        """Forward-only transitions keyed on range to the branch: the
-        flap cut latches within `GLIDE_STOP_RANGE_M`, the impact at the
-        branch's x."""
-        rng_m = self.config.branch.x_m - state.x_m
-        if rng_m <= 0.0:
-            self.phase = Phase.IMPACT
-        elif (rng_m <= GLIDE_STOP_RANGE_M
-              and self.phase is Phase.CONTROLLED_FLIGHT):
-            self.phase = Phase.GLIDE_STOP
-        return self.phase
-
-    def _update_leg(self, state: RobotState) -> None:
+    def _update_leg(self, state: RobotState, rng_m: float) -> None:
         """Steer the hip so the claw meets the branch height.
 
         The leg-mounted sensor reports the branch bearing as a pixel offset
         from the boresight.  Fusing that bearing with the along-track range
-        gives a branch-height estimate, from which the hip angle that places
-        the claw on the branch follows directly; the command slews there
-        under the hip rate limit.  At very short range the bearing geometry
+        ``rng_m`` gives a branch-height estimate, from which the hip angle
+        that places the claw on the branch follows directly; the command
+        slews there under the hip rate limit.  At very short range the bearing geometry
         degenerates, so the last estimate is held.
         """
         cfg = self.config
@@ -283,7 +264,6 @@ class Autopilot:
         frame = render_scan(pose, cfg.branch, ROBOT_SENSOR,
                             next(self.noise_rows))
         det = detect_branch(frame, ROBOT_SENSOR)
-        rng_m = cfg.branch.x_m - state.x_m
         if det is not None and rng_m > 0.05:
             elevation = boresight + ROBOT_SENSOR.pixel_angle_rad(det)
             self.branch_z_est = claw_z + rng_m * math.tan(elevation)
@@ -298,11 +278,14 @@ class Autopilot:
         step = min(max_step, max(-max_step, step))
         self.beta_cmd = min(90.0, max(0.0, self.beta_cmd + step))
 
-    def control_cycle(self, state: RobotState,
-                      phase: Phase) -> ControlCommand:
-        """One 120 Hz command: flapping only in `CONTROLLED_FLIGHT`, the
-        leg steered in every phase but `IMPACT`."""
+    def control_cycle(self, state: RobotState) -> ControlCommand:
+        """One 120 Hz command, the leg steered in each.  The flapping stops
+        for good once the range to the branch is `GLIDE_STOP_RANGE_M` or
+        less."""
         cfg = self.config
+        rng_m = cfg.branch.x_m - state.x_m
+        if rng_m <= GLIDE_STOP_RANGE_M:
+            self.flapping = False
         delta_e, self.pitch_pid = pid_step(
             DEFAULT_PITCH_GAINS, cfg.pitch_setpoint_deg, state.pitch_deg,
             DT, self.pitch_pid)
@@ -316,11 +299,8 @@ class Autopilot:
         flap_corr, self.alt_pid = pid_step(
             DEFAULT_ALT_GAINS, cfg.altitude_setpoint_m, state.altitude_m,
             DT, self.alt_pid)
-        flap = (self.trim_flap + flap_corr
-                if phase is Phase.CONTROLLED_FLIGHT else 0.0)
-
-        if phase is not Phase.IMPACT:
-            self._update_leg(state)
+        flap = self.trim_flap + flap_corr if self.flapping else 0.0
+        self._update_leg(state, rng_m)
 
         return ControlCommand.limited(delta_e, delta_r, flap, self.beta_cmd)
 
@@ -391,15 +371,14 @@ def run_mission(config: MissionConfig) -> MissionResult:
     t = 0.0
     n_max = int(MAX_MISSION_TIME_S / DT)
     for _ in range(n_max):
-        phase = ap.advance_phase(state)
-        if phase is Phase.IMPACT:
+        if config.branch.x_m - state.x_m <= 0.0:
             termination = Termination.CROSSED
             break
-        cmd = ap.control_cycle(state, phase)
+        cmd = ap.control_cycle(state)
         force, moment = disturbance.step()
         t += DT
         try:
-            state = plant_step(state, cmd, config.robot, DT,
+            state = plant_step(state, cmd, config.mass_kg, DT,
                                ext_force=force, ext_moment=moment)
         except AttitudeDivergence:
             termination = Termination.DIVERGED
@@ -421,7 +400,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                     - crossing.claw_z_m(ROBOT_LEG.link_length_m))
         impact = legmod.simulate_impact(
             ROBOT_LEG,
-            total_mass_kg=config.robot.mass_kg,
+            total_mass_kg=config.mass_kg,
             speed_mps=min(legmod.MAX_IMPACT_SPEED_MPS,
                           max(0.0, crossing.vx_mps)),
             misalignment_z_m=claw_mis,
@@ -437,7 +416,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 theta_leg_deg=min(90.0, max(0.0, crossing.beta_deg)),
                 psi_branch_deg=crossing.yaw_deg,
                 body_pitch_deg=crossing.pitch_deg,
-                mass_kg=config.robot.mass_kg), hold)
+                mass_kg=config.mass_kg), hold)
         altitude_error = abs(crossing.altitude_m - config.altitude_setpoint_m)
     # the reshape also gives a mission that flew no cycle its 11 columns
     trajectory = np.array(rows, dtype=float).reshape(
@@ -485,7 +464,7 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
         # steps (the quarter-step margin keeps the cap itself on the grid)
         speeds = np.arange(1.0, LAUNCH_SPEED_CAP_MPS + 0.25, 0.5)
         locks = [legmod.simulate_impact(ROBOT_LEG,
-                                        total_mass_kg=config.robot.mass_kg,
+                                        total_mass_kg=config.mass_kg,
                                         speed_mps=float(v),
                                         misalignment_z_m=0.0).locked
                  for v in speeds]
@@ -499,14 +478,13 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
         # a slower trim, so the launcher is set lower to absorb the larger
         # post-launch zoom climb (re-tuned for this stage, like the launcher
         # height would be on the field).
-        if not config.robot.mass_kg > APPENDAGE_MASS_KG:
+        if not config.mass_kg > APPENDAGE_MASS_KG:
             raise ValueError(
                 f"stage 2 flies the airframe without its {APPENDAGE_MASS_KG} "
-                f"kg appendage, so its mass_kg {config.robot.mass_kg} kg must "
+                f"kg appendage, so its mass_kg {config.mass_kg} kg must "
                 "exceed that")
-        light = RobotParams(config.robot.mass_kg - APPENDAGE_MASS_KG)
-        cfg = replace(config, robot=light, soft_branch=True,
-                      launch_altitude_offset_m=-0.26)
+        cfg = replace(config, mass_kg=config.mass_kg - APPENDAGE_MASS_KG,
+                      soft_branch=True, launch_altitude_offset_m=-0.26)
         result = run_mission(cfg)
         settle = _pitch_settle_metrics(cfg)
         alt_err = result.altitude_error_m
@@ -535,7 +513,9 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
 
 
 def _pitch_settle_metrics(config: MissionConfig) -> Dict[str, float]:
-    """Closed-loop pitch step 0 -> setpoint on the configured plant."""
+    """Closed-loop pitch step 0 -> setpoint on the configured plant.  A
+    branch near enough to cut the flapping leaves the step as it is: the
+    pitch dynamics read neither the flap nor the leg."""
     ap = Autopilot(config)
     state = RobotState(z_m=config.altitude_setpoint_m,
                        vx_mps=ap.trim_speed, pitch_deg=0.0)
@@ -544,8 +524,8 @@ def _pitch_settle_metrics(config: MissionConfig) -> Dict[str, float]:
     overshoot = 0.0
     t = 0.0
     for _ in range(int(3.0 / DT)):
-        cmd = ap.control_cycle(state, Phase.CONTROLLED_FLIGHT)
-        state = plant_step(state, cmd, config.robot, DT)
+        cmd = ap.control_cycle(state)
+        state = plant_step(state, cmd, config.mass_kg, DT)
         t += DT
         overshoot = max(overshoot, state.pitch_deg - target)
         if abs(state.pitch_deg - target) <= 0.05 * target:

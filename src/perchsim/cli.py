@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Usage: ``perchsim <scenario> --config <path> [--seed N] [--out DIR]``.
+Usage: ``perchsim <scenario> [--config PATH] [--seed N] [--out DIR]``.
 Exit codes: 0 = scenario criteria met, 1 = criteria failed,
 2 = configuration error.
 """

@@ -41,7 +41,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .config import check_ranges, ranged
-from .plant import RobotParams
+from .plant import AIRFRAME_MASS_KG
 
 __all__ = [
     "LegParams",
@@ -391,7 +391,7 @@ def _outputs_final(x, p, xd, pd, m12, servo_peak, l_peak, t_rem, l, zb,
 
 def simulate_impact(
     leg: LegParams,
-    total_mass_kg: float = RobotParams.mass_kg,
+    total_mass_kg: float = AIRFRAME_MASS_KG,
     speed_mps: float = 2.5,
     misalignment_z_m: float = 0.0,
     dt: float = 1e-4,
@@ -434,7 +434,7 @@ def impact_sweep(
         leg.link_length_m,
         leg.leg_mass_kg,
         leg.leg_spring_rate_n_m,
-        RobotParams.mass_kg,
+        AIRFRAME_MASS_KG,
         sp,
         mz,
     )
@@ -492,7 +492,7 @@ def _suite_peaks(l, m, k, cap=None):
     for speed in sorted(DESIGN_SPEED_SUITE, reverse=True):
         lane_cap = None if cap is None else (servo_max, l_max, *cap)
         _, _, servo, jl, _ = simulate_impact_batch(
-            l, m, k, RobotParams.mass_kg, speed, _COST_MISALIGNMENT,
+            l, m, k, AIRFRAME_MASS_KG, speed, _COST_MISALIGNMENT,
             dt=_COST_DT, cap=lane_cap
         )
         servo_max = np.maximum(servo_max, servo)

@@ -3,9 +3,10 @@
 A simulated 1x128 line-scan sensor rides on the leg and images the branch as
 a dark band against a bright background.  Detection divides out the cosine
 vignetting profile, thresholds at a fraction of the frame mean, and accepts
-the highest-located dark run.  The detected pixel offset feeds a PD loop
-that steers the leg so the claw boresight tracks the branch during the final
-approach.
+the highest-located dark run.  `leg_pd_step` is a PD law on the detected
+pixel offset that centres the claw boresight on the branch; acceptance check
+c08 scores it.  A mission steers the leg otherwise: `autopilot.Autopilot`
+fuses the detection's bearing with the range to the branch.
 
 The pixel geometry (each pixel's off-boresight angle and its cosine falloff)
 depends only on the field of view, so it is computed once per ``SensorSpec``

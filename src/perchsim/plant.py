@@ -15,7 +15,7 @@ vectors, or building and unpacking lists, would cost more than the
 arithmetic.  For the same reason the right-hand side is not a function:
 `plant_step` writes it out in place at each of the four RK4 stages, lift/drag
 polar included, and unpacks its constants into locals once per call: the
-airframe's mass, and the rest from one module tuple.
+airframe's mass, a float argument, and the rest from one module tuple.
 
 `plant_step` takes a command as `ControlCommand.limited`, its one clamp,
 built it, and a gust of Python floats; it neither limits nor converts them.
@@ -27,10 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .config import check_ranges, ranged
-
 __all__ = [
-    "RobotParams",
     "RobotState",
     "AttitudeDivergence",
     "ControlCommand",
@@ -41,6 +38,7 @@ __all__ = [
     "trim_state",
     "PLANT_RATE_HZ",
     "CONTROL_RATE_HZ",
+    "AIRFRAME_MASS_KG",
     "APPENDAGE_MASS_KG",
 ]
 
@@ -48,7 +46,9 @@ GRAVITY = 9.81
 AIR_DENSITY = 1.225
 PLANT_RATE_HZ = 960.0
 CONTROL_RATE_HZ = 120.0
-# the leg and claw, part of `RobotParams.mass_kg`; stage 2 flies without them
+# the airframe with its leg/claw appendage, `MissionConfig.mass_kg`'s default
+AIRFRAME_MASS_KG = 0.700
+# the leg and claw, part of the airframe's mass; stage 2 flies without them
 APPENDAGE_MASS_KG = 0.18
 # the factors math.radians and math.degrees multiply by, so a product with
 # them has those functions' bits without their call
@@ -58,7 +58,7 @@ _DEGREES = 180.0 / math.pi
 
 # The airframe's calibration, anchored to: trim at 30 deg pitch in 2.5-3
 # m/s, no trim above 40 deg, and a brief 4 m/s launch glide.  Only its mass
-# varies between airframes, in `RobotParams`.
+# varies between airframes, and the functions that need it take it.
 WING_AREA_M2 = 0.43  # 16 N/m^2 wing loading at 0.7 kg
 MAX_FLAP_HZ = 5.5
 PITCH_INERTIA_KGM2 = 0.010
@@ -122,16 +122,6 @@ _RHS_CONSTANTS = (
     YAW_STIFFNESS_NM_RAD, YAW_DAMPING_NM_S, YAW_INERTIA_KGM2,
     2.0 * HEAVE_DAMPING_RATIO * _HEAVE_OMEGA, _HEAVE_OMEGA * _HEAVE_OMEGA,
     BETA_LAG_S, _RATE_CAP, -_RATE_CAP)
-
-
-@dataclass(frozen=True)
-class RobotParams:
-    """The airframe: its mass, the one quantity that differs between the
-    airframes flown; the rest of it is this module's constants."""
-
-    mass_kg: float = ranged(0.700, "(0, inf)")  # with leg/claw appendage
-
-    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,7 @@ def thrust_model(flap_hz: float) -> float:
 def plant_step(
     state: RobotState,
     cmd: ControlCommand,
-    params: RobotParams,
+    mass_kg: float,
     dt: float = 1.0 / CONTROL_RATE_HZ,
     ext_force: Tuple[float, float, float] = (0.0, 0.0, 0.0),
     ext_moment: Tuple[float, float] = (0.0, 0.0),
@@ -251,7 +241,10 @@ def plant_step(
     if not 0.0 < dt <= 1.0 / CONTROL_RATE_HZ + 1e-12:
         raise ValueError("plant_step dt must be positive and must not exceed "
                          "one control period")
-    m = params.mass_kg
+    if not 0.0 < mass_kg < math.inf:
+        raise ValueError(f"plant_step mass_kg must lie in (0, inf), got "
+                         f"{mass_kg!r}")
+    m = mass_kg
     weight = m * GRAVITY
     (wing_area, cl0, cl_alpha, a_s, cl_stall, cl_post_stall, cd0, cd_induced,
      cd_stall, cd_max, side_force, k_pitch, c_pitch, i_pitch, k_yaw, c_yaw,
@@ -472,7 +465,7 @@ def plant_step(
 
 
 def trim_state(pitch_deg: float,
-               params: RobotParams) -> Optional[Tuple[float, float]]:
+               mass_kg: float) -> Optional[Tuple[float, float]]:
     """Steady level-flight equilibrium at a fixed pitch.
 
     Returns (speed_mps, flap_hz), or None when the force balance needs more
@@ -480,6 +473,8 @@ def trim_state(pitch_deg: float,
     """
     if not 0.0 <= pitch_deg <= 60.0:
         raise ValueError("trim pitch must be within 0-60 deg")
+    if not 0.0 < mass_kg < math.inf:
+        raise ValueError(f"trim mass_kg must lie in (0, inf), got {mass_kg!r}")
     cl = lift_coeff(pitch_deg)
     cd = drag_coeff(pitch_deg)
     th = math.radians(pitch_deg)
@@ -490,7 +485,7 @@ def trim_state(pitch_deg: float,
     # download adds to the weight the wings must carry
     delta_e = PITCH_STIFFNESS_NM_RAD * th / ELEVATOR_NM_PER_DEG
     download = ELEVATOR_DOWNLOAD_N_PER_DEG * delta_e
-    v_sq = ((2.0 * (params.mass_kg * GRAVITY + download))
+    v_sq = ((2.0 * (mass_kg * GRAVITY + download))
             / (AIR_DENSITY * WING_AREA_M2 * denom))
     q_dyn = 0.5 * AIR_DENSITY * v_sq * WING_AREA_M2
     thrust = q_dyn * cd / math.cos(th)

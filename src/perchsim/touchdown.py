@@ -42,7 +42,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .config import check_ranges, ranged
-from .plant import GRAVITY, RobotParams
+from .plant import AIRFRAME_MASS_KG, GRAVITY
 
 __all__ = [
     "TouchdownState",
@@ -89,7 +89,7 @@ class TouchdownState:
     theta_leg_deg: float = ranged(90.0, "[0, 90]")  # 90 = leg horizontal
     psi_branch_deg: float = ranged(0.0, "(-inf, inf)")  # branch yaw deviation
     body_pitch_deg: float = ranged(30.0, "(-inf, inf)")
-    mass_kg: float = ranged(RobotParams.mass_kg, "(0, inf)")
+    mass_kg: float = ranged(AIRFRAME_MASS_KG, "(0, inf)")
 
     __post_init__ = check_ranges
 

@@ -16,7 +16,6 @@ from perchsim.autopilot import (
     DT,
     Autopilot,
     MissionConfig,
-    Phase,
     run_ensemble,
     run_mission,
 )
@@ -147,8 +146,8 @@ def test_c05_flight_control():
     state = RobotState(z_m=2.0, vx_mps=ap.trim_speed, pitch_deg=0.0)
     overshoot, settle_s, t = 0.0, math.inf, 0.0
     for _ in range(int(2.0 / DT)):
-        cmd = ap.control_cycle(state, Phase.CONTROLLED_FLIGHT)
-        state = plant_step(state, cmd, config.robot, DT)
+        cmd = ap.control_cycle(state)
+        state = plant_step(state, cmd, config.mass_kg, DT)
         t += DT
         overshoot = max(overshoot, state.pitch_deg - 30.0)
         if abs(state.pitch_deg - 30.0) <= 1.5:
@@ -156,8 +155,8 @@ def test_c05_flight_control():
                 settle_s = t
         else:
             settle_s = math.inf
-    trim30 = trim_state(30.0, config.robot)
-    infeasible = trim_state(45.0, config.robot) is None
+    trim30 = trim_state(30.0, config.mass_kg)
+    infeasible = trim_state(45.0, config.mass_kg) is None
     err0 = run_mission(MissionConfig()).altitude_error_m
     errs = [run_mission(MissionConfig(altitude_setpoint_m=sp))
             .altitude_error_m for sp in (1.75, 2.0, 2.25)]

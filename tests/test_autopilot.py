@@ -1,4 +1,4 @@
-"""Tests for the control loops, phase machine, and full perch missions."""
+"""Tests for the control loops, the flap cut, and full perch missions."""
 
 import enum
 import gc
@@ -16,10 +16,10 @@ from perchsim.autopilot import (
     DEFAULT_SEEDS,
     DISTURBANCE_TAU_S,
     DT,
+    GLIDE_STOP_RANGE_M,
     Autopilot,
     LoopGains,
     MissionConfig,
-    Phase,
     PidState,
     Termination,
     TrajectoryRow,
@@ -32,10 +32,10 @@ from perchsim.claw import BranchSpec
 from perchsim.leg import LegParams
 from perchsim.perception import PIXELS, SensorSpec
 from perchsim.plant import (
+    AIRFRAME_MASS_KG,
     ELEVATOR_LIMIT_DEG,
     MAX_FLAP_HZ,
     RUDDER_LIMIT_DEG,
-    RobotParams,
     RobotState,
     plant_step,
 )
@@ -108,7 +108,7 @@ class TestControlCycle:
     def test_glide_stop_kills_flapping(self):
         ap = Autopilot(MissionConfig())
         state = RobotState(x_m=13.9, z_m=1.5, vx_mps=2.5, pitch_deg=30.0)
-        cmd = ap.control_cycle(state, Phase.GLIDE_STOP)
+        cmd = ap.control_cycle(state)
         assert cmd.flap_hz == 0.0
 
     def test_approach_branch_above_raises_leg(self):
@@ -120,7 +120,7 @@ class TestControlCycle:
         assert state.claw_z_m(0.2) < 2.0  # claw below the branch center
         before = ap.beta_cmd
         for _ in range(10):
-            cmd = ap.control_cycle(state, Phase.CONTROLLED_FLIGHT)
+            cmd = ap.control_cycle(state)
         assert cmd.beta_cmd_deg > before
 
     def test_actuation_saturation_every_cycle(self):
@@ -136,46 +136,62 @@ class TestControlCycle:
         assert np.all((0.0 <= beta) & (beta <= 90.0))
 
 
-class TestPhaseMachine:
+class TestFlapCut:
     def test_forward_only(self):
+        # flapping, then gliding, up to the crossing
         config = MissionConfig()
         ap = Autopilot(config)
-        order = []
+        flapping = []
         state = RobotState(z_m=1.83, vx_mps=4.0)
         for _ in range(int(8.0 / DT)):
-            phase = ap.advance_phase(state)
-            order.append(phase.value)
-            cmd = ap.control_cycle(state, phase)
-            if phase is Phase.IMPACT:
+            if config.branch.x_m - state.x_m <= 0.0:
                 break
-            state = plant_step(state, cmd, config.robot, DT)
-        assert order == sorted(order)
-        assert order[-1] == Phase.IMPACT.value
+            cmd = ap.control_cycle(state)
+            flapping.append(ap.flapping)
+            state = plant_step(state, cmd, config.mass_kg, DT)
+        assert config.branch.x_m - state.x_m <= 0.0
+        assert flapping == sorted(flapping, reverse=True)
+        assert flapping[0] and not flapping[-1]
 
     def test_thresholds(self):
         ap = Autopilot(MissionConfig())
-        assert ap.phase is Phase.CONTROLLED_FLIGHT
-        assert ap.advance_phase(
-            RobotState(x_m=12.49, z_m=2.0)) is Phase.CONTROLLED_FLIGHT
-        assert ap.advance_phase(
-            RobotState(x_m=13.81, z_m=2.0)) is Phase.GLIDE_STOP
-        assert ap.advance_phase(
-            RobotState(x_m=14.0, z_m=2.0)) is Phase.IMPACT
+        assert ap.flapping
+        far = RobotState(x_m=12.49, z_m=2.0, vx_mps=2.5, pitch_deg=30.0)
+        assert ap.control_cycle(far).flap_hz > 0.0
+        assert ap.flapping
+        near = RobotState(x_m=13.81, z_m=2.0, vx_mps=2.5, pitch_deg=30.0)
+        assert ap.control_cycle(near).flap_hz == 0.0
+        assert not ap.flapping
 
-    def test_cut_and_impact_stay_latched(self):
+    def test_cut_stays_latched(self):
         # a gust that carries the airframe back past the 0.2 m cut leaves
-        # the flapping off; nothing undoes the impact
+        # the flapping off
         ap = Autopilot(MissionConfig())
-        assert ap.advance_phase(
-            RobotState(x_m=13.85, z_m=2.0)) is Phase.GLIDE_STOP
-        back = RobotState(x_m=13.5, z_m=2.0, vx_mps=2.5, pitch_deg=30.0)
-        assert ap.advance_phase(back) is Phase.GLIDE_STOP
-        assert ap.control_cycle(back, ap.phase).flap_hz == 0.0
-        assert ap.advance_phase(
-            RobotState(x_m=14.0, z_m=2.0)) is Phase.IMPACT
-        for x_m in (13.9, 12.0):
-            assert ap.advance_phase(
-                RobotState(x_m=x_m, z_m=2.0)) is Phase.IMPACT
+        ap.control_cycle(RobotState(x_m=13.85, z_m=2.0))
+        assert not ap.flapping
+        for x_m in (13.5, 12.0):
+            back = RobotState(x_m=x_m, z_m=2.0, vx_mps=2.5, pitch_deg=30.0)
+            assert ap.control_cycle(back).flap_hz == 0.0
+        assert not ap.flapping
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gusty_mission_glides_from_the_cut(self, seed):
+        # row i's command is built on the state before its step, x = 0 for
+        # row 0: the last row commanded outside the cut range flaps, and
+        # every row from the first inside it flies unpowered
+        config = MissionConfig(
+            seed=seed,
+            disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
+            disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
+        result = run_mission(config)
+        assert result.termination is Termination.CROSSED
+        x_before = np.concatenate(([0.0], column(result, "x_m")[:-1]))
+        flap = column(result, "flap_hz")
+        within = np.flatnonzero(config.branch.x_m - x_before
+                                <= GLIDE_STOP_RANGE_M)
+        assert within.size > 0
+        assert flap[within[0] - 1] > 0.0
+        assert np.all(flap[within[0]:] == 0.0)
 
 
 class TestRunMission:
@@ -254,26 +270,27 @@ class TestRunMission:
         calls = []
         control_cycle = Autopilot.control_cycle
 
-        def counted(self, state, phase):
-            calls.append(phase)
-            return control_cycle(self, state, phase)
+        def counted(self, state):
+            calls.append(state.x_m)
+            return control_cycle(self, state)
 
         monkeypatch.setattr(Autopilot, "control_cycle", counted)
-        result = run_mission(MissionConfig())
+        config = MissionConfig()
+        result = run_mission(config)
         assert result.termination is Termination.CROSSED
         assert len(calls) == len(result.trajectory)
-        assert Phase.IMPACT not in calls
+        assert all(config.branch.x_m - x_m > 0.0 for x_m in calls)
 
     def test_airframe_mass_reaches_impact_and_touchdown(self, monkeypatch):
         # the leg impact and the touchdown pivot both see the airframe's
         # mass, not the default's
-        robot = RobotParams(mass_kg=0.8)
-        assert robot.mass_kg != RobotParams.mass_kg
+        mass_kg = 0.8
+        assert mass_kg != AIRFRAME_MASS_KG
         masses = []
         impact = autopilot.legmod.simulate_impact
         touchdown = autopilot.evaluate_touchdown
 
-        def spy_impact(leg, total_mass_kg=RobotParams.mass_kg, **kwargs):
+        def spy_impact(leg, total_mass_kg=AIRFRAME_MASS_KG, **kwargs):
             masses.append(("impact", total_mass_kg))
             return impact(leg, total_mass_kg=total_mass_kg, **kwargs)
 
@@ -285,12 +302,12 @@ class TestRunMission:
         monkeypatch.setattr(autopilot, "evaluate_touchdown", spy_touchdown)
         # the heavier airframe sags about 0.1 m at the branch; a setpoint
         # 0.1 m higher brings the claw into the capture window, so it locks
-        result = run_mission(MissionConfig(robot=robot,
+        result = run_mission(MissionConfig(mass_kg=mass_kg,
                                            altitude_setpoint_m=2.1))
         assert result.impact.locked
         assert masses == [("impact", 0.8), ("touchdown", 0.8)]
         masses.clear()
-        run_stage(1, MissionConfig(robot=robot))
+        run_stage(1, MissionConfig(mass_kg=mass_kg))
         assert masses and masses == [("impact", 0.8)] * len(masses)
 
 
@@ -529,12 +546,12 @@ class TestRunStage:
         masses = set()
         step = autopilot.plant_step
 
-        def spy_step(state, cmd, params, *args, **kwargs):
-            masses.add(params.mass_kg)
-            return step(state, cmd, params, *args, **kwargs)
+        def spy_step(state, cmd, mass_kg, *args, **kwargs):
+            masses.add(mass_kg)
+            return step(state, cmd, mass_kg, *args, **kwargs)
 
         monkeypatch.setattr(autopilot, "plant_step", spy_step)
-        run_stage(2, MissionConfig(robot=RobotParams(mass_kg=0.8)))
+        run_stage(2, MissionConfig(mass_kg=0.8))
         assert len(masses) == 1
         assert masses.pop() == pytest.approx(0.62, abs=1e-12)
 
@@ -542,7 +559,15 @@ class TestRunStage:
             self):
         with pytest.raises(ValueError, match=r"0\.18 kg appendage, so its "
                                              r"mass_kg 0\.18 kg must exceed"):
-            run_stage(2, MissionConfig(robot=RobotParams(mass_kg=0.18)))
+            run_stage(2, MissionConfig(mass_kg=0.18))
+
+    def test_stage_two_pitch_step_ignores_the_cut(self):
+        # a branch 1 m out cuts the flapping early in the 3 s pitch step;
+        # the pitch dynamics read no flap, so the step scores the same
+        near = run_stage(2, MissionConfig(branch=BranchSpec(x_m=1.0)))
+        far = run_stage(2, MissionConfig())
+        for name in ("settle_s", "overshoot_deg"):
+            assert near.metrics[name] == far.metrics[name]
 
     def test_stage_two_keeps_the_config_gusts(self):
         calm = run_stage(2, MissionConfig())

@@ -138,7 +138,7 @@ class TestOverrides:
                 if not key.startswith("launcher.")}
         paths = list(settable_paths(MissionConfig()))
         assert len(paths) == len(set(paths)) == 14
-        assert set(paths) == keys | {"seed", "robot.mass_kg",
+        assert set(paths) == keys | {"seed", "mass_kg",
                                      "branch.surface"}
 
     @pytest.mark.parametrize("key,value,target", ROUTES,

@@ -19,6 +19,7 @@ from perchsim.autopilot import (
 from perchsim import plant
 from perchsim.plant import (
     AIR_DENSITY,
+    AIRFRAME_MASS_KG,
     APPENDAGE_MASS_KG,
     CONTROL_RATE_HZ,
     ELEVATOR_LIMIT_DEG,
@@ -28,7 +29,6 @@ from perchsim.plant import (
     RUDDER_LIMIT_DEG,
     AttitudeDivergence,
     ControlCommand,
-    RobotParams,
     RobotState,
     drag_coeff,
     lift_coeff,
@@ -40,12 +40,12 @@ from perchsim.plant import (
 DT = 1.0 / CONTROL_RATE_HZ
 
 
-def mechanical_energy(state, params):
+def mechanical_energy(state, mass_kg):
     """Kinetic plus gravitational potential energy of the mean motion (J)."""
-    ke = 0.5 * params.mass_kg * (
+    ke = 0.5 * mass_kg * (
         state.vx_mps ** 2 + state.vy_mps ** 2 + state.vz_mps ** 2
     )
-    return ke + params.mass_kg * GRAVITY * state.z_m
+    return ke + mass_kg * GRAVITY * state.z_m
 
 
 def to_vector(state):
@@ -72,12 +72,12 @@ def from_vector(v):
     )
 
 
-def reference_rhs(cmd, params, ext_force, ext_moment):
+def reference_rhs(cmd, mass_kg, ext_force, ext_moment):
     """The list-based right-hand side, the oracle for the one `plant_step`
     writes out at each stage: it calls the plant's polar functions, reads
     the plant's constants by name, derives the rest on each call and
     returns all 14 derivatives."""
-    m = params.mass_kg
+    m = mass_kg
     weight = m * GRAVITY
     thrust = thrust_model(cmd.flap_hz)
     download = plant.ELEVATOR_DOWNLOAD_N_PER_DEG * cmd.delta_e_deg
@@ -143,12 +143,12 @@ def reference_rhs(cmd, params, ext_force, ext_moment):
     return rhs
 
 
-def reference_plant_step(state, cmd, params, dt=DT,
+def reference_plant_step(state, cmd, mass_kg, dt=DT,
                          ext_force=(0.0, 0.0, 0.0), ext_moment=(0.0, 0.0)):
     """The list-based RK4 on `to_vector` lists, the oracle for
     `plant_step`'s bits; like it, it takes a limited command and a float
     gust."""
-    rhs = reference_rhs(cmd, params, ext_force, ext_moment)
+    rhs = reference_rhs(cmd, mass_kg, ext_force, ext_moment)
     n_sub = max(1, int(math.ceil(dt * PLANT_RATE_HZ - 1e-9)))
     h = dt / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
@@ -170,12 +170,12 @@ def reference_plant_step(state, cmd, params, dt=DT,
 
 
 @pytest.fixture
-def params():
-    return RobotParams()
+def mass_kg():
+    return AIRFRAME_MASS_KG
 
 
-def trim_setup(params, pitch=30.0):
-    speed, flap = trim_state(pitch, params)
+def trim_setup(mass_kg, pitch=30.0):
+    speed, flap = trim_state(pitch, mass_kg)
     delta_e = (plant.PITCH_STIFFNESS_NM_RAD * math.radians(pitch)
                / plant.ELEVATOR_NM_PER_DEG)
     state = RobotState(z_m=2.0, vx_mps=speed, pitch_deg=pitch)
@@ -183,10 +183,10 @@ def trim_setup(params, pitch=30.0):
     return state, cmd
 
 
-def fly(state, cmd, params, duration, record=None):
+def fly(state, cmd, mass_kg, duration, record=None):
     n = int(round(duration / DT))
     for i in range(n):
-        state = plant_step(state, cmd, params, DT)
+        state = plant_step(state, cmd, mass_kg, DT)
         if record is not None:
             record.append((i * DT, state))
     return state
@@ -201,9 +201,9 @@ class TestThrustModel:
         for a, b in zip(thrusts, thrusts[1:]):
             assert b > a
 
-    def test_max_flap_supports_trim(self, params):
+    def test_max_flap_supports_trim(self, mass_kg):
         # thrust is sized so trim at 30 deg exists below the flap ceiling
-        speed, flap = trim_state(30.0, params)
+        speed, flap = trim_state(30.0, mass_kg)
         assert flap < MAX_FLAP_HZ
         t_max = thrust_model(MAX_FLAP_HZ)
         t_trim = thrust_model(flap)
@@ -211,78 +211,83 @@ class TestThrustModel:
 
 
 class TestTrim:
-    def test_thirty_degrees_in_published_band(self, params):
-        speed, flap = trim_state(30.0, params)
+    def test_thirty_degrees_in_published_band(self, mass_kg):
+        speed, flap = trim_state(30.0, mass_kg)
         assert 2.5 <= speed <= 3.0
         assert 0.0 < flap <= MAX_FLAP_HZ
 
-    def test_above_forty_infeasible(self, params):
-        assert trim_state(45.0, params) is None
-        assert trim_state(50.0, params) is None
+    def test_above_forty_infeasible(self, mass_kg):
+        assert trim_state(45.0, mass_kg) is None
+        assert trim_state(50.0, mass_kg) is None
 
-    def test_zero_pitch_is_fastest(self, params):
+    def test_zero_pitch_is_fastest(self, mass_kg):
         speeds = []
         for pitch in range(0, 41, 5):
-            result = trim_state(float(pitch), params)
+            result = trim_state(float(pitch), mass_kg)
             if result is not None:
                 speeds.append(result[0])
         assert speeds[0] == max(speeds)
 
-    def test_speed_monotone_nonincreasing_in_pitch(self, params):
+    def test_speed_monotone_nonincreasing_in_pitch(self, mass_kg):
         prev = None
         for pitch in np.arange(0.0, 40.1, 2.0):
-            result = trim_state(float(pitch), params)
+            result = trim_state(float(pitch), mass_kg)
             if result is None:
                 continue
             if prev is not None:
                 assert result[0] <= prev + 1e-9
             prev = result[0]
 
-    def test_pitch_range_enforced(self, params):
+    def test_pitch_range_enforced(self, mass_kg):
         with pytest.raises(ValueError):
-            trim_state(-5.0, params)
+            trim_state(-5.0, mass_kg)
         with pytest.raises(ValueError):
-            trim_state(75.0, params)
+            trim_state(75.0, mass_kg)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    def test_mass_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^trim mass_kg must lie in"):
+            trim_state(30.0, bad)
 
 
 class TestPlantStep:
-    def test_ballistic_free_fall_short_horizon(self, params):
+    def test_ballistic_free_fall_short_horizon(self, mass_kg):
         """Gravity-only check: from rest with zero commands the drop matches
         -g t^2/2 before aerodynamic drag accumulates."""
         state = RobotState(z_m=10.0)
         t = 0.0
         for _ in range(6):
-            state = plant_step(state, ControlCommand(), params, DT)
+            state = plant_step(state, ControlCommand(), mass_kg, DT)
             t += DT
         expected_drop = 0.5 * 9.81 * t * t
         assert (10.0 - state.z_m) == pytest.approx(expected_drop, abs=1e-4)
 
-    def test_trim_is_equilibrium(self, params):
-        state, cmd = trim_setup(params)
-        end = fly(state, cmd, params, 3.0)
+    def test_trim_is_equilibrium(self, mass_kg):
+        state, cmd = trim_setup(mass_kg)
+        end = fly(state, cmd, mass_kg, 3.0)
         assert end.z_m == pytest.approx(2.0, abs=0.02)
         assert end.vx_mps == pytest.approx(state.vx_mps, abs=0.05)
         assert end.pitch_deg == pytest.approx(30.0, abs=0.2)
 
-    def test_non_minimum_phase_dip(self, params):
+    def test_non_minimum_phase_dip(self, mass_kg):
         """A pitch-up elevator step from trim drops altitude before the
         extra lift produces a climb."""
-        state, cmd = trim_setup(params)
+        state, cmd = trim_setup(mass_kg)
         stepped = ControlCommand(delta_e_deg=cmd.delta_e_deg + 1.5,
                                  flap_hz=cmd.flap_hz)
         rec = []
-        fly(state, stepped, params, 4.0, record=rec)
+        fly(state, stepped, mass_kg, 4.0, record=rec)
         early = [s.z_m for t, s in rec if t <= 1.0]
         dip = 2.0 - min(early)
         assert 0.0005 < dip < 0.10
         assert max(s.z_m for _, s in rec) > 2.0 + dip
 
-    def test_flap_oscillation_at_flap_frequency(self, params):
+    def test_flap_oscillation_at_flap_frequency(self, mass_kg):
         """FFT oracle: the steady altitude oscillation peaks at the flap
         frequency."""
-        state, cmd = trim_setup(params)
+        state, cmd = trim_setup(mass_kg)
         rec = []
-        fly(state, cmd, params, 8.0, record=rec)
+        fly(state, cmd, mass_kg, 8.0, record=rec)
         z = np.array([s.altitude_m for t, s in rec if t >= 4.0])
         z = z - z.mean()
         freqs = np.fft.rfftfreq(z.size, DT)
@@ -292,49 +297,56 @@ class TestPlantStep:
         amp = (z.max() - z.min()) / 2.0
         assert 0.01 < amp < 0.06
 
-    def test_glide_energy_nonincreasing(self, params):
+    def test_glide_energy_nonincreasing(self, mass_kg):
         state = RobotState(z_m=5.0, vx_mps=4.0, pitch_deg=10.0)
         cmd = ControlCommand()  # no flap, no tail input
-        energy = [mechanical_energy(state, params)]
+        energy = [mechanical_energy(state, mass_kg)]
         for _ in range(int(2.0 / DT)):
-            state = plant_step(state, cmd, params, DT)
-            energy.append(mechanical_energy(state, params))
+            state = plant_step(state, cmd, mass_kg, DT)
+            energy.append(mechanical_energy(state, mass_kg))
         for a, b in zip(energy, energy[1:]):
             assert b <= a + 1e-9
 
-    def test_halving_dt_converged(self, params):
+    def test_halving_dt_converged(self, mass_kg):
         """Integrator order: halving the step changes the 5 s terminal
         state by < 0.1%."""
-        state0, cmd = trim_setup(params)
-        coarse = fly(state0, cmd, params, 5.0)
+        state0, cmd = trim_setup(mass_kg)
+        coarse = fly(state0, cmd, mass_kg, 5.0)
         fine = state0
         for _ in range(int(5.0 / (DT / 2))):
-            fine = plant_step(fine, cmd, params, DT / 2)
+            fine = plant_step(fine, cmd, mass_kg, DT / 2)
         for attr in ("x_m", "z_m", "vx_mps", "pitch_deg"):
             a, b = getattr(coarse, attr), getattr(fine, attr)
             assert abs(a - b) <= 0.001 * max(1.0, abs(b))
 
-    def test_deterministic_and_time_invariant(self, params):
-        state, cmd = trim_setup(params)
-        a = fly(state, cmd, params, 1.0)
-        b = fly(state, cmd, params, 1.0)
+    def test_deterministic_and_time_invariant(self, mass_kg):
+        state, cmd = trim_setup(mass_kg)
+        a = fly(state, cmd, mass_kg, 1.0)
+        b = fly(state, cmd, mass_kg, 1.0)
         assert a == b
 
-    def test_dt_cap(self, params):
-        state, cmd = trim_setup(params)
+    def test_dt_cap(self, mass_kg):
+        state, cmd = trim_setup(mass_kg)
         with pytest.raises(ValueError):
-            plant_step(state, cmd, params, 0.1)
+            plant_step(state, cmd, mass_kg, 0.1)
 
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -1.0, -0.005])
-    def test_dt_must_be_positive(self, params, dt):
-        state, cmd = trim_setup(params)
+    def test_dt_must_be_positive(self, mass_kg, dt):
+        state, cmd = trim_setup(mass_kg)
         with pytest.raises(ValueError):
-            plant_step(state, cmd, params, dt)
+            plant_step(state, cmd, mass_kg, dt)
 
-    def test_ground_contact_stops_motion(self, params):
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    def test_mass_must_be_positive_and_finite(self, mass_kg, bad):
+        state, cmd = trim_setup(mass_kg)
+        with pytest.raises(ValueError,
+                           match="^plant_step mass_kg must lie in"):
+            plant_step(state, cmd, bad, DT)
+
+    def test_ground_contact_stops_motion(self, mass_kg):
         state = RobotState(z_m=0.05)
         for _ in range(int(1.0 / DT)):
-            state = plant_step(state, ControlCommand(), params, DT)
+            state = plant_step(state, ControlCommand(), mass_kg, DT)
         assert state.altitude_m == pytest.approx(0.0, abs=1e-9)
         assert state.on_ground
         assert state.vz_mps == 0.0
@@ -356,16 +368,16 @@ class TestCommandClamping:
         assert thrust_model(high.flap_hz) == thrust_model(MAX_FLAP_HZ)
         assert thrust_model(low.flap_hz) == 0.0
 
-    def test_nan_flap_diverges(self, params):
+    def test_nan_flap_diverges(self, mass_kg):
         # limited keeps a NaN flap; its thrust and heave are NaN, so the
         # altitude goes NaN and the step raises, as on a tumble
-        state, cmd = trim_setup(params)
+        state, cmd = trim_setup(mass_kg)
         nan_flap = ControlCommand.limited(cmd.delta_e_deg, 0.0, math.nan,
                                           0.0)
         assert math.isnan(nan_flap.flap_hz)
         assert math.isnan(thrust_model(nan_flap.flap_hz))
         with pytest.raises(AttitudeDivergence):
-            plant_step(state, nan_flap, params, DT)
+            plant_step(state, nan_flap, mass_kg, DT)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @example(0.0)
@@ -405,10 +417,10 @@ class TestPinnedOutputs:
     @staticmethod
     def step(state, cmd, dt=DT, **gust):
         return dataclasses.astuple(
-            plant_step(state, cmd, RobotParams(), dt, **gust))
+            plant_step(state, cmd, AIRFRAME_MASS_KG, dt, **gust))
 
-    def test_trim_with_numpy_gust(self, params):
-        state, cmd = trim_setup(params)
+    def test_trim_with_numpy_gust(self, mass_kg):
+        state, cmd = trim_setup(mass_kg)
         cmd = dataclasses.replace(cmd, beta_cmd_deg=45.0)
         # a numpy gust model's scalars, converted at the call
         force = (np.float64(0.012), np.float64(-0.021), np.float64(0.083))
@@ -447,13 +459,13 @@ class TestPinnedOutputs:
             4.998311223202457, -0.3997316631936659, 0.0, 0.0,
             0.1047197551196598, -0.001983057221435867, 0.0, 0.0)
 
-    def test_short_dt_fewer_substeps(self, params):
-        speed, flap = trim_state(30.0, params)
+    def test_short_dt_fewer_substeps(self, mass_kg):
+        speed, flap = trim_state(30.0, mass_kg)
         state = RobotState(
             z_m=2.0, vx_mps=speed, vy_mps=-0.2, pitch_deg=30.0, yaw_deg=-4.0,
             flap_phase_rad=2.5, heave_m=-0.004, heave_rate_mps=0.03,
             beta_deg=40.0)
-        _, trim_cmd = trim_setup(params)
+        _, trim_cmd = trim_setup(mass_kg)
         cmd = ControlCommand(delta_e_deg=trim_cmd.delta_e_deg,
                              delta_r_deg=2.0, flap_hz=flap, beta_cmd_deg=30.0)
         # 3 substeps of 1 ms instead of 8 of 1/960 s
@@ -528,12 +540,10 @@ COMMANDS = st.builds(
     beta_cmd_deg=ANGLE)
 
 
-DEFAULT_AIRFRAME = RobotParams()
+DEFAULT_AIRFRAME = AIRFRAME_MASS_KG
 # stage 2's airframe, without the leg and claw
-LIGHT_AIRFRAME = RobotParams(mass_kg=DEFAULT_AIRFRAME.mass_kg
-                             - APPENDAGE_MASS_KG)
-AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME),
-                      st.builds(RobotParams, mass_kg=st.floats(0.3, 1.5)))
+LIGHT_AIRFRAME = AIRFRAME_MASS_KG - APPENDAGE_MASS_KG
+AIRFRAMES = st.one_of(st.just(DEFAULT_AIRFRAME), st.floats(0.3, 1.5))
 NO_GUST = {"ext_force": (0.0, 0.0, 0.0), "ext_moment": (0.0, 0.0)}
 
 
@@ -582,11 +592,11 @@ class TestMatchesReference:
         airframes=[DEFAULT_AIRFRAME, LIGHT_AIRFRAME], dt=DT, **NO_GUST)
     def test_bit_identical(self, state, cmd, airframes, dt, ext_force,
                            ext_moment):
-        for params in airframes:
+        for mass_kg in airframes:
             limited = ControlCommand.limited(*dataclasses.astuple(cmd))
-            assert (outcome(plant_step, state, limited, params, dt,
+            assert (outcome(plant_step, state, limited, mass_kg, dt,
                             ext_force, ext_moment)
-                    == outcome(reference_plant_step, state, limited, params,
+                    == outcome(reference_plant_step, state, limited, mass_kg,
                                dt, ext_force, ext_moment))
 
 
@@ -595,20 +605,20 @@ class TestMissionReplay:
     the oracle: the mission's own inputs, not drawn ones, on the full
     airframe and on stage 2's light one."""
 
-    @pytest.mark.parametrize("robot", [DEFAULT_AIRFRAME, LIGHT_AIRFRAME],
+    @pytest.mark.parametrize("airframe", [DEFAULT_AIRFRAME, LIGHT_AIRFRAME],
                              ids=["default", "light"])
-    def test_gusty_mission_bit_identical(self, monkeypatch, robot):
+    def test_gusty_mission_bit_identical(self, monkeypatch, airframe):
         calls = []
 
-        def recording(state, cmd, params, dt, ext_force, ext_moment):
-            new = plant_step(state, cmd, params, dt, ext_force, ext_moment)
-            calls.append(((state, cmd, params, dt, ext_force, ext_moment),
+        def recording(state, cmd, mass_kg, dt, ext_force, ext_moment):
+            new = plant_step(state, cmd, mass_kg, dt, ext_force, ext_moment)
+            calls.append(((state, cmd, mass_kg, dt, ext_force, ext_moment),
                           new))
             return new
 
         monkeypatch.setattr(autopilot, "plant_step", recording)
         config = MissionConfig(
-            seed=5, robot=robot,
+            seed=5, mass_kg=airframe,
             disturbance_sigma_force_n=DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
             disturbance_sigma_moment_nm=DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM)
         run_mission(config)
@@ -627,13 +637,13 @@ class TestMissionReplay:
             got = tuple(map(float.hex, dataclasses.astuple(new)))
             assert got == outcome(reference_plant_step, *args)
             # a float gust gives a state of floats
-            state, cmd, params, dt, ext_force, ext_moment = args
+            state, cmd, mass_kg, dt, ext_force, ext_moment = args
             assert all(type(v) is float for v in ext_force + ext_moment)
             assert all(type(v) is float for v in dataclasses.astuple(new))
             # a numpy gust model's scalars, converted at the call
             numpy_force = tuple(map(np.float64, ext_force))
             numpy_moment = tuple(map(np.float64, ext_moment))
-            assert got == outcome(plant_step, state, cmd, params, dt,
+            assert got == outcome(plant_step, state, cmd, mass_kg, dt,
                                   tuple(map(float, numpy_force)),
                                   tuple(map(float, numpy_moment)))
 

@@ -31,7 +31,7 @@ DECLARED = {
         "altitude_setpoint_m": "(0, 5)", "disturbance_sigma_force_n": NON_NEG,
         "disturbance_sigma_moment_nm": NON_NEG,
         "launch_lateral_offset_m": FINITE, "launch_altitude_offset_m": FINITE,
-        "seed": MISSION_SEED},
+        "seed": MISSION_SEED, "mass_kg": POS},
     "RunConfig": {"seed": RUN_SEED},
     "BranchSpec": {"diameter_m": POS, "x_m": FINITE, "z_m": FINITE},
     "ClawGeometry": dict.fromkeys(("d_e", "trigger_lever", "claw_inertia"),
@@ -46,7 +46,6 @@ DECLARED = {
         "min_run_px": "[1, inf)", "dark_level": "[0, 1)"},
     "LegPdGains": {"kp_deg_per_px": NON_NEG, "kd_deg_s_per_px": NON_NEG,
                    "rate_limit_dps": POS},
-    "RobotParams": {"mass_kg": POS},
     "PsoConfig": {"particles": "[2, inf)", "iterations": NON_NEG,
                   "seed": MISSION_SEED},
     # any finite pitch: the 80-pass oracle test classifies 120 deg
