@@ -17,6 +17,7 @@ from perchsim.claw import BranchSpec
 from perchsim.perception import (
     PIXELS,
     ROBOT_SENSOR,
+    SENSOR_MOUNT_DEG,
     LegLoopState,
     LegPdGains,
     SensorPose,
@@ -49,7 +50,8 @@ def main():
     dt = 1.0 / spec.read_hz
     for step in range(25):
         pose = SensorPose(x_m=12.1, z_m=2.0,
-                          boresight_rad=np.radians(state.beta_cmd_deg - 45.0)
+                          boresight_rad=np.radians(
+                              state.beta_cmd_deg - SENSOR_MOUNT_DEG)
                           - step_rad)
         frame = render_scan(pose, branch, spec,
                             rng.normal(0.0, spec.noise_sigma, PIXELS))

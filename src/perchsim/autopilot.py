@@ -41,6 +41,7 @@ from .leg import ROBOT_LEG, ImpactRecord
 from .perception import (
     PIXELS,
     ROBOT_SENSOR,
+    SENSOR_MOUNT_DEG,
     SensorPose,
     detect_branch,
     render_scan,
@@ -67,7 +68,7 @@ __all__ = [
     "run_mission",
     "run_ensemble",
     "MissionResult",
-    "TrajectoryRow",
+    "TRAJECTORY_COLUMNS",
     "run_stage",
     "StageReport",
     "DEFAULT_SEEDS",
@@ -155,6 +156,8 @@ LATERAL_AIM_M = -0.06
 YAW_SETPOINT_LIMIT_DEG = 8.0
 # the fastest the leg loop slews the hip command
 HIP_SLEW_RATE_DPS = 60.0
+# the hip angle a mission launches at, and its leg command's first value
+HIP_START_DEG = 45.0
 
 
 @dataclass(frozen=True)
@@ -192,29 +195,19 @@ class MissionConfig:
                              "it must be non-negative")
 
 
-class TrajectoryRow(NamedTuple):
-    """The columns of a mission's trajectory, in order: one control cycle's
-    record, and the trajectory CSV's header.  `MissionResult.trajectory`
-    holds the rows as one float64 array."""
-
-    t_s: float
-    x_m: float
-    y_m: float
-    z_m: float
-    vx_mps: float
-    theta_deg: float
-    psi_deg: float
-    flap_hz: float
-    delta_e_deg: float
-    delta_r_deg: float
-    beta_deg: float
+# The columns of a mission's trajectory, in order: one control cycle's
+# record, and the trajectory CSV's header.  `MissionResult.trajectory` holds
+# the rows as one float64 array.
+TRAJECTORY_COLUMNS = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "theta_deg",
+                      "psi_deg", "flap_hz", "delta_e_deg", "delta_r_deg",
+                      "beta_deg")
 
 
 @dataclass
 class MissionResult:
     """One mission.  ``trajectory`` is a C-contiguous float64 array of shape
     ``(cycles, 11)``, one row per control cycle flown and one column per
-    `TrajectoryRow` field in its order, 88 B a row.
+    name in `TRAJECTORY_COLUMNS`, in its order, 88 B a row.
 
     ``end_t_s`` is the end of the last plant step flown or tried: for a
     divergence, that of the step that diverged.  ``crossing`` and ``impact``
@@ -241,7 +234,7 @@ class Autopilot:
         self.pitch_pid = PidState()
         self.yaw_pid = PidState()
         self.alt_pid = PidState()
-        self.beta_cmd = 45.0
+        self.beta_cmd = HIP_START_DEG
         self.branch_z_est: Optional[float] = None
         self.flapping = True
         self.noise_rows = _noise_rows(philox_stream(config.seed, 1),
@@ -258,7 +251,7 @@ class Autopilot:
         degenerates, so the last estimate is held.
         """
         cfg = self.config
-        boresight = math.radians(state.beta_deg - 45.0)
+        boresight = math.radians(state.beta_deg - SENSOR_MOUNT_DEG)
         claw_z = state.claw_z_m(ROBOT_LEG.link_length_m)
         pose = SensorPose(state.x_m, claw_z, boresight)
         frame = render_scan(pose, cfg.branch, ROBOT_SENSOR,
@@ -364,7 +357,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         z_m=config.altitude_setpoint_m + config.launch_altitude_offset_m,
         vx_mps=config.launch_speed_mps,
         pitch_deg=0.0,
-        beta_deg=45.0,
+        beta_deg=HIP_START_DEG,
     )
     rows: List[Tuple[float, ...]] = []
     termination = Termination.TIMEOUT
@@ -420,7 +413,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         altitude_error = abs(crossing.altitude_m - config.altitude_setpoint_m)
     # the reshape also gives a mission that flew no cycle its 11 columns
     trajectory = np.array(rows, dtype=float).reshape(
-        -1, len(TrajectoryRow._fields))
+        -1, len(TRAJECTORY_COLUMNS))
     return MissionResult(trajectory=trajectory, impact=impact,
                          outcome=outcome, crossing=crossing,
                          termination=termination, end_t_s=t,
@@ -513,18 +506,22 @@ def run_stage(stage: int, config: MissionConfig) -> StageReport:
 
 
 def _pitch_settle_metrics(config: MissionConfig) -> Dict[str, float]:
-    """Closed-loop pitch step 0 -> setpoint on the configured plant.  A
-    branch near enough to cut the flapping leaves the step as it is: the
-    pitch dynamics read neither the flap nor the leg."""
-    ap = Autopilot(config)
-    state = RobotState(z_m=config.altitude_setpoint_m,
-                       vx_mps=ap.trim_speed, pitch_deg=0.0)
+    """Closed-loop pitch step 0 -> setpoint on the configured plant, flown by
+    the pitch loop alone.  The pitch dynamics read only the elevator, so the
+    flap holds its trim, the rudder 0 and the hip `HIP_START_DEG`."""
+    trim_speed, trim_flap = trim_state(config.pitch_setpoint_deg,
+                                       config.mass_kg)
+    state = RobotState(z_m=config.altitude_setpoint_m, vx_mps=trim_speed,
+                       pitch_deg=0.0)
     target = config.pitch_setpoint_deg
+    pid = PidState()
     settle_s = math.inf
     overshoot = 0.0
     t = 0.0
     for _ in range(int(3.0 / DT)):
-        cmd = ap.control_cycle(state)
+        delta_e, pid = pid_step(DEFAULT_PITCH_GAINS, target, state.pitch_deg,
+                                DT, pid)
+        cmd = ControlCommand.limited(delta_e, 0.0, trim_flap, HIP_START_DEG)
         state = plant_step(state, cmd, config.mass_kg, DT)
         t += DT
         overshoot = max(overshoot, state.pitch_deg - target)

@@ -25,7 +25,6 @@ __all__ = [
     "BranchSpec",
     "BranchSurface",
     "ROBOT_CLAW",
-    "ClawMode",
     "ClawState",
     "GeometryNotBistableError",
     "NoSpikeContactError",
@@ -147,16 +146,10 @@ class ClawGeometry:
 ROBOT_CLAW = ClawGeometry()
 
 
-class ClawMode(Enum):
-    CLOSING = "closing"
-    LOCKED = "locked"
-
-
 @dataclass(frozen=True)
 class ClawState:
     psi_deg: float
     psi_rate_dps: float
-    mode: ClawMode
 
 
 def _anchor_world(geom: ClawGeometry, psi_deg: float) -> Tuple[float, float]:
@@ -300,7 +293,7 @@ def closing_dynamics(
     def accel(p: float, v: float) -> float:
         return claw_torque(geom, math.degrees(p)) / inertia - damping * v
 
-    trigger = ClawState(math.degrees(psi), 0.0, ClawMode.CLOSING)
+    trigger = ClawState(math.degrees(psi), 0.0)
     while psi < psi_closed:
         if t >= 1.0:
             raise StalledClawError("claw did not close within 1 s of simulated time")
@@ -312,7 +305,7 @@ def closing_dynamics(
         rate += dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t += dt
     psi = min(psi, psi_closed + 1e-12)
-    locked = ClawState(math.degrees(psi), math.degrees(rate), ClawMode.LOCKED)
+    locked = ClawState(math.degrees(psi), math.degrees(rate))
     return (trigger, locked), t * 1000.0
 
 

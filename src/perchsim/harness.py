@@ -8,13 +8,12 @@ summary, and reports whether its success criteria were met.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,11 +23,11 @@ from .autopilot import (
     DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
     DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
     DEFAULT_SEEDS,
+    TRAJECTORY_COLUMNS,
     MissionConfig,
     MissionResult,
     StageReport,
     Termination,
-    TrajectoryRow,
     run_stage,
 )
 from .claw import ROBOT_CLAW, BranchSpec
@@ -208,13 +207,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence],
+               fmt: Callable[[object], str] = _fmt) -> None:
+    """A header line, then one line per row of its values written by
+    ``fmt``, each line's fields joined by commas.  No field holds a comma,
+    quote or line break, so none is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        handle.write(",".join(header) + "\n")
+        handle.writelines([",".join(map(fmt, row)) + "\n" for row in rows])
 
 
 # A scenario's criteria verdict and its own lines of summary.txt, which
@@ -223,17 +223,10 @@ Verdict = Tuple[bool, List[str]]
 
 
 def _write_trajectory(path: Path, result: MissionResult) -> None:
-    """One CSV row per control cycle, one column per TrajectoryRow field.
-
-    The trajectory is a float64 array of shape ``(cycles, 11)``, 88 B a
-    row, its columns in `TrajectoryRow` order.  ``tolist`` gives its values
-    as Python floats, so each row is their ``repr``s joined by commas, never
-    a numpy scalar's: the bytes `_write_csv` writes, without its per-value
-    calls."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(TrajectoryRow._fields) + "\n")
-        handle.writelines([",".join(map(repr, row)) + "\n"
-                           for row in result.trajectory.tolist()])
+    """One CSV row per control cycle, one column per `TRAJECTORY_COLUMNS`
+    name.  ``tolist`` gives the trajectory's values as Python floats, so
+    ``repr`` writes each as `_fmt` would, without its per-value call."""
+    _write_csv(path, TRAJECTORY_COLUMNS, result.trajectory.tolist(), repr)
 
 
 def _divergence_lines(result: MissionResult) -> List[str]:

@@ -10,11 +10,12 @@ search varies; the joint's calibration is module constants, and the robot's
 own leg is ``ROBOT_LEG``.
 
 The integrator core takes a batch of simulations per call and runs the RK4
-step lane by lane on plain Python floats: every call (a mission impact, a
-swarm, the 27-lane impact sweep) is narrow enough that numpy's per-call
-overhead would dominate a vectorized step, and a lane stops once an energy
-bound proves that no later step can change its outputs.  The tests hold a
-numpy RK4 over all lanes at once as the oracle for its bits.
+step lane by lane on plain Python floats, four right-hand-side evaluations
+a step: every call (a mission impact, a swarm, the 27-lane impact sweep) is
+narrow enough that numpy's per-call overhead would dominate a vectorized
+step, and a lane stops once an energy bound proves that no later step can
+change its outputs.  The tests hold a numpy RK4 over all lanes at once as
+the oracle for its bits.
 
 A lane of the design cost also stops once its design cannot win.  A
 swarm passes ``leg_cost_batch`` each particle's personal-best cost as a
@@ -183,18 +184,21 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
     oracle, associated the same way, so the five outputs equal that lane of
     the oracle bit for bit when libm's sin and cos match numpy's.  The
     right-hand side (contact force, then the 2x2 mass-matrix solve for xdd
-    and phidd) is written out in place at each of its five evaluations
-    rather than called: the call, and the tuple it built and unpacked, were
-    about a quarter of a lane-step.  Where numpy would carry an inf or NaN
-    into the state (``math.sin`` of inf, a zero mass-matrix determinant)
-    this lane raises ``IntegrationError``, as the oracle's final |x| check
-    does.  Every 16 steps after the bounce, or from the first step for a
-    claw outside the capture window, ``_outputs_final`` may end the lane
-    early; the steps it skips would not have changed an output.  A lane
-    given ``cap = (servo_peak, joint_peak, mass_term, limit)`` (an uncapped
-    one gets ``()``) starts from those peaks and, every 16 steps, also stops
-    once ``_cost`` of its peaks reaches ``limit``: every later step could
-    only raise them, and the cost with them.
+    and phidd) is written out in place at each of its four evaluations per
+    step rather than called: the call, and the tuple it built and unpacked,
+    were about a quarter of a lane-step.  A step's k1 is the previous
+    step's last evaluation; the first step's accelerations are zero, as
+    every lane starts with the leg at rest and the claw just touching.
+    Where numpy would carry an inf or NaN into the state (``math.sin`` of
+    inf, a zero mass-matrix determinant) this lane raises
+    ``IntegrationError``, as the oracle's final |x| check does.  Every 16
+    steps after the bounce, or from the first step for a claw outside the
+    capture window, ``_outputs_final`` may end the lane early; the steps it
+    skips would not have changed an output.  A lane given ``cap =
+    (servo_peak, joint_peak, mass_term, limit)`` (an uncapped one gets
+    ``()``) starts from those peaks and, every 16 steps, also stops once
+    ``_cost`` of its peaks reaches ``limit``: every later step could only
+    raise them, and the cost with them.
     """
     k_c = CONTACT_STIFFNESS
     servo_k, servo_c = SERVO_JOINT_STIFFNESS_NM_RAD, SERVO_DAMPING_NM_S
@@ -217,21 +221,10 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
         # phi inertia that stays positive once the body's share is taken out
         i_min = i_hip - ml_half * ml_half / m11
         bounded = l > 0.0 and k_rot > 0.0 and c_rot >= 0.0 and i_min > 0.0
-        # k1 at the start; a step's end right-hand side is the next step's k1
-        sin_p, cos_p = sin(p), cos(p)
-        r_y = l * sin_p + zb * cos_p
-        delta = x + l * cos_p - zb * sin_p - l
-        f = 0.0
-        if capture and delta > 0.0:
-            f = k_c * delta + c_c * (xd - r_y * pd)
-            if f < 0.0:   # np.maximum(0, f): a NaN force stays NaN
-                f = 0.0
-        m12 = neg_ml_half * sin_p
-        q_x = ml_half * cos_p * pd * pd - f
-        q_phi = f * r_y - k_rot * p - c_rot * pd
-        det = m11_m22 - m12 * m12
-        xdd = (i_hip * q_x - m12 * q_phi) / det
-        pdd = (m11 * q_phi - m12 * q_x) / det
+        # k1's accelerations at the start, where x = phi = phid = 0 gives
+        # delta = 0 and no force; a step's end right-hand side is the next
+        # step's k1
+        xdd = pdd = 0.0
         for i in range(n_steps):
             # k2 at s + dt/2 * k1
             xd2, pd2 = xd + half_dt * xdd, pd + half_dt * pdd
@@ -242,7 +235,7 @@ def _impact_lane(l, zb, v0, k_rot, c_rot, c_c, capture, i_hip, ml_half, m11,
             f = 0.0
             if capture and delta > 0.0:
                 f = k_c * delta + c_c * (xd2 - r_y * pd2)
-                if f < 0.0:
+                if f < 0.0:   # np.maximum(0, f): a NaN force stays NaN
                     f = 0.0
             m12 = neg_ml_half * sin_p
             q_x = ml_half * cos_p * pd2 * pd2 - f

@@ -48,6 +48,8 @@ __all__ = [
 ARCMIN_RAD = math.pi / (180.0 * 60.0)
 PIXELS = 128   # the sensor is a 1x128 line-scan device
 READ_HZ_CAPABILITY = 330.0   # the sensor's fastest line rate
+# the sensor rides on the leg: its boresight angle is the hip angle less this
+SENSOR_MOUNT_DEG = 45.0
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from perchsim.autopilot import (
     DISTURBANCE_TAU_S,
     DT,
     GLIDE_STOP_RANGE_M,
+    TRAJECTORY_COLUMNS,
     Autopilot,
     LoopGains,
     MissionConfig,
     PidState,
     Termination,
-    TrajectoryRow,
     pid_step,
     run_ensemble,
     run_mission,
@@ -56,8 +56,8 @@ def crossing_in_envelope(state):
 
 
 def column(result, name):
-    """One `TrajectoryRow` field of every row of a mission's trajectory."""
-    return result.trajectory[:, TrajectoryRow._fields.index(name)]
+    """One named column of every row of a mission's trajectory."""
+    return result.trajectory[:, TRAJECTORY_COLUMNS.index(name)]
 
 
 class TestPidStep:
@@ -248,7 +248,7 @@ class TestRunMission:
         assert result.impact is None
         assert result.termination is Termination.DIVERGED
         assert result.end_t_s == DT
-        assert result.trajectory.shape == (0, len(TrajectoryRow._fields))
+        assert result.trajectory.shape == (0, len(TRAJECTORY_COLUMNS))
 
     def test_claw_height_uses_leg_length(self, monkeypatch):
         monkeypatch.setattr(autopilot, "ROBOT_LEG",
@@ -440,7 +440,7 @@ def bytes_reachable(obj):
 
 class TestTrajectoryArray:
     """A mission keeps its trajectory as one float64 array, one row per
-    control cycle and one column per `TrajectoryRow` field."""
+    control cycle and one column per `TRAJECTORY_COLUMNS` name."""
 
     @pytest.mark.parametrize("config, termination", [
         (MissionConfig(), Termination.CROSSED),
@@ -466,7 +466,7 @@ class TestTrajectoryArray:
         assert trajectory.flags.c_contiguous
         assert trajectory.ndim == 2
         assert trajectory.shape[0] > 0
-        assert trajectory.shape[1] == len(TrajectoryRow._fields) == 11
+        assert trajectory.shape[1] == len(TRAJECTORY_COLUMNS) == 11
         # one row per control cycle, in order
         t = column(result, "t_s")
         assert np.all(np.diff(t) > 0.0)
@@ -568,6 +568,21 @@ class TestRunStage:
         far = run_stage(2, MissionConfig())
         for name in ("settle_s", "overshoot_deg"):
             assert near.metrics[name] == far.metrics[name]
+
+    def test_stage_two_renders_one_frame_per_mission_cycle(self,
+                                                           monkeypatch):
+        # the pitch step flies the pitch loop alone, so only the mission's
+        # leg loop reads the sensor
+        frames = []
+        render_scan = autopilot.render_scan
+
+        def counted(*args):
+            frames.append(None)
+            return render_scan(*args)
+
+        monkeypatch.setattr(autopilot, "render_scan", counted)
+        report = run_stage(2, MissionConfig())
+        assert len(frames) == len(report.missions[0].trajectory) > 0
 
     def test_stage_two_keeps_the_config_gusts(self):
         calm = run_stage(2, MissionConfig())

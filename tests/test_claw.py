@@ -10,7 +10,6 @@ from perchsim.claw import (
     BranchSpec,
     BranchSurface,
     ClawGeometry,
-    ClawMode,
 )
 
 
@@ -232,9 +231,13 @@ class TestClosingDynamics:
         assert close_ms == pytest.approx(25.0, rel=0.40)
 
     def test_final_state_locked(self, geom):
-        states, _ = claw.closing_dynamics(geom)
-        assert states[-1].mode is ClawMode.LOCKED
-        assert states[0].mode is ClawMode.CLOSING
+        # the trigger state rests 0.5 deg past the snap angle; the locked
+        # one has reached the closed angle, still moving
+        (trigger, locked), _ = claw.closing_dynamics(geom)
+        assert trigger.psi_deg == pytest.approx(claw.snap_angle(geom) + 0.5)
+        assert trigger.psi_rate_dps == 0.0
+        assert locked.psi_deg == pytest.approx(geom.psi_closed)
+        assert locked.psi_rate_dps > 0.0
 
     def test_undamped_energy_balance(self, geom):
         states, _ = claw.closing_dynamics(geom, damping=0.0)

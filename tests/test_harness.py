@@ -34,8 +34,8 @@ from perchsim.harness import (
 from perchsim.autopilot import (
     DEFAULT_DISTURBANCE_SIGMA_FORCE_N,
     DEFAULT_DISTURBANCE_SIGMA_MOMENT_NM,
+    TRAJECTORY_COLUMNS,
     MissionConfig,
-    TrajectoryRow,
     run_stage,
 )
 from perchsim.cli import main
@@ -469,7 +469,7 @@ class TestScenarios:
         trajectory = run_stage(2, cfg.mission).missions[0].trajectory
         run_scenario(cfg)
         header, *rows = read_csv(tmp_path / "trajectory.csv")
-        assert tuple(header) == TrajectoryRow._fields
+        assert tuple(header) == TRAJECTORY_COLUMNS
         # bytes tell -0.0 from 0.0
         assert (np.array(rows, dtype=float).tobytes()
                 == trajectory.tobytes())

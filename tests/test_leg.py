@@ -233,15 +233,22 @@ class TestIntegrationError:
         peak, *_ = simulate_impact_batch(0.2, 0.12, 1200.0, 0.7, 13.0, 0.1)
         assert peak == 0.0
 
-    @pytest.mark.parametrize("link, spring", [
-        (0.2, -1e6),   # k_rot * i_hip < 0: np.sqrt gives NaN
-        (0.0, 1200.0),  # zero mass-matrix determinant
+    @pytest.mark.parametrize("link, leg_mass, spring, misalignment", [
+        # k_rot * i_hip < 0: np.sqrt gives NaN
+        pytest.param(0.2, 0.12, -1e6, 0.0, id="negative-spring"),
+        # zero mass-matrix determinants
+        pytest.param(0.0, 0.12, 1200.0, 0.0, id="zero-link"),
+        pytest.param(0.2, 0.0, 1200.0, 0.0, id="zero-leg-mass"),
+        # a NaN moment arm
+        pytest.param(0.2, 0.12, 1200.0, math.nan, id="nan-misalignment"),
     ])
-    def test_degenerate_lane_on_both_paths(self, link, spring):
+    def test_degenerate_lane_on_both_paths(self, link, leg_mass, spring,
+                                           misalignment):
         for speed in (2.0, np.array([2.0, 3.0])):
             for integrate in (simulate_impact_batch, numpy_rk4):
                 with pytest.raises(IntegrationError):
-                    integrate(link, 0.12, spring, 0.7, speed, 0.0)
+                    integrate(link, leg_mass, spring, 0.7, speed,
+                              misalignment)
 
     def test_negative_contact_radicand_uncaptured(self):
         # k_c * mt < 0 leaves c_c NaN, which a lane that never touches the
@@ -487,7 +494,7 @@ class TestFloatLanes:
         # 20 distinct designs, as a swarm draws them, so no lane is shared
         lo, hi = np.array(legmod.DESIGN_BOUNDS).T
         leg_cost_batch(np.random.default_rng(0).uniform(lo, hi, (20, 3)))
-        full_horizon = 3 * 20 * (4 * 750 + 1)   # 4 sin per step, 1 at t = 0
+        full_horizon = 3 * 20 * 4 * 750   # 4 sin per step
         assert len(sin_calls) < 0.7 * full_horizon
 
     def test_integrates_each_distinct_lane_once(self, monkeypatch, tmp_path):
@@ -521,7 +528,7 @@ class TestFloatLanes:
         out = simulate_impact_batch(0.20, 0.12, 1200.0, 0.700, speed,
                                     misalignment, dt=1e-4, t_max=0.15)
         assert [a.item() for a in out] == [0.0, 0.0, 0.0, 0.0, False]
-        assert len(sin_calls) == 4 + 1   # one step, 1 sin at t = 0
+        assert len(sin_calls) == 4   # one step
 
     @pytest.mark.parametrize("total_mass, speed, misalignment, t_bounce", [
         (0.700, 0.0, 0.0, 0.0),    # at rest on the branch: no force
@@ -532,7 +539,7 @@ class TestFloatLanes:
         out = simulate_impact_batch(0.20, 0.12, 1200.0, total_mass, speed,
                                     misalignment, dt=1e-4, t_max=0.15)
         assert out[1].item() == t_bounce
-        assert len(sin_calls) == 4 * 1500 + 1
+        assert len(sin_calls) == 4 * 1500
 
     @pytest.mark.parametrize("width", [1, 48, 49])
     def test_keeps_the_broadcast_shape(self, default_leg, width):
